@@ -11,13 +11,13 @@ advantage empirically.
 from .codec import CodecSpec, load_codec, save_codec
 from .datasets import DatasetSpec, read_image, synthesize_dataset, write_image
 from .lwe import (Ciphertext, ErrorTriple, KeyPair, LweParams, PublicKey,
-                  centered, decrypt, decrypt_noisy, derive_errors, encrypt,
-                  keygen, load_public_key, load_secret_key,
-                  sample_discrete_gaussian, save_key_files)
+                  centered, decrypt, decrypt_noisy, derive_error_rows,
+                  derive_errors, encrypt, keygen, load_public_key,
+                  load_secret_key, sample_discrete_gaussian, save_key_files)
 from .metrics import ms_ssim, mse, psnr, ssim
-from .modem import (ChannelModel, Constellation, awgn, build_constellation,
-                    likelihoods, modulate, nearest_point_demodulate,
-                    soft_demodulate, soft_symbol_estimate, transmit_awgn)
+from .modem import (Constellation, awgn, build_constellation, modulate,
+                    nearest_point_demodulate, noise_variance, receive,
+                    soft_demodulate)
 from .pipeline import (TransmissionRecord, records_to_csv, sweep, transmit,
                        transmit_latent)
 from .quantizer import (QuantizedLatent, QuantizerConfig, anneal_sigma_q,
@@ -25,7 +25,7 @@ from .quantizer import (QuantizedLatent, QuantizerConfig, anneal_sigma_q,
                         soft_quantize, soft_quantize_jacobian)
 from .rng import stream
 from .security import (AttackConfig, AttackReport, GameConfig, GameResult,
-                       eve_channel_observe, run_cpa_attack, run_ind_cpa_game)
+                       run_cpa_attack, run_ind_cpa_game)
 from .training import (TrainContext, TrainState, evaluate, init_train_state,
                        train_codec, train_step)
 

@@ -16,9 +16,9 @@ from . import codec, security, training
 from .config import (attack_config_from_dict, config_from_dict,
                      game_config_from_dict, load_config)
 from .datasets import read_image, synthesize_dataset
-from .lwe import LweParams, keygen, load_public_key, load_secret_key, save_key_files
+from .lwe import LweParams, keygen, load_secret_key, save_key_files
 from .modem import build_constellation
-from .pipeline import records_to_csv, sweep, transmit
+from .pipeline import records_to_csv, sweep
 from .quantizer import QuantizerConfig
 
 
@@ -59,13 +59,10 @@ def _cmd_transmit(args) -> int:
     qcfg = QuantizerConfig(cfg.lwe.p, cfg.n_levels, sigma_q=cfg.sigma_q)
     cons = build_constellation(cfg.lwe.p, cfg.avg_power)
     params = _codec_params(cfg, args.codec_params)
-    records = []
-    for idx, x in enumerate(images):
-        snr = cfg.snr_grid_db[0]
-        _, record = transmit(x, cfg.codec, params, keys, qcfg, cons, snr,
-                             cfg.sigma_l, cfg.seeds.error, cfg.seeds.channel,
-                             message_index=idx, image_index=idx)
-        records.append(record)
+    # one grid point: message and image indices both run 0 .. n-1
+    records = sweep(images, cfg.codec, params, keys, qcfg, cons,
+                    [cfg.snr_grid_db[0]], cfg.sigma_l, cfg.seeds.error,
+                    cfg.seeds.channel)
     Path(args.out).write_text(records_to_csv(records))
     print(f"wrote {len(records)} records to {args.out}")
     return 0

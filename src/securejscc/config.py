@@ -146,7 +146,6 @@ def attack_config_from_dict(raw: dict,
         pairs=int(raw.get("pairs", 2000)),
         dataset=dataset,
         epochs=int(raw.get("epochs", 30)),
-        metric=raw.get("metric", "mse"),
         error_mode=raw.get("error_mode", "fresh"),
         snr_e_db=_snr_value(raw.get("snr_e_db", "inf")),
         test_fraction=float(raw.get("test_fraction", 0.2)),

@@ -78,20 +78,19 @@ class KeyPair:
 
 @dataclass(frozen=True)
 class ErrorTriple:
-    """Per-message encryption noise (e1, e2, e3), discrete Gaussian."""
+    """Encryption noise (e1, e2, e3), discrete Gaussian, one row per message."""
 
-    e1: np.ndarray  # length n1
-    e2: np.ndarray  # length n2
-    e3: np.ndarray  # length k
+    e1: np.ndarray  # (..., n1)
+    e2: np.ndarray  # (..., n2)
+    e3: np.ndarray  # (..., k)
 
 
 @dataclass(frozen=True)
 class Ciphertext:
-    """Encrypted message: c carries the plaintext, d is plaintext-free."""
+    """Encrypted messages: c carries the plaintext, d is plaintext-free."""
 
-    c: np.ndarray  # length k, residues in [0, p)
-    d: np.ndarray  # length n2, residues in [0, p)
-    message_index: int = 0
+    c: np.ndarray  # (..., k), residues in [0, p)
+    d: np.ndarray  # (..., n2), residues in [0, p)
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -154,46 +153,61 @@ def derive_errors(shared_error_seed: int, message_index: int,
     return ErrorTriple(e1=e1, e2=e2, e3=e3)
 
 
+def derive_error_rows(shared_error_seed: int, message_indices,
+                      params: LweParams) -> ErrorTriple:
+    """Stack the :func:`derive_errors` triples of ``message_indices`` as rows."""
+    rows = ErrorTriple(*(np.empty((len(message_indices), n), dtype=np.int64)
+                         for n in (params.n1, params.n2, params.k)))
+    for row, index in enumerate(message_indices):
+        t = derive_errors(shared_error_seed, int(index), params)
+        rows.e1[row], rows.e2[row], rows.e3[row] = t.e1, t.e2, t.e3
+    return rows
+
+
 def encrypt(plaintext: np.ndarray, key: KeyPair | PublicKey,
-            errors: ErrorTriple, message_index: int = 0) -> Ciphertext:
-    """Encrypt a plaintext vector in Z_p^k with the public part of ``key``.
+            errors: ErrorTriple) -> Ciphertext:
+    """Encrypt plaintext rows in Z_p^k with the public part of ``key``.
 
-    c = (B^T e1 + e3 + plaintext) mod p
-    d = (A^T e1 + e2) mod p
+    c = (e1 B + e3 + plaintext) mod p
+    d = (e1 A + e2) mod p
 
-    ``d`` does not depend on the plaintext, so a receiver that shares the
-    error seed can precompute it.
+    ``plaintext`` is one message (k,) or a batch (B, k); ``errors`` must
+    carry one triple per message. ``d`` does not depend on the plaintext,
+    so a receiver that shares the error seed can precompute it.
     """
     p = key.params.p
     z = np.asarray(plaintext, dtype=np.int64)
-    if z.shape != (key.params.k,):
+    if z.shape[-1:] != (key.params.k,):
         raise ValueError(f"plaintext must have length k={key.params.k}, got shape {z.shape}")
     if np.any(z < 0) or np.any(z >= p):
         raise ValueError("plaintext entries must lie in [0, p)")
-    c = (key.B.T @ errors.e1 + errors.e3 + z) % p
-    d = (key.A.T @ errors.e1 + errors.e2) % p
-    return Ciphertext(c=c, d=d, message_index=int(message_index))
+    # broadcasting one triple over a batch would reuse it across messages
+    if any(e.shape[:-1] != z.shape[:-1] for e in (errors.e1, errors.e2, errors.e3)):
+        raise ValueError("need exactly one error triple per plaintext row")
+    c = (errors.e1 @ key.B + errors.e3 + z) % p
+    d = (errors.e1 @ key.A + errors.e2) % p
+    return Ciphertext(c=c, d=d)
 
 
 def decrypt(ct: Ciphertext, key: KeyPair) -> np.ndarray:
-    """Exact decryption: (S^T d + c) mod p = plaintext + residual mod p."""
-    if ct.c.shape != (key.params.k,) or ct.d.shape != (key.params.n2,):
+    """Exact decryption: (d S + c) mod p = plaintext + residual mod p."""
+    if ct.c.shape[-1:] != (key.params.k,) or ct.d.shape[-1:] != (key.params.n2,):
         raise ValueError(
             f"ciphertext shapes {ct.c.shape}/{ct.d.shape} do not match "
             f"params k={key.params.k}, n2={key.params.n2}")
-    return (key.S.T @ ct.d + ct.c) % key.params.p
+    return (ct.d @ key.S + ct.c) % key.params.p
 
 
 def decrypt_noisy(c_hat: np.ndarray, d: np.ndarray, key: KeyPair) -> np.ndarray:
-    """Decrypt a real-valued noisy ciphertext.
+    """Decrypt real-valued noisy ciphertext rows.
 
-    Returns ``real_mod(S^T d + c_hat, p)`` with floor-based reduction to
+    Returns ``real_mod(d S + c_hat, p)`` with floor-based reduction to
     ``[0, p)``, so on integer inputs this coincides with :func:`decrypt`.
     """
     c_hat = np.asarray(c_hat, dtype=np.float64)
     if not np.all(np.isfinite(c_hat)):
         raise ValueError("noisy ciphertext entries must be finite")
-    r = key.S.T @ np.asarray(d, dtype=np.int64) + c_hat
+    r = np.asarray(d, dtype=np.int64) @ key.S + c_hat
     return np.mod(r, float(key.params.p))
 
 

@@ -14,8 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rng import stream
+
 MAX_CONSTELLATION = 4096
 SIGMA_L_DEFAULT = 5.0
+# symbols x points of one demodulator block: 2 MB of float64, cache sized
+BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -24,17 +28,9 @@ class Constellation:
     avg_power: float
 
 
-@dataclass(frozen=True)
-class ChannelModel:
-    snr_db: float
-    sigma2: float
-    rng: np.random.Generator
-
-    @classmethod
-    def from_snr(cls, snr_db: float, avg_power: float,
-                 rng: np.random.Generator) -> "ChannelModel":
-        sigma2 = 0.0 if math.isinf(snr_db) else avg_power * 10.0 ** (-snr_db / 10.0)
-        return cls(snr_db=snr_db, sigma2=sigma2, rng=rng)
+def noise_variance(snr_db: float, avg_power: float) -> float:
+    """Complex AWGN variance per symbol at ``snr_db``; infinite SNR gives 0."""
+    return 0.0 if math.isinf(snr_db) else avg_power * 10.0 ** (-snr_db / 10.0)
 
 
 def build_constellation(p: int, target_power: float = 1.0) -> Constellation:
@@ -84,43 +80,27 @@ def awgn(y: np.ndarray, sigma2: float, rng: np.random.Generator) -> np.ndarray:
     return y + noise
 
 
-def transmit_awgn(y: np.ndarray, ch: ChannelModel) -> np.ndarray:
-    """Channel transfer function for a configured model."""
-    return awgn(y, ch.sigma2, ch.rng)
-
-
 def _point_distances_sq(y: np.ndarray, points: np.ndarray) -> np.ndarray:
     dre = y.real[:, None] - points.real[None, :]
     dim = y.imag[:, None] - points.imag[None, :]
     return dre * dre + dim * dim
 
 
-def likelihoods(y_hat_i: complex, cons: Constellation, sigma2: float) -> np.ndarray:
-    """Complex Gaussian density of one received value under every point."""
-    if not sigma2 > 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    d2 = np.abs(y_hat_i - cons.points) ** 2
-    return np.exp(-d2 / sigma2) / (math.pi * sigma2)
-
-
-def soft_symbol_estimate(likelihood_row: np.ndarray,
-                         sigma_l: float = SIGMA_L_DEFAULT) -> float:
-    """Softmax(sigma_l * likelihoods)-weighted mean of the integer values."""
-    if not sigma_l > 0:
-        raise ValueError(f"sigma_l must be positive, got {sigma_l}")
-    scores = sigma_l * np.asarray(likelihood_row, dtype=np.float64)
-    w = np.exp(scores - scores.max())
-    w /= w.sum()
-    return float(w @ np.arange(len(w)))
+def _block_symbols(p: int) -> int:
+    """Symbols per block: the largest power of two, at least 4, whose
+    block x p distance matrix fits in BLOCK_ELEMENTS."""
+    return max(4, 1 << ((BLOCK_ELEMENTS // p).bit_length() - 1))
 
 
 def soft_demodulate(y_hat: np.ndarray, cons: Constellation, sigma2: float,
-                    sigma_l: float = SIGMA_L_DEFAULT,
-                    block: int = 1024) -> np.ndarray:
+                    sigma_l: float = SIGMA_L_DEFAULT) -> np.ndarray:
     """Per-symbol softmax reconstruction of real-valued integer estimates.
 
-    Output entries lie in ``[0, p-1]`` (convex combinations of the values).
-    Processing is blocked to bound the k x p likelihood matrix.
+    ``y_hat`` is (..., k): the last axis is one message. Output entries lie
+    in ``[0, p-1]`` (convex combinations of the values). Each message is
+    processed in blocks of :func:`_block_symbols` symbols that never span
+    two messages, so a message's output does not depend on the batch it is
+    in and memory does not grow with the batch.
     """
     if not sigma2 > 0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
@@ -129,25 +109,48 @@ def soft_demodulate(y_hat: np.ndarray, cons: Constellation, sigma2: float,
     y_hat = np.asarray(y_hat, dtype=np.complex128)
     values = np.arange(len(cons.points), dtype=np.float64)
     inv = 1.0 / (math.pi * sigma2)
-    out = np.empty(y_hat.shape[0], dtype=np.float64)
-    for s in range(0, y_hat.shape[0], block):
-        chunk = y_hat[s:s + block]
-        d2 = _point_distances_sq(chunk, cons.points)
-        lik = inv * np.exp(-d2 / sigma2)
-        a = sigma_l * lik
-        a -= a.max(axis=1, keepdims=True)
-        w = np.exp(a)
-        w /= w.sum(axis=1, keepdims=True)
-        out[s:s + block] = w @ values
-    return out
+    block = _block_symbols(len(cons.points))
+    messages = y_hat.reshape(-1, y_hat.shape[-1])
+    out = np.empty(messages.shape, dtype=np.float64)
+    for m, message in enumerate(messages):
+        for s in range(0, message.shape[0], block):
+            d2 = _point_distances_sq(message[s:s + block], cons.points)
+            a = sigma_l * (inv * np.exp(-d2 / sigma2))
+            a -= a.max(axis=1, keepdims=True)
+            w = np.exp(a)
+            w /= w.sum(axis=1, keepdims=True)
+            out[m, s:s + block] = w @ values
+    return out.reshape(y_hat.shape)
 
 
-def nearest_point_demodulate(y_hat: np.ndarray, cons: Constellation,
-                             block: int = 1024) -> np.ndarray:
+def nearest_point_demodulate(y_hat: np.ndarray, cons: Constellation) -> np.ndarray:
     """Hard minimum-distance detection; ties pick the lower index."""
     y_hat = np.asarray(y_hat, dtype=np.complex128)
     out = np.empty(y_hat.shape[0], dtype=np.int64)
+    block = _block_symbols(len(cons.points))
     for s in range(0, y_hat.shape[0], block):
         d2 = _point_distances_sq(y_hat[s:s + block], cons.points)
         out[s:s + block] = np.argmin(d2, axis=1)
     return out
+
+
+def receive(c: np.ndarray, cons: Constellation | None, sigma2: float,
+            sigma_l: float, seed: int, message_indices) -> np.ndarray:
+    """Channel and receiver for (B, k) ciphertext rows.
+
+    Row i is modulated, perturbed by AWGN drawn from
+    ``stream(seed, message_indices[i])`` and soft-demodulated. ``sigma2 == 0``
+    is the exact noiseless limit: the demodulator output converges to the
+    transmitted integers, which are returned as floats (``cons`` is unused).
+    """
+    c = np.asarray(c)
+    if c.ndim != 2 or len(message_indices) != c.shape[0]:
+        raise ValueError(f"need (B, k) rows and B message indices, got shape "
+                         f"{c.shape} and {len(message_indices)} indices")
+    if sigma2 == 0.0:
+        return c.astype(np.float64)
+    y = modulate(c, cons)
+    y_hat = np.empty_like(y)
+    for row, index in enumerate(message_indices):
+        y_hat[row] = awgn(y[row], sigma2, stream(seed, int(index)))
+    return soft_demodulate(y_hat, cons, sigma2, sigma_l)

@@ -1,9 +1,10 @@
 """End-to-end transmission chain and SNR sweeps.
 
-One message runs encode -> hard quantize -> encrypt -> modulate -> AWGN ->
-soft demodulate -> noisy decrypt -> soft dequantize -> decode. Every stage
-draws from an explicitly seeded stream, so a (config, seeds) pair pins the
-output byte for byte.
+A batch of messages runs encode -> hard quantize -> encrypt -> modulate ->
+AWGN -> soft demodulate -> noisy decrypt -> soft dequantize -> decode.
+Every random draw comes from a stream keyed by the message index, so a
+(config, seeds) pair pins the output byte for byte and a message's output
+does not depend on the batch it travels in.
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ import numpy as np
 
 from . import codec, metrics
 from .lwe import (ErrorTriple, KeyPair, centered, decrypt, decrypt_noisy,
-                  derive_errors, encrypt)
-from .modem import Constellation, awgn, modulate, soft_demodulate
+                  derive_error_rows, encrypt)
+from .modem import Constellation, noise_variance, receive
 from .quantizer import QuantizerConfig, hard_quantize, soft_dequantize
-from .rng import stream
 
 CSV_SCHEMA_VERSION = 1
 CSV_COLUMNS = ("schema_version", "row_kind", "image_index", "message_index",
@@ -44,7 +44,7 @@ class TransmissionRecord:
 
 @dataclass(frozen=True)
 class LatentTrace:
-    """Intermediates of one latent round trip, for records and training."""
+    """Intermediates of a batch of latent round trips, one row per message."""
 
     z_prime: np.ndarray       # noisy plaintext after decryption
     exact_plain: np.ndarray   # decrypt of the exact ciphertext
@@ -54,32 +54,69 @@ class LatentTrace:
 
 def transmit_latent(z_bar: np.ndarray, keys: KeyPair, cons: Constellation,
                     sigma2: float, sigma_l: float, error_seed: int,
-                    channel_seed: int, message_index: int,
+                    channel_seed: int, message_indices,
                     zero_errors: bool = False) -> LatentTrace:
-    """Carry one quantized latent through encryption, channel and decryption.
+    """Carry (B, k) quantized latents through encryption, channel and decryption.
 
-    ``sigma2 == 0`` short-circuits the modem with its exact noiseless limit
-    (the demodulator output converges to the transmitted integers).
-    ``zero_errors`` substitutes an all-zero error triple. Both are test
+    Row i uses the error triple and channel stream of ``message_indices[i]``,
+    so a row's output does not depend on the batch it travels in.
+    ``sigma2 == 0`` short-circuits the modem with its exact noiseless limit.
+    ``zero_errors`` substitutes all-zero error triples. Both are test
     hooks; production paths use positive noise and derived errors.
     """
     params = keys.params
     if zero_errors:
-        errors = ErrorTriple(e1=np.zeros(params.n1, dtype=np.int64),
-                             e2=np.zeros(params.n2, dtype=np.int64),
-                             e3=np.zeros(params.k, dtype=np.int64))
+        errors = ErrorTriple(*(np.zeros((len(message_indices), n), dtype=np.int64)
+                               for n in (params.n1, params.n2, params.k)))
     else:
-        errors = derive_errors(error_seed, message_index, params)
-    ct = encrypt(z_bar, keys, errors, message_index=message_index)
-    if sigma2 > 0:
-        y = modulate(ct.c, cons)
-        y_hat = awgn(y, sigma2, stream(channel_seed, message_index))
-        c_hat = soft_demodulate(y_hat, cons, sigma2, sigma_l)
-    else:
-        c_hat = ct.c.astype(np.float64)
+        errors = derive_error_rows(error_seed, message_indices, params)
+    ct = encrypt(z_bar, keys, errors)
+    c_hat = receive(ct.c, cons, sigma2, sigma_l, channel_seed, message_indices)
     z_prime = decrypt_noisy(c_hat, ct.d, keys)
     return LatentTrace(z_prime=z_prime, exact_plain=decrypt(ct, keys),
                        c=ct.c, c_hat=c_hat)
+
+
+def _transmit_images(images: list[np.ndarray], spec: codec.CodecSpec,
+                     params: dict, keys: KeyPair, qcfg: QuantizerConfig,
+                     cons: Constellation, snr_db: float, sigma_l: float,
+                     error_seed: int, channel_seed: int, message_indices,
+                     image_indices, zero_errors: bool = False
+                     ) -> tuple[np.ndarray, list[TransmissionRecord]]:
+    """Send a batch of images through the full chain and score each one."""
+    h, w, c = spec.input_shape
+    batch = np.stack(images)
+    if batch.shape[1:] != (h, w, c):
+        raise ValueError(f"image shape {batch.shape[1:]} != codec {spec.input_shape}")
+
+    z, _ = codec.encode(batch.reshape(len(images), -1), spec, params)
+    z_bar = hard_quantize(z, qcfg).values
+    trace = transmit_latent(z_bar, keys, cons,
+                            noise_variance(snr_db, cons.avg_power), sigma_l,
+                            error_seed, channel_seed, message_indices,
+                            zero_errors=zero_errors)
+    z_hat = soft_dequantize(trace.z_prime, qcfg)
+    x_hat_flat, _ = codec.decode(z_hat, spec, params)
+    x_hats = x_hat_flat.reshape(len(images), h, w, c)
+
+    p = keys.params.p
+    report_ms = min(h, w) >= MS_SSIM_MIN_SIDE
+    records = []
+    for i, (x, x_hat) in enumerate(zip(images, x_hats)):
+        records.append(TransmissionRecord(
+            image_index=int(image_indices[i]),
+            message_index=int(message_indices[i]),
+            snr_db=snr_db,
+            rho=spec.k / (h * w * c),
+            mse=metrics.mse(x, x_hat),
+            psnr=metrics.psnr(x, x_hat),
+            ssim=metrics.ssim(x, x_hat),
+            ms_ssim=metrics.ms_ssim(x, x_hat) if report_ms else None,
+            crypto_noise_std=float(np.std(centered(trace.exact_plain[i] - z_bar[i], p))),
+            channel_noise_std=float(np.std(trace.c_hat[i] - trace.c[i])),
+            compound_noise_std=float(np.std(centered(trace.z_prime[i] - z_bar[i], p))),
+        ))
+    return x_hats, records
 
 
 def transmit(x: np.ndarray, spec: codec.CodecSpec, params: dict,
@@ -88,39 +125,10 @@ def transmit(x: np.ndarray, spec: codec.CodecSpec, params: dict,
              message_index: int, image_index: int = 0,
              zero_errors: bool = False) -> tuple[np.ndarray, TransmissionRecord]:
     """Send one image through the full chain and score the reconstruction."""
-    h, w, c = spec.input_shape
-    if x.shape != (h, w, c):
-        raise ValueError(f"image shape {x.shape} does not match codec {spec.input_shape}")
-    sigma2 = 0.0 if math.isinf(snr_db) else cons.avg_power * 10.0 ** (-snr_db / 10.0)
-
-    z, _ = codec.encode(x.reshape(1, -1), spec, params)
-    z_bar = hard_quantize(z[0], qcfg).values
-    trace = transmit_latent(z_bar, keys, cons, sigma2, sigma_l,
-                            error_seed, channel_seed, message_index,
-                            zero_errors=zero_errors)
-    z_hat = soft_dequantize(trace.z_prime, qcfg)
-    x_hat_flat, _ = codec.decode(z_hat[None, :], spec, params)
-    x_hat = x_hat_flat[0].reshape(h, w, c)
-
-    p = keys.params.p
-    crypto_std = float(np.std(centered(trace.exact_plain - z_bar, p)))
-    channel_std = float(np.std(trace.c_hat - trace.c))
-    compound_std = float(np.std(centered(trace.z_prime - z_bar, p)))
-    report_ms = min(h, w) >= MS_SSIM_MIN_SIDE
-    record = TransmissionRecord(
-        image_index=image_index,
-        message_index=message_index,
-        snr_db=snr_db,
-        rho=spec.k / (h * w * c),
-        mse=metrics.mse(x, x_hat),
-        psnr=metrics.psnr(x, x_hat),
-        ssim=metrics.ssim(x, x_hat),
-        ms_ssim=metrics.ms_ssim(x, x_hat) if report_ms else None,
-        crypto_noise_std=crypto_std,
-        channel_noise_std=channel_std,
-        compound_noise_std=compound_std,
-    )
-    return x_hat, record
+    x_hats, records = _transmit_images(
+        [x], spec, params, keys, qcfg, cons, snr_db, sigma_l, error_seed,
+        channel_seed, [message_index], [image_index], zero_errors=zero_errors)
+    return x_hats[0], records[0]
 
 
 def _fmt(value: float | int | None) -> str:
@@ -169,12 +177,13 @@ def sweep(images: list[np.ndarray], spec: codec.CodecSpec, params: dict,
     if not snr_grid_db:
         raise ValueError("SNR grid must be non-empty")
     records = []
-    message_index = 0
-    for snr_db in snr_grid_db:
-        for image_index, x in enumerate(images):
-            _, record = transmit(x, spec, params, keys, qcfg, cons, snr_db,
-                                 sigma_l, error_seed, channel_seed,
-                                 message_index, image_index=image_index)
-            records.append(record)
-            message_index += 1
+    if not images:
+        return records
+    image_indices = np.arange(len(images))
+    for g, snr_db in enumerate(snr_grid_db):
+        _, snr_records = _transmit_images(
+            images, spec, params, keys, qcfg, cons, snr_db, sigma_l,
+            error_seed, channel_seed, g * len(images) + image_indices,
+            image_indices)
+        records.extend(snr_records)
     return records

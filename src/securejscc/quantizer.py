@@ -62,11 +62,17 @@ def hard_quantize(z: np.ndarray, cfg: QuantizerConfig) -> QuantizedLatent:
     return QuantizedLatent(values=cfg.centroids[idx], indices=idx)
 
 
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
+def _centroid_weights(z: np.ndarray, cfg: QuantizerConfig, sharpness: float,
+                      what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-entry softmax over ``-sharpness * (z - q)^2``; returns (w, q)."""
+    if not sharpness > 0:
+        raise ValueError(f"sigma_q must be positive, got {sharpness}")
+    z = _check_finite(z, what)
+    q = cfg.centroids.astype(np.float64)
+    a = -sharpness * (z[..., None] - q[None, :]) ** 2
     # max subtraction is exact: softmax is shift invariant
-    a = scores - scores.max(axis=-1, keepdims=True)
-    w = np.exp(a)
-    return w / w.sum(axis=-1, keepdims=True)
+    w = np.exp(a - a.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True), q
 
 
 def soft_quantize(z: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
@@ -75,12 +81,7 @@ def soft_quantize(z: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
     Converges to :func:`hard_quantize` as sigma_q grows and to the centroid
     mean as sigma_q -> 0.
     """
-    if not cfg.sigma_q > 0:
-        raise ValueError(f"sigma_q must be positive, got {cfg.sigma_q}")
-    z = _check_finite(z, "latent vector")
-    q = cfg.centroids.astype(np.float64)
-    d2 = (z[..., None] - q[None, :]) ** 2
-    w = _softmax_rows(-cfg.sigma_q * d2)
+    w, q = _centroid_weights(z, cfg, cfg.sigma_q, "latent vector")
     return w @ q
 
 
@@ -90,12 +91,7 @@ def soft_quantize_jacobian(z: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
     The map is separable, so the Jacobian is diagonal with entries
     ``2 * sigma_q * Var_w(q)``, the softmax-weighted centroid variance.
     """
-    if not cfg.sigma_q > 0:
-        raise ValueError(f"sigma_q must be positive, got {cfg.sigma_q}")
-    z = _check_finite(z, "latent vector")
-    q = cfg.centroids.astype(np.float64)
-    d2 = (z[..., None] - q[None, :]) ** 2
-    w = _softmax_rows(-cfg.sigma_q * d2)
+    w, q = _centroid_weights(z, cfg, cfg.sigma_q, "latent vector")
     mean = w @ q
     second = w @ (q * q)
     return 2.0 * cfg.sigma_q * (second - mean * mean)
@@ -112,8 +108,5 @@ def soft_dequantize(z_prime: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
     Distances are plain squared differences on ``[0, p)`` residues; noise
     that wraps past p lands far from the low centroids by construction.
     """
-    z_prime = _check_finite(z_prime, "noisy plaintext")
-    q = cfg.centroids.astype(np.float64)
-    d2 = (z_prime[..., None] - q[None, :]) ** 2
-    w = _softmax_rows(-d2)
+    w, q = _centroid_weights(z_prime, cfg, 1.0, "noisy plaintext")
     return w @ q

@@ -23,9 +23,9 @@ import numpy as np
 
 from . import codec, metrics
 from .datasets import DatasetSpec, synthesize_dataset
-from .lwe import (LweParams, PublicKey, centered, derive_errors, encrypt,
-                  keygen, sample_discrete_gaussian)
-from .modem import awgn, build_constellation, modulate, soft_demodulate
+from .lwe import (LweParams, PublicKey, centered, derive_error_rows,
+                  derive_errors, encrypt, keygen, sample_discrete_gaussian)
+from .modem import build_constellation, noise_variance, receive
 from .quantizer import QuantizerConfig, build_centroids, hard_quantize
 from .rng import spawn_seed, stream
 
@@ -42,13 +42,6 @@ def default_plaintext_pair(params: LweParams,
     m0 = np.zeros(params.k, dtype=np.int64)
     m1 = np.full(params.k, cents[-1], dtype=np.int64)
     return m0, m1
-
-
-def eve_channel_observe(y: np.ndarray, snr_e_db: float, avg_power: float,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Eavesdropper's AWGN view of the channel input; inf SNR is lossless."""
-    sigma2 = 0.0 if math.isinf(snr_e_db) else avg_power * 10.0 ** (-snr_e_db / 10.0)
-    return awgn(y, sigma2, rng)
 
 
 # -- distinguishers ----------------------------------------------------------
@@ -145,17 +138,12 @@ class TrainedClassifier:
         self.m = (m0, m1)
         params = pk.params
         n = self.train_size
-        rows = []
         labels = np.tile([0, 1], n // 2 + 1)[:n]
         e1 = sample_discrete_gaussian(params.sigma_s, n * params.n1,
                                       rng).reshape(n, params.n1)
         e3 = sample_discrete_gaussian(params.sigma_s, n * params.k,
                                       rng).reshape(n, params.k)
-        base = (e1 @ pk.B + e3) % params.p
-        for i in range(n):
-            c = (base[i] + self.m[labels[i]]) % params.p
-            rows.append(self._features(c))
-        x = np.stack(rows)
+        x = self._features((e1 @ pk.B + e3 + np.stack(self.m)[labels]) % params.p)
         y = labels.astype(np.float64)
         w = np.zeros(x.shape[1])
         b = 0.0
@@ -267,7 +255,6 @@ class AttackConfig:
     pairs: int
     dataset: DatasetSpec
     epochs: int = 30
-    metric: str = "mse"
     error_mode: str = "fresh"
     snr_e_db: float = math.inf
     test_fraction: float = 0.2
@@ -281,8 +268,6 @@ class AttackConfig:
             raise ValueError(f"unknown error mode {self.error_mode!r}")
         if self.pairs < 1:
             raise ValueError("need at least one (image, ciphertext) pair")
-        if self.metric not in ("mse", "psnr", "ssim"):
-            raise ValueError(f"unknown metric {self.metric!r}")
 
 
 @dataclass(frozen=True)
@@ -391,23 +376,17 @@ def run_cpa_attack(cfg: AttackConfig, spec: codec.CodecSpec, codec_params: dict,
 
     z, _ = codec.encode(x, spec, codec_params)
     z_bar = hard_quantize(z.ravel(), qcfg).values.reshape(z.shape)
-    observations = np.empty_like(z)
-    cons = None if math.isinf(cfg.snr_e_db) else build_constellation(params.p, avg_power)
-    for i in range(cfg.pairs):
-        index = 0 if cfg.error_mode == "reused" else i
-        errors = derive_errors(error_seed, index, params)
-        ct = encrypt(z_bar[i], public_key, errors, message_index=index)
-        if cons is None:
-            observed = ct.c.astype(np.float64)
-        else:
-            y_eve = eve_channel_observe(modulate(ct.c, cons), cfg.snr_e_db,
-                                        avg_power, stream(eve_seed, i))
-            sigma2_e = avg_power * 10.0 ** (-cfg.snr_e_db / 10.0)
-            observed = soft_demodulate(y_eve, cons, sigma2_e, sigma_l)
-        if cfg.error_mode == "known_seed":
-            # the seed lets the adversary remove the error layer exactly
-            observed = (observed - (public_key.B.T @ errors.e1 + errors.e3)) % params.p
-        observations[i] = observed
+    messages = np.arange(cfg.pairs)
+    error_indices = np.zeros_like(messages) if cfg.error_mode == "reused" else messages
+    errors = derive_error_rows(error_seed, error_indices, params)
+    ct = encrypt(z_bar, public_key, errors)
+    # Eve's channel: the same receiver as Bob's, without the secret key
+    sigma2_e = noise_variance(cfg.snr_e_db, avg_power)
+    cons = build_constellation(params.p, avg_power) if sigma2_e > 0 else None
+    observations = receive(ct.c, cons, sigma2_e, sigma_l, eve_seed, messages)
+    if cfg.error_mode == "known_seed":
+        # the seed lets the adversary remove the error layer exactly
+        observations = (observations - (errors.e1 @ public_key.B + errors.e3)) % params.p
 
     n_test = max(1, int(round(cfg.pairs * cfg.test_fraction)))
     n_train = cfg.pairs - n_test

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import codec
 from .lwe import KeyPair
-from .modem import Constellation
+from .modem import Constellation, noise_variance
 from .pipeline import transmit_latent
 from .quantizer import (QuantizerConfig, anneal_sigma_q, hard_quantize,
                         soft_dequantize, soft_quantize, soft_quantize_jacobian)
@@ -43,9 +43,7 @@ class TrainContext:
 
     @property
     def sigma2(self) -> float:
-        if math.isinf(self.snr_db):
-            return 0.0
-        return self.cons.avg_power * 10.0 ** (-self.snr_db / 10.0)
+        return noise_variance(self.snr_db, self.cons.avg_power)
 
 
 @dataclass
@@ -72,35 +70,50 @@ def _loss_fn(kind: str):
     raise ValueError(f"unknown loss {kind!r}")
 
 
+def _through_chain(ctx: TrainContext, qcfg: QuantizerConfig, message_base: int):
+    """Latent map of the real chain: quantize, transmit the batch, dequantize."""
+    def latent_map(z: np.ndarray) -> np.ndarray:
+        z_bar = hard_quantize(z.ravel(), qcfg).values.reshape(z.shape)
+        trace = transmit_latent(z_bar, ctx.keys, ctx.cons, ctx.sigma2,
+                                ctx.sigma_l, ctx.error_seed, ctx.channel_seed,
+                                message_base + np.arange(z.shape[0]),
+                                zero_errors=ctx.zero_errors)
+        return soft_dequantize(trace.z_prime, qcfg)
+    return latent_map
+
+
+def _forward(batch: np.ndarray, params: dict, ctx: TrainContext, latent_map):
+    """Encode, map the latents, decode; the loss and the backward inputs."""
+    x = np.asarray(batch, dtype=np.float64)
+    z, enc_cache = codec.encode(x, ctx.spec, params)
+    x_hat, dec_cache = codec.decode(latent_map(z), ctx.spec, params)
+    loss, grad_x = _loss_fn(ctx.loss)(x, x_hat)
+    return loss, (grad_x, z, enc_cache, dec_cache)
+
+
+def _gradients(batch: np.ndarray, params: dict, ctx: TrainContext,
+               qcfg: QuantizerConfig, latent_map) -> tuple[float, dict]:
+    """Loss and parameter gradients; the latent map is skipped backward."""
+    loss, (grad_x, z, enc_cache, dec_cache) = _forward(batch, params, ctx,
+                                                       latent_map)
+    grads, grad_zhat = codec.decode_backward(grad_x, ctx.spec, params, dec_cache)
+    # gradient skip: the whole quantized-latent -> dequantized segment is
+    # treated as identity, then the soft-quantizer Jacobian maps back to z
+    grad_z = grad_zhat * soft_quantize_jacobian(z.ravel(), qcfg).reshape(z.shape)
+    grads.update(codec.encode_backward(grad_z, ctx.spec, params, enc_cache))
+    return loss, grads
+
+
 def compute_gradients(batch: np.ndarray, state: TrainState,
                       ctx: TrainContext) -> tuple[float, dict]:
     """Loss and parameter gradients for one batch of flattened images."""
-    x = np.asarray(batch, dtype=np.float64)
     qcfg = QuantizerConfig(ctx.qcfg.p, ctx.qcfg.n_levels, sigma_q=state.sigma_q)
-
-    z, enc_cache = codec.encode(x, ctx.spec, state.params)
-    z_bar = hard_quantize(z.ravel(), qcfg).values.reshape(z.shape)
-    z_hat = np.empty_like(z)
-    for i in range(x.shape[0]):
-        trace = transmit_latent(z_bar[i], ctx.keys, ctx.cons, ctx.sigma2,
-                                ctx.sigma_l, ctx.error_seed, ctx.channel_seed,
-                                message_index=state.messages_sent + i,
-                                zero_errors=ctx.zero_errors)
-        z_hat[i] = soft_dequantize(trace.z_prime, qcfg)
-    x_hat, dec_cache = codec.decode(z_hat, ctx.spec, state.params)
-
-    loss, grad_x = _loss_fn(ctx.loss)(x, x_hat)
+    loss, grads = _gradients(batch, state.params, ctx, qcfg,
+                             _through_chain(ctx, qcfg, state.messages_sent))
     if not math.isfinite(loss):
         raise RuntimeError(
             f"non-finite loss at step {state.step} "
             f"(sigma_q={state.sigma_q}, snr_db={ctx.snr_db})")
-
-    grads, grad_zhat = codec.decode_backward(grad_x, ctx.spec, state.params,
-                                             dec_cache)
-    # gradient skip: the whole quantized-latent -> dequantized segment is
-    # treated as identity, then the soft-quantizer Jacobian maps back to z
-    grad_z = grad_zhat * soft_quantize_jacobian(z.ravel(), qcfg).reshape(z.shape)
-    grads.update(codec.encode_backward(grad_z, ctx.spec, state.params, enc_cache))
     return loss, grads
 
 
@@ -126,17 +139,9 @@ def surrogate_gradients(batch: np.ndarray, state: TrainState,
     to :func:`compute_gradients`. With zero errors and a noiseless channel
     the two agree exactly, which pins down the gradient-routing contract.
     """
-    x = np.asarray(batch, dtype=np.float64)
     qcfg = QuantizerConfig(ctx.qcfg.p, ctx.qcfg.n_levels, sigma_q=state.sigma_q)
-    z, enc_cache = codec.encode(x, ctx.spec, state.params)
-    z_bar = hard_quantize(z.ravel(), qcfg).values.reshape(z.shape).astype(np.float64)
-    x_hat, dec_cache = codec.decode(z_bar, ctx.spec, state.params)
-    loss, grad_x = _loss_fn(ctx.loss)(x, x_hat)
-    grads, grad_zhat = codec.decode_backward(grad_x, ctx.spec, state.params,
-                                             dec_cache)
-    grad_z = grad_zhat * soft_quantize_jacobian(z.ravel(), qcfg).reshape(z.shape)
-    grads.update(codec.encode_backward(grad_z, ctx.spec, state.params, enc_cache))
-    return loss, grads
+    return _gradients(batch, state.params, ctx, qcfg, lambda z: hard_quantize(
+        z.ravel(), qcfg).values.reshape(z.shape).astype(np.float64))
 
 
 def soft_surrogate_loss(batch: np.ndarray, params: dict,
@@ -146,48 +151,24 @@ def soft_surrogate_loss(batch: np.ndarray, params: dict,
     Scalar-valued on purpose; finite differences of this function are the
     reference for the analytic backward pass.
     """
-    x = np.asarray(batch, dtype=np.float64)
-    qcfg = QuantizerConfig(ctx.qcfg.p, ctx.qcfg.n_levels, sigma_q=sigma_q)
-    z, _ = codec.encode(x, ctx.spec, params)
-    z_tilde = soft_quantize(z.ravel(), qcfg).reshape(z.shape)
-    x_hat, _ = codec.decode(z_tilde, ctx.spec, params)
-    loss, _ = _loss_fn(ctx.loss)(x, x_hat)
-    return loss
+    return soft_surrogate_gradients(batch, params, ctx, sigma_q)[0]
 
 
 def soft_surrogate_gradients(batch: np.ndarray, params: dict,
                              ctx: TrainContext,
                              sigma_q: float) -> tuple[float, dict]:
     """Analytic gradients of :func:`soft_surrogate_loss`."""
-    x = np.asarray(batch, dtype=np.float64)
     qcfg = QuantizerConfig(ctx.qcfg.p, ctx.qcfg.n_levels, sigma_q=sigma_q)
-    z, enc_cache = codec.encode(x, ctx.spec, params)
-    z_tilde = soft_quantize(z.ravel(), qcfg).reshape(z.shape)
-    x_hat, dec_cache = codec.decode(z_tilde, ctx.spec, params)
-    loss, grad_x = _loss_fn(ctx.loss)(x, x_hat)
-    grads, grad_zt = codec.decode_backward(grad_x, ctx.spec, params, dec_cache)
-    grad_z = grad_zt * soft_quantize_jacobian(z.ravel(), qcfg).reshape(z.shape)
-    grads.update(codec.encode_backward(grad_z, ctx.spec, params, enc_cache))
-    return loss, grads
+    return _gradients(batch, params, ctx, qcfg, lambda z: soft_quantize(
+        z.ravel(), qcfg).reshape(z.shape))
 
 
 def evaluate(images: np.ndarray, params: dict, ctx: TrainContext,
              sigma_q: float, message_base: int = 0) -> float:
-    """Mean loss of the evaluation chain (identical forward path)."""
-    x = np.asarray(images, dtype=np.float64)
+    """Mean loss of the evaluation chain (the training forward pass)."""
     qcfg = QuantizerConfig(ctx.qcfg.p, ctx.qcfg.n_levels, sigma_q=sigma_q)
-    z, _ = codec.encode(x, ctx.spec, params)
-    z_bar = hard_quantize(z.ravel(), qcfg).values.reshape(z.shape)
-    z_hat = np.empty_like(z)
-    for i in range(x.shape[0]):
-        trace = transmit_latent(z_bar[i], ctx.keys, ctx.cons, ctx.sigma2,
-                                ctx.sigma_l, ctx.error_seed, ctx.channel_seed,
-                                message_index=message_base + i,
-                                zero_errors=ctx.zero_errors)
-        z_hat[i] = soft_dequantize(trace.z_prime, qcfg)
-    x_hat, _ = codec.decode(z_hat, ctx.spec, params)
-    loss, _ = _loss_fn(ctx.loss)(x, x_hat)
-    return loss
+    return _forward(images, params, ctx,
+                    _through_chain(ctx, qcfg, message_base))[0]
 
 
 @dataclass

@@ -79,16 +79,12 @@ def test_criterion_3_compound_noise_calibration():
     qcfg = QuantizerConfig(4093, 16)
     qrng = stream(99)
     n_msgs = 196  # ~1e5 symbols at k = 512
-    crypto, chan, compound = [], [], []
-    for m in range(n_msgs):
-        zbar = qcfg.centroids[qrng.integers(0, 16, size=512)]
-        tr = transmit_latent(zbar, keys, cons, 0.1, 5.0, 21, 22, m)
-        crypto.append(centered(tr.exact_plain - zbar, 4093))
-        chan.append(tr.c_hat - tr.c)
-        compound.append(centered(tr.z_prime - zbar, 4093))
-    crypto = np.concatenate(crypto)
-    chan = np.concatenate(chan)
-    compound = np.concatenate(compound)
+    zbar = np.stack([qcfg.centroids[qrng.integers(0, 16, size=512)]
+                     for _ in range(n_msgs)])
+    tr = transmit_latent(zbar, keys, cons, 0.1, 5.0, 21, 22, np.arange(n_msgs))
+    crypto = centered(tr.exact_plain - zbar, 4093).ravel()
+    chan = (tr.c_hat - tr.c).ravel()
+    compound = centered(tr.z_prime - zbar, 4093).ravel()
     std_ok = 235.0 <= crypto.std() <= 260.0
     ratio = compound.var() / (crypto.var() + chan.var())
     var_ok = abs(ratio - 1.0) < 0.05

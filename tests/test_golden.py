@@ -1,0 +1,55 @@
+"""Golden outputs: a small sweep CSV and a short toy training run.
+
+The values were computed before the chain was batched; any change to the
+arithmetic of the chain (encryption, channel, demodulation, decryption,
+dequantization, codec) that is not bit-exact shows up here.
+"""
+
+import hashlib
+import math
+
+from securejscc.codec import CodecSpec
+from securejscc.datasets import DatasetSpec, synthesize_dataset
+from securejscc.lwe import LweParams, keygen
+from securejscc.modem import build_constellation
+from securejscc.pipeline import records_to_csv, sweep
+from securejscc.quantizer import QuantizerConfig
+from securejscc.training import TrainContext, init_train_state, train_codec
+
+SWEEP_CSV_SHA256 = "a40c638d695d8df76dc1ac89554552ef25a8be4a3ce421a2d0867c0af36ebe29"
+TRAIN_LOSSES = ["0x1.fbcc793a511fdp+12", "0x1.e467606e700cep+12"]
+VAL_LOSSES = ["0x1.f2260c09d06c0p+12", "0x1.e20f7ee6450f2p+12"]
+
+
+def test_identity_sweep_csv_is_pinned():
+    lwe = LweParams(p=4093, n1=192, n2=192, sigma_s=8.87, k=256)
+    spec = CodecSpec(kind="identity", input_shape=(16, 16, 1), k=256,
+                     latent_scale=4093 / 256.0)
+    images = synthesize_dataset(DatasetSpec("blob", 3, 16, 16, 1), 5)
+    records = sweep(images, spec, {}, keygen(lwe, 1, 2),
+                    QuantizerConfig(4093, 16), build_constellation(4093, 1.0),
+                    [0.0, 10.0, math.inf], 5.0, 3, 4)
+    csv = records_to_csv(records)
+    assert hashlib.sha256(csv.encode()).hexdigest() == SWEEP_CSV_SHA256
+
+
+def test_toy_training_losses_are_pinned():
+    lwe = LweParams(p=251, n1=16, n2=16, sigma_s=1.5, k=16)
+    keys = keygen(lwe, 101, 102)
+    spec = CodecSpec(kind="mlp", input_shape=(8, 8, 1), k=16,
+                     latent_scale=251.0, hidden_sizes=(32,))
+    qcfg = QuantizerConfig(251, 16)
+    cons = build_constellation(251, 1.0)
+    images = synthesize_dataset(DatasetSpec("blob", 120, 8, 8, 1), 5)
+
+    def ctx(error_seed, channel_seed):
+        return TrainContext(spec=spec, keys=keys, qcfg=qcfg, cons=cons,
+                            snr_db=10.0, sigma_l=5.0, error_seed=error_seed,
+                            channel_seed=channel_seed)
+
+    state = init_train_state(spec, seed=7, learning_rate=3e-4)
+    result = train_codec(images[:100], images[100:], ctx(3, 4), state,
+                         max_steps=20, batch_size=10, shuffle_seed=9,
+                         eval_ctx=ctx(31, 41))
+    assert [v.hex() for v in result.train_losses] == TRAIN_LOSSES
+    assert [v.hex() for v in result.val_losses] == VAL_LOSSES

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from securejscc.lwe import (Ciphertext, ErrorTriple, LweParams, centered,
-                            decrypt, decrypt_noisy, derive_errors, encrypt,
+                            decrypt, decrypt_noisy, derive_error_rows,
+                            derive_errors, encrypt,
                             keygen, load_public_key, load_secret_key,
                             public_matrix, round_half_away,
                             sample_discrete_gaussian, save_key_files)
@@ -155,6 +156,24 @@ def test_encrypt_validates_plaintext():
         encrypt(np.array([0, 1, 17]), keys, errors)
     with pytest.raises(ValueError):
         encrypt(np.array([0, 1, -1]), keys, errors)
+
+
+def test_encrypt_batch_needs_one_triple_per_row():
+    # broadcasting one (n1,) triple over a batch would reuse it across
+    # messages: the break the attack's sabotage control detects
+    keys = keygen(SMALL, 1, 2)
+    z = stream(62).integers(0, 17, size=(4, 3))
+    with pytest.raises(ValueError):
+        encrypt(z, keys, derive_errors(9, 0, SMALL))
+    with pytest.raises(ValueError):
+        encrypt(z, keys, derive_error_rows(9, range(3), SMALL))
+    batch = encrypt(z, keys, derive_error_rows(9, range(4), SMALL))
+    plain = decrypt(batch, keys)
+    for i in range(4):
+        single = encrypt(z[i], keys, derive_errors(9, i, SMALL))
+        assert np.array_equal(batch.c[i], single.c)
+        assert np.array_equal(batch.d[i], single.d)
+        assert np.array_equal(plain[i], decrypt(single, keys))
 
 
 def test_decrypt_zero_errors_exact():

@@ -4,11 +4,31 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from securejscc.modem import (ChannelModel, Constellation, awgn,
-                              build_constellation, likelihoods, modulate,
-                              nearest_point_demodulate, soft_demodulate,
-                              soft_symbol_estimate, transmit_awgn)
+from securejscc.modem import (Constellation, awgn, build_constellation,
+                              modulate, nearest_point_demodulate,
+                              noise_variance, receive, soft_demodulate)
 from securejscc.rng import stream
+
+
+# -- scalar oracle: one received value at a time -----------------------------
+
+
+def likelihoods(y_hat_i: complex, cons: Constellation, sigma2: float) -> np.ndarray:
+    """Complex Gaussian density of one received value under every point."""
+    if not sigma2 > 0:
+        raise ValueError(f"sigma2 must be positive, got {sigma2}")
+    d2 = np.abs(y_hat_i - cons.points) ** 2
+    return np.exp(-d2 / sigma2) / (math.pi * sigma2)
+
+
+def soft_symbol_estimate(likelihood_row: np.ndarray, sigma_l: float = 5.0) -> float:
+    """Softmax(sigma_l * likelihoods)-weighted mean of the integer values."""
+    if not sigma_l > 0:
+        raise ValueError(f"sigma_l must be positive, got {sigma_l}")
+    scores = sigma_l * np.asarray(likelihood_row, dtype=np.float64)
+    w = np.exp(scores - scores.max())
+    w /= w.sum()
+    return float(w @ np.arange(len(w)))
 
 
 # -- constellation -----------------------------------------------------------
@@ -86,15 +106,18 @@ def test_uniform_symbols_hit_average_power():
 
 
 def test_channel_model_sigma2():
-    ch = ChannelModel.from_snr(10.0, 1.0, stream(0))
-    assert abs(ch.sigma2 - 0.1) < 1e-12
-    assert ChannelModel.from_snr(math.inf, 1.0, stream(0)).sigma2 == 0.0
+    assert abs(noise_variance(10.0, 1.0) - 0.1) < 1e-12
+    assert abs(noise_variance(0.0, 2.5) - 2.5) < 1e-12
+    assert noise_variance(math.inf, 1.0) == 0.0
 
 
 def test_zero_noise_identity():
     y = stream(3).standard_normal(100) + 1j * stream(4).standard_normal(100)
-    ch = ChannelModel.from_snr(math.inf, 1.0, stream(5))
-    assert np.array_equal(transmit_awgn(y, ch), y)
+    assert np.array_equal(awgn(y, noise_variance(math.inf, 1.0), stream(5)), y)
+    c = stream(6).integers(0, 16, size=(3, 8))
+    c_hat = receive(c, None, 0.0, 5.0, 7, [0, 1, 2])
+    assert c_hat.dtype == np.float64
+    assert np.array_equal(c_hat, c)
 
 
 def test_noise_power_calibration():

@@ -110,17 +110,34 @@ def test_empty_grid_rejected(setup):
 def test_noise_accounting_additive(setup):
     # compound variance splits into crypto + demodulation contributions
     keys, qcfg, cons, images = setup
+    zbar = np.stack([qcfg.centroids[stream(50, m).integers(0, 16, size=64)]
+                     for m in range(30)])
     for snr in (5.0, 15.0):
-        crypto_v, chan_v, comp_v = [], [], []
-        for m in range(30):
-            zbar = qcfg.centroids[stream(50, m).integers(0, 16, size=64)]
-            tr = transmit_latent(zbar, keys, cons, 10 ** (-snr / 10), 5.0,
-                                 3, 4, m)
-            crypto_v.append(np.var(centered(tr.exact_plain - zbar, 4093)))
-            chan_v.append(np.var(tr.c_hat - tr.c))
-            comp_v.append(np.var(centered(tr.z_prime - zbar, 4093)))
+        tr = transmit_latent(zbar, keys, cons, 10 ** (-snr / 10), 5.0,
+                             3, 4, np.arange(30))
+        crypto_v = np.var(centered(tr.exact_plain - zbar, 4093), axis=1)
+        chan_v = np.var(tr.c_hat - tr.c, axis=1)
+        comp_v = np.var(centered(tr.z_prime - zbar, 4093), axis=1)
         total = np.mean(crypto_v) + np.mean(chan_v)
         assert abs(np.mean(comp_v) / total - 1.0) < 0.10
+
+
+@pytest.mark.parametrize("k", [16, 63, 256])
+def test_batched_chain_rows_equal_single_messages(k):
+    # a row's output must not depend on the batch it travels in: the
+    # demodulator blocks never span two messages
+    params = LweParams(p=4093, n1=32, n2=32, sigma_s=8.87, k=k)
+    keys = keygen(params, 1, 2)
+    cons = build_constellation(4093, 1.0)
+    indices = [7, 2, 11, 3]
+    zbar = stream(51).integers(0, 4093, size=(len(indices), k))
+    batch = transmit_latent(zbar, keys, cons, 0.1, 5.0, 3, 4, indices)
+    for row, index in enumerate(indices):
+        one = transmit_latent(zbar[row:row + 1], keys, cons, 0.1, 5.0, 3, 4,
+                              [index])
+        for field in ("z_prime", "exact_plain", "c", "c_hat"):
+            assert np.array_equal(getattr(batch, field)[row],
+                                  getattr(one, field)[0]), field
 
 
 def test_ms_ssim_omitted_for_small_images(setup):

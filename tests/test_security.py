@@ -6,13 +6,14 @@ import pytest
 from securejscc.codec import CodecSpec
 from securejscc.datasets import DatasetSpec
 from securejscc.lwe import LweParams, keygen
+from securejscc.modem import (awgn, build_constellation, modulate,
+                              noise_variance, receive, soft_demodulate)
 from securejscc.quantizer import QuantizerConfig
 from securejscc.rng import stream
 from securejscc.security import (AttackConfig, FairCoin, GameConfig,
                                  MarginalChiSquare, SyntheticOracle,
                                  TrainedClassifier, default_plaintext_pair,
-                                 eve_channel_observe, run_cpa_attack,
-                                 run_ind_cpa_game)
+                                 run_cpa_attack, run_ind_cpa_game)
 
 GAME_LWE = LweParams(p=257, n1=32, n2=32, sigma_s=8.87, k=16)
 ATTACK_LWE = LweParams(p=4093, n1=64, n2=64, sigma_s=8.87, k=64)
@@ -98,16 +99,23 @@ def test_game_result_report_strings():
 
 
 def test_eve_infinite_snr_is_identity():
-    y = stream(1).standard_normal(64) + 1j * stream(2).standard_normal(64)
-    assert np.array_equal(eve_channel_observe(y, math.inf, 1.0, stream(3)), y)
+    c = stream(1).integers(0, 4093, size=(2, 64))
+    eve = receive(c, None, noise_variance(math.inf, 1.0), 5.0, 3, [0, 1])
+    assert np.array_equal(eve, c)
 
 
 def test_eve_same_snr_same_seed_matches_bob():
-    from securejscc.modem import awgn
-    y = stream(4).standard_normal(64) + 1j * stream(5).standard_normal(64)
-    bob = awgn(y, 10 ** (-10 / 10), stream(6))
-    eve = eve_channel_observe(y, 10.0, 1.0, stream(6))
-    assert np.array_equal(bob, eve)
+    # one receiver for both: row i sees the stream of its message index
+    cons = build_constellation(257, 1.0)
+    c = stream(4).integers(0, 257, size=(3, 16))
+    sigma2 = noise_variance(10.0, 1.0)
+    eve = receive(c, cons, sigma2, 5.0, 6, [4, 0, 9])
+    for row, index in enumerate([4, 0, 9]):
+        bob = soft_demodulate(awgn(modulate(c[row], cons), sigma2,
+                                   stream(6, index)), cons, sigma2, 5.0)
+        assert np.array_equal(eve[row], bob)
+    with pytest.raises(ValueError):
+        receive(c, cons, sigma2, 5.0, 6, [4, 0])
 
 
 # -- chosen-plaintext attack -------------------------------------------------
