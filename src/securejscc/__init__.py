@@ -16,8 +16,7 @@ from .lwe import (Ciphertext, ErrorTriple, KeyPair, LweParams, PublicKey,
                   load_secret_key, sample_discrete_gaussian, save_key_files)
 from .metrics import ms_ssim, mse, psnr, ssim
 from .modem import (Constellation, awgn, build_constellation, modulate,
-                    nearest_point_demodulate, noise_variance, receive,
-                    soft_demodulate)
+                    noise_variance, receive, soft_demodulate)
 from .pipeline import (TransmissionRecord, records_to_csv, sweep, transmit,
                        transmit_latent)
 from .quantizer import (QuantizedLatent, QuantizerConfig, anneal_sigma_q,

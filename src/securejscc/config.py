@@ -17,6 +17,7 @@ from pathlib import Path
 from .codec import ADAM_LR, CodecSpec
 from .datasets import DatasetSpec
 from .lwe import LweParams
+from .modem import MAX_CONSTELLATION
 from .quantizer import SIGMA_Q_INITIAL
 from .security import AttackConfig, GameConfig
 
@@ -65,6 +66,9 @@ class PipelineConfig:
     training: TrainingSettings = field(default_factory=TrainingSettings)
 
     def __post_init__(self):
+        if self.lwe.p > MAX_CONSTELLATION:
+            raise ValueError(f"lwe.p={self.lwe.p} exceeds the largest QAM "
+                             f"constellation, {MAX_CONSTELLATION} points")
         if self.lwe.k != self.codec.k:
             raise ValueError(
                 f"latent length mismatch: lwe.k={self.lwe.k}, codec.k={self.codec.k}")

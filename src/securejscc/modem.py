@@ -1,10 +1,12 @@
 """QAM constellation, AWGN channel and likelihood-based soft demodulation.
 
 Integer symbols in ``[0, p)`` map one-to-one onto a power-normalized square
-QAM grid. The receiver never hard-slices: it evaluates the complex
-Gaussian likelihood of every constellation point and reconstructs a
-real-valued symbol estimate as a softmax-weighted sum of the integer
-values, which downstream stages treat as a noisy ciphertext.
+QAM grid. The receiver never hard-slices: it weighs the constellation
+points by a softmax of their complex Gaussian likelihoods and reconstructs
+a real-valued symbol estimate as the weighted sum of the integer values,
+which downstream stages treat as a noisy ciphertext. On the square grid
+the likelihood is a product of per-axis terms, and at high SNR only a
+window of points around the received symbol carries weight.
 """
 
 from __future__ import annotations
@@ -18,14 +20,24 @@ from .rng import stream
 
 MAX_CONSTELLATION = 4096
 SIGMA_L_DEFAULT = 5.0
-# symbols x points of one demodulator block: 2 MB of float64, cache sized
-BLOCK_ELEMENTS = 1 << 18
+# symbols x window points of one demodulator block: 1 MiB of float64
+BLOCK_ELEMENTS = 1 << 17
+# The high-SNR window drops points whose score is more than GAP below the
+# peak, i.e. whose softmax weight is <= e^-GAP of the peak's. At most p - 1
+# such weights move an estimate in [0, p-1] by <= (p-1)^2 e^-GAP: 7e-11 at
+# p = 4093, well inside the 1e-9 the demodulator is held to.
+GAP = 40.0
+# Scores lie in [0, c], c = sigma_l / (pi sigma2). For c <= SHIFT_FREE, e^c
+# summed over <= 4096 points and weighted by values < 4096 stays finite, so
+# the softmax need not subtract its maximum.
+SHIFT_FREE = 600.0
 
 
 @dataclass(frozen=True)
 class Constellation:
     points: np.ndarray  # complex, length p, ordered by integer value
     avg_power: float
+    levels: np.ndarray  # grid levels per axis: point m*b + a is (levels[a], levels[b])
 
 
 def noise_variance(snr_db: float, avg_power: float) -> float:
@@ -57,7 +69,8 @@ def build_constellation(p: int, target_power: float = 1.0) -> Constellation:
     grid = (re + 1j * im).astype(np.complex128)
     points = grid[:p]
     scale = math.sqrt(target_power / float(np.mean(np.abs(points) ** 2)))
-    return Constellation(points=points * scale, avg_power=float(target_power))
+    return Constellation(points=points * scale, avg_power=float(target_power),
+                         levels=levels * scale)
 
 
 def modulate(values: np.ndarray, cons: Constellation) -> np.ndarray:
@@ -80,58 +93,95 @@ def awgn(y: np.ndarray, sigma2: float, rng: np.random.Generator) -> np.ndarray:
     return y + noise
 
 
-def _point_distances_sq(y: np.ndarray, points: np.ndarray) -> np.ndarray:
-    dre = y.real[:, None] - points.real[None, :]
-    dim = y.imag[:, None] - points.imag[None, :]
-    return dre * dre + dim * dim
+def _score(y: np.ndarray, col_lo: np.ndarray, row_lo: np.ndarray, width: int,
+           levels: np.ndarray, p: int, sigma2: float, c: float) -> np.ndarray:
+    """Softmax estimates of symbols ``y`` over width x width grid windows.
 
-
-def _block_symbols(p: int) -> int:
-    """Symbols per block: the largest power of two, at least 4, whose
-    block x p distance matrix fits in BLOCK_ELEMENTS."""
-    return max(4, 1 << ((BLOCK_ELEMENTS // p).bit_length() - 1))
+    Symbol i is scored on grid columns ``col_lo[i] + [0, width)`` and rows
+    ``row_lo[i] + [0, width)``; point (row b, column a) has value
+    ``m*b + a`` and score ``c*exp(-dx_a^2/sigma2)*exp(-dy_b^2/sigma2)``, the
+    outer product of two per-axis tables. Points at or past ``p`` (the
+    dropped grid corner) get zero weight. Every reduction runs within one
+    symbol's window and none uses BLAS, so a symbol's estimate does not
+    depend on the other symbols of the block.
+    """
+    m = len(levels)
+    cols = col_lo[:, None] + np.arange(width)
+    rows = row_lo[:, None] + np.arange(width)
+    x = c * np.exp(-(y.real[:, None] - levels[cols]) ** 2 / sigma2)
+    s = np.einsum("ni,nj->nij",
+                  np.exp(-(y.imag[:, None] - levels[rows]) ** 2 / sigma2), x)
+    # the dropped points of a window are a suffix of its row-major order
+    flat = s.reshape(len(y), -1)
+    cut = np.clip((p // m - row_lo) * width + np.clip(p % m - col_lo, 0, width),
+                  0, width * width)
+    for start in set(cut[cut < width * width].tolist()):
+        flat[cut == start, start:] = -np.inf
+    if c > SHIFT_FREE:
+        flat -= flat.max(axis=1)[:, None]
+    np.exp(s, out=s)
+    row_w = np.einsum("nij->ni", s)
+    col_w = np.einsum("nij->nj", s)
+    return ((m * (rows * row_w).sum(axis=1) + (cols * col_w).sum(axis=1))
+            / row_w.sum(axis=1))
 
 
 def soft_demodulate(y_hat: np.ndarray, cons: Constellation, sigma2: float,
                     sigma_l: float = SIGMA_L_DEFAULT) -> np.ndarray:
     """Per-symbol softmax reconstruction of real-valued integer estimates.
 
-    ``y_hat`` is (..., k): the last axis is one message. Output entries lie
-    in ``[0, p-1]`` (convex combinations of the values). Each message is
-    processed in blocks of :func:`_block_symbols` symbols that never span
-    two messages, so a message's output does not depend on the batch it is
-    in and memory does not grow with the batch.
+    Value j gets weight ``softmax_j(sigma_l * N(y; x_j, sigma2))`` and the
+    output is the weighted mean of the values, so entries lie in
+    ``[0, p-1]``. ``y_hat`` is (..., k) and must be finite. The score of a
+    grid point factorises into per-axis terms (see :func:`_score`). When
+    ``floor > GAP`` (high SNR), a symbol within half a grid spacing of a
+    retained point on both axes is scored on a window of grid indices
+    around that point, whose width depends on ``sigma2`` alone; every point
+    outside it weighs at most ``e^-GAP`` of the peak, which moves the
+    estimate by at most ``(p-1)^2 e^-GAP``. Other symbols (off the grid,
+    nearest to a dropped point, or any symbol when ``floor <= GAP``) are
+    scored on the whole grid. A symbol's output depends only on that
+    symbol, so a message's output does not depend on the batch it is in,
+    and the symbols of all messages run flat in cache-sized blocks.
     """
     if not sigma2 > 0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
     if not sigma_l > 0:
         raise ValueError(f"sigma_l must be positive, got {sigma_l}")
     y_hat = np.asarray(y_hat, dtype=np.complex128)
-    values = np.arange(len(cons.points), dtype=np.float64)
-    inv = 1.0 / (math.pi * sigma2)
-    block = _block_symbols(len(cons.points))
-    messages = y_hat.reshape(-1, y_hat.shape[-1])
-    out = np.empty(messages.shape, dtype=np.float64)
-    for m, message in enumerate(messages):
-        for s in range(0, message.shape[0], block):
-            d2 = _point_distances_sq(message[s:s + block], cons.points)
-            a = sigma_l * (inv * np.exp(-d2 / sigma2))
-            a -= a.max(axis=1, keepdims=True)
-            w = np.exp(a)
-            w /= w.sum(axis=1, keepdims=True)
-            out[m, s:s + block] = w @ values
+    if not np.all(np.isfinite(y_hat)):
+        raise ValueError("received symbols must be finite")
+    y = y_hat.reshape(-1)
+    levels, p = cons.levels, len(cons.points)
+    m = len(levels)
+    spacing = levels[1] - levels[0]
+    c = sigma_l / (math.pi * sigma2)
+    # peak score of a symbol within spacing/2 of a grid point on both axes
+    floor = c * math.exp(-spacing * spacing / (2.0 * sigma2))
+    width = m
+    if floor > GAP:
+        # beyond r on either axis a score is <= floor - GAP
+        r = math.sqrt(sigma2 * math.log(c / (floor - GAP)))
+        width = min(m, 2 * math.ceil(r / spacing) + 3)
+    out = np.empty(y.shape)
+    with np.errstate(over="ignore"):  # far-off symbols: scores underflow to 0
+        col = (y.real - levels[0]) / spacing
+        row = (y.imag - levels[0]) / spacing
+        near_col = np.rint(np.clip(col, 0, m - 1)).astype(np.intp)
+        near_row = np.rint(np.clip(row, 0, m - 1)).astype(np.intp)
+        windowed = ((np.abs(col - near_col) <= 0.5)
+                    & (np.abs(row - near_row) <= 0.5)
+                    & (near_row * m + near_col < p) & (width < m))
+        for idx, w in ((np.flatnonzero(windowed), width),
+                       (np.flatnonzero(~windowed), m)):
+            col_lo = np.clip(near_col[idx] - (w - 1) // 2, 0, m - w)
+            row_lo = np.clip(near_row[idx] - (w - 1) // 2, 0, m - w)
+            block = max(1, BLOCK_ELEMENTS // (w * w))
+            for s in range(0, len(idx), block):
+                b = slice(s, s + block)
+                out[idx[b]] = _score(y[idx[b]], col_lo[b], row_lo[b], w,
+                                     levels, p, sigma2, c)
     return out.reshape(y_hat.shape)
-
-
-def nearest_point_demodulate(y_hat: np.ndarray, cons: Constellation) -> np.ndarray:
-    """Hard minimum-distance detection; ties pick the lower index."""
-    y_hat = np.asarray(y_hat, dtype=np.complex128)
-    out = np.empty(y_hat.shape[0], dtype=np.int64)
-    block = _block_symbols(len(cons.points))
-    for s in range(0, y_hat.shape[0], block):
-        d2 = _point_distances_sq(y_hat[s:s + block], cons.points)
-        out[s:s + block] = np.argmin(d2, axis=1)
-    return out
 
 
 def receive(c: np.ndarray, cons: Constellation | None, sigma2: float,

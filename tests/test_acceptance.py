@@ -15,8 +15,7 @@ from securejscc.datasets import DatasetSpec, synthesize_dataset
 from securejscc.lwe import (LweParams, centered, decrypt, derive_errors,
                             encrypt, keygen, sample_discrete_gaussian)
 from securejscc.metrics import ms_ssim, mse, psnr, ssim
-from securejscc.modem import (awgn, build_constellation, modulate,
-                              nearest_point_demodulate)
+from securejscc.modem import awgn, build_constellation, modulate
 from securejscc.pipeline import records_to_csv, sweep, transmit_latent
 from securejscc.quantizer import (QuantizerConfig, build_centroids,
                                   hard_quantize, soft_quantize,
@@ -26,6 +25,7 @@ from securejscc.security import (AttackConfig, GameConfig, MarginalChiSquare,
                                  SyntheticOracle, TrainedClassifier,
                                  run_cpa_attack, run_ind_cpa_game)
 from securejscc.training import TrainContext, evaluate, init_train_state, train_step
+from test_modem import nearest_point_demodulate
 
 TABLE = LweParams(p=4093, n1=192, n2=192, sigma_s=8.87, k=512)
 

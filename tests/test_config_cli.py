@@ -27,6 +27,12 @@ def test_k_mismatch_rejected():
                           "codec": {"kind": "linear", "k": 99}})
 
 
+def test_oversized_modulus_rejected_at_load():
+    config_from_dict({"lwe": {"p": 4096}})
+    with pytest.raises(ValueError, match="exceeds the largest QAM"):
+        config_from_dict({"lwe": {"p": 5000}})
+
+
 def test_infinite_snr_parses():
     cfg = config_from_dict({"snr_grid_db": ["inf", 10]})
     assert cfg.snr_grid_db == (math.inf, 10.0)

@@ -4,10 +4,56 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from securejscc.modem import (Constellation, awgn, build_constellation,
-                              modulate, nearest_point_demodulate,
-                              noise_variance, receive, soft_demodulate)
+from securejscc.modem import (GAP, Constellation, awgn, build_constellation,
+                              modulate, noise_variance, receive,
+                              soft_demodulate)
 from securejscc.rng import stream
+
+
+# -- dense oracles: every symbol against every point -------------------------
+
+
+def _point_distances_sq(y: np.ndarray, points: np.ndarray) -> np.ndarray:
+    dre = y.real[:, None] - points.real[None, :]
+    dim = y.imag[:, None] - points.imag[None, :]
+    return dre * dre + dim * dim
+
+
+def _block_symbols(p: int) -> int:
+    """Symbols per block: the largest power of two, at least 4, whose
+    block x p distance matrix fits in 2^18 elements."""
+    return max(4, 1 << (((1 << 18) // p).bit_length() - 1))
+
+
+def dense_soft_demodulate(y_hat: np.ndarray, cons: Constellation, sigma2: float,
+                          sigma_l: float = 5.0) -> np.ndarray:
+    """Softmax over the likelihoods of all p points, on a k x p matrix."""
+    y_hat = np.asarray(y_hat, dtype=np.complex128)
+    values = np.arange(len(cons.points), dtype=np.float64)
+    inv = 1.0 / (math.pi * sigma2)
+    block = _block_symbols(len(cons.points))
+    messages = y_hat.reshape(-1, y_hat.shape[-1])
+    out = np.empty(messages.shape, dtype=np.float64)
+    for m, message in enumerate(messages):
+        for s in range(0, message.shape[0], block):
+            d2 = _point_distances_sq(message[s:s + block], cons.points)
+            a = sigma_l * (inv * np.exp(-d2 / sigma2))
+            a -= a.max(axis=1, keepdims=True)
+            w = np.exp(a)
+            w /= w.sum(axis=1, keepdims=True)
+            out[m, s:s + block] = w @ values
+    return out.reshape(y_hat.shape)
+
+
+def nearest_point_demodulate(y_hat: np.ndarray, cons: Constellation) -> np.ndarray:
+    """Hard minimum-distance detection; ties pick the lower index."""
+    y_hat = np.asarray(y_hat, dtype=np.complex128)
+    out = np.empty(y_hat.shape[0], dtype=np.int64)
+    block = _block_symbols(len(cons.points))
+    for s in range(0, y_hat.shape[0], block):
+        d2 = _point_distances_sq(y_hat[s:s + block], cons.points)
+        out[s:s + block] = np.argmin(d2, axis=1)
+    return out
 
 
 # -- scalar oracle: one received value at a time -----------------------------
@@ -253,3 +299,88 @@ def test_soft_demodulate_rejects_bad_sigma():
         soft_demodulate(np.array([0j]), cons, 0.0, 5.0)
     with pytest.raises(ValueError):
         soft_demodulate(np.array([0j]), cons, 0.1, 0.0)
+
+
+def test_soft_demodulate_rejects_nonfinite():
+    cons = build_constellation(16, 1.0)
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf), complex(np.nan, 0.0)):
+        with pytest.raises(ValueError):
+            soft_demodulate(np.array([0.1 + 0.2j, bad]), cons, 0.1, 5.0)
+
+
+# -- separable, windowed demodulator against the dense oracle ----------------
+
+
+def _gap_crossings_db(cons: Constellation, sigma_l: float = 5.0) -> list[float]:
+    """The SNRs at which the window's peak-score floor
+    ``c exp(-spacing^2 / (2 sigma2))`` equals GAP. The floor peaks at
+    ``sigma2 = spacing^2 / 2``, so it crosses GAP once below that point and
+    once above it; windows are used between the two crossings."""
+    spacing = cons.levels[1] - cons.levels[0]
+
+    def excess(snr_db):
+        sigma2 = noise_variance(snr_db, cons.avg_power)
+        c = sigma_l / (math.pi * sigma2)
+        return c * math.exp(-spacing * spacing / (2.0 * sigma2)) - GAP
+
+    top = -10.0 * math.log10(spacing * spacing / 2.0 / cons.avg_power)
+    assert excess(top) > 0 > excess(-5.0) and excess(100.0) < 0
+    crossings = []
+    for lo, hi in ((-5.0, top), (100.0, top)):  # excess(lo) < 0 < excess(hi)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if excess(mid) < 0 else (lo, mid)
+        crossings.append(0.5 * (lo + hi))
+    return crossings
+
+
+def _received(cons: Constellation, sigma2: float, seed: int) -> np.ndarray:
+    """Noisy symbols, symbols off the grid and symbols next to the points
+    dropped from the square grid (or next to its last points)."""
+    rng = stream(seed)
+    p, m = len(cons.points), len(cons.levels)
+    edge = cons.levels[-1] + (cons.levels[1] - cons.levels[0])
+    noisy = awgn(modulate(rng.integers(0, p, 200), cons), sigma2, rng)
+    off = (rng.uniform(-3.0, 3.0, 40) + 1j * rng.uniform(-3.0, 3.0, 40)) * edge
+    dropped = np.arange(p, m * m) if p < m * m else np.arange(p - 3, p)
+    centres = cons.levels[dropped % m] + 1j * cons.levels[dropped // m]
+    jitter = rng.uniform(-0.6, 0.6, (2, len(centres))) * (edge - cons.levels[-1])
+    near = centres + jitter[0] + 1j * jitter[1]
+    return np.concatenate([noisy, off, near, [edge * (50 + 50j)]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([4, 16, 251, 257, 4093, 4096]),
+       st.floats(-5.0, 50.0), st.integers(0, 2**32 - 1))
+def test_soft_demodulate_matches_dense_oracle(p, snr_db, seed):
+    cons = build_constellation(p, 1.0)
+    sigma2 = noise_variance(snr_db, cons.avg_power)
+    y_hat = _received(cons, sigma2, seed)
+    got = soft_demodulate(y_hat, cons, sigma2, 5.0)
+    assert np.max(np.abs(got - dense_soft_demodulate(y_hat, cons, sigma2, 5.0))) <= 1e-9
+
+
+@pytest.mark.parametrize("p", [257, 4093])
+def test_soft_demodulate_matches_dense_oracle_at_window_thresholds(p):
+    # one SNR on each side of each crossing of floor = GAP
+    cons = build_constellation(p, 1.0)
+    for crossing in _gap_crossings_db(cons):
+        for snr_db in (crossing - 0.01, crossing + 0.01):
+            sigma2 = noise_variance(snr_db, cons.avg_power)
+            y_hat = _received(cons, sigma2, 77)
+            got = soft_demodulate(y_hat, cons, sigma2, 5.0)
+            assert np.max(np.abs(got - dense_soft_demodulate(y_hat, cons, sigma2))) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [16, 63, 256])
+def test_soft_demodulate_rows_equal_single_messages(k):
+    # a symbol's output depends on that symbol alone, not on its batch
+    cons = build_constellation(4093, 1.0)
+    values = stream(22).integers(0, 4093, size=(5, k))
+    for snr_db in (0.0, 15.0, 20.0):
+        sigma2 = noise_variance(snr_db, cons.avg_power)
+        y_hat = awgn(modulate(values, cons), sigma2, stream(23))
+        batch = soft_demodulate(y_hat, cons, sigma2, 5.0)
+        for row in range(len(values)):
+            one = soft_demodulate(y_hat[row:row + 1], cons, sigma2, 5.0)
+            assert np.array_equal(batch[row], one[0]), (snr_db, row)

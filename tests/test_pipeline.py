@@ -125,7 +125,7 @@ def test_noise_accounting_additive(setup):
 @pytest.mark.parametrize("k", [16, 63, 256])
 def test_batched_chain_rows_equal_single_messages(k):
     # a row's output must not depend on the batch it travels in: the
-    # demodulator blocks never span two messages
+    # demodulator's output for a symbol depends on that symbol alone
     params = LweParams(p=4093, n1=32, n2=32, sigma_s=8.87, k=k)
     keys = keygen(params, 1, 2)
     cons = build_constellation(4093, 1.0)
