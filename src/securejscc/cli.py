@@ -1,7 +1,9 @@
 """Command line front end.
 
 Subcommands: keygen, transmit, sweep, indcpa, attack, train. All of them
-read JSON config files; see README for the schema.
+read JSON config files; see README for the schema. A bad config, key,
+codec or image file, or a missing path, ends the command with one line on
+stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ def _cmd_keygen(args) -> int:
     if args.lattice_seed is not None:
         seeds["lattice_seed"] = args.lattice_seed
     if seeds["key_seed"] is None or seeds["lattice_seed"] is None:
-        print("keygen: key_seed and lattice_seed must come from the params "
-              "file or the command line", file=sys.stderr)
-        return 2
+        raise ValueError("key_seed and lattice_seed must come from the params "
+                         "file or the command line")
     params = LweParams(**raw)
     key = keygen(params, int(seeds["key_seed"]), int(seeds["lattice_seed"]))
     public_path, secret_path = args.out
@@ -52,11 +53,9 @@ def _cmd_transmit(args) -> int:
     cfg = load_config(args.config)
     keys = load_secret_key(args.keys)
     if keys.params != cfg.lwe:
-        print("transmit: key file parameters do not match the config",
-              file=sys.stderr)
-        return 2
+        raise ValueError("key file parameters do not match the config")
     images = _load_images(cfg, args.infile)
-    qcfg = QuantizerConfig(cfg.lwe.p, cfg.n_levels, sigma_q=cfg.sigma_q)
+    qcfg = QuantizerConfig(cfg.lwe.p, cfg.n_levels)
     cons = build_constellation(cfg.lwe.p, cfg.avg_power)
     params = _codec_params(cfg, args.codec_params)
     # one grid point: message and image indices both run 0 .. n-1
@@ -83,7 +82,7 @@ def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     keys = keygen(cfg.lwe, cfg.seeds.key, cfg.seeds.lattice)
     images = synthesize_dataset(cfg.dataset, cfg.seeds.data)
-    qcfg = QuantizerConfig(cfg.lwe.p, cfg.n_levels, sigma_q=cfg.sigma_q)
+    qcfg = QuantizerConfig(cfg.lwe.p, cfg.n_levels)
     cons = build_constellation(cfg.lwe.p, cfg.avg_power)
     params = _codec_params(cfg, args.codec_params)
     records = sweep(images, cfg.codec, params, keys, qcfg, cons,
@@ -111,25 +110,19 @@ def _cmd_indcpa(args) -> int:
 def _cmd_attack(args) -> int:
     raw = json.loads(Path(args.config).read_text())
     cfg = config_from_dict(raw)
-    attack_cfg = attack_config_from_dict(raw.get("attack", {}),
-                                         default_dataset=cfg.dataset)
+    attack_cfg = attack_config_from_dict(raw.get("attack", {}), cfg.dataset)
     keys = keygen(cfg.lwe, cfg.seeds.key, cfg.seeds.lattice)
-    qcfg = QuantizerConfig(cfg.lwe.p, cfg.n_levels, sigma_q=cfg.sigma_q)
+    qcfg = QuantizerConfig(cfg.lwe.p, cfg.n_levels)
     params = _codec_params(cfg, args.codec_params)
 
-    reports = [security.run_cpa_attack(attack_cfg, cfg.codec, params,
-                                       keys.public(), qcfg,
-                                       sigma_l=cfg.sigma_l,
-                                       avg_power=cfg.avg_power)]
-    sabotage_ok = True
+    attack_cfgs = [attack_cfg]
     if args.sabotage_control:
-        sabotage_cfg = replace(attack_cfg, error_mode="reused", adversary="linear")
-        sabotage = security.run_cpa_attack(sabotage_cfg, cfg.codec, params,
-                                           keys.public(), qcfg,
-                                           sigma_l=cfg.sigma_l,
-                                           avg_power=cfg.avg_power)
-        reports.append(sabotage)
-        sabotage_ok = sabotage.mse_ratio < 0.5
+        attack_cfgs.append(replace(attack_cfg, error_mode="reused", adversary="linear"))
+    reports = [security.run_cpa_attack(c, cfg.codec, params, keys.public(), qcfg,
+                                       sigma_l=cfg.sigma_l, avg_power=cfg.avg_power)
+               for c in attack_cfgs]
+    # the sabotage control, when run, is the last report
+    sabotage_ok = not args.sabotage_control or reports[-1].mse_ratio < 0.5
 
     for report in reports:
         print(report.summary())
@@ -152,7 +145,7 @@ def _cmd_train(args) -> int:
     images = synthesize_dataset(cfg.dataset, cfg.seeds.data)
     n_val = max(1, int(round(len(images) * tr.val_fraction)))
     train_images, val_images = images[:-n_val], images[-n_val:]
-    qcfg = QuantizerConfig(cfg.lwe.p, cfg.n_levels, sigma_q=cfg.sigma_q)
+    qcfg = QuantizerConfig(cfg.lwe.p, cfg.n_levels)
     cons = build_constellation(cfg.lwe.p, cfg.avg_power)
     ctx = training.TrainContext(
         spec=cfg.codec, keys=keys, qcfg=qcfg, cons=cons,
@@ -220,7 +213,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_train)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"securejscc {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

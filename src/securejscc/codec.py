@@ -52,6 +52,10 @@ class CodecSpec:
         h, w, c = self.input_shape
         return h * w * c
 
+    @property
+    def rho(self) -> float:  # bandwidth ratio: latent symbols per pixel value
+        return self.k / self.n_pixels
+
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
     out = np.empty_like(u)

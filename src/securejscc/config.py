@@ -2,29 +2,26 @@
 
 Defaults follow the reference operating point: modulus 4093 with 192x192
 lattice dimensions and sampler width 8.87, 16 quantization levels,
-demodulator sharpness 5, quantizer sharpness starting at 5, and Adam at
-1e-4 with betas (0.9, 0.999). Every random choice is pinned by an explicit
-seed in the config.
+demodulator sharpness 5, and Adam at 1e-4 with betas (0.9, 0.999). Each
+default lives on its dataclass field: the loaders pass on only the keys a
+config sets, and :func:`config_from_dict` rejects a key that no field
+names. Every random choice is pinned by an explicit seed in the config.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .codec import ADAM_LR, CodecSpec
 from .datasets import DatasetSpec
 from .lwe import LweParams
-from .modem import MAX_CONSTELLATION
-from .quantizer import SIGMA_Q_INITIAL
+from .modem import AVG_POWER_DEFAULT, MAX_CONSTELLATION, SIGMA_L_DEFAULT
 from .security import AttackConfig, GameConfig
 
 DEFAULT_LWE = {"p": 4093, "n1": 192, "n2": 192, "sigma_s": 8.87}
-DEFAULT_N_LEVELS = 16
-DEFAULT_SIGMA_L = 5.0
-DEFAULT_AVG_POWER = 1.0
 
 
 @dataclass(frozen=True)
@@ -38,6 +35,9 @@ class Seeds:
 
 @dataclass(frozen=True)
 class TrainingSettings:
+    """The ``training`` section; its stopping rule (``patience``,
+    ``decay_patience``, ``lr_decay``) is also ``train_codec``'s default."""
+
     max_steps: int = 5000
     batch_size: int = 8
     learning_rate: float = ADAM_LR
@@ -57,10 +57,9 @@ class PipelineConfig:
     codec: CodecSpec
     dataset: DatasetSpec
     seeds: Seeds = field(default_factory=Seeds)
-    n_levels: int = DEFAULT_N_LEVELS
-    sigma_q: float = SIGMA_Q_INITIAL
-    sigma_l: float = DEFAULT_SIGMA_L
-    avg_power: float = DEFAULT_AVG_POWER
+    n_levels: int = 16
+    sigma_l: float = SIGMA_L_DEFAULT
+    avg_power: float = AVG_POWER_DEFAULT
     snr_grid_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0)
     output_csv: str = "sweep.csv"
     training: TrainingSettings = field(default_factory=TrainingSettings)
@@ -73,16 +72,38 @@ class PipelineConfig:
             raise ValueError(
                 f"latent length mismatch: lwe.k={self.lwe.k}, codec.k={self.codec.k}")
 
-    @property
-    def rho(self) -> float:
-        h, w, c = self.codec.input_shape
-        return self.codec.k / (h * w * c)
-
 
 def _snr_value(v):
     if v in ("inf", "Infinity"):
         return math.inf
     return float(v)
+
+
+def _present(raw: dict, casts: dict) -> dict:
+    """The keys of ``casts`` that ``raw`` sets, each value cast."""
+    return {key: cast(raw[key]) for key, cast in casts.items() if key in raw}
+
+
+def _check_keys(raw: dict, allowed, prefix: str) -> None:
+    for key in raw:
+        if key not in allowed:
+            raise ValueError(f"unknown config key {prefix + key!r}")
+
+
+def _build(cls, values: dict, section: str):
+    """``cls(**values)``, naming any unknown or missing key of ``section``."""
+    _check_keys(values, [f.name for f in fields(cls)], section + ".")
+    for f in fields(cls):
+        if f.name not in values and f.default is f.default_factory is MISSING:
+            raise ValueError(f"missing config key '{section}.{f.name}'")
+    return cls(**values)
+
+
+TOP_LEVEL_CASTS = {"n_levels": int, "sigma_l": float, "avg_power": float,
+                   "snr_grid_db": lambda v: tuple(map(_snr_value, v)),
+                   "output_csv": str}
+# top-level sections read by game_config_from_dict and attack_config_from_dict
+OWN_LOADER_SECTIONS = ("game", "attack")
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -91,67 +112,43 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
-    dataset = DatasetSpec(**raw.get("dataset", {
-        "kind": "blob", "count": 100, "height": 16, "width": 16, "channels": 1}))
+    _check_keys(raw, [f.name for f in fields(PipelineConfig)]
+                + list(OWN_LOADER_SECTIONS), "")
+    dataset = _build(DatasetSpec, raw.get("dataset", {
+        "kind": "blob", "count": 100, "height": 16, "width": 16}), "dataset")
     n_pixels = dataset.height * dataset.width * dataset.channels
+    lwe = _build(LweParams, {**DEFAULT_LWE, "k": n_pixels, **raw.get("lwe", {})},
+                 "lwe")
 
-    lwe_raw = dict(DEFAULT_LWE)
-    lwe_raw.update(raw.get("lwe", {}))
-    lwe_raw.setdefault("k", n_pixels)
-    lwe = LweParams(**lwe_raw)
-
-    codec_raw = dict(raw.get("codec", {}))
-    codec_raw.setdefault("kind", "identity")
-    codec_raw.setdefault("input_shape", [dataset.height, dataset.width,
-                                         dataset.channels])
-    codec_raw.setdefault("k", lwe.k)
+    codec_raw = {"kind": "identity",
+                 "input_shape": [dataset.height, dataset.width, dataset.channels],
+                 "k": lwe.k, **raw.get("codec", {})}
     codec_raw.setdefault("latent_scale",
                          lwe.p / 256.0 if codec_raw["kind"] != "mlp" else float(lwe.p))
     codec_raw["input_shape"] = tuple(codec_raw["input_shape"])
-    codec_raw["hidden_sizes"] = tuple(codec_raw.get("hidden_sizes", ()))
-    spec = CodecSpec(**codec_raw)
-
-    seeds = Seeds(**raw.get("seeds", {}))
-    training = TrainingSettings(**raw.get("training", {}))
+    if "hidden_sizes" in codec_raw:
+        codec_raw["hidden_sizes"] = tuple(codec_raw["hidden_sizes"])
     return PipelineConfig(
-        lwe=lwe, codec=spec, dataset=dataset, seeds=seeds,
-        n_levels=int(raw.get("n_levels", DEFAULT_N_LEVELS)),
-        sigma_q=float(raw.get("sigma_q", SIGMA_Q_INITIAL)),
-        sigma_l=float(raw.get("sigma_l", DEFAULT_SIGMA_L)),
-        avg_power=float(raw.get("avg_power", DEFAULT_AVG_POWER)),
-        snr_grid_db=tuple(_snr_value(v) for v in raw.get("snr_grid_db",
-                                                         [0.0, 5.0, 10.0, 15.0])),
-        output_csv=raw.get("output_csv", "sweep.csv"),
-        training=training)
+        lwe=lwe, codec=_build(CodecSpec, codec_raw, "codec"), dataset=dataset,
+        seeds=_build(Seeds, raw.get("seeds", {}), "seeds"),
+        training=_build(TrainingSettings, raw.get("training", {}), "training"),
+        **_present(raw, TOP_LEVEL_CASTS))
 
 
 def game_config_from_dict(raw: dict) -> GameConfig:
-    lwe_raw = dict(DEFAULT_LWE)
-    lwe_raw.update(raw.get("lwe", {}))
-    lwe_raw.setdefault("k", 16)
+    lwe_raw = {**DEFAULT_LWE, "k": 16, **raw.get("lwe", {})}
     return GameConfig(
         trials=int(raw.get("trials", 10000)),
         params=LweParams(**lwe_raw),
-        n_levels=int(raw.get("n_levels", DEFAULT_N_LEVELS)),
-        seed=int(raw.get("seed", 0)),
-        distinguisher=raw.get("distinguisher", "marginal_chisq"))
+        **_present(raw, {"n_levels": int, "seed": int, "distinguisher": str}))
 
 
-def attack_config_from_dict(raw: dict,
-                            default_dataset: DatasetSpec | None = None) -> AttackConfig:
-    if "dataset" in raw:
-        dataset = DatasetSpec(**raw["dataset"])
-    elif default_dataset is not None:
-        dataset = default_dataset
-    else:
-        dataset = DatasetSpec(kind="blob", count=0, height=8, width=8, channels=1)
+def attack_config_from_dict(raw: dict, default_dataset: DatasetSpec) -> AttackConfig:
+    dataset = DatasetSpec(**raw["dataset"]) if "dataset" in raw else default_dataset
     return AttackConfig(
         adversary=raw.get("adversary", "linear"),
         pairs=int(raw.get("pairs", 2000)),
         dataset=dataset,
-        epochs=int(raw.get("epochs", 30)),
-        error_mode=raw.get("error_mode", "fresh"),
-        snr_e_db=_snr_value(raw.get("snr_e_db", "inf")),
-        test_fraction=float(raw.get("test_fraction", 0.2)),
-        seed=int(raw.get("seed", 0)),
-        mlp_hidden=int(raw.get("mlp_hidden", 64)))
+        **_present(raw, {"epochs": int, "error_mode": str,
+                         "snr_e_db": _snr_value, "test_fraction": float,
+                         "seed": int, "mlp_hidden": int}))

@@ -20,6 +20,7 @@ from .rng import stream
 
 MAX_CONSTELLATION = 4096
 SIGMA_L_DEFAULT = 5.0
+AVG_POWER_DEFAULT = 1.0
 # symbols x window points of one demodulator block: 1 MiB of float64
 BLOCK_ELEMENTS = 1 << 17
 # The high-SNR window drops points whose score is more than GAP below the
@@ -45,7 +46,7 @@ def noise_variance(snr_db: float, avg_power: float) -> float:
     return 0.0 if math.isinf(snr_db) else avg_power * 10.0 ** (-snr_db / 10.0)
 
 
-def build_constellation(p: int, target_power: float = 1.0) -> Constellation:
+def build_constellation(p: int, target_power: float = AVG_POWER_DEFAULT) -> Constellation:
     """Square QAM with the last grid points dropped and power normalized.
 
     Uses the smallest even grid side m with m*m >= p (m=64 for the 4093

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import codec, metrics
-from .lwe import (ErrorTriple, KeyPair, centered, decrypt, decrypt_noisy,
+from .lwe import (Ciphertext, KeyPair, centered, decrypt, decrypt_noisy,
                   derive_error_rows, encrypt)
 from .modem import Constellation, noise_variance, receive
 from .quantizer import QuantizerConfig, hard_quantize, soft_dequantize
@@ -46,43 +47,42 @@ class TransmissionRecord:
 class LatentTrace:
     """Intermediates of a batch of latent round trips, one row per message."""
 
-    z_prime: np.ndarray       # noisy plaintext after decryption
-    exact_plain: np.ndarray   # decrypt of the exact ciphertext
-    c: np.ndarray             # transmitted ciphertext values
-    c_hat: np.ndarray         # soft-demodulated ciphertext estimate
+    z_prime: np.ndarray   # noisy plaintext after decryption
+    c_hat: np.ndarray     # soft-demodulated ciphertext estimate
+    ct: Ciphertext        # the transmitted ciphertext
+    keys: KeyPair
+
+    @property
+    def c(self) -> np.ndarray:  # transmitted ciphertext values
+        return self.ct.c
+
+    @cached_property
+    def exact_plain(self) -> np.ndarray:
+        """Decrypt of the exact ciphertext, computed on first read."""
+        return decrypt(self.ct, self.keys)
 
 
 def transmit_latent(z_bar: np.ndarray, keys: KeyPair, cons: Constellation,
                     sigma2: float, sigma_l: float, error_seed: int,
-                    channel_seed: int, message_indices,
-                    zero_errors: bool = False) -> LatentTrace:
+                    channel_seed: int, message_indices) -> LatentTrace:
     """Carry (B, k) quantized latents through encryption, channel and decryption.
 
     Row i uses the error triple and channel stream of ``message_indices[i]``,
     so a row's output does not depend on the batch it travels in.
     ``sigma2 == 0`` short-circuits the modem with its exact noiseless limit.
-    ``zero_errors`` substitutes all-zero error triples. Both are test
-    hooks; production paths use positive noise and derived errors.
     """
-    params = keys.params
-    if zero_errors:
-        errors = ErrorTriple(*(np.zeros((len(message_indices), n), dtype=np.int64)
-                               for n in (params.n1, params.n2, params.k)))
-    else:
-        errors = derive_error_rows(error_seed, message_indices, params)
-    ct = encrypt(z_bar, keys, errors)
+    ct = encrypt(z_bar, keys, derive_error_rows(error_seed, message_indices,
+                                                keys.params))
     c_hat = receive(ct.c, cons, sigma2, sigma_l, channel_seed, message_indices)
-    z_prime = decrypt_noisy(c_hat, ct.d, keys)
-    return LatentTrace(z_prime=z_prime, exact_plain=decrypt(ct, keys),
-                       c=ct.c, c_hat=c_hat)
+    return LatentTrace(z_prime=decrypt_noisy(c_hat, ct.d, keys), c_hat=c_hat,
+                       ct=ct, keys=keys)
 
 
 def _transmit_images(images: list[np.ndarray], spec: codec.CodecSpec,
                      params: dict, keys: KeyPair, qcfg: QuantizerConfig,
                      cons: Constellation, snr_db: float, sigma_l: float,
                      error_seed: int, channel_seed: int, message_indices,
-                     image_indices, zero_errors: bool = False
-                     ) -> tuple[np.ndarray, list[TransmissionRecord]]:
+                     image_indices) -> tuple[np.ndarray, list[TransmissionRecord]]:
     """Send a batch of images through the full chain and score each one."""
     h, w, c = spec.input_shape
     batch = np.stack(images)
@@ -93,8 +93,7 @@ def _transmit_images(images: list[np.ndarray], spec: codec.CodecSpec,
     z_bar = hard_quantize(z, qcfg).values
     trace = transmit_latent(z_bar, keys, cons,
                             noise_variance(snr_db, cons.avg_power), sigma_l,
-                            error_seed, channel_seed, message_indices,
-                            zero_errors=zero_errors)
+                            error_seed, channel_seed, message_indices)
     z_hat = soft_dequantize(trace.z_prime, qcfg)
     x_hat_flat, _ = codec.decode(z_hat, spec, params)
     x_hats = x_hat_flat.reshape(len(images), h, w, c)
@@ -107,7 +106,7 @@ def _transmit_images(images: list[np.ndarray], spec: codec.CodecSpec,
             image_index=int(image_indices[i]),
             message_index=int(message_indices[i]),
             snr_db=snr_db,
-            rho=spec.k / (h * w * c),
+            rho=spec.rho,
             mse=metrics.mse(x, x_hat),
             psnr=metrics.psnr(x, x_hat),
             ssim=metrics.ssim(x, x_hat),
@@ -122,12 +121,12 @@ def _transmit_images(images: list[np.ndarray], spec: codec.CodecSpec,
 def transmit(x: np.ndarray, spec: codec.CodecSpec, params: dict,
              keys: KeyPair, qcfg: QuantizerConfig, cons: Constellation,
              snr_db: float, sigma_l: float, error_seed: int, channel_seed: int,
-             message_index: int, image_index: int = 0,
-             zero_errors: bool = False) -> tuple[np.ndarray, TransmissionRecord]:
+             message_index: int, image_index: int = 0
+             ) -> tuple[np.ndarray, TransmissionRecord]:
     """Send one image through the full chain and score the reconstruction."""
     x_hats, records = _transmit_images(
         [x], spec, params, keys, qcfg, cons, snr_db, sigma_l, error_seed,
-        channel_seed, [message_index], [image_index], zero_errors=zero_errors)
+        channel_seed, [message_index], [image_index])
     return x_hats[0], records[0]
 
 
@@ -141,8 +140,7 @@ def _fmt(value: float | int | None) -> str:
     return f"{value:.6f}"
 
 
-def records_to_csv(records: list[TransmissionRecord],
-                   aggregate: bool = True) -> str:
+def records_to_csv(records: list[TransmissionRecord]) -> str:
     """Fixed-order CSV: per-image rows, then mean/std rows per SNR."""
     lines = [",".join(CSV_COLUMNS)]
     for r in records:
@@ -153,19 +151,17 @@ def records_to_csv(records: list[TransmissionRecord],
             _fmt(r.crypto_noise_std), _fmt(r.channel_noise_std),
             _fmt(r.compound_noise_std),
         ]))
-    if aggregate:
-        snrs = sorted({r.snr_db for r in records})
-        numeric = ("rho", "mse", "psnr", "ssim", "ms_ssim",
-                   "crypto_noise_std", "channel_noise_std", "compound_noise_std")
-        for snr in snrs:
-            group = [r for r in records if r.snr_db == snr]
-            for kind, reducer in (("mean", np.mean), ("std", np.std)):
-                row = [str(CSV_SCHEMA_VERSION), kind, "", "", _fmt(snr)]
-                for name in numeric:
-                    vals = [getattr(r, name) for r in group]
-                    vals = [v for v in vals if v is not None and math.isfinite(v)]
-                    row.append(_fmt(float(reducer(vals))) if vals else "")
-                lines.append(",".join(row))
+    numeric = ("rho", "mse", "psnr", "ssim", "ms_ssim",
+               "crypto_noise_std", "channel_noise_std", "compound_noise_std")
+    for snr in sorted({r.snr_db for r in records}):
+        group = [r for r in records if r.snr_db == snr]
+        for kind, reducer in (("mean", np.mean), ("std", np.std)):
+            row = [str(CSV_SCHEMA_VERSION), kind, "", "", _fmt(snr)]
+            for name in numeric:
+                vals = [getattr(r, name) for r in group]
+                vals = [v for v in vals if v is not None and math.isfinite(v)]
+                row.append(_fmt(float(reducer(vals))) if vals else "")
+            lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
 

@@ -105,8 +105,9 @@ def anneal_sigma_q(step: int, sigma_prev: float) -> float:
 def soft_dequantize(z_prime: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
     """Softmax-weighted centroid sum of a noisy plaintext, unit sharpness.
 
-    Distances are plain squared differences on ``[0, p)`` residues; noise
-    that wraps past p lands far from the low centroids by construction.
+    Distances are plain squared differences on ``[0, p)`` residues, not
+    circular ones: a symbol near 0 whose noise wraps past 0 lands near p,
+    next to the top centroid, and decodes to it.
     """
     w, q = _centroid_weights(z_prime, cfg, 1.0, "noisy plaintext")
     return w @ q

@@ -25,7 +25,8 @@ from . import codec, metrics
 from .datasets import DatasetSpec, synthesize_dataset
 from .lwe import (LweParams, PublicKey, centered, derive_error_rows,
                   derive_errors, encrypt, keygen, sample_discrete_gaussian)
-from .modem import build_constellation, noise_variance, receive
+from .modem import (AVG_POWER_DEFAULT, SIGMA_L_DEFAULT, build_constellation,
+                    noise_variance, receive)
 from .quantizer import QuantizerConfig, build_centroids, hard_quantize
 from .rng import spawn_seed, stream
 
@@ -87,9 +88,7 @@ class MarginalChiSquare:
     """
 
     name = "marginal_chisq"
-
-    def __init__(self, n_bins: int = 16):
-        self.n_bins = n_bins
+    n_bins = 16
 
     def prepare(self, pk, m0, m1, rng):
         self.p = pk.params.p
@@ -120,12 +119,12 @@ class TrainedClassifier:
     name = "trained_classifier"
     feature_note = CLASSIFIER_NOTE
 
-    def __init__(self, train_size: int = 256, epochs: int = 20,
-                 lr: float = 0.5, l2: float = 1e-2):
+    lr = 0.5
+    l2 = 1e-2
+
+    def __init__(self, train_size: int = 256, epochs: int = 20):
         self.train_size = train_size
         self.epochs = epochs
-        self.lr = lr
-        self.l2 = l2
 
     def _features(self, c: np.ndarray) -> np.ndarray:
         p = self.p
@@ -351,7 +350,8 @@ def _fit_mlp(x, y, hidden, epochs, rng):
 
 def run_cpa_attack(cfg: AttackConfig, spec: codec.CodecSpec, codec_params: dict,
                    public_key: PublicKey, qcfg: QuantizerConfig, *,
-                   sigma_l: float = 5.0, avg_power: float = 1.0) -> AttackReport:
+                   sigma_l: float = SIGMA_L_DEFAULT,
+                   avg_power: float = AVG_POWER_DEFAULT) -> AttackReport:
     """Train the configured adversary on (image, ciphertext) pairs.
 
     In ``fresh`` mode every message uses an independent error triple the

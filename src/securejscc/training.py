@@ -18,11 +18,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import codec
+from .config import TrainingSettings
 from .lwe import KeyPair
 from .modem import Constellation, noise_variance
 from .pipeline import transmit_latent
-from .quantizer import (QuantizerConfig, anneal_sigma_q, hard_quantize,
-                        soft_dequantize, soft_quantize, soft_quantize_jacobian)
+from .quantizer import (SIGMA_Q_INITIAL, QuantizerConfig, anneal_sigma_q,
+                        hard_quantize, soft_dequantize, soft_quantize,
+                        soft_quantize_jacobian)
 from .rng import stream
 
 
@@ -39,7 +41,6 @@ class TrainContext:
     error_seed: int
     channel_seed: int
     loss: str = "mse"  # "mse" or "ssim"
-    zero_errors: bool = False
 
     @property
     def sigma2(self) -> float:
@@ -50,7 +51,7 @@ class TrainContext:
 class TrainState:
     params: dict
     step: int = 0
-    sigma_q: float = 5.0
+    sigma_q: float = SIGMA_Q_INITIAL
     learning_rate: float = codec.ADAM_LR
     messages_sent: int = 0
     opt: codec.AdamState = field(default_factory=codec.AdamState)
@@ -76,8 +77,7 @@ def _through_chain(ctx: TrainContext, qcfg: QuantizerConfig, message_base: int):
         z_bar = hard_quantize(z.ravel(), qcfg).values.reshape(z.shape)
         trace = transmit_latent(z_bar, ctx.keys, ctx.cons, ctx.sigma2,
                                 ctx.sigma_l, ctx.error_seed, ctx.channel_seed,
-                                message_base + np.arange(z.shape[0]),
-                                zero_errors=ctx.zero_errors)
+                                message_base + np.arange(z.shape[0]))
         return soft_dequantize(trace.z_prime, qcfg)
     return latent_map
 
@@ -164,11 +164,11 @@ def soft_surrogate_gradients(batch: np.ndarray, params: dict,
 
 
 def evaluate(images: np.ndarray, params: dict, ctx: TrainContext,
-             sigma_q: float, message_base: int = 0) -> float:
-    """Mean loss of the evaluation chain (the training forward pass)."""
+             sigma_q: float) -> float:
+    """Mean loss of the evaluation chain (the training forward pass), sent
+    as messages 0 .. len(images)-1."""
     qcfg = QuantizerConfig(ctx.qcfg.p, ctx.qcfg.n_levels, sigma_q=sigma_q)
-    return _forward(images, params, ctx,
-                    _through_chain(ctx, qcfg, message_base))[0]
+    return _forward(images, params, ctx, _through_chain(ctx, qcfg, 0))[0]
 
 
 @dataclass
@@ -182,8 +182,9 @@ class TrainResult:
 def train_codec(train_images: list[np.ndarray], val_images: list[np.ndarray],
                 ctx: TrainContext, state: TrainState, *, max_steps: int,
                 batch_size: int, shuffle_seed: int, eval_ctx: TrainContext | None = None,
-                patience: int = 10, decay_patience: int = 5,
-                lr_decay: float = 0.8) -> TrainResult:
+                patience: int = TrainingSettings.patience,
+                decay_patience: int = TrainingSettings.decay_patience,
+                lr_decay: float = TrainingSettings.lr_decay) -> TrainResult:
     """Epoch loop with early stopping and stagnation-triggered LR decay.
 
     An epoch is one pass over the training set. Validation runs after each

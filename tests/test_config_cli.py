@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from securejscc.cli import main
-from securejscc.config import config_from_dict, load_config
+from securejscc.config import PipelineConfig, config_from_dict, load_config
 from securejscc.lwe import load_public_key, load_secret_key
 
 
@@ -15,10 +16,39 @@ def test_defaults_mirror_reference_operating_point():
     assert cfg.lwe.sigma_s == 8.87
     assert cfg.n_levels == 16
     assert cfg.sigma_l == 5.0
-    assert cfg.sigma_q == 5.0
     assert cfg.codec.kind == "identity"
     assert cfg.lwe.k == cfg.codec.k == 16 * 16 * 1
-    assert cfg.rho == 1.0
+    assert cfg.codec.rho == 1.0
+    # the loader adds no default of its own to a field that has one
+    for f in dataclasses.fields(PipelineConfig):
+        if f.default is not dataclasses.MISSING:
+            assert getattr(cfg, f.name) == f.default, f.name
+        elif f.default_factory is not dataclasses.MISSING:
+            assert getattr(cfg, f.name) == f.default_factory(), f.name
+
+
+@pytest.mark.parametrize("raw, key", [
+    ({"sigma_q": 5.0}, "sigma_q"),
+    ({"sigma_L": 3}, "sigma_L"),
+    ({"lwe": {"sigma": 8.87}}, "lwe.sigma"),
+    ({"codec": {"kind": "identity", "scale": 1.0}}, "codec.scale"),
+    ({"dataset": {"kind": "blob", "count": 4, "height": 4, "width": 4,
+                  "chanels": 1}}, "dataset.chanels"),
+    ({"seeds": {"keys": 1}}, "seeds.keys"),
+    ({"training": {"sigma_q": 5.0}}, "training.sigma_q"),
+])
+def test_unknown_key_rejected_at_load(raw, key):
+    with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+        config_from_dict(raw)
+
+
+def test_missing_section_key_rejected_at_load():
+    with pytest.raises(ValueError, match="missing config key 'dataset.count'"):
+        config_from_dict({"dataset": {"kind": "blob", "height": 4, "width": 4}})
+
+
+def test_game_and_attack_sections_allowed():
+    config_from_dict({"game": {"trials": 200}, "attack": {"pairs": 10}})
 
 
 def test_k_mismatch_rejected():
@@ -73,6 +103,24 @@ def test_cli_keygen_requires_seeds(tmp_path, capsys):
     code = main(["keygen", "--params", str(params),
                  "--out", str(tmp_path / "p"), str(tmp_path / "s")])
     assert code == 2
+    assert "key_seed and lattice_seed" in capsys.readouterr().err
+
+
+def test_cli_unknown_config_key_exits_2(tmp_path, capsys):
+    cfg_path = make_config_file(tmp_path, sigma_q=50.0)
+    code = main(["sweep", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "a.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unknown config key 'sigma_q'" in err
+    assert not (tmp_path / "a.csv").exists()
+
+
+def test_cli_missing_config_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "nowhere.json"
+    assert main(["sweep", "--config", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(missing) in err
 
 
 def test_cli_sweep_deterministic(tmp_path):

@@ -26,11 +26,11 @@ def setup():
     return keys, qcfg, cons, images
 
 
-def test_zero_noise_zero_errors_is_quantization_only(setup):
+def test_zero_noise_zero_errors_is_quantization_only(setup, zero_error_rows):
     keys, qcfg, cons, images = setup
     x = images[0]
     x_hat, rec = transmit(x, SPEC, {}, keys, qcfg, cons, math.inf, 5.0,
-                          3, 4, 0, zero_errors=True)
+                          3, 4, 0)
     spacing_px = (4093 / 16) / 2 * (256 / 4093)
     z = x.reshape(-1) * SPEC.latent_scale
     in_span = z <= qcfg.centroids[-1] + (4093 / 16) / 2
@@ -144,6 +144,6 @@ def test_ms_ssim_omitted_for_small_images(setup):
     keys, qcfg, cons, images = setup
     _, rec = transmit(images[0], SPEC, {}, keys, qcfg, cons, 10.0, 5.0, 3, 4, 0)
     assert rec.ms_ssim is None
-    csv = records_to_csv([rec], aggregate=False)
+    csv = records_to_csv([rec])
     row = csv.strip().split("\n")[1].split(",")
     assert row[CSV_COLUMNS.index("ms_ssim")] == ""

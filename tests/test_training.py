@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from securejscc import pipeline
 from securejscc.codec import CodecSpec, init_params
 from securejscc.datasets import DatasetSpec, synthesize_dataset
 from securejscc.lwe import LweParams, keygen
@@ -17,15 +18,13 @@ from securejscc.training import (TrainContext, TrainState, compute_gradients,
 TOY_LWE = LweParams(p=251, n1=16, n2=16, sigma_s=1.5, k=16)
 
 
-def make_ctx(spec, snr_db=10.0, zero_errors=False, error_seed=3,
-             channel_seed=4, loss="mse"):
+def make_ctx(spec, snr_db=10.0, error_seed=3, channel_seed=4, loss="mse"):
     keys = keygen(TOY_LWE, 101, 102)
     return TrainContext(spec=spec, keys=keys,
                         qcfg=QuantizerConfig(TOY_LWE.p, 16),
                         cons=build_constellation(TOY_LWE.p, 1.0),
                         snr_db=snr_db, sigma_l=5.0, error_seed=error_seed,
-                        channel_seed=channel_seed, loss=loss,
-                        zero_errors=zero_errors)
+                        channel_seed=channel_seed, loss=loss)
 
 
 def toy_batch(n=4, seed=5):
@@ -37,10 +36,10 @@ MLP_SPEC = CodecSpec(kind="mlp", input_shape=(4, 4, 1), k=16,
                      latent_scale=float(TOY_LWE.p), hidden_sizes=(12,))
 
 
-def test_gradient_skip_contract():
+def test_gradient_skip_contract(zero_error_rows):
     # with zero errors and a noiseless channel the full-chain gradients must
     # coincide with the surrogate in which the crypto segment is the identity
-    ctx = make_ctx(MLP_SPEC, snr_db=math.inf, zero_errors=True)
+    ctx = make_ctx(MLP_SPEC, snr_db=math.inf)
     state = init_train_state(MLP_SPEC, seed=7)
     batch = toy_batch()
     loss_a, grads_a = compute_gradients(batch, state, ctx)
@@ -108,11 +107,19 @@ def test_nonfinite_loss_aborts_with_diagnostic():
         compute_gradients(toy_batch(), state, ctx)
 
 
-def test_linear_codec_learns_on_clean_chain():
+def test_training_skips_exact_decrypt(monkeypatch):
+    # training reads only the noisy plaintext; the exact decrypt is lazy
+    def fail(*args):
+        raise AssertionError("exact decrypt ran during training")
+    monkeypatch.setattr(pipeline, "decrypt", fail)
+    train_step(toy_batch(), init_train_state(MLP_SPEC, seed=7), make_ctx(MLP_SPEC))
+
+
+def test_linear_codec_learns_on_clean_chain(zero_error_rows):
     # noiseless, error-free chain: 2000 steps must beat the initial loss
     spec = CodecSpec(kind="linear", input_shape=(4, 4, 1), k=16,
                      latent_scale=TOY_LWE.p / 256.0)
-    ctx = make_ctx(spec, snr_db=math.inf, zero_errors=True)
+    ctx = make_ctx(spec, snr_db=math.inf)
     images = synthesize_dataset(DatasetSpec("blob", 32, 4, 4, 1), 6)
     data = np.stack([im.reshape(-1) for im in images])
     state = init_train_state(spec, seed=11, learning_rate=1e-3)
@@ -131,8 +138,8 @@ def test_forward_path_matches_evaluation_pipeline():
     state = init_train_state(MLP_SPEC, seed=7)
     batch = toy_batch(3)
     loss_train, _ = compute_gradients(batch, state, ctx)
-    loss_eval = evaluate(batch, state.params, ctx, state.sigma_q,
-                         message_base=state.messages_sent)
+    assert state.messages_sent == 0  # evaluate sends messages 0 .. 2
+    loss_eval = evaluate(batch, state.params, ctx, state.sigma_q)
     assert np.isclose(loss_train, loss_eval, rtol=1e-12)
 
 
