@@ -16,9 +16,9 @@ from pathlib import Path
 
 from . import codec, security, training
 from .config import (attack_config_from_dict, config_from_dict,
-                     game_config_from_dict, load_config)
+                     game_config_from_dict, load_config, lwe_params_from_dict)
 from .datasets import read_image, synthesize_dataset
-from .lwe import LweParams, keygen, load_secret_key, save_key_files
+from .lwe import keygen, load_secret_key, save_key_files
 from .modem import build_constellation
 from .pipeline import records_to_csv, sweep
 from .quantizer import QuantizerConfig
@@ -35,7 +35,7 @@ def _cmd_keygen(args) -> int:
     if seeds["key_seed"] is None or seeds["lattice_seed"] is None:
         raise ValueError("key_seed and lattice_seed must come from the params "
                          "file or the command line")
-    params = LweParams(**raw)
+    params = lwe_params_from_dict(raw)
     key = keygen(params, int(seeds["key_seed"]), int(seeds["lattice_seed"]))
     public_path, secret_path = args.out
     save_key_files(key, public_path, secret_path)

@@ -1,9 +1,10 @@
 """Source codecs and their hand-rolled gradients.
 
-Three codec kinds share one interface. ``identity`` rescales pixels into
-the modulus range and back; ``linear`` is a single affine map in each
-direction; ``mlp`` stacks a few dense tanh layers with a bounded output
-squash so the encoder always emits values inside ``[0, latent_scale)``.
+Two codec kinds share one interface. ``identity`` rescales pixels into
+the modulus range and back; ``mlp`` stacks up to three dense layers (tanh
+between them) with a bounded output squash so the encoder always emits
+values inside ``[0, latent_scale)``. An ``mlp`` with no hidden layer is the
+one-layer codec.
 
 Gradients are written out explicitly rather than taken from an autodiff
 framework: the training loop needs to route them around a
@@ -20,7 +21,7 @@ import json
 import numpy as np
 
 CODEC_FILE_VERSION = 1
-CODEC_KINDS = ("identity", "linear", "mlp")
+CODEC_KINDS = ("identity", "mlp")
 
 ADAM_LR = 1e-4
 ADAM_BETA1 = 0.9
@@ -78,10 +79,6 @@ def init_params(spec: CodecSpec, rng: np.random.Generator) -> dict:
     """Fresh parameter dictionary for a codec spec (empty for identity)."""
     if spec.kind == "identity":
         return {}
-    if spec.kind == "linear":
-        params = dense_init([spec.n_pixels, spec.k], "enc", rng)
-        params.update(dense_init([spec.k, spec.n_pixels], "dec", rng))
-        return params
     enc_sizes = [spec.n_pixels, *spec.hidden_sizes, spec.k]
     dec_sizes = [spec.k, *reversed(spec.hidden_sizes), spec.n_pixels]
     params = dense_init(enc_sizes, "enc", rng)
@@ -123,8 +120,6 @@ def dense_backward(params: dict, prefix: str, cache: list,
 
 
 def _n_layers(spec: CodecSpec) -> int:
-    if spec.kind == "linear":
-        return 1
     return len(spec.hidden_sizes) + 1
 
 
@@ -140,9 +135,6 @@ def encode(x: np.ndarray, spec: CodecSpec, params: dict) -> tuple[np.ndarray, di
         raise ValueError(f"expected {spec.n_pixels} pixels per image, got {x.shape[1]}")
     if spec.kind == "identity":
         return x * spec.latent_scale, {}
-    if spec.kind == "linear":
-        u, cache = dense_forward(params, "enc", x, 1)
-        return spec.latent_scale * u, {"dense": cache}
     u, cache = dense_forward(params, "enc", x / 255.0, _n_layers(spec))
     s = _sigmoid(u)
     return spec.latent_scale * s, {"dense": cache, "squash": s}
@@ -152,10 +144,6 @@ def encode_backward(grad_z: np.ndarray, spec: CodecSpec, params: dict,
                     cache: dict) -> dict:
     if spec.kind == "identity":
         return {}
-    if spec.kind == "linear":
-        g = grad_z * spec.latent_scale
-        grads, _ = dense_backward(params, "enc", cache["dense"], g, 1)
-        return grads
     s = cache["squash"]
     g = grad_z * spec.latent_scale * s * (1.0 - s)
     grads, _ = dense_backward(params, "enc", cache["dense"], g,
@@ -173,9 +161,6 @@ def decode(z_hat: np.ndarray, spec: CodecSpec, params: dict) -> tuple[np.ndarray
     if spec.kind == "identity":
         raw = z_hat / spec.latent_scale
         return np.clip(raw, 0.0, 255.0), {"raw": raw}
-    if spec.kind == "linear":
-        raw, cache = dense_forward(params, "dec", z_hat, 1)
-        return np.clip(raw, 0.0, 255.0), {"dense": cache, "raw": raw}
     v, cache = dense_forward(params, "dec", z_hat / spec.latent_scale,
                              _n_layers(spec))
     s = _sigmoid(v)
@@ -188,11 +173,6 @@ def decode_backward(grad_x: np.ndarray, spec: CodecSpec, params: dict,
     if spec.kind == "identity":
         mask = (cache["raw"] > 0.0) & (cache["raw"] < 255.0)
         return {}, grad_x * mask / spec.latent_scale
-    if spec.kind == "linear":
-        mask = (cache["raw"] > 0.0) & (cache["raw"] < 255.0)
-        grads, g_in = dense_backward(params, "dec", cache["dense"],
-                                     grad_x * mask, 1)
-        return grads, g_in
     s = cache["squash"]
     g = grad_x * 255.0 * s * (1.0 - s)
     grads, g_in = dense_backward(params, "dec", cache["dense"], g,

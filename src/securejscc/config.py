@@ -4,8 +4,8 @@ Defaults follow the reference operating point: modulus 4093 with 192x192
 lattice dimensions and sampler width 8.87, 16 quantization levels,
 demodulator sharpness 5, and Adam at 1e-4 with betas (0.9, 0.999). Each
 default lives on its dataclass field: the loaders pass on only the keys a
-config sets, and :func:`config_from_dict` rejects a key that no field
-names. Every random choice is pinned by an explicit seed in the config.
+config sets, and every loader rejects a key that no field names. Every
+random choice is pinned by an explicit seed in the config.
 """
 
 from __future__ import annotations
@@ -90,12 +90,12 @@ def _check_keys(raw: dict, allowed, prefix: str) -> None:
             raise ValueError(f"unknown config key {prefix + key!r}")
 
 
-def _build(cls, values: dict, section: str):
-    """``cls(**values)``, naming any unknown or missing key of ``section``."""
-    _check_keys(values, [f.name for f in fields(cls)], section + ".")
+def _build(cls, values: dict, prefix: str):
+    """``cls(**values)``, naming any unknown or missing key after ``prefix``."""
+    _check_keys(values, [f.name for f in fields(cls)], prefix)
     for f in fields(cls):
         if f.name not in values and f.default is f.default_factory is MISSING:
-            raise ValueError(f"missing config key '{section}.{f.name}'")
+            raise ValueError(f"missing config key '{prefix}{f.name}'")
     return cls(**values)
 
 
@@ -104,6 +104,9 @@ TOP_LEVEL_CASTS = {"n_levels": int, "sigma_l": float, "avg_power": float,
                    "output_csv": str}
 # top-level sections read by game_config_from_dict and attack_config_from_dict
 OWN_LOADER_SECTIONS = ("game", "attack")
+GAME_CASTS = {"n_levels": int, "seed": int, "distinguisher": str}
+ATTACK_CASTS = {"epochs": int, "error_mode": str, "snr_e_db": _snr_value,
+                "test_fraction": float, "seed": int, "mlp_hidden": int}
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -115,10 +118,10 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     _check_keys(raw, [f.name for f in fields(PipelineConfig)]
                 + list(OWN_LOADER_SECTIONS), "")
     dataset = _build(DatasetSpec, raw.get("dataset", {
-        "kind": "blob", "count": 100, "height": 16, "width": 16}), "dataset")
+        "kind": "blob", "count": 100, "height": 16, "width": 16}), "dataset.")
     n_pixels = dataset.height * dataset.width * dataset.channels
     lwe = _build(LweParams, {**DEFAULT_LWE, "k": n_pixels, **raw.get("lwe", {})},
-                 "lwe")
+                 "lwe.")
 
     codec_raw = {"kind": "identity",
                  "input_shape": [dataset.height, dataset.width, dataset.channels],
@@ -129,26 +132,32 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     if "hidden_sizes" in codec_raw:
         codec_raw["hidden_sizes"] = tuple(codec_raw["hidden_sizes"])
     return PipelineConfig(
-        lwe=lwe, codec=_build(CodecSpec, codec_raw, "codec"), dataset=dataset,
-        seeds=_build(Seeds, raw.get("seeds", {}), "seeds"),
-        training=_build(TrainingSettings, raw.get("training", {}), "training"),
+        lwe=lwe, codec=_build(CodecSpec, codec_raw, "codec."), dataset=dataset,
+        seeds=_build(Seeds, raw.get("seeds", {}), "seeds."),
+        training=_build(TrainingSettings, raw.get("training", {}), "training."),
         **_present(raw, TOP_LEVEL_CASTS))
 
 
 def game_config_from_dict(raw: dict) -> GameConfig:
+    _check_keys(raw, ["trials", "lwe", *GAME_CASTS], "game.")
     lwe_raw = {**DEFAULT_LWE, "k": 16, **raw.get("lwe", {})}
     return GameConfig(
         trials=int(raw.get("trials", 10000)),
-        params=LweParams(**lwe_raw),
-        **_present(raw, {"n_levels": int, "seed": int, "distinguisher": str}))
+        params=_build(LweParams, lwe_raw, "game.lwe."),
+        **_present(raw, GAME_CASTS))
 
 
 def attack_config_from_dict(raw: dict, default_dataset: DatasetSpec) -> AttackConfig:
-    dataset = DatasetSpec(**raw["dataset"]) if "dataset" in raw else default_dataset
+    _check_keys(raw, ["adversary", "pairs", "dataset", *ATTACK_CASTS], "attack.")
+    dataset = (_build(DatasetSpec, raw["dataset"], "attack.dataset.")
+               if "dataset" in raw else default_dataset)
     return AttackConfig(
         adversary=raw.get("adversary", "linear"),
         pairs=int(raw.get("pairs", 2000)),
         dataset=dataset,
-        **_present(raw, {"epochs": int, "error_mode": str,
-                         "snr_e_db": _snr_value, "test_fraction": float,
-                         "seed": int, "mlp_hidden": int}))
+        **_present(raw, ATTACK_CASTS))
+
+
+def lwe_params_from_dict(raw: dict) -> LweParams:
+    """The lattice parameters of a keygen params file, seeds removed."""
+    return _build(LweParams, raw, "")

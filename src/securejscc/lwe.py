@@ -253,12 +253,19 @@ def save_key_files(key: KeyPair, public_path: str | Path,
     Path(secret_path).write_text(json.dumps(secret))
 
 
+KEY_FILE_FIELDS = {"public": ("params", "lattice_seed", "B", "A"),
+                   "secret": ("params", "key_seed", "lattice_seed", "S")}
+
+
 def _load_key_json(path: str | Path, kind: str) -> dict:
     data = json.loads(Path(path).read_text())
     if data.get("format") != "securejscc-key" or data.get("kind") != kind:
         raise ValueError(f"{path} is not a securejscc {kind} key file")
     if data.get("version") != KEY_FILE_VERSION:
         raise ValueError(f"unsupported key file version {data.get('version')}")
+    for name in KEY_FILE_FIELDS[kind]:
+        if name not in data:
+            raise ValueError(f"{kind} key file {path} has no {name!r} field")
     return data
 
 

@@ -34,7 +34,6 @@ def build_centroids(p: int, n_levels: int) -> np.ndarray:
 class QuantizerConfig:
     p: int
     n_levels: int
-    sigma_q: float = SIGMA_Q_INITIAL
     centroids: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -75,26 +74,28 @@ def _centroid_weights(z: np.ndarray, cfg: QuantizerConfig, sharpness: float,
     return w / w.sum(axis=-1, keepdims=True), q
 
 
-def soft_quantize(z: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
+def soft_quantize(z: np.ndarray, cfg: QuantizerConfig,
+                  sigma_q: float) -> np.ndarray:
     """Softmax-weighted centroid sum with sharpness ``sigma_q``.
 
     Converges to :func:`hard_quantize` as sigma_q grows and to the centroid
     mean as sigma_q -> 0.
     """
-    w, q = _centroid_weights(z, cfg, cfg.sigma_q, "latent vector")
+    w, q = _centroid_weights(z, cfg, sigma_q, "latent vector")
     return w @ q
 
 
-def soft_quantize_jacobian(z: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
+def soft_quantize_jacobian(z: np.ndarray, cfg: QuantizerConfig,
+                           sigma_q: float) -> np.ndarray:
     """Elementwise derivative of :func:`soft_quantize`.
 
     The map is separable, so the Jacobian is diagonal with entries
     ``2 * sigma_q * Var_w(q)``, the softmax-weighted centroid variance.
     """
-    w, q = _centroid_weights(z, cfg, cfg.sigma_q, "latent vector")
+    w, q = _centroid_weights(z, cfg, sigma_q, "latent vector")
     mean = w @ q
     second = w @ (q * q)
-    return 2.0 * cfg.sigma_q * (second - mean * mean)
+    return 2.0 * sigma_q * (second - mean * mean)
 
 
 def anneal_sigma_q(step: int, sigma_prev: float) -> float:

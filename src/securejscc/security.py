@@ -32,8 +32,6 @@ from .rng import spawn_seed, stream
 
 FEATURE_NOTE = ("features per symbol value v: [v/p, cos(2*pi*v/p), sin(2*pi*v/p)] "
                 "(raw residue plus circular embedding)")
-CLASSIFIER_NOTE = ("logistic model on centered ciphertext residues and their "
-                   "differences with both candidate plaintexts, scaled by 1/p")
 
 
 def default_plaintext_pair(params: LweParams,
@@ -46,38 +44,6 @@ def default_plaintext_pair(params: LweParams,
 
 
 # -- distinguishers ----------------------------------------------------------
-
-
-class FairCoin:
-    """Guessing baseline; ignores the challenge entirely."""
-
-    name = "fair_coin"
-
-    def prepare(self, pk, m0, m1, rng):
-        pass
-
-    def guess(self, c, rng, true_bit=None):
-        return int(rng.integers(0, 2))
-
-
-class SyntheticOracle:
-    """Test hook with a known accuracy; the game leaks it the true bit."""
-
-    needs_true_bit = True
-
-    def __init__(self, accuracy: float):
-        self.accuracy = accuracy
-        self.name = f"synthetic_q{accuracy}"
-
-    def prepare(self, pk, m0, m1, rng):
-        pass
-
-    def guess(self, c, rng, true_bit=None):
-        if true_bit is None:
-            raise RuntimeError("synthetic oracle needs the leaked bit")
-        if rng.random() < self.accuracy:
-            return true_bit
-        return 1 - true_bit
 
 
 class MarginalChiSquare:
@@ -101,7 +67,7 @@ class MarginalChiSquare:
         expected = len(residues) / self.bins
         return float(np.sum((counts - expected) ** 2) / expected)
 
-    def guess(self, c, rng, true_bit=None):
+    def guess(self, c, rng):
         stats = [self._stat((c - m) % self.p) for m in self.m]
         if stats[0] == stats[1]:
             return int(rng.integers(0, 2))
@@ -117,14 +83,11 @@ class TrainedClassifier:
     """
 
     name = "trained_classifier"
-    feature_note = CLASSIFIER_NOTE
 
+    train_size = 256
+    epochs = 20
     lr = 0.5
     l2 = 1e-2
-
-    def __init__(self, train_size: int = 256, epochs: int = 20):
-        self.train_size = train_size
-        self.epochs = epochs
 
     def _features(self, c: np.ndarray) -> np.ndarray:
         p = self.p
@@ -154,13 +117,12 @@ class TrainedClassifier:
             b -= self.lr * float(err.mean())
         self.w, self.b = w, b
 
-    def guess(self, c, rng, true_bit=None):
+    def guess(self, c, rng):
         logit = float(self._features(c) @ self.w + self.b)
         return int(logit >= 0.0)
 
 
 DISTINGUISHERS = {
-    "fair_coin": FairCoin,
     "marginal_chisq": MarginalChiSquare,
     "trained_classifier": TrainedClassifier,
 }
@@ -180,6 +142,8 @@ class GameConfig:
     def __post_init__(self):
         if self.trials < 100:
             raise ValueError(f"need at least 100 trials, got {self.trials}")
+        if self.distinguisher not in DISTINGUISHERS:
+            raise ValueError(f"unknown distinguisher {self.distinguisher!r}")
 
 
 @dataclass(frozen=True)
@@ -216,7 +180,6 @@ def run_ind_cpa_game(cfg: GameConfig, distinguisher=None) -> GameResult:
     if distinguisher is None:
         distinguisher = DISTINGUISHERS[cfg.distinguisher]()
     m0, m1 = default_plaintext_pair(cfg.params, cfg.n_levels)
-    needs_bit = getattr(distinguisher, "needs_true_bit", False)
     correct = 0
     for t in range(cfg.trials):
         trial_rng = stream(cfg.seed, t)
@@ -228,13 +191,11 @@ def run_ind_cpa_game(cfg: GameConfig, distinguisher=None) -> GameResult:
         distinguisher.prepare(pk, m0, m1, stream(adv_seed))
         errors = derive_errors(error_seed, 0, cfg.params)
         ct = encrypt(m1 if b else m0, pk, errors)
-        guess = distinguisher.guess(ct.c, stream(adv_seed, 1),
-                                    true_bit=b if needs_bit else None)
-        correct += int(guess == b)
+        correct += int(distinguisher.guess(ct.c, stream(adv_seed, 1)) == b)
     acc = correct / cfg.trials
     se = math.sqrt(max(acc * (1.0 - acc), 0.0) / cfg.trials)
     return GameResult(
-        distinguisher=getattr(distinguisher, "name", cfg.distinguisher),
+        distinguisher=distinguisher.name,
         trials=cfg.trials, correct=correct, accuracy=acc,
         advantage=2.0 * acc - 1.0,
         ci_low=2.0 * (acc - 1.96 * se) - 1.0,
@@ -245,7 +206,7 @@ def run_ind_cpa_game(cfg: GameConfig, distinguisher=None) -> GameResult:
 
 
 ERROR_MODES = ("fresh", "reused", "known_seed")
-ADVERSARIES = ("mean_predictor", "linear", "mlp")
+ADVERSARIES = ("linear", "mlp")
 
 
 @dataclass(frozen=True)
@@ -282,7 +243,6 @@ class AttackReport:
     baseline_psnr: float
     adversary_ssim: float
     baseline_ssim: float
-    feature_note: str
 
     @property
     def mse_ratio(self) -> float:
@@ -296,7 +256,7 @@ class AttackReport:
                 f"  mean-image baseline: mse={self.baseline_mse:.2f} "
                 f"psnr={self.baseline_psnr:.2f} dB ssim={self.baseline_ssim:.4f}\n"
                 f"  mse ratio adversary/baseline = {self.mse_ratio:.3f}\n"
-                f"  {self.feature_note}")
+                f"  {FEATURE_NOTE}")
 
     def csv_row(self) -> str:
         return (f"{self.adversary},{self.error_mode},{self.snr_e_db},"
@@ -396,11 +356,8 @@ def run_cpa_attack(cfg: AttackConfig, spec: codec.CodecSpec, codec_params: dict,
     x_train, x_test = x[:n_train], x[n_train:]
     f_train, f_test = feats[:n_train], feats[n_train:]
 
-    mean_image = x_train.mean(axis=0)
-    baseline_pred = np.tile(mean_image, (n_test, 1))
-    if cfg.adversary == "mean_predictor":
-        pred = baseline_pred
-    elif cfg.adversary == "linear":
+    baseline_pred = np.tile(x_train.mean(axis=0), (n_test, 1))
+    if cfg.adversary == "linear":
         w = _fit_linear(f_train, x_train)
         pred = np.clip(_predict_linear(w, f_test), 0.0, 255.0)
     else:
@@ -428,5 +385,4 @@ def run_cpa_attack(cfg: AttackConfig, spec: codec.CodecSpec, codec_params: dict,
         snr_e_db=cfg.snr_e_db, n_train=n_train, n_test=n_test,
         adversary_mse=adv_mse, baseline_mse=base_mse,
         adversary_psnr=adv_psnr, baseline_psnr=base_psnr,
-        adversary_ssim=adv_ssim, baseline_ssim=base_ssim,
-        feature_note=FEATURE_NOTE)
+        adversary_ssim=adv_ssim, baseline_ssim=base_ssim)

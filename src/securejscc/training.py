@@ -23,8 +23,7 @@ from .lwe import KeyPair
 from .modem import Constellation, noise_variance
 from .pipeline import transmit_latent
 from .quantizer import (SIGMA_Q_INITIAL, QuantizerConfig, anneal_sigma_q,
-                        hard_quantize, soft_dequantize, soft_quantize,
-                        soft_quantize_jacobian)
+                        hard_quantize, soft_dequantize, soft_quantize_jacobian)
 from .rng import stream
 
 
@@ -71,14 +70,14 @@ def _loss_fn(kind: str):
     raise ValueError(f"unknown loss {kind!r}")
 
 
-def _through_chain(ctx: TrainContext, qcfg: QuantizerConfig, message_base: int):
+def _through_chain(ctx: TrainContext, message_base: int):
     """Latent map of the real chain: quantize, transmit the batch, dequantize."""
     def latent_map(z: np.ndarray) -> np.ndarray:
-        z_bar = hard_quantize(z.ravel(), qcfg).values.reshape(z.shape)
+        z_bar = hard_quantize(z.ravel(), ctx.qcfg).values.reshape(z.shape)
         trace = transmit_latent(z_bar, ctx.keys, ctx.cons, ctx.sigma2,
                                 ctx.sigma_l, ctx.error_seed, ctx.channel_seed,
                                 message_base + np.arange(z.shape[0]))
-        return soft_dequantize(trace.z_prime, qcfg)
+        return soft_dequantize(trace.z_prime, ctx.qcfg)
     return latent_map
 
 
@@ -92,14 +91,15 @@ def _forward(batch: np.ndarray, params: dict, ctx: TrainContext, latent_map):
 
 
 def _gradients(batch: np.ndarray, params: dict, ctx: TrainContext,
-               qcfg: QuantizerConfig, latent_map) -> tuple[float, dict]:
+               sigma_q: float, latent_map) -> tuple[float, dict]:
     """Loss and parameter gradients; the latent map is skipped backward."""
     loss, (grad_x, z, enc_cache, dec_cache) = _forward(batch, params, ctx,
                                                        latent_map)
     grads, grad_zhat = codec.decode_backward(grad_x, ctx.spec, params, dec_cache)
     # gradient skip: the whole quantized-latent -> dequantized segment is
     # treated as identity, then the soft-quantizer Jacobian maps back to z
-    grad_z = grad_zhat * soft_quantize_jacobian(z.ravel(), qcfg).reshape(z.shape)
+    grad_z = grad_zhat * soft_quantize_jacobian(z.ravel(), ctx.qcfg,
+                                                sigma_q).reshape(z.shape)
     grads.update(codec.encode_backward(grad_z, ctx.spec, params, enc_cache))
     return loss, grads
 
@@ -107,9 +107,8 @@ def _gradients(batch: np.ndarray, params: dict, ctx: TrainContext,
 def compute_gradients(batch: np.ndarray, state: TrainState,
                       ctx: TrainContext) -> tuple[float, dict]:
     """Loss and parameter gradients for one batch of flattened images."""
-    qcfg = QuantizerConfig(ctx.qcfg.p, ctx.qcfg.n_levels, sigma_q=state.sigma_q)
-    loss, grads = _gradients(batch, state.params, ctx, qcfg,
-                             _through_chain(ctx, qcfg, state.messages_sent))
+    loss, grads = _gradients(batch, state.params, ctx, state.sigma_q,
+                             _through_chain(ctx, state.messages_sent))
     if not math.isfinite(loss):
         raise RuntimeError(
             f"non-finite loss at step {state.step} "
@@ -131,44 +130,10 @@ def train_step(batch: np.ndarray, state: TrainState,
                       opt=state.opt), loss
 
 
-def surrogate_gradients(batch: np.ndarray, state: TrainState,
-                        ctx: TrainContext) -> tuple[float, dict]:
-    """Gradients with the crypto/channel segment replaced by the identity.
-
-    Forward uses the hard-quantized latent directly; backward is identical
-    to :func:`compute_gradients`. With zero errors and a noiseless channel
-    the two agree exactly, which pins down the gradient-routing contract.
-    """
-    qcfg = QuantizerConfig(ctx.qcfg.p, ctx.qcfg.n_levels, sigma_q=state.sigma_q)
-    return _gradients(batch, state.params, ctx, qcfg, lambda z: hard_quantize(
-        z.ravel(), qcfg).values.reshape(z.shape).astype(np.float64))
-
-
-def soft_surrogate_loss(batch: np.ndarray, params: dict,
-                        ctx: TrainContext, sigma_q: float) -> float:
-    """Differentiable stand-in chain: encode -> soft quantize -> decode.
-
-    Scalar-valued on purpose; finite differences of this function are the
-    reference for the analytic backward pass.
-    """
-    return soft_surrogate_gradients(batch, params, ctx, sigma_q)[0]
-
-
-def soft_surrogate_gradients(batch: np.ndarray, params: dict,
-                             ctx: TrainContext,
-                             sigma_q: float) -> tuple[float, dict]:
-    """Analytic gradients of :func:`soft_surrogate_loss`."""
-    qcfg = QuantizerConfig(ctx.qcfg.p, ctx.qcfg.n_levels, sigma_q=sigma_q)
-    return _gradients(batch, params, ctx, qcfg, lambda z: soft_quantize(
-        z.ravel(), qcfg).reshape(z.shape))
-
-
-def evaluate(images: np.ndarray, params: dict, ctx: TrainContext,
-             sigma_q: float) -> float:
+def evaluate(images: np.ndarray, params: dict, ctx: TrainContext) -> float:
     """Mean loss of the evaluation chain (the training forward pass), sent
     as messages 0 .. len(images)-1."""
-    qcfg = QuantizerConfig(ctx.qcfg.p, ctx.qcfg.n_levels, sigma_q=sigma_q)
-    return _forward(images, params, ctx, _through_chain(ctx, qcfg, 0))[0]
+    return _forward(images, params, ctx, _through_chain(ctx, 0))[0]
 
 
 @dataclass
@@ -212,7 +177,7 @@ def train_codec(train_images: list[np.ndarray], val_images: list[np.ndarray],
             state, loss = train_step(batch, state, ctx)
             epoch_losses.append(loss)
         train_losses.append(float(np.mean(epoch_losses)))
-        val = evaluate(x_val, state.params, ectx, state.sigma_q)
+        val = evaluate(x_val, state.params, ectx)
         val_losses.append(val)
         if val < best_val - 1e-12:
             best_val = val

@@ -22,10 +22,10 @@ from securejscc.quantizer import (QuantizerConfig, build_centroids,
                                   soft_quantize_jacobian)
 from securejscc.rng import stream
 from securejscc.security import (AttackConfig, GameConfig, MarginalChiSquare,
-                                 SyntheticOracle, TrainedClassifier,
                                  run_cpa_attack, run_ind_cpa_game)
 from securejscc.training import TrainContext, evaluate, init_train_state, train_step
 from test_modem import nearest_point_demodulate
+from test_security import BROKEN_LWE, LeakyDistinguisher, SmallClassifier
 
 TABLE = LweParams(p=4093, n1=192, n2=192, sigma_s=8.87, k=512)
 
@@ -124,24 +124,25 @@ def test_criterion_5_quantizer():
                  2558, 2813, 3069, 3325, 3581, 3837]
     centroids_ok = build_centroids(4093, 16).tolist() == reference
 
-    cfg_hard = QuantizerConfig(4093, 16, sigma_q=1e4)
+    cfg_hard = QuantizerConfig(4093, 16)
     z = stream(4).uniform(0, 4093, 500)
     mids = (cfg_hard.centroids[:-1] + cfg_hard.centroids[1:]) / 2.0
     z = z[np.all(np.abs(z[:, None] - mids[None, :]) >= 1.0, axis=1)]
-    conv_ok = bool(np.all(np.abs(soft_quantize(z, cfg_hard)
+    conv_ok = bool(np.all(np.abs(soft_quantize(z, cfg_hard, 1e4)
                                  - hard_quantize(z, cfg_hard).values) < 1e-6))
 
     jac_ok = True
     h = 1e-3
     for p, n, sigma_q, lo, hi in ((16, 4, 0.1, -2.0, 18.0),
                                   (4093, 16, 5.0, 0.0, 4000.0)):
-        cfg = QuantizerConfig(p, n, sigma_q=sigma_q)
+        cfg = QuantizerConfig(p, n)
         zz = stream(5).uniform(lo, hi, 200)
         m = (cfg.centroids[:-1] + cfg.centroids[1:]) / 2.0
         zz = zz[np.all(np.abs(zz[:, None] - m[None, :]) >= 1.0, axis=1)]
-        fd = (soft_quantize(zz + h, cfg) - soft_quantize(zz - h, cfg)) / (2 * h)
-        jac_ok = jac_ok and np.allclose(soft_quantize_jacobian(zz, cfg), fd,
-                                        rtol=1e-3, atol=1e-8)
+        fd = (soft_quantize(zz + h, cfg, sigma_q)
+              - soft_quantize(zz - h, cfg, sigma_q)) / (2 * h)
+        jac_ok = jac_ok and np.allclose(soft_quantize_jacobian(zz, cfg, sigma_q),
+                                        fd, rtol=1e-3, atol=1e-8)
     report(5, centroids_ok and conv_ok and jac_ok,
            "centroids exact; soft->hard convergence < 1e-6; "
            "Jacobian matches finite differences (rel 1e-3)")
@@ -217,7 +218,7 @@ def test_criterion_8_toy_training():
     ratios = []
     for seed in range(10):
         state = init_train_state(spec, seed=1000 + seed)
-        val0 = evaluate(val_x, state.params, eval_ctx, state.sigma_q)
+        val0 = evaluate(val_x, state.params, eval_ctx)
         shuffle = stream(2000 + seed)
         best = 1.0
         while state.step < 5000 and best >= 0.8:
@@ -225,7 +226,7 @@ def test_criterion_8_toy_training():
             for s in range(0, len(order), 10):
                 state, _ = train_step(train_x[order[s:s + 10]], state, ctx)
                 if state.step % 250 == 0:
-                    val = evaluate(val_x, state.params, eval_ctx, state.sigma_q)
+                    val = evaluate(val_x, state.params, eval_ctx)
                     best = min(best, val / val0)
                 if state.step >= 5000 or best < 0.8:
                     break
@@ -241,14 +242,13 @@ def test_criterion_9_ind_cpa_harness():
     cfg = GameConfig(trials=10_000, params=params, seed=2026)
     ok = True
     details = []
-    for dist in (MarginalChiSquare(),
-                 TrainedClassifier(train_size=128, epochs=10)):
+    for dist in (MarginalChiSquare(), SmallClassifier()):
         r = run_ind_cpa_game(cfg, dist)
         ok = ok and abs(r.advantage) < 0.05 and r.ci_low <= 0.0 <= r.ci_high
         details.append(f"{r.distinguisher}: {r.advantage:+.4f}")
-    synth_cfg = GameConfig(trials=10_000, params=params, seed=77)
+    synth_cfg = GameConfig(trials=10_000, params=BROKEN_LWE, seed=77)
     for q, adv in ((0.5, 0.0), (0.75, 0.5), (1.0, 1.0)):
-        r = run_ind_cpa_game(synth_cfg, SyntheticOracle(q))
+        r = run_ind_cpa_game(synth_cfg, LeakyDistinguisher(q))
         ok = ok and r.ci_low <= adv <= r.ci_high
         details.append(f"q={q}: {r.advantage:+.3f}")
     report(9, ok, "; ".join(details))

@@ -56,18 +56,6 @@ def test_identity_through_hard_quantization_error_bound():
         assert np.all(err <= 2 * spacing_px + 1e-9)
 
 
-def test_linear_identity_matrix_matches_identity_codec():
-    spec = CodecSpec(kind="linear", input_shape=(4, 4, 1), k=16,
-                     latent_scale=P / 256.0)
-    params = init_params(spec, stream(1))
-    params["enc.W0"] = np.eye(16)
-    params["enc.b0"] = np.zeros(16)
-    x = stream(2).uniform(0, 255, (2, 16))
-    z_lin, _ = encode(x, spec, params)
-    z_id, _ = encode(x, IDENT, {})
-    assert np.allclose(z_lin, z_id)
-
-
 def test_mlp_zero_weights_constant_latent():
     spec = CodecSpec(kind="mlp", input_shape=(4, 4, 1), k=8,
                      latent_scale=float(P), hidden_sizes=(12,))
@@ -84,8 +72,8 @@ def test_mlp_zero_weights_constant_latent():
 
 
 def test_all_zero_latent_constant_image():
-    spec = CodecSpec(kind="linear", input_shape=(4, 4, 1), k=16,
-                     latent_scale=P / 256.0)
+    spec = CodecSpec(kind="mlp", input_shape=(4, 4, 1), k=16,
+                     latent_scale=float(P))
     params = init_params(spec, stream(5))
     x_hat, _ = decode(np.zeros((3, 16)), spec, params)
     assert np.allclose(x_hat, x_hat[0])

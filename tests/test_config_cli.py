@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from securejscc.cli import main
-from securejscc.config import PipelineConfig, config_from_dict, load_config
+from securejscc.config import (PipelineConfig, attack_config_from_dict,
+                               config_from_dict, game_config_from_dict,
+                               load_config)
 from securejscc.lwe import load_public_key, load_secret_key
 
 
@@ -51,10 +53,30 @@ def test_game_and_attack_sections_allowed():
     config_from_dict({"game": {"trials": 200}, "attack": {"pairs": 10}})
 
 
+@pytest.mark.parametrize("raw, key", [
+    ({"trails": 200}, "game.trails"),
+    ({"lwe": {"sigma": 8.87}}, "game.lwe.sigma"),
+])
+def test_game_loader_rejects_unknown_key(raw, key):
+    with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+        game_config_from_dict(raw)
+
+
+@pytest.mark.parametrize("raw, key", [
+    ({"pair": 10}, "attack.pair"),
+    ({"dataset": {"kind": "blob", "count": 0, "height": 4, "width": 4,
+                  "chanels": 1}}, "attack.dataset.chanels"),
+])
+def test_attack_loader_rejects_unknown_key(raw, key):
+    cfg = config_from_dict({})
+    with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+        attack_config_from_dict(raw, cfg.dataset)
+
+
 def test_k_mismatch_rejected():
     with pytest.raises(ValueError):
         config_from_dict({"lwe": {"k": 100},
-                          "codec": {"kind": "linear", "k": 99}})
+                          "codec": {"kind": "mlp", "k": 99}})
 
 
 def test_oversized_modulus_rejected_at_load():
@@ -94,6 +116,21 @@ def test_cli_keygen_and_key_files(tmp_path):
     loaded = load_secret_key(sec)
     assert loaded.key_seed == 7
     assert np.array_equal(load_public_key(pub).B, loaded.B)
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"p": 251, "n1": 16, "n2": 16, "sigma_s": 1.5, "sigma": 1.5, "k": 16},
+     "unknown config key 'sigma'"),
+    ({"p": 251, "n1": 16, "n2": 16, "sigma_s": 1.5}, "missing config key 'k'"),
+])
+def test_cli_keygen_bad_params_file_exits_2(tmp_path, capsys, raw, message):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({**raw, "key_seed": 7, "lattice_seed": 8}))
+    code = main(["keygen", "--params", str(params),
+                 "--out", str(tmp_path / "p"), str(tmp_path / "s")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
 
 
 def test_cli_keygen_requires_seeds(tmp_path, capsys):
@@ -158,6 +195,25 @@ def test_cli_indcpa(tmp_path, capsys):
     assert main(["indcpa", "--config", str(cfg), "--out", str(out)]) == 0
     assert "advantage" in capsys.readouterr().out
     assert out.read_text().startswith("distinguisher,")
+
+
+def test_cli_transmit_key_file_missing_field_exits_2(tmp_path, capsys):
+    cfg_path = make_config_file(tmp_path)
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"p": 251, "n1": 16, "n2": 16,
+                                  "sigma_s": 1.5, "k": 16,
+                                  "key_seed": 1, "lattice_seed": 2}))
+    pub, sec = tmp_path / "pub.json", tmp_path / "sec.json"
+    assert main(["keygen", "--params", str(params), "--out", str(pub), str(sec)]) == 0
+    blob = json.loads(sec.read_text())
+    del blob["params"]
+    sec.write_text(json.dumps(blob))
+    capsys.readouterr()
+    code = main(["transmit", "--config", str(cfg_path), "--keys", str(sec),
+                 "--in", "synthetic", "--out", str(tmp_path / "tx.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no 'params' field" in err
 
 
 def test_cli_attack_with_sabotage_control(tmp_path, capsys):

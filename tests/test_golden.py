@@ -1,8 +1,11 @@
-"""Golden outputs: a small sweep CSV and a short toy training run.
+"""Golden outputs: a small sweep CSV, a short toy training run and two
+IND-CPA games.
 
-The values were computed before the chain was batched; any change to the
-arithmetic of the chain (encryption, channel, demodulation, decryption,
-dequantization, codec) that is not bit-exact shows up here.
+The sweep and training values were computed before the chain was batched;
+any change to the arithmetic of the chain (encryption, channel,
+demodulation, decryption, dequantization, codec) that is not bit-exact
+shows up here. The game counts pin keygen, encryption and both honest
+distinguishers.
 """
 
 import hashlib
@@ -14,11 +17,13 @@ from securejscc.lwe import LweParams, keygen
 from securejscc.modem import build_constellation
 from securejscc.pipeline import records_to_csv, sweep
 from securejscc.quantizer import QuantizerConfig
+from securejscc.security import GameConfig, run_ind_cpa_game
 from securejscc.training import TrainContext, init_train_state, train_codec
 
 SWEEP_CSV_SHA256 = "a40c638d695d8df76dc1ac89554552ef25a8be4a3ce421a2d0867c0af36ebe29"
 TRAIN_LOSSES = ["0x1.fbcc793a511fdp+12", "0x1.e467606e700cep+12"]
 VAL_LOSSES = ["0x1.f2260c09d06c0p+12", "0x1.e20f7ee6450f2p+12"]
+GAME_CORRECT = {"marginal_chisq": 101, "trained_classifier": 98}
 
 
 def test_identity_sweep_csv_is_pinned():
@@ -53,3 +58,11 @@ def test_toy_training_losses_are_pinned():
                          eval_ctx=ctx(31, 41))
     assert [v.hex() for v in result.train_losses] == TRAIN_LOSSES
     assert [v.hex() for v in result.val_losses] == VAL_LOSSES
+
+
+def test_game_correct_counts_are_pinned():
+    params = LweParams(p=257, n1=32, n2=32, sigma_s=8.87, k=16)
+    for name, correct in GAME_CORRECT.items():
+        result = run_ind_cpa_game(GameConfig(trials=200, params=params,
+                                             seed=2026, distinguisher=name))
+        assert (result.distinguisher, result.correct) == (name, correct)

@@ -340,3 +340,19 @@ def test_secret_file_integrity_check(tmp_path):
     sec.write_text(json.dumps(blob))
     with pytest.raises(ValueError):
         load_secret_key(sec)
+
+
+@pytest.mark.parametrize("which, name", [
+    ("public", "params"), ("public", "B"), ("public", "A"),
+    ("public", "lattice_seed"), ("secret", "params"), ("secret", "key_seed"),
+    ("secret", "lattice_seed"), ("secret", "S")])
+def test_key_file_missing_field_named(tmp_path, which, name):
+    keys = keygen(SMALL, 10, 20)
+    pub, sec = tmp_path / "pub.json", tmp_path / "sec.json"
+    save_key_files(keys, pub, sec)
+    path, load = (pub, load_public_key) if which == "public" else (sec, load_secret_key)
+    blob = json.loads(path.read_text())
+    del blob[name]
+    path.write_text(json.dumps(blob))
+    with pytest.raises(ValueError, match=f"no '{name}' field"):
+        load(path)

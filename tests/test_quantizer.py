@@ -84,26 +84,27 @@ def test_hard_quantize_idempotent(values):
 
 
 def test_soft_quantize_hard_limit():
-    cfg = QuantizerConfig(4093, 16, sigma_q=1e4)
+    cfg = QuantizerConfig(4093, 16)
     rng = np.random.default_rng(0)
     z = rng.uniform(0, 4093, 200)
     hard = hard_quantize(z, cfg).values
     # keep points at least 1.0 away from the midpoints between centroids
     mids = (cfg.centroids[:-1] + cfg.centroids[1:]) / 2.0
     keep = np.all(np.abs(z[:, None] - mids[None, :]) >= 1.0, axis=1)
-    soft = soft_quantize(z, cfg)
+    soft = soft_quantize(z, cfg, 1e4)
     assert np.all(np.abs(soft[keep] - hard[keep]) < 1e-6)
 
 
 def test_soft_quantize_uniform_limit():
-    cfg = QuantizerConfig(4093, 16, sigma_q=1e-12)
+    cfg = QuantizerConfig(4093, 16)
     z = np.array([0.0, 500.0, 4000.0])
-    assert np.allclose(soft_quantize(z, cfg), cfg.centroids.mean(), atol=1e-6)
+    assert np.allclose(soft_quantize(z, cfg, 1e-12), cfg.centroids.mean(),
+                       atol=1e-6)
 
 
 def test_soft_quantize_midpoint_two_centroids():
-    cfg = QuantizerConfig(4093, 16, sigma_q=1.0)
-    out = soft_quantize(np.array([127.5]), cfg)
+    cfg = QuantizerConfig(4093, 16)
+    out = soft_quantize(np.array([127.5]), cfg, 1.0)
     assert abs(out[0] - 127.5) < 1e-6
 
 
@@ -111,9 +112,9 @@ def test_soft_quantize_midpoint_two_centroids():
 @given(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=16),
        st.floats(0.01, 100.0))
 def test_soft_outputs_are_convex_combinations(values, sigma_q):
-    cfg = QuantizerConfig(4093, 16, sigma_q=sigma_q)
+    cfg = QuantizerConfig(4093, 16)
     z = np.array(values)
-    for out in (soft_quantize(z, cfg), soft_dequantize(z, cfg)):
+    for out in (soft_quantize(z, cfg, sigma_q), soft_dequantize(z, cfg)):
         assert np.all(out >= cfg.centroids[0] - 1e-9)
         assert np.all(out <= cfg.centroids[-1] + 1e-9)
 
@@ -127,15 +128,14 @@ def test_monotone_hardness():
     hard = hard_quantize(z, cfg0).values
     prev = np.inf
     for sigma_q in (5.0, 25.0, 50.0, 100.0, 200.0):
-        cfg = QuantizerConfig(4093, 16, sigma_q=sigma_q)
-        dist = np.max(np.abs(soft_quantize(z, cfg) - hard))
+        dist = np.max(np.abs(soft_quantize(z, cfg0, sigma_q) - hard))
         assert dist <= prev + 1e-12
         prev = dist
 
 
-def central_difference_jacobian(z, cfg, h=1e-3):
-    up = soft_quantize(z + h, cfg)
-    down = soft_quantize(z - h, cfg)
+def central_difference_jacobian(z, cfg, sigma_q, h=1e-3):
+    up = soft_quantize(z + h, cfg, sigma_q)
+    down = soft_quantize(z - h, cfg, sigma_q)
     return (up - down) / (2 * h)
 
 
@@ -143,21 +143,21 @@ def test_jacobian_matches_finite_differences_small_scale():
     # a small modulus keeps distances O(1), so the softmax stays genuinely soft
     rng = np.random.default_rng(4)
     for sigma_q in (0.05, 0.2, 1.0):
-        cfg = QuantizerConfig(16, 4, sigma_q=sigma_q)  # centroids [0, 4, 8, 12]
+        cfg = QuantizerConfig(16, 4)  # centroids [0, 4, 8, 12]
         z = rng.uniform(-2.0, 18.0, 200)
-        jac = soft_quantize_jacobian(z, cfg)
-        fd = central_difference_jacobian(z, cfg)
+        jac = soft_quantize_jacobian(z, cfg, sigma_q)
+        fd = central_difference_jacobian(z, cfg, sigma_q)
         assert np.allclose(jac, fd, rtol=1e-4, atol=1e-8)
 
 
 def test_jacobian_matches_finite_differences_reference_scale():
     rng = np.random.default_rng(5)
-    cfg = QuantizerConfig(4093, 16, sigma_q=5.0)
+    cfg = QuantizerConfig(4093, 16)
     mids = (cfg.centroids[:-1] + cfg.centroids[1:]) / 2.0
     z = rng.uniform(0, 4000, 100)
     z = z[np.all(np.abs(z[:, None] - mids[None, :]) >= 1.0, axis=1)]
-    jac = soft_quantize_jacobian(z, cfg)
-    fd = central_difference_jacobian(z, cfg)
+    jac = soft_quantize_jacobian(z, cfg, 5.0)
+    fd = central_difference_jacobian(z, cfg, 5.0)
     assert np.allclose(jac, fd, rtol=1e-4, atol=1e-8)
 
 
@@ -194,7 +194,7 @@ def test_dequantize_midpoint_two_levels():
 
 
 def test_dequantize_no_hardness_parameter():
-    # unit weighting: changing sigma_q must not change the result
-    a = soft_dequantize(np.array([3.3]), QuantizerConfig(10, 2, sigma_q=5.0))
-    b = soft_dequantize(np.array([3.3]), QuantizerConfig(10, 2, sigma_q=200.0))
-    assert np.array_equal(a, b)
+    # unit weighting: dequantization is soft quantization at sharpness 1
+    cfg = QuantizerConfig(10, 2)
+    z = np.array([-1.0, 3.3, 4.9, 11.0])
+    assert np.array_equal(soft_dequantize(z, cfg), soft_quantize(z, cfg, 1.0))

@@ -10,12 +10,13 @@ from securejscc.modem import (awgn, build_constellation, modulate,
                               noise_variance, receive, soft_demodulate)
 from securejscc.quantizer import QuantizerConfig
 from securejscc.rng import stream
-from securejscc.security import (AttackConfig, FairCoin, GameConfig,
-                                 MarginalChiSquare, SyntheticOracle,
-                                 TrainedClassifier, default_plaintext_pair,
-                                 run_cpa_attack, run_ind_cpa_game)
+from securejscc.security import (AttackConfig, GameConfig, TrainedClassifier,
+                                 default_plaintext_pair, run_cpa_attack,
+                                 run_ind_cpa_game)
 
 GAME_LWE = LweParams(p=257, n1=32, n2=32, sigma_s=8.87, k=16)
+# a sampler this narrow draws only zeros: every challenge is c == m_b
+BROKEN_LWE = LweParams(p=257, n1=32, n2=32, sigma_s=1e-3, k=16)
 ATTACK_LWE = LweParams(p=4093, n1=64, n2=64, sigma_s=8.87, k=64)
 ATTACK_SPEC = CodecSpec(kind="identity", input_shape=(8, 8, 1), k=64,
                         latent_scale=4093 / 256.0)
@@ -33,6 +34,45 @@ def make_attack_cfg(**over):
 def attack_setup():
     keys = keygen(ATTACK_LWE, 21, 22)
     return keys.public(), QuantizerConfig(4093, 16), keys
+
+
+# -- test distinguishers ----------------------------------------------------
+
+
+class FairCoin:
+    """Guessing baseline; ignores the challenge entirely."""
+
+    name = "fair_coin"
+
+    def prepare(self, pk, m0, m1, rng):
+        pass
+
+    def guess(self, c, rng):
+        return int(rng.integers(0, 2))
+
+
+class LeakyDistinguisher:
+    """Known accuracy ``q`` on :data:`BROKEN_LWE`: reads the bit off the
+    challenge and flips it with probability ``1 - q``."""
+
+    def __init__(self, accuracy: float):
+        self.accuracy = accuracy
+        self.name = f"leaky_q{accuracy}"
+
+    def prepare(self, pk, m0, m1, rng):
+        self.m = (m0, m1)
+
+    def guess(self, c, rng):
+        bit = int(np.array_equal(c, self.m[1]))
+        assert np.array_equal(c, self.m[bit]), "the challenge carries errors"
+        return bit if rng.random() < self.accuracy else 1 - bit
+
+
+class SmallClassifier(TrainedClassifier):
+    """The trained distinguisher on half the data and half the epochs."""
+
+    train_size = 128
+    epochs = 10
 
 
 # -- plaintext pair ----------------------------------------------------------
@@ -53,18 +93,25 @@ def test_game_config_requires_trials():
         GameConfig(trials=99, params=GAME_LWE)
 
 
+def test_game_config_rejects_unknown_distinguisher():
+    with pytest.raises(ValueError, match="unknown distinguisher 'fair_coin'"):
+        GameConfig(trials=100, params=GAME_LWE, distinguisher="fair_coin")
+
+
 def test_synthetic_oracle_advantages():
     # estimator consistency: known accuracy q maps to advantage 2q - 1
-    cfg = GameConfig(trials=2000, params=GAME_LWE, seed=5)
-    for q, adv in ((0.5, 0.0), (0.75, 0.5), (1.0, 1.0)):
-        result = run_ind_cpa_game(cfg, SyntheticOracle(q))
+    cfg = GameConfig(trials=2000, params=BROKEN_LWE, seed=5)
+    for q, adv, correct in ((0.5, 0.0, 995), (0.75, 0.5, 1482),
+                            (1.0, 1.0, 2000)):
+        result = run_ind_cpa_game(cfg, LeakyDistinguisher(q))
+        assert result.correct == correct
         assert result.ci_low <= adv <= result.ci_high
         assert abs(result.advantage - adv) < 0.06
 
 
 def test_leaking_oracle_wins_outright():
-    cfg = GameConfig(trials=200, params=GAME_LWE, seed=6)
-    result = run_ind_cpa_game(cfg, SyntheticOracle(1.0))
+    cfg = GameConfig(trials=200, params=BROKEN_LWE, seed=6)
+    result = run_ind_cpa_game(cfg, LeakyDistinguisher(1.0))
     assert result.advantage == 1.0
     assert result.correct == 200
 
@@ -84,7 +131,7 @@ def test_marginal_chisq_honest_near_zero():
 
 def test_trained_classifier_honest_near_zero():
     cfg = GameConfig(trials=600, params=GAME_LWE, seed=9)
-    result = run_ind_cpa_game(cfg, TrainedClassifier(train_size=128, epochs=10))
+    result = run_ind_cpa_game(cfg, SmallClassifier())
     assert abs(result.advantage) < 0.12
 
 
@@ -127,13 +174,6 @@ def test_attack_rejects_secret_material(attack_setup):
         run_cpa_attack(make_attack_cfg(), ATTACK_SPEC, {}, keys, qcfg)
 
 
-def test_mean_predictor_matches_baseline(attack_setup):
-    pk, qcfg, _ = attack_setup
-    report = run_cpa_attack(make_attack_cfg(adversary="mean_predictor",
-                                            pairs=400), ATTACK_SPEC, {}, pk, qcfg)
-    assert report.mse_ratio == 1.0
-
-
 def test_fresh_errors_defeat_linear_adversary(attack_setup):
     pk, qcfg, _ = attack_setup
     report = run_cpa_attack(make_attack_cfg(), ATTACK_SPEC, {}, pk, qcfg)
@@ -169,15 +209,15 @@ def test_noisier_eve_channel_never_helps(attack_setup):
 
 def test_attack_report_strings(attack_setup):
     pk, qcfg, _ = attack_setup
-    report = run_cpa_attack(make_attack_cfg(adversary="mean_predictor",
-                                            pairs=200), ATTACK_SPEC, {}, pk, qcfg)
+    report = run_cpa_attack(make_attack_cfg(pairs=200), ATTACK_SPEC, {}, pk, qcfg)
     assert "baseline" in report.summary()
-    assert report.csv_row().startswith("mean_predictor,fresh,")
+    assert report.csv_row().startswith("linear,fresh,")
 
 
 def test_attack_config_validation():
-    with pytest.raises(ValueError):
-        make_attack_cfg(adversary="cnn")
+    for adversary in ("cnn", "mean_predictor"):
+        with pytest.raises(ValueError):
+            make_attack_cfg(adversary=adversary)
     with pytest.raises(ValueError):
         make_attack_cfg(error_mode="replay")
     with pytest.raises(ValueError):
