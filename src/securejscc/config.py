@@ -149,11 +149,14 @@ def game_config_from_dict(raw: dict) -> GameConfig:
 
 def attack_config_from_dict(raw: dict, default_dataset: DatasetSpec) -> AttackConfig:
     _check_keys(raw, ["adversary", "pairs", "dataset", *ATTACK_CASTS], "attack.")
-    dataset = (_build(DatasetSpec, raw["dataset"], "attack.dataset.")
+    pairs = int(raw.get("pairs", 2000))
+    # the attack draws one image per pair, so ``count`` may be left out
+    dataset = (_build(DatasetSpec, {"count": pairs, **raw["dataset"]},
+                      "attack.dataset.")
                if "dataset" in raw else default_dataset)
     return AttackConfig(
         adversary=raw.get("adversary", "linear"),
-        pairs=int(raw.get("pairs", 2000)),
+        pairs=pairs,
         dataset=dataset,
         **_present(raw, ATTACK_CASTS))
 

@@ -32,9 +32,22 @@ class DatasetSpec:
             raise ValueError(f"count must be >= 0, got {self.count}")
 
 
-def _gradient(h: int, w: int, c: int, rng: np.random.Generator) -> np.ndarray:
-    yy, xx = np.meshgrid(np.linspace(0, 1, h), np.linspace(0, 1, w), indexing="ij")
-    img = np.empty((h, w, c))
+def _unit_grid(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.meshgrid(np.linspace(0, 1, h), np.linspace(0, 1, w), indexing="ij")
+
+
+def _index_grid(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+
+
+def _pixel_grid(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.meshgrid(np.arange(h, dtype=np.float64),
+                       np.arange(w, dtype=np.float64), indexing="ij")
+
+
+def _gradient(grid, c: int, rng: np.random.Generator) -> np.ndarray:
+    yy, xx = grid
+    img = np.empty((*yy.shape, c))
     for ch in range(c):
         theta = rng.uniform(0, 2 * np.pi)
         offset = rng.uniform(0.0, 1.0)
@@ -45,19 +58,20 @@ def _gradient(h: int, w: int, c: int, rng: np.random.Generator) -> np.ndarray:
     return img
 
 
-def _checkerboard(h: int, w: int, c: int, rng: np.random.Generator) -> np.ndarray:
+def _checkerboard(grid, c: int, rng: np.random.Generator) -> np.ndarray:
+    yy, xx = grid
+    h, w = yy.shape
     cell = int(rng.integers(1, max(2, min(h, w) // 2 + 1)))
     phase = int(rng.integers(0, 2))
     lo, hi = sorted(rng.uniform(0, 255, size=2))
-    yy, xx = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     board = ((yy // cell + xx // cell + phase) % 2).astype(np.float64)
     img = lo + (hi - lo) * board
     return np.repeat(img[:, :, None], c, axis=2)
 
 
-def _blob(h: int, w: int, c: int, rng: np.random.Generator) -> np.ndarray:
-    yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
+def _blob(grid, c: int, rng: np.random.Generator) -> np.ndarray:
+    yy, xx = grid
+    h, w = yy.shape
     img = np.zeros((h, w, c))
     n_blobs = int(rng.integers(1, 4))
     for _ in range(n_blobs):
@@ -70,17 +84,18 @@ def _blob(h: int, w: int, c: int, rng: np.random.Generator) -> np.ndarray:
     return np.clip(img, 0.0, 255.0)
 
 
-_GENERATORS = {"gradient": _gradient, "checkerboard": _checkerboard, "blob": _blob}
+# kind -> (grid builder, image generator); the grid is built once per call
+_GENERATORS = {"gradient": (_unit_grid, _gradient),
+               "checkerboard": (_index_grid, _checkerboard),
+               "blob": (_pixel_grid, _blob)}
 
 
 def synthesize_dataset(spec: DatasetSpec, data_seed: int) -> list[np.ndarray]:
     """Deterministic list of ``spec.count`` images from the data seed."""
-    make = _GENERATORS[spec.kind]
-    images = []
-    for i in range(spec.count):
-        rng = stream(data_seed, i)
-        images.append(make(spec.height, spec.width, spec.channels, rng))
-    return images
+    build_grid, make = _GENERATORS[spec.kind]
+    grid = build_grid(spec.height, spec.width)
+    return [make(grid, spec.channels, stream(data_seed, i))
+            for i in range(spec.count)]
 
 
 # -- PGM / PPM ---------------------------------------------------------------

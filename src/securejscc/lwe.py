@@ -27,6 +27,11 @@ import numpy as np
 from .rng import stream
 
 KEY_FILE_VERSION = 1
+# float64 holds every integer of magnitude up to 2**53 exactly
+EXACT_FLOAT_LIMIT = 2 ** 53
+# numpy's ziggurat normal never returns a value beyond 13.72 standard
+# deviations: its tail draw is bounded by a 53-bit uniform
+SAMPLER_TAIL_SIGMAS = 13.72
 
 
 @dataclass(frozen=True)
@@ -48,6 +53,17 @@ class LweParams:
             raise ValueError(f"sigma_s must be positive, got {self.sigma_s}")
         if self.k < 1:
             raise ValueError(f"plaintext length k must be >= 1, got {self.k}")
+        if max(self.n1, self.n2) * (self.p - 1) * self.tail >= 2 ** 63:
+            raise ValueError(
+                f"lattice products could overflow int64: max(n1, n2) * (p - 1) * "
+                f"{self.tail} (sampler tail) >= 2**63 for p={self.p}, "
+                f"{self.n1}x{self.n2}, sigma_s={self.sigma_s}")
+
+    @property
+    def tail(self) -> int:
+        """The largest magnitude :func:`sample_discrete_gaussian` can return:
+        ``SAMPLER_TAIL_SIGMAS`` standard deviations of its normal, rounded up."""
+        return math.ceil(SAMPLER_TAIL_SIGMAS * self.sigma_s / math.sqrt(2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -98,6 +114,19 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
+def _gaussian_rows(sigma_s: float, rngs, shape) -> np.ndarray:
+    """One ``shape`` block of rounded N(0, sigma_s^2 / 2pi) draws per stream.
+
+    Each stream is drawn once and the whole stack is rounded once; the
+    draws are the ones ``rng.normal(0, sigma_s / sqrt(2 pi), shape)`` makes.
+    """
+    x = np.empty((len(rngs), *shape))
+    for row, rng in zip(x, rngs):
+        rng.standard_normal(out=row)
+    x *= sigma_s / math.sqrt(2.0 * math.pi)
+    return round_half_away(x).astype(np.int64)
+
+
 def sample_discrete_gaussian(sigma_s: float, count: int,
                              rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` integers: continuous N(0, sigma_s^2 / 2pi), rounded.
@@ -109,13 +138,45 @@ def sample_discrete_gaussian(sigma_s: float, count: int,
         raise ValueError(f"sigma_s must be positive, got {sigma_s}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    x = rng.normal(0.0, sigma_s / math.sqrt(2.0 * math.pi), size=count)
-    return round_half_away(x).astype(np.int64)
+    return _gaussian_rows(sigma_s, [rng], (count,))[0]
+
+
+def _max_abs(x: np.ndarray) -> int:
+    return max(int(x.max()), -int(x.min())) if x.size else 0
+
+
+def lattice_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` of integer arrays, exact, as int64.
+
+    numpy never sends an integer matmul to BLAS. Every partial sum of the
+    product is an integer of magnitude at most ``n * max|x| * max|y|``, n
+    the contracted length; below 2**53 float64 holds each one exactly, so
+    the float64 product is the exact one whatever order, blocking or
+    thread count BLAS sums in. Past that bound the product stays in int64.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    if x.shape[-1] * _max_abs(x) * _max_abs(y) < EXACT_FLOAT_LIMIT:
+        return (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64)
+    return x.astype(np.int64, copy=False) @ y.astype(np.int64, copy=False)
 
 
 def public_matrix(U: np.ndarray, A: np.ndarray, S: np.ndarray, p: int) -> np.ndarray:
     """B = (U - A @ S) mod p."""
-    return (U - A @ S) % p
+    return (U - lattice_product(A, S)) % p
+
+
+def keygen_stack(params: LweParams, key_seeds,
+                 lattice_seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(S, B, A)`` of ``keygen(params, key_seeds[i], lattice_seeds[i])``
+    for every i, stacked along a leading axis: B is one stacked product."""
+    n1, n2, k = params.n1, params.n2, params.k
+    SU = _gaussian_rows(params.sigma_s, [stream(s) for s in key_seeds],
+                        (n2 + n1, k))
+    A = np.empty((len(lattice_seeds), n1, n2), dtype=np.int64)
+    for row, seed in zip(A, lattice_seeds):
+        row[...] = stream(seed).integers(0, params.p, size=(n1, n2), dtype=np.int64)
+    S, U = SU[:, :n2], SU[:, n2:]
+    return S, public_matrix(U, A, S, params.p), A
 
 
 def keygen(params: LweParams, key_seed: int, lattice_seed: int) -> KeyPair:
@@ -124,44 +185,39 @@ def keygen(params: LweParams, key_seed: int, lattice_seed: int) -> KeyPair:
     ``S`` then ``U`` are drawn from the key_seed stream (discrete Gaussian);
     ``A`` is drawn uniformly over ``[0, p)`` from the lattice_seed stream.
     """
-    krng = stream(key_seed)
-    S = sample_discrete_gaussian(params.sigma_s, params.n2 * params.k,
-                                 krng).reshape(params.n2, params.k)
-    U = sample_discrete_gaussian(params.sigma_s, params.n1 * params.k,
-                                 krng).reshape(params.n1, params.k)
-    A = stream(lattice_seed).integers(0, params.p,
-                                      size=(params.n1, params.n2), dtype=np.int64)
-    B = public_matrix(U, A, S, params.p)
-    return KeyPair(params=params, S=S, B=B, A=A,
+    S, B, A = (m[0] for m in keygen_stack(params, [key_seed], [lattice_seed]))
+    # S is a view into the S-and-U draw: copy it so U can be freed
+    return KeyPair(params=params, S=S.copy(), B=B, A=A,
                    key_seed=int(key_seed), lattice_seed=int(lattice_seed))
 
 
-def derive_errors(shared_error_seed: int, message_index: int,
-                  params: LweParams) -> ErrorTriple:
-    """Derive the (e1, e2, e3) triple for one message.
-
-    The stream is keyed by ``(shared_error_seed, message_index)``; reusing
-    a triple across messages leaks plaintext differences (the ciphertext is
-    affine in the plaintext), so every message must use a fresh index.
-    """
-    if message_index < 0:
-        raise ValueError(f"message_index must be >= 0, got {message_index}")
-    rng = stream(shared_error_seed, message_index)
-    e1 = sample_discrete_gaussian(params.sigma_s, params.n1, rng)
-    e2 = sample_discrete_gaussian(params.sigma_s, params.n2, rng)
-    e3 = sample_discrete_gaussian(params.sigma_s, params.k, rng)
-    return ErrorTriple(e1=e1, e2=e2, e3=e3)
+def error_rows(rngs, params: LweParams) -> ErrorTriple:
+    """One (e1, e2, e3) row per stream, drawn in that order in one call."""
+    e = _gaussian_rows(params.sigma_s, rngs, (params.n1 + params.n2 + params.k,))
+    n1, n12 = params.n1, params.n1 + params.n2
+    return ErrorTriple(e1=e[:, :n1], e2=e[:, n1:n12], e3=e[:, n12:])
 
 
 def derive_error_rows(shared_error_seed: int, message_indices,
                       params: LweParams) -> ErrorTriple:
-    """Stack the :func:`derive_errors` triples of ``message_indices`` as rows."""
-    rows = ErrorTriple(*(np.empty((len(message_indices), n), dtype=np.int64)
-                         for n in (params.n1, params.n2, params.k)))
-    for row, index in enumerate(message_indices):
-        t = derive_errors(shared_error_seed, int(index), params)
-        rows.e1[row], rows.e2[row], rows.e3[row] = t.e1, t.e2, t.e3
-    return rows
+    """Derive the (e1, e2, e3) triples of ``message_indices`` as rows.
+
+    Row i comes from the stream keyed by ``(shared_error_seed,
+    message_indices[i])``; reusing a triple across messages leaks plaintext
+    differences (the ciphertext is affine in the plaintext), so every
+    message must use a fresh index.
+    """
+    indices = [int(i) for i in message_indices]
+    if any(i < 0 for i in indices):
+        raise ValueError(f"message indices must be >= 0, got {min(indices)}")
+    return error_rows([stream(shared_error_seed, i) for i in indices], params)
+
+
+def derive_errors(shared_error_seed: int, message_index: int,
+                  params: LweParams) -> ErrorTriple:
+    """The (e1, e2, e3) triple of one message: row 0 of :func:`derive_error_rows`."""
+    rows = derive_error_rows(shared_error_seed, [message_index], params)
+    return ErrorTriple(e1=rows.e1[0], e2=rows.e2[0], e3=rows.e3[0])
 
 
 def encrypt(plaintext: np.ndarray, key: KeyPair | PublicKey,
@@ -173,7 +229,9 @@ def encrypt(plaintext: np.ndarray, key: KeyPair | PublicKey,
 
     ``plaintext`` is one message (k,) or a batch (B, k); ``errors`` must
     carry one triple per message. ``d`` does not depend on the plaintext,
-    so a receiver that shares the error seed can precompute it.
+    so a receiver that shares the error seed can precompute it. ``key`` may
+    also stack one key per message, B (T, n1, k) and A (T, n1, n2) from
+    :func:`keygen_stack`, for (T, 1, k) plaintext rows and (T, 1, .) errors.
     """
     p = key.params.p
     z = np.asarray(plaintext, dtype=np.int64)
@@ -184,8 +242,8 @@ def encrypt(plaintext: np.ndarray, key: KeyPair | PublicKey,
     # broadcasting one triple over a batch would reuse it across messages
     if any(e.shape[:-1] != z.shape[:-1] for e in (errors.e1, errors.e2, errors.e3)):
         raise ValueError("need exactly one error triple per plaintext row")
-    c = (errors.e1 @ key.B + errors.e3 + z) % p
-    d = (errors.e1 @ key.A + errors.e2) % p
+    c = (lattice_product(errors.e1, key.B) + errors.e3 + z) % p
+    d = (lattice_product(errors.e1, key.A) + errors.e2) % p
     return Ciphertext(c=c, d=d)
 
 
@@ -195,7 +253,7 @@ def decrypt(ct: Ciphertext, key: KeyPair) -> np.ndarray:
         raise ValueError(
             f"ciphertext shapes {ct.c.shape}/{ct.d.shape} do not match "
             f"params k={key.params.k}, n2={key.params.n2}")
-    return (ct.d @ key.S + ct.c) % key.params.p
+    return (lattice_product(ct.d, key.S) + ct.c) % key.params.p
 
 
 def decrypt_noisy(c_hat: np.ndarray, d: np.ndarray, key: KeyPair) -> np.ndarray:
@@ -207,7 +265,7 @@ def decrypt_noisy(c_hat: np.ndarray, d: np.ndarray, key: KeyPair) -> np.ndarray:
     c_hat = np.asarray(c_hat, dtype=np.float64)
     if not np.all(np.isfinite(c_hat)):
         raise ValueError("noisy ciphertext entries must be finite")
-    r = np.asarray(d, dtype=np.int64) @ key.S + c_hat
+    r = lattice_product(d, key.S) + c_hat
     return np.mod(r, float(key.params.p))
 
 

@@ -23,8 +23,9 @@ import numpy as np
 
 from . import codec, metrics
 from .datasets import DatasetSpec, synthesize_dataset
-from .lwe import (LweParams, PublicKey, centered, derive_error_rows,
-                  derive_errors, encrypt, keygen, sample_discrete_gaussian)
+from .lwe import (ErrorTriple, LweParams, PublicKey, centered,
+                  derive_error_rows, encrypt, error_rows, keygen_stack,
+                  lattice_product, sample_discrete_gaussian)
 from .modem import (AVG_POWER_DEFAULT, SIGMA_L_DEFAULT, build_constellation,
                     noise_variance, receive)
 from .quantizer import QuantizerConfig, build_centroids, hard_quantize
@@ -65,7 +66,7 @@ class MarginalChiSquare:
         idx = (residues * self.bins) // self.p
         counts = np.bincount(idx, minlength=self.bins)
         expected = len(residues) / self.bins
-        return float(np.sum((counts - expected) ** 2) / expected)
+        return float(((counts - expected) ** 2).sum() / expected)
 
     def guess(self, c, rng):
         stats = [self._stat((c - m) % self.p) for m in self.m]
@@ -101,11 +102,12 @@ class TrainedClassifier:
         params = pk.params
         n = self.train_size
         labels = np.tile([0, 1], n // 2 + 1)[:n]
-        e1 = sample_discrete_gaussian(params.sigma_s, n * params.n1,
-                                      rng).reshape(n, params.n1)
-        e3 = sample_discrete_gaussian(params.sigma_s, n * params.k,
-                                      rng).reshape(n, params.k)
-        x = self._features((e1 @ pk.B + e3 + np.stack(self.m)[labels]) % params.p)
+        e = sample_discrete_gaussian(params.sigma_s, n * (params.n1 + params.k),
+                                     rng)
+        e1 = e[:n * params.n1].reshape(n, params.n1)
+        e3 = e[n * params.n1:].reshape(n, params.k)
+        x = self._features((lattice_product(e1, pk.B) + e3
+                            + np.stack(self.m)[labels]) % params.p)
         y = labels.astype(np.float64)
         w = np.zeros(x.shape[1])
         b = 0.0
@@ -170,28 +172,46 @@ class GameResult:
 GAME_CSV_HEADER = "distinguisher,trials,correct,accuracy,advantage,ci_low,ci_high"
 
 
+# lattice entries (n1 * n2 per trial) whose keys a chunk of game trials
+# generates together: 64 trials at n1 = n2 = 32, 1 at 192 x 192, so the
+# stacked keys stay near 1 MB whatever the trial count
+GAME_CHUNK_ENTRIES = 1 << 16
+
+
 def run_ind_cpa_game(cfg: GameConfig, distinguisher=None) -> GameResult:
     """Estimate the distinguisher's advantage over ``cfg.trials`` games.
 
     Each trial draws fresh keys, a fair bit, and a fresh error triple for
     the challenge encryption. Trials are keyed by ``(seed, trial)`` so they
-    are independent and order-insensitive.
+    are independent and order-insensitive: a chunk of trials generates its
+    keys and challenges as stacked products, and then the distinguisher
+    plays them one by one.
     """
     if distinguisher is None:
         distinguisher = DISTINGUISHERS[cfg.distinguisher]()
-    m0, m1 = default_plaintext_pair(cfg.params, cfg.n_levels)
+    params = cfg.params
+    m0, m1 = default_plaintext_pair(params, cfg.n_levels)
+    chunk = max(1, GAME_CHUNK_ENTRIES // (params.n1 * params.n2))
     correct = 0
-    for t in range(cfg.trials):
-        trial_rng = stream(cfg.seed, t)
-        keys = keygen(cfg.params, spawn_seed(trial_rng), spawn_seed(trial_rng))
-        pk = keys.public()
-        error_seed = spawn_seed(trial_rng)
-        adv_seed = spawn_seed(trial_rng)
-        b = int(trial_rng.integers(0, 2))
-        distinguisher.prepare(pk, m0, m1, stream(adv_seed))
-        errors = derive_errors(error_seed, 0, cfg.params)
-        ct = encrypt(m1 if b else m0, pk, errors)
-        correct += int(distinguisher.guess(ct.c, stream(adv_seed, 1)) == b)
+    for start in range(0, cfg.trials, chunk):
+        draws = []
+        for t in range(start, min(start + chunk, cfg.trials)):
+            trial_rng = stream(cfg.seed, t)
+            draws.append([spawn_seed(trial_rng) for _ in range(4)]
+                         + [int(trial_rng.integers(0, 2))])
+        key_seeds, lattice_seeds, error_seeds, adv_seeds, bits = zip(*draws)
+        _, B, A = keygen_stack(params, key_seeds, lattice_seeds)
+        errors = error_rows([stream(s, 0) for s in error_seeds], params)
+        # one key per trial: (T, 1, .) rows under the stacked (T, ., .) keys
+        challenge = encrypt(np.where(np.array(bits)[:, None], m1, m0)[:, None],
+                            PublicKey(params, B, A, lattice_seed=lattice_seeds),
+                            ErrorTriple(errors.e1[:, None], errors.e2[:, None],
+                                        errors.e3[:, None])).c[:, 0]
+        for i, b in enumerate(bits):
+            distinguisher.prepare(PublicKey(params, B[i], A[i], lattice_seeds[i]),
+                                  m0, m1, stream(adv_seeds[i]))
+            correct += int(distinguisher.guess(challenge[i],
+                                               stream(adv_seeds[i], 1)) == b)
     acc = correct / cfg.trials
     se = math.sqrt(max(acc * (1.0 - acc), 0.0) / cfg.trials)
     return GameResult(
@@ -346,7 +366,8 @@ def run_cpa_attack(cfg: AttackConfig, spec: codec.CodecSpec, codec_params: dict,
     observations = receive(ct.c, cons, sigma2_e, sigma_l, eve_seed, messages)
     if cfg.error_mode == "known_seed":
         # the seed lets the adversary remove the error layer exactly
-        observations = (observations - (errors.e1 @ public_key.B + errors.e3)) % params.p
+        observations = (observations - (lattice_product(errors.e1, public_key.B)
+                                        + errors.e3)) % params.p
 
     n_test = max(1, int(round(cfg.pairs * cfg.test_fraction)))
     n_train = cfg.pairs - n_test

@@ -9,6 +9,7 @@ from securejscc.cli import main
 from securejscc.config import (PipelineConfig, attack_config_from_dict,
                                config_from_dict, game_config_from_dict,
                                load_config)
+from securejscc.datasets import DatasetSpec
 from securejscc.lwe import load_public_key, load_secret_key
 
 
@@ -71,6 +72,15 @@ def test_attack_loader_rejects_unknown_key(raw, key):
     cfg = config_from_dict({})
     with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
         attack_config_from_dict(raw, cfg.dataset)
+
+
+def test_attack_dataset_count_is_optional():
+    # run_cpa_attack draws one image per pair, so count is never read
+    cfg = config_from_dict({})
+    attack = attack_config_from_dict(
+        {"pairs": 30, "dataset": {"kind": "blob", "height": 4, "width": 4}},
+        cfg.dataset)
+    assert attack.dataset == DatasetSpec("blob", 30, 4, 4, 1)
 
 
 def test_k_mismatch_rejected():

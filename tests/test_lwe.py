@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from securejscc.lwe import (Ciphertext, ErrorTriple, LweParams, centered,
-                            decrypt, decrypt_noisy, derive_error_rows,
-                            derive_errors, encrypt,
-                            keygen, load_public_key, load_secret_key,
+from securejscc.lwe import (EXACT_FLOAT_LIMIT, Ciphertext, ErrorTriple,
+                            LweParams, centered, decrypt, decrypt_noisy,
+                            derive_error_rows, derive_errors, encrypt,
+                            keygen, keygen_stack, lattice_product,
+                            load_public_key, load_secret_key,
                             public_matrix, round_half_away,
                             sample_discrete_gaussian, save_key_files)
 from securejscc.rng import stream
@@ -36,6 +37,63 @@ def zero_errors(params):
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):
         LweParams(**kwargs)
+
+
+def test_params_reject_int64_overflow():
+    tail = LweParams(p=17, n1=1, n2=1, sigma_s=8.87, k=1).tail
+    assert tail == 49  # ceil(13.72 * 8.87 / sqrt(2 pi))
+    top = (2 ** 63 - 1) // tail  # the largest p - 1 that cannot overflow
+    LweParams(p=top + 1, n1=1, n2=1, sigma_s=8.87, k=1)
+    with pytest.raises(ValueError, match="overflow int64"):
+        LweParams(p=top + 2, n1=1, n2=1, sigma_s=8.87, k=1)
+    with pytest.raises(ValueError, match="overflow int64"):
+        LweParams(p=2 ** 40, n1=4, n2=2 ** 20, sigma_s=8.87, k=1)
+
+
+# -- exact lattice products --------------------------------------------------
+
+
+def bounded_operands(data, shape, bound):
+    """Integers in [-bound, bound] with one entry at +-bound, so the
+    operand's max-abs is exactly ``bound``."""
+    flat = data.draw(st.lists(st.integers(-bound, bound), min_size=math.prod(shape),
+                              max_size=math.prod(shape)))
+    flat[data.draw(st.integers(0, len(flat) - 1))] = data.draw(st.sampled_from([-bound, bound]))
+    return np.array(flat, dtype=np.int64).reshape(shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lattice_product_matches_int64_matmul(data):
+    n = data.draw(st.integers(1, 6))
+    rows, cols, stack = (data.draw(st.integers(1, 4)) for _ in range(3))
+    x_shape, y_shape = data.draw(st.sampled_from([
+        ((n,), (n, cols)),                            # one row
+        ((rows, n), (n, cols)),                       # rows
+        ((stack, rows, n), (stack, n, cols)),         # one key per stack item
+        ((stack, 1, n), (stack, n, cols)),            # the game's challenges
+    ]))
+    mx = data.draw(st.integers(1, 2 ** 45))
+    # put n * max|x| * max|y| just below, at or just past 2**53
+    my = max(1, EXACT_FLOAT_LIMIT // (n * mx) + data.draw(st.integers(-1, 1)))
+    x = bounded_operands(data, x_shape, mx)
+    y = bounded_operands(data, y_shape, my)
+    got = lattice_product(x, y)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, x @ y)
+
+
+@pytest.mark.parametrize("n, mx, my", [
+    (6361, 69431, 20394401),       # n * mx * my = 2**53 - 1: float64 path
+    (1, 3, (2 ** 53 + 1) // 3),    # = 2**53 + 1, which float64 rounds: int64 path
+    (2, 2 ** 26, 2 ** 26),         # = 2**53: int64 path
+])
+def test_lattice_product_exact_at_the_bound(n, mx, my):
+    # every term at the maximum, one sign: the partial sums reach the bound
+    for sign in (1, -1):
+        x = np.full((2, n), sign * mx, dtype=np.int64)
+        y = np.full((n, 3), my, dtype=np.int64)
+        assert np.all(lattice_product(x, y) == sign * n * mx * my)
 
 
 # -- sampler -----------------------------------------------------------------
@@ -101,6 +159,27 @@ def test_zero_secret_gives_b_equal_u():
     assert np.array_equal(public_matrix(U, keys.A, S0, 17), U % 17)
 
 
+def test_key_draws_equal_separate_draws():
+    # S then U from one normal call equals two calls on the same stream
+    keys = keygen(SMALL, 10, 20)
+    krng = stream(10)
+    S = sample_discrete_gaussian(SMALL.sigma_s, SMALL.n2 * SMALL.k, krng)
+    U = sample_discrete_gaussian(SMALL.sigma_s, SMALL.n1 * SMALL.k, krng)
+    assert np.array_equal(keys.S, S.reshape(SMALL.n2, SMALL.k))
+    assert np.array_equal(keys.B, public_matrix(U.reshape(SMALL.n1, SMALL.k),
+                                                keys.A, keys.S, SMALL.p))
+
+
+def test_keygen_stack_rows_equal_keygen():
+    seeds = [(3, 4), (5, 6), (3, 7)]
+    S, B, A = keygen_stack(SMALL, *zip(*seeds))
+    for i, (key_seed, lattice_seed) in enumerate(seeds):
+        keys = keygen(SMALL, key_seed, lattice_seed)
+        assert np.array_equal(S[i], keys.S)
+        assert np.array_equal(B[i], keys.B)
+        assert np.array_equal(A[i], keys.A)
+
+
 def test_public_view_carries_no_secret():
     pk = keygen(SMALL, 10, 20).public()
     assert not hasattr(pk, "S")
@@ -116,6 +195,13 @@ def test_derive_errors_deterministic():
     assert np.array_equal(a.e1, b.e1)
     assert np.array_equal(a.e2, b.e2)
     assert np.array_equal(a.e3, b.e3)
+
+
+def test_derive_errors_equal_separate_draws():
+    errors = derive_errors(7, 3, TABLE)
+    rng = stream(7, 3)
+    for got, n in zip((errors.e1, errors.e2, errors.e3), (192, 192, 512)):
+        assert np.array_equal(got, sample_discrete_gaussian(8.87, n, rng))
 
 
 def test_derive_errors_lengths():

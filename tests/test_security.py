@@ -5,12 +5,13 @@ import pytest
 
 from securejscc.codec import CodecSpec
 from securejscc.datasets import DatasetSpec
-from securejscc.lwe import LweParams, keygen
+from securejscc.lwe import LweParams, derive_errors, encrypt, keygen
 from securejscc.modem import (awgn, build_constellation, modulate,
                               noise_variance, receive, soft_demodulate)
 from securejscc.quantizer import QuantizerConfig
-from securejscc.rng import stream
-from securejscc.security import (AttackConfig, GameConfig, TrainedClassifier,
+from securejscc.rng import spawn_seed, stream
+from securejscc.security import (DISTINGUISHERS, GAME_CHUNK_ENTRIES,
+                                 AttackConfig, GameConfig, TrainedClassifier,
                                  default_plaintext_pair, run_cpa_attack,
                                  run_ind_cpa_game)
 
@@ -75,6 +76,23 @@ class SmallClassifier(TrainedClassifier):
     epochs = 10
 
 
+def serial_game_correct(cfg: GameConfig, distinguisher) -> int:
+    """The game one trial at a time: the oracle for the chunked game."""
+    m0, m1 = default_plaintext_pair(cfg.params, cfg.n_levels)
+    correct = 0
+    for t in range(cfg.trials):
+        trial_rng = stream(cfg.seed, t)
+        keys = keygen(cfg.params, spawn_seed(trial_rng), spawn_seed(trial_rng))
+        pk = keys.public()
+        error_seed = spawn_seed(trial_rng)
+        adv_seed = spawn_seed(trial_rng)
+        b = int(trial_rng.integers(0, 2))
+        distinguisher.prepare(pk, m0, m1, stream(adv_seed))
+        ct = encrypt(m1 if b else m0, pk, derive_errors(error_seed, 0, cfg.params))
+        correct += int(distinguisher.guess(ct.c, stream(adv_seed, 1)) == b)
+    return correct
+
+
 # -- plaintext pair ----------------------------------------------------------
 
 
@@ -96,6 +114,29 @@ def test_game_config_requires_trials():
 def test_game_config_rejects_unknown_distinguisher():
     with pytest.raises(ValueError, match="unknown distinguisher 'fair_coin'"):
         GameConfig(trials=100, params=GAME_LWE, distinguisher="fair_coin")
+
+
+@pytest.mark.parametrize("trials", [100, 131])
+@pytest.mark.parametrize("make, params", [
+    (DISTINGUISHERS["marginal_chisq"], GAME_LWE),
+    (SmallClassifier, GAME_LWE),
+    (lambda: LeakyDistinguisher(0.75), BROKEN_LWE),
+    (FairCoin, GAME_LWE),
+])
+def test_chunked_game_matches_serial_oracle(make, params, trials):
+    # 64-trial chunks at n1 = n2 = 32: neither count is a multiple
+    assert GAME_CHUNK_ENTRIES // (params.n1 * params.n2) == 64
+    cfg = GameConfig(trials=trials, params=params, seed=trials)
+    result = run_ind_cpa_game(cfg, make())
+    assert result.correct == serial_game_correct(cfg, make())
+
+
+def test_chunked_game_matches_serial_oracle_one_trial_per_chunk():
+    params = LweParams(p=4093, n1=257, n2=256, sigma_s=8.87, k=8)
+    assert GAME_CHUNK_ENTRIES // (params.n1 * params.n2) == 0  # chunks of one
+    cfg = GameConfig(trials=100, params=params, seed=3)
+    assert (run_ind_cpa_game(cfg).correct
+            == serial_game_correct(cfg, DISTINGUISHERS["marginal_chisq"]()))
 
 
 def test_synthetic_oracle_advantages():
