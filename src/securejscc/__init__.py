@@ -11,15 +11,14 @@ advantage empirically.
 from .codec import CodecSpec, load_codec, save_codec
 from .datasets import DatasetSpec, read_image, synthesize_dataset, write_image
 from .lwe import (Ciphertext, ErrorTriple, KeyPair, LweParams, PublicKey,
-                  centered, decrypt, decrypt_noisy, derive_error_rows,
-                  derive_errors, encrypt, error_rows, keygen, keygen_stack,
-                  lattice_product, load_public_key, load_secret_key,
-                  sample_discrete_gaussian, save_key_files)
+                  centered, decrypt, decrypt_noisy, derive_error_rows, encrypt,
+                  error_rows, keygen, keygen_stack, lattice_product,
+                  load_public_key, load_secret_key, sample_discrete_gaussian,
+                  save_key_files)
 from .metrics import ms_ssim, mse, psnr, ssim
 from .modem import (Constellation, awgn, build_constellation, modulate,
                     noise_variance, receive, soft_demodulate)
-from .pipeline import (TransmissionRecord, records_to_csv, sweep, transmit,
-                       transmit_latent)
+from .pipeline import TransmissionRecord, records_to_csv, sweep, transmit_latent
 from .quantizer import (QuantizedLatent, QuantizerConfig, anneal_sigma_q,
                         build_centroids, hard_quantize, soft_dequantize,
                         soft_quantize, soft_quantize_jacobian)

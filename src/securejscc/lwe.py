@@ -213,13 +213,6 @@ def derive_error_rows(shared_error_seed: int, message_indices,
     return error_rows([stream(shared_error_seed, i) for i in indices], params)
 
 
-def derive_errors(shared_error_seed: int, message_index: int,
-                  params: LweParams) -> ErrorTriple:
-    """The (e1, e2, e3) triple of one message: row 0 of :func:`derive_error_rows`."""
-    rows = derive_error_rows(shared_error_seed, [message_index], params)
-    return ErrorTriple(e1=rows.e1[0], e2=rows.e2[0], e3=rows.e3[0])
-
-
 def encrypt(plaintext: np.ndarray, key: KeyPair | PublicKey,
             errors: ErrorTriple) -> Ciphertext:
     """Encrypt plaintext rows in Z_p^k with the public part of ``key``.

@@ -5,8 +5,8 @@ QAM grid. The receiver never hard-slices: it weighs the constellation
 points by a softmax of their complex Gaussian likelihoods and reconstructs
 a real-valued symbol estimate as the weighted sum of the integer values,
 which downstream stages treat as a noisy ciphertext. On the square grid
-the likelihood is a product of per-axis terms, and at high SNR only a
-window of points around the received symbol carries weight.
+the likelihood is a product of per-axis terms, and a symbol whose peak
+score is high enough is scored only on a window of points around it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ SIGMA_L_DEFAULT = 5.0
 AVG_POWER_DEFAULT = 1.0
 # symbols x window points of one demodulator block: 1 MiB of float64
 BLOCK_ELEMENTS = 1 << 17
-# The high-SNR window drops points whose score is more than GAP below the
+# A symbol's window drops points whose score is more than GAP below the
 # peak, i.e. whose softmax weight is <= e^-GAP of the peak's. At most p - 1
 # such weights move an estimate in [0, p-1] by <= (p-1)^2 e^-GAP: 7e-11 at
 # p = 4093, well inside the 1e-9 the demodulator is held to.
@@ -134,13 +134,12 @@ def soft_demodulate(y_hat: np.ndarray, cons: Constellation, sigma2: float,
     Value j gets weight ``softmax_j(sigma_l * N(y; x_j, sigma2))`` and the
     output is the weighted mean of the values, so entries lie in
     ``[0, p-1]``. ``y_hat`` is (..., k) and must be finite. The score of a
-    grid point factorises into per-axis terms (see :func:`_score`). When
-    ``floor > GAP`` (high SNR), a symbol within half a grid spacing of a
-    retained point on both axes is scored on a window of grid indices
-    around that point, whose width depends on ``sigma2`` alone; every point
-    outside it weighs at most ``e^-GAP`` of the peak, which moves the
-    estimate by at most ``(p-1)^2 e^-GAP``. Other symbols (off the grid,
-    nearest to a dropped point, or any symbol when ``floor <= GAP``) are
+    grid point factorises into per-axis terms (see :func:`_score`). A
+    symbol's peak score is its score at its nearest grid point. If that
+    point is retained and the peak exceeds ``GAP``, the symbol is scored on
+    a window of grid indices around the point, wide enough that every point
+    outside it weighs at most ``e^-GAP`` of the peak; the dropped weights
+    move the estimate by at most ``(p-1)^2 e^-GAP``. Every other symbol is
     scored on the whole grid. A symbol's output depends only on that
     symbol, so a message's output does not depend on the batch it is in,
     and the symbols of all messages run flat in cache-sized blocks.
@@ -157,24 +156,23 @@ def soft_demodulate(y_hat: np.ndarray, cons: Constellation, sigma2: float,
     m = len(levels)
     spacing = levels[1] - levels[0]
     c = sigma_l / (math.pi * sigma2)
-    # peak score of a symbol within spacing/2 of a grid point on both axes
-    floor = c * math.exp(-spacing * spacing / (2.0 * sigma2))
-    width = m
-    if floor > GAP:
-        # beyond r on either axis a score is <= floor - GAP
-        r = math.sqrt(sigma2 * math.log(c / (floor - GAP)))
-        width = min(m, 2 * math.ceil(r / spacing) + 3)
     out = np.empty(y.shape)
     with np.errstate(over="ignore"):  # far-off symbols: scores underflow to 0
-        col = (y.real - levels[0]) / spacing
-        row = (y.imag - levels[0]) / spacing
-        near_col = np.rint(np.clip(col, 0, m - 1)).astype(np.intp)
-        near_row = np.rint(np.clip(row, 0, m - 1)).astype(np.intp)
-        windowed = ((np.abs(col - near_col) <= 0.5)
-                    & (np.abs(row - near_row) <= 0.5)
-                    & (near_row * m + near_col < p) & (width < m))
-        for idx, w in ((np.flatnonzero(windowed), width),
-                       (np.flatnonzero(~windowed), m)):
+        near_col = np.rint(np.clip((y.real - levels[0]) / spacing, 0, m - 1))
+        near_row = np.rint(np.clip((y.imag - levels[0]) / spacing, 0, m - 1))
+        near_col, near_row = near_col.astype(np.intp), near_row.astype(np.intp)
+        # a symbol's largest score, at its nearest grid point
+        peak = c * np.exp(-((y.real - levels[near_col]) ** 2
+                            + (y.imag - levels[near_row]) ** 2) / sigma2)
+        sharp = (peak > GAP) & (near_row * m + near_col < p)
+        # beyond r on either axis a score is <= peak - GAP; widths of 2^j + 1
+        # keep the passes at log2(m) + 1
+        r = np.sqrt(sigma2 * np.log(c / (peak[sharp] - GAP)))
+        half = np.ceil(r / spacing) + 1
+        width = np.full(y.shape, m)
+        width[sharp] = np.minimum(m, 2.0 ** np.ceil(np.log2(2 * half)) + 1)
+        for w in sorted(set(width.tolist())):
+            idx = np.flatnonzero(width == w)
             col_lo = np.clip(near_col[idx] - (w - 1) // 2, 0, m - w)
             row_lo = np.clip(near_row[idx] - (w - 1) // 2, 0, m - w)
             block = max(1, BLOCK_ELEMENTS // (w * w))

@@ -82,7 +82,7 @@ def _transmit_images(images: list[np.ndarray], spec: codec.CodecSpec,
                      params: dict, keys: KeyPair, qcfg: QuantizerConfig,
                      cons: Constellation, snr_db: float, sigma_l: float,
                      error_seed: int, channel_seed: int, message_indices,
-                     image_indices) -> tuple[np.ndarray, list[TransmissionRecord]]:
+                     image_indices) -> list[TransmissionRecord]:
     """Send a batch of images through the full chain and score each one."""
     h, w, c = spec.input_shape
     batch = np.stack(images)
@@ -115,19 +115,7 @@ def _transmit_images(images: list[np.ndarray], spec: codec.CodecSpec,
             channel_noise_std=float(np.std(trace.c_hat[i] - trace.c[i])),
             compound_noise_std=float(np.std(centered(trace.z_prime[i] - z_bar[i], p))),
         ))
-    return x_hats, records
-
-
-def transmit(x: np.ndarray, spec: codec.CodecSpec, params: dict,
-             keys: KeyPair, qcfg: QuantizerConfig, cons: Constellation,
-             snr_db: float, sigma_l: float, error_seed: int, channel_seed: int,
-             message_index: int, image_index: int = 0
-             ) -> tuple[np.ndarray, TransmissionRecord]:
-    """Send one image through the full chain and score the reconstruction."""
-    x_hats, records = _transmit_images(
-        [x], spec, params, keys, qcfg, cons, snr_db, sigma_l, error_seed,
-        channel_seed, [message_index], [image_index])
-    return x_hats[0], records[0]
+    return records
 
 
 def _fmt(value: float | int | None) -> str:
@@ -177,9 +165,8 @@ def sweep(images: list[np.ndarray], spec: codec.CodecSpec, params: dict,
         return records
     image_indices = np.arange(len(images))
     for g, snr_db in enumerate(snr_grid_db):
-        _, snr_records = _transmit_images(
+        records.extend(_transmit_images(
             images, spec, params, keys, qcfg, cons, snr_db, sigma_l,
             error_seed, channel_seed, g * len(images) + image_indices,
-            image_indices)
-        records.extend(snr_records)
+            image_indices))
     return records

@@ -12,8 +12,8 @@ import pytest
 
 from securejscc.codec import CodecSpec
 from securejscc.datasets import DatasetSpec, synthesize_dataset
-from securejscc.lwe import (LweParams, centered, decrypt, derive_errors,
-                            encrypt, keygen, sample_discrete_gaussian)
+from securejscc.lwe import (LweParams, centered, decrypt, encrypt, keygen,
+                            sample_discrete_gaussian)
 from securejscc.metrics import ms_ssim, mse, psnr, ssim
 from securejscc.modem import awgn, build_constellation, modulate
 from securejscc.pipeline import records_to_csv, sweep, transmit_latent
@@ -24,6 +24,7 @@ from securejscc.rng import stream
 from securejscc.security import (AttackConfig, GameConfig, MarginalChiSquare,
                                  run_cpa_attack, run_ind_cpa_game)
 from securejscc.training import TrainContext, evaluate, init_train_state, train_step
+from test_lwe import message_errors
 from test_modem import nearest_point_demodulate
 from test_security import BROKEN_LWE, LeakyDistinguisher, SmallClassifier
 
@@ -46,7 +47,7 @@ def test_criterion_1_lwe_algebraic_identity():
     rng = stream(33)
     ok = True
     for trial in range(1000):
-        errors = derive_errors(34, trial, params)
+        errors = message_errors(34, trial, params)
         z = rng.integers(0, 17, size=3)
         got = (decrypt(encrypt(z, keys, errors), keys) - z) % 17
         oracle = np.empty(3, dtype=np.int64)

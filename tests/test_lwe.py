@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from securejscc.lwe import (EXACT_FLOAT_LIMIT, Ciphertext, ErrorTriple,
                             LweParams, centered, decrypt, decrypt_noisy,
-                            derive_error_rows, derive_errors, encrypt,
+                            derive_error_rows, encrypt,
                             keygen, keygen_stack, lattice_product,
                             load_public_key, load_secret_key,
                             public_matrix, round_half_away,
@@ -16,6 +16,12 @@ from securejscc.rng import stream
 
 SMALL = LweParams(p=17, n1=4, n2=4, sigma_s=2.0, k=3)
 TABLE = LweParams(p=4093, n1=192, n2=192, sigma_s=8.87, k=512)
+
+
+def message_errors(seed, index, params):
+    """The (e1, e2, e3) triple of one message: row 0 of derive_error_rows."""
+    rows = derive_error_rows(seed, [index], params)
+    return ErrorTriple(e1=rows.e1[0], e2=rows.e2[0], e3=rows.e3[0])
 
 
 def zero_errors(params):
@@ -190,29 +196,29 @@ def test_public_view_carries_no_secret():
 
 
 def test_derive_errors_deterministic():
-    a = derive_errors(7, 3, SMALL)
-    b = derive_errors(7, 3, SMALL)
+    a = message_errors(7, 3, SMALL)
+    b = message_errors(7, 3, SMALL)
     assert np.array_equal(a.e1, b.e1)
     assert np.array_equal(a.e2, b.e2)
     assert np.array_equal(a.e3, b.e3)
 
 
 def test_derive_errors_equal_separate_draws():
-    errors = derive_errors(7, 3, TABLE)
+    errors = message_errors(7, 3, TABLE)
     rng = stream(7, 3)
     for got, n in zip((errors.e1, errors.e2, errors.e3), (192, 192, 512)):
         assert np.array_equal(got, sample_discrete_gaussian(8.87, n, rng))
 
 
 def test_derive_errors_lengths():
-    e = derive_errors(7, 0, TABLE)
+    e = message_errors(7, 0, TABLE)
     assert (len(e.e1), len(e.e2), len(e.e3)) == (192, 192, 512)
 
 
 def test_derive_errors_independent_across_indices():
     params = LweParams(p=4093, n1=100_000, n2=4, sigma_s=8.87, k=4)
-    a = derive_errors(7, 0, params).e1.astype(float)
-    b = derive_errors(7, 1, params).e1.astype(float)
+    a = message_errors(7, 0, params).e1.astype(float)
+    b = message_errors(7, 1, params).e1.astype(float)
     assert not np.array_equal(a, b)
     r = np.corrcoef(a, b)[0, 1]
     assert abs(r) < 0.01
@@ -220,7 +226,7 @@ def test_derive_errors_independent_across_indices():
 
 def test_derive_errors_rejects_negative_index():
     with pytest.raises(ValueError):
-        derive_errors(7, -1, SMALL)
+        message_errors(7, -1, SMALL)
 
 
 # -- encrypt / decrypt -------------------------------------------------------
@@ -250,13 +256,13 @@ def test_encrypt_batch_needs_one_triple_per_row():
     keys = keygen(SMALL, 1, 2)
     z = stream(62).integers(0, 17, size=(4, 3))
     with pytest.raises(ValueError):
-        encrypt(z, keys, derive_errors(9, 0, SMALL))
+        encrypt(z, keys, message_errors(9, 0, SMALL))
     with pytest.raises(ValueError):
         encrypt(z, keys, derive_error_rows(9, range(3), SMALL))
     batch = encrypt(z, keys, derive_error_rows(9, range(4), SMALL))
     plain = decrypt(batch, keys)
     for i in range(4):
-        single = encrypt(z[i], keys, derive_errors(9, i, SMALL))
+        single = encrypt(z[i], keys, message_errors(9, i, SMALL))
         assert np.array_equal(batch.c[i], single.c)
         assert np.array_equal(batch.d[i], single.d)
         assert np.array_equal(plain[i], decrypt(single, keys))
@@ -304,7 +310,7 @@ def test_decrypt_identity_against_brute_force():
     keys = keygen(SMALL, 31, 32)
     rng = stream(60)
     for trial in range(50):
-        errors = derive_errors(61, trial, SMALL)
+        errors = message_errors(61, trial, SMALL)
         z = rng.integers(0, 17, size=3)
         got = (decrypt(encrypt(z, keys, errors), keys) - z) % 17
         assert np.array_equal(got, brute_force_residual(keys, errors, SMALL))
@@ -317,7 +323,7 @@ def test_affine_homomorphism(seed, index):
     rng = stream(seed)
     z = rng.integers(0, 17, size=3)
     delta = rng.integers(0, 17, size=3)
-    errors = derive_errors(9, index, SMALL)
+    errors = message_errors(9, index, SMALL)
     c0 = encrypt(z, keys, errors).c
     c1 = encrypt((z + delta) % 17, keys, errors).c
     assert np.array_equal((c1 - c0) % 17, delta % 17)
@@ -325,7 +331,7 @@ def test_affine_homomorphism(seed, index):
 
 def test_d_is_plaintext_independent():
     keys = keygen(SMALL, 1, 2)
-    errors = derive_errors(9, 5, SMALL)
+    errors = message_errors(9, 5, SMALL)
     d0 = encrypt(np.array([0, 0, 0]), keys, errors).d
     d1 = encrypt(np.array([16, 1, 9]), keys, errors).d
     assert np.array_equal(d0, d1)
@@ -334,7 +340,7 @@ def test_d_is_plaintext_independent():
 def test_same_errors_leak_difference():
     # two plaintexts under one triple differ by exactly their difference
     keys = keygen(SMALL, 1, 2)
-    errors = derive_errors(9, 0, SMALL)
+    errors = message_errors(9, 0, SMALL)
     z0, z1 = np.array([1, 2, 3]), np.array([4, 0, 16])
     c0, c1 = encrypt(z0, keys, errors).c, encrypt(z1, keys, errors).c
     assert np.array_equal((c0 - c1) % 17, (z0 - z1) % 17)
@@ -345,7 +351,7 @@ def test_same_errors_leak_difference():
 
 def test_decrypt_noisy_matches_exact_on_integers():
     keys = keygen(SMALL, 1, 2)
-    errors = derive_errors(9, 1, SMALL)
+    errors = message_errors(9, 1, SMALL)
     ct = encrypt(np.array([3, 7, 2]), keys, errors)
     noisy = decrypt_noisy(ct.c.astype(float), ct.d, keys)
     assert np.allclose(noisy, decrypt(ct, keys))
@@ -372,7 +378,7 @@ def test_decryption_residual_statistics():
     residuals = []
     for m in range(40):
         z = qrng.integers(0, 4093, size=512)
-        errors = derive_errors(78, m, TABLE)
+        errors = message_errors(78, m, TABLE)
         res = centered(decrypt(encrypt(z, keys, errors), keys) - z, 4093)
         residuals.append(res)
     res = np.concatenate(residuals)
@@ -389,7 +395,7 @@ def test_ciphertext_marginal_uniformity():
     counts = np.zeros(17, dtype=np.int64)
     n_msgs = 20_000
     for m in range(n_msgs):
-        ct = encrypt(z, keys, derive_errors(90, m, params))
+        ct = encrypt(z, keys, message_errors(90, m, params))
         counts += np.bincount(ct.c, minlength=17)
     expected = n_msgs * 8 / 17
     stat = float(np.sum((counts - expected) ** 2) / expected)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from securejscc import modem
 from securejscc.modem import (GAP, Constellation, awgn, build_constellation,
                               modulate, noise_variance, receive,
                               soft_demodulate)
@@ -312,11 +313,20 @@ def test_soft_demodulate_rejects_nonfinite():
 
 
 def _gap_crossings_db(cons: Constellation, sigma_l: float = 5.0) -> list[float]:
-    """The SNRs at which the window's peak-score floor
-    ``c exp(-spacing^2 / (2 sigma2))`` equals GAP. The floor peaks at
-    ``sigma2 = spacing^2 / 2``, so it crosses GAP once below that point and
-    once above it; windows are used between the two crossings."""
+    """SNRs at which the demodulator's choice of width flips for some symbol.
+
+    A symbol is windowed when its peak score, taken at its nearest grid
+    point, exceeds GAP. The peak of a symbol on a grid point is ``c``, which
+    equals GAP at the first SNR returned; below it every symbol takes the
+    whole grid. The peak of a symbol at the corner of a grid cell is
+    ``c exp(-spacing^2 / (2 sigma2))``. It is largest at
+    ``sigma2 = spacing^2 / 2`` and crosses GAP once below that point and once
+    above it (the other two SNRs). Between them every symbol within half a
+    spacing of a retained point is windowed; outside them a symbol near the
+    corner of a cell takes the whole grid.
+    """
     spacing = cons.levels[1] - cons.levels[0]
+    crossings = [-10.0 * math.log10(sigma_l / (math.pi * GAP) / cons.avg_power)]
 
     def excess(snr_db):
         sigma2 = noise_variance(snr_db, cons.avg_power)
@@ -325,7 +335,6 @@ def _gap_crossings_db(cons: Constellation, sigma_l: float = 5.0) -> list[float]:
 
     top = -10.0 * math.log10(spacing * spacing / 2.0 / cons.avg_power)
     assert excess(top) > 0 > excess(-5.0) and excess(100.0) < 0
-    crossings = []
     for lo, hi in ((-5.0, top), (100.0, top)):  # excess(lo) < 0 < excess(hi)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
@@ -362,7 +371,7 @@ def test_soft_demodulate_matches_dense_oracle(p, snr_db, seed):
 
 @pytest.mark.parametrize("p", [257, 4093])
 def test_soft_demodulate_matches_dense_oracle_at_window_thresholds(p):
-    # one SNR on each side of each crossing of floor = GAP
+    # one SNR on each side of each SNR at which a width flips
     cons = build_constellation(p, 1.0)
     for crossing in _gap_crossings_db(cons):
         for snr_db in (crossing - 0.01, crossing + 0.01):
@@ -384,3 +393,45 @@ def test_soft_demodulate_rows_equal_single_messages(k):
         for row in range(len(values)):
             one = soft_demodulate(y_hat[row:row + 1], cons, sigma2, 5.0)
             assert np.array_equal(batch[row], one[0]), (snr_db, row)
+
+
+def _scored_widths(monkeypatch, y_hat, cons, sigma2):
+    """Run the demodulator and return the window width each symbol got."""
+    score = modem._score
+    widths = []
+
+    def spy(y, col_lo, row_lo, width, *args):
+        widths.extend([width] * len(y))
+        return score(y, col_lo, row_lo, width, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(modem, "_score", spy)
+        soft_demodulate(y_hat, cons, sigma2, 5.0)
+    assert len(widths) == len(y_hat)
+    return np.array(widths)
+
+
+def test_soft_demodulate_window_rule(monkeypatch):
+    cons = build_constellation(4093, 1.0)
+    m = len(cons.levels)
+    spacing = cons.levels[1] - cons.levels[0]
+    rng = stream(24)
+    # 45 dB: every noisy symbol is windowed, on at most log2(m) + 1 widths
+    sigma2 = noise_variance(45.0, cons.avg_power)
+    y_hat = awgn(modulate(rng.integers(0, 4093, 2000), cons), sigma2, rng)
+    widths = _scored_widths(monkeypatch, y_hat, cons, sigma2)
+    assert np.all(widths < m)
+    assert len(set(widths.tolist())) <= math.log2(m) + 1
+    # 20 dB: symbols up to one spacing outside the grid edge are windowed
+    sigma2 = noise_variance(20.0, cons.avg_power)
+    # rows (and columns) 0 .. m-2: the right edge's point in row m-1 is dropped
+    rows = cons.levels[rng.integers(0, m - 1, 300)]
+    out = spacing * rng.uniform(0.0, 1.0, 300)
+    y_hat = np.concatenate([cons.levels[0] - out[:100] + 1j * rows[:100],
+                            cons.levels[-1] + out[100:200] + 1j * rows[100:200],
+                            rows[200:] + 1j * (cons.levels[0] - out[200:])])
+    assert np.all(_scored_widths(monkeypatch, y_hat, cons, sigma2) < m)
+    # 0 dB: no score exceeds GAP, so every symbol takes the whole grid
+    sigma2 = noise_variance(0.0, cons.avg_power)
+    y_hat = _received(cons, sigma2, 25)
+    assert np.all(_scored_widths(monkeypatch, y_hat, cons, sigma2) == m)

@@ -1,15 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from securejscc import codec, metrics
 from securejscc.codec import CodecSpec
 from securejscc.datasets import DatasetSpec, synthesize_dataset
 from securejscc.lwe import LweParams, centered, keygen
 from securejscc.modem import build_constellation
-from securejscc.pipeline import (CSV_COLUMNS, records_to_csv, sweep, transmit,
-                                 transmit_latent)
-from securejscc.quantizer import QuantizerConfig
+from securejscc.pipeline import CSV_COLUMNS, records_to_csv, sweep, transmit_latent
+from securejscc.quantizer import QuantizerConfig, hard_quantize, soft_dequantize
 from securejscc.rng import stream
 
 LWE = LweParams(p=4093, n1=192, n2=192, sigma_s=8.87, k=64)
@@ -26,46 +27,55 @@ def setup():
     return keys, qcfg, cons, images
 
 
+def _send(images, setup, snr_grid_db):
+    keys, qcfg, cons, _ = setup
+    return sweep(images, SPEC, {}, keys, qcfg, cons, snr_grid_db, 5.0, 3, 4)
+
+
 def test_zero_noise_zero_errors_is_quantization_only(setup, zero_error_rows):
     keys, qcfg, cons, images = setup
     x = images[0]
-    x_hat, rec = transmit(x, SPEC, {}, keys, qcfg, cons, math.inf, 5.0,
-                          3, 4, 0)
+    z, _ = codec.encode(x.reshape(1, -1), SPEC, {})
+    z_bar = hard_quantize(z, qcfg).values
+    trace = transmit_latent(z_bar, keys, cons, 0.0, 5.0, 3, 4, [0])
+    assert np.array_equal(trace.z_prime, z_bar)
+    x_hat, _ = codec.decode(soft_dequantize(trace.z_prime, qcfg), SPEC, {})
+    x_hat = x_hat.reshape(x.shape)
     spacing_px = (4093 / 16) / 2 * (256 / 4093)
-    z = x.reshape(-1) * SPEC.latent_scale
-    in_span = z <= qcfg.centroids[-1] + (4093 / 16) / 2
+    in_span = z[0] <= qcfg.centroids[-1] + (4093 / 16) / 2
     err = np.abs(x_hat - x).reshape(-1)
     assert np.all(err[in_span] <= spacing_px + 1e-9)
+    [rec] = _send([x], setup, [math.inf])
+    assert rec.mse == metrics.mse(x, x_hat)
     assert rec.crypto_noise_std == 0.0
     assert rec.channel_noise_std == 0.0
+    assert rec.compound_noise_std == 0.0
 
 
 def test_transmit_deterministic(setup):
-    keys, qcfg, cons, images = setup
-    a, ra = transmit(images[1], SPEC, {}, keys, qcfg, cons, 10.0, 5.0, 3, 4, 7)
-    b, rb = transmit(images[1], SPEC, {}, keys, qcfg, cons, 10.0, 5.0, 3, 4, 7)
-    assert np.array_equal(a, b)
-    assert ra == rb
+    keys, qcfg, cons, _ = setup
+    zbar = stream(52).integers(0, 4093, size=(2, 64))
+    a = transmit_latent(zbar, keys, cons, 0.1, 5.0, 3, 4, [7, 9])
+    b = transmit_latent(zbar, keys, cons, 0.1, 5.0, 3, 4, [7, 9])
+    for field in ("z_prime", "c_hat", "c"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
 def test_distinct_message_indices_differ(setup):
-    keys, qcfg, cons, images = setup
-    a, _ = transmit(images[1], SPEC, {}, keys, qcfg, cons, 10.0, 5.0, 3, 4, 7)
-    b, _ = transmit(images[1], SPEC, {}, keys, qcfg, cons, 10.0, 5.0, 3, 4, 8)
-    assert not np.array_equal(a, b)
+    # one image at two grid points of the same SNR travels as messages 0, 1
+    a, b = _send([setup[3][1]], setup, [10.0, 10.0])
+    assert (a.message_index, b.message_index) == (0, 1)
+    assert a.mse != b.mse
 
 
 def test_rho_reported_exactly(setup):
-    keys, qcfg, cons, images = setup
-    _, rec = transmit(images[0], SPEC, {}, keys, qcfg, cons, 10.0, 5.0, 3, 4, 0)
+    [rec] = _send([setup[3][0]], setup, [10.0])
     assert rec.rho == 64 / (8 * 8 * 1) == 1.0
 
 
 def test_shape_mismatch_rejected(setup):
-    keys, qcfg, cons, _ = setup
     with pytest.raises(ValueError):
-        transmit(np.zeros((4, 4, 1)), SPEC, {}, keys, qcfg, cons, 10.0, 5.0,
-                 3, 4, 0)
+        _send([np.zeros((4, 4, 1))], setup, [10.0])
 
 
 def test_sweep_layout_and_determinism(setup):
@@ -86,13 +96,13 @@ def test_sweep_layout_and_determinism(setup):
     assert len(set(indices)) == len(indices)
 
 
-def test_single_point_sweep_equals_transmit_batch(setup):
-    keys, qcfg, cons, images = setup
-    recs = sweep(images[:2], SPEC, {}, keys, qcfg, cons, [10.0], 5.0, 3, 4)
-    for i, rec in enumerate(recs):
-        _, direct = transmit(images[i], SPEC, {}, keys, qcfg, cons, 10.0, 5.0,
-                             3, 4, i, image_index=i)
-        assert rec == direct
+def test_single_point_sweep_equals_single_image_sweeps(setup):
+    images = setup[3]
+    recs = _send(images[:2], setup, [10.0])
+    assert recs[0] == _send(images[:1], setup, [10.0])[0]
+    # alone, image 1 travels as message 1 at the second grid point
+    alone = _send(images[1:2], setup, [0.0, 10.0])[1]
+    assert recs[1] == dataclasses.replace(alone, image_index=1)
 
 
 def test_empty_dataset_header_only(setup):
@@ -141,8 +151,7 @@ def test_batched_chain_rows_equal_single_messages(k):
 
 
 def test_ms_ssim_omitted_for_small_images(setup):
-    keys, qcfg, cons, images = setup
-    _, rec = transmit(images[0], SPEC, {}, keys, qcfg, cons, 10.0, 5.0, 3, 4, 0)
+    [rec] = _send([setup[3][0]], setup, [10.0])
     assert rec.ms_ssim is None
     csv = records_to_csv([rec])
     row = csv.strip().split("\n")[1].split(",")

@@ -5,7 +5,7 @@ import pytest
 
 from securejscc.codec import CodecSpec
 from securejscc.datasets import DatasetSpec
-from securejscc.lwe import LweParams, derive_errors, encrypt, keygen
+from securejscc.lwe import LweParams, encrypt, keygen
 from securejscc.modem import (awgn, build_constellation, modulate,
                               noise_variance, receive, soft_demodulate)
 from securejscc.quantizer import QuantizerConfig
@@ -14,6 +14,7 @@ from securejscc.security import (DISTINGUISHERS, GAME_CHUNK_ENTRIES,
                                  AttackConfig, GameConfig, TrainedClassifier,
                                  default_plaintext_pair, run_cpa_attack,
                                  run_ind_cpa_game)
+from test_lwe import message_errors
 
 GAME_LWE = LweParams(p=257, n1=32, n2=32, sigma_s=8.87, k=16)
 # a sampler this narrow draws only zeros: every challenge is c == m_b
@@ -88,7 +89,7 @@ def serial_game_correct(cfg: GameConfig, distinguisher) -> int:
         adv_seed = spawn_seed(trial_rng)
         b = int(trial_rng.integers(0, 2))
         distinguisher.prepare(pk, m0, m1, stream(adv_seed))
-        ct = encrypt(m1 if b else m0, pk, derive_errors(error_seed, 0, cfg.params))
+        ct = encrypt(m1 if b else m0, pk, message_errors(error_seed, 0, cfg.params))
         correct += int(distinguisher.guess(ct.c, stream(adv_seed, 1)) == b)
     return correct
 
