@@ -10,7 +10,8 @@ import argparse
 
 import numpy as np
 
-from securejscc.codec import CodecSpec, save_codec
+from securejscc.codec import CodecSpec
+from securejscc.config import save_codec
 from securejscc.datasets import DatasetSpec, synthesize_dataset
 from securejscc.lwe import LweParams, keygen
 from securejscc.modem import build_constellation

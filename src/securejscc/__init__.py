@@ -8,13 +8,14 @@ additive noise source; a security harness estimates the eavesdropper's
 advantage empirically.
 """
 
-from .codec import CodecSpec, load_codec, save_codec
+from .codec import CodecSpec
+from .config import (load_codec, load_public_key, load_secret_key, save_codec,
+                     save_key_files)
 from .datasets import DatasetSpec, read_image, synthesize_dataset, write_image
 from .lwe import (Ciphertext, ErrorTriple, KeyPair, LweParams, PublicKey,
                   centered, decrypt, decrypt_noisy, derive_error_rows, encrypt,
                   error_rows, keygen, keygen_stack, lattice_product,
-                  load_public_key, load_secret_key, sample_discrete_gaussian,
-                  save_key_files)
+                  sample_discrete_gaussian)
 from .metrics import ms_ssim, mse, psnr, ssim
 from .modem import (Constellation, awgn, build_constellation, modulate,
                     noise_variance, receive, soft_demodulate)

@@ -9,67 +9,32 @@ stderr and exit status 2.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import codec, security, training
-from .config import (attack_config_from_dict, config_from_dict,
-                     game_config_from_dict, load_config, lwe_params_from_dict)
+from . import security, training
+from .config import (load_attack_config, load_codec, load_config,
+                     load_game_config, load_keygen_params, load_secret_key,
+                     save_codec, save_key_files)
 from .datasets import read_image, synthesize_dataset
-from .lwe import keygen, load_secret_key, save_key_files
+from .lwe import keygen
 from .modem import build_constellation
 from .pipeline import records_to_csv, sweep
 from .quantizer import QuantizerConfig
 
 
 def _cmd_keygen(args) -> int:
-    raw = json.loads(Path(args.params).read_text())
-    seeds = {"key_seed": raw.pop("key_seed", None),
-             "lattice_seed": raw.pop("lattice_seed", None)}
-    if args.key_seed is not None:
-        seeds["key_seed"] = args.key_seed
-    if args.lattice_seed is not None:
-        seeds["lattice_seed"] = args.lattice_seed
-    if seeds["key_seed"] is None or seeds["lattice_seed"] is None:
-        raise ValueError("key_seed and lattice_seed must come from the params "
-                         "file or the command line")
-    params = lwe_params_from_dict(raw)
-    key = keygen(params, int(seeds["key_seed"]), int(seeds["lattice_seed"]))
+    key = keygen(*load_keygen_params(args.params, args.key_seed, args.lattice_seed))
     public_path, secret_path = args.out
     save_key_files(key, public_path, secret_path)
     print(f"wrote public key to {public_path} and secret key to {secret_path}")
     return 0
 
 
-def _load_images(cfg, source: str):
-    if source == "synthetic":
-        return synthesize_dataset(cfg.dataset, cfg.seeds.data)
-    return [read_image(source)]
-
-
-def _cmd_transmit(args) -> int:
-    cfg = load_config(args.config)
-    keys = load_secret_key(args.keys)
-    if keys.params != cfg.lwe:
-        raise ValueError("key file parameters do not match the config")
-    images = _load_images(cfg, args.infile)
-    qcfg = QuantizerConfig(cfg.lwe.p, cfg.n_levels)
-    cons = build_constellation(cfg.lwe.p, cfg.avg_power)
-    params = _codec_params(cfg, args.codec_params)
-    # one grid point: message and image indices both run 0 .. n-1
-    records = sweep(images, cfg.codec, params, keys, qcfg, cons,
-                    [cfg.snr_grid_db[0]], cfg.sigma_l, cfg.seeds.error,
-                    cfg.seeds.channel)
-    Path(args.out).write_text(records_to_csv(records))
-    print(f"wrote {len(records)} records to {args.out}")
-    return 0
-
-
 def _codec_params(cfg, codec_params_path):
     if codec_params_path:
-        spec, params = codec.load_codec(codec_params_path)
+        spec, params = load_codec(codec_params_path)
         if spec != cfg.codec:
             raise ValueError("codec parameter file does not match the config spec")
         return params
@@ -78,26 +43,43 @@ def _codec_params(cfg, codec_params_path):
     return {}
 
 
+def _sweep_to_csv(cfg, keys, images, snr_grid_db, codec_params_path, out) -> int:
+    """Send ``images`` at every SNR of the grid, write the CSV to ``out`` and
+    return its record count."""
+    records = sweep(images, cfg.codec, _codec_params(cfg, codec_params_path), keys,
+                    QuantizerConfig(cfg.lwe.p, cfg.n_levels),
+                    build_constellation(cfg.lwe.p, cfg.avg_power), list(snr_grid_db),
+                    cfg.sigma_l, cfg.seeds.error, cfg.seeds.channel)
+    Path(out).write_text(records_to_csv(records))
+    return len(records)
+
+
+def _cmd_transmit(args) -> int:
+    cfg = load_config(args.config)
+    keys = load_secret_key(args.keys)
+    if keys.params != cfg.lwe:
+        raise ValueError("key file parameters do not match the config")
+    images = (synthesize_dataset(cfg.dataset, cfg.seeds.data)
+              if args.infile == "synthetic" else [read_image(args.infile)])
+    # one grid point: message and image indices both run 0 .. n-1
+    n = _sweep_to_csv(cfg, keys, images, cfg.snr_grid_db[:1], args.codec_params,
+                      args.out)
+    print(f"wrote {n} records to {args.out}")
+    return 0
+
+
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    keys = keygen(cfg.lwe, cfg.seeds.key, cfg.seeds.lattice)
-    images = synthesize_dataset(cfg.dataset, cfg.seeds.data)
-    qcfg = QuantizerConfig(cfg.lwe.p, cfg.n_levels)
-    cons = build_constellation(cfg.lwe.p, cfg.avg_power)
-    params = _codec_params(cfg, args.codec_params)
-    records = sweep(images, cfg.codec, params, keys, qcfg, cons,
-                    list(cfg.snr_grid_db), cfg.sigma_l, cfg.seeds.error,
-                    cfg.seeds.channel)
-    out = Path(args.out or cfg.output_csv)
-    out.write_text(records_to_csv(records))
-    print(f"wrote {len(records)} records ({len(cfg.snr_grid_db)} SNR points) to {out}")
+    out = args.out or cfg.output_csv
+    n = _sweep_to_csv(cfg, keygen(cfg.lwe, cfg.seeds.key, cfg.seeds.lattice),
+                      synthesize_dataset(cfg.dataset, cfg.seeds.data),
+                      cfg.snr_grid_db, args.codec_params, out)
+    print(f"wrote {n} records ({len(cfg.snr_grid_db)} SNR points) to {out}")
     return 0
 
 
 def _cmd_indcpa(args) -> int:
-    raw = json.loads(Path(args.config).read_text())
-    game_raw = raw.get("game", raw)
-    cfg = game_config_from_dict(game_raw)
+    cfg = load_game_config(args.config)
     result = security.run_ind_cpa_game(cfg)
     print(result.summary())
     if args.out:
@@ -108,9 +90,7 @@ def _cmd_indcpa(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    raw = json.loads(Path(args.config).read_text())
-    cfg = config_from_dict(raw)
-    attack_cfg = attack_config_from_dict(raw.get("attack", {}), cfg.dataset)
+    cfg, attack_cfg = load_attack_config(args.config)
     keys = keygen(cfg.lwe, cfg.seeds.key, cfg.seeds.lattice)
     qcfg = QuantizerConfig(cfg.lwe.p, cfg.n_levels)
     params = _codec_params(cfg, args.codec_params)
@@ -158,7 +138,7 @@ def _cmd_train(args) -> int:
         batch_size=tr.batch_size, shuffle_seed=tr.shuffle_seed,
         patience=tr.patience, decay_patience=tr.decay_patience,
         lr_decay=tr.lr_decay)
-    codec.save_codec(cfg.codec, result.state.params, args.out)
+    save_codec(cfg.codec, result.state.params, args.out)
     print(f"trained {result.state.step} steps; "
           f"val loss {result.val_losses[0]:.4f} -> {result.val_losses[-1]:.4f}; "
           f"saved parameters to {args.out}")

@@ -15,12 +15,9 @@ closed forms stay readable and bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-import json
 
 import numpy as np
 
-CODEC_FILE_VERSION = 1
 CODEC_KINDS = ("identity", "mlp")
 
 ADAM_LR = 1e-4
@@ -40,6 +37,10 @@ class CodecSpec:
     def __post_init__(self):
         if self.kind not in CODEC_KINDS:
             raise ValueError(f"unknown codec kind {self.kind!r}")
+        if min((*self.input_shape, self.k, *self.hidden_sizes)) < 1:
+            raise ValueError(f"codec sizes must be positive: input_shape="
+                             f"{self.input_shape}, k={self.k}, "
+                             f"hidden_sizes={self.hidden_sizes}")
         if self.kind == "identity" and self.k != self.n_pixels:
             raise ValueError(
                 f"identity codec needs k == H*W*C ({self.n_pixels}), got {self.k}")
@@ -67,23 +68,37 @@ def _sigmoid(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def dense_init(sizes: list[int], prefix: str, rng: np.random.Generator) -> dict:
-    params = {}
+def dense_shapes(sizes: list[int], prefix: str) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of the weights and biases of a dense stack of ``sizes``."""
+    shapes = {}
     for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        params[f"{prefix}.W{i}"] = rng.normal(0.0, 1.0 / np.sqrt(n_in), (n_in, n_out))
-        params[f"{prefix}.b{i}"] = np.zeros(n_out)
-    return params
+        shapes[f"{prefix}.W{i}"], shapes[f"{prefix}.b{i}"] = (n_in, n_out), (n_out,)
+    return shapes
+
+
+def dense_init(sizes: list[int], prefix: str, rng: np.random.Generator) -> dict:
+    return {name: rng.normal(0.0, 1.0 / np.sqrt(shape[0]), shape) if len(shape) == 2
+            else np.zeros(shape) for name, shape in dense_shapes(sizes, prefix).items()}
+
+
+def _stacks(spec: CodecSpec) -> dict[str, list[int]]:
+    """Layer widths of the encoder and decoder stacks (none for identity)."""
+    if spec.kind == "identity":
+        return {}
+    return {"enc": [spec.n_pixels, *spec.hidden_sizes, spec.k],
+            "dec": [spec.k, *reversed(spec.hidden_sizes), spec.n_pixels]}
 
 
 def init_params(spec: CodecSpec, rng: np.random.Generator) -> dict:
     """Fresh parameter dictionary for a codec spec (empty for identity)."""
-    if spec.kind == "identity":
-        return {}
-    enc_sizes = [spec.n_pixels, *spec.hidden_sizes, spec.k]
-    dec_sizes = [spec.k, *reversed(spec.hidden_sizes), spec.n_pixels]
-    params = dense_init(enc_sizes, "enc", rng)
-    params.update(dense_init(dec_sizes, "dec", rng))
-    return params
+    return {name: value for prefix, sizes in _stacks(spec).items()
+            for name, value in dense_init(sizes, prefix, rng).items()}
+
+
+def param_shapes(spec: CodecSpec) -> dict[str, tuple[int, ...]]:
+    """The names and shapes of :func:`init_params`, without allocating."""
+    return {name: shape for prefix, sizes in _stacks(spec).items()
+            for name, shape in dense_shapes(sizes, prefix).items()}
 
 
 def dense_forward(params: dict, prefix: str, x: np.ndarray,
@@ -219,6 +234,16 @@ def ssim_loss(x: np.ndarray, x_hat: np.ndarray,
     return total / batch, grad / batch
 
 
+LOSSES = {"mse": mse_loss, "ssim": ssim_loss}
+
+
+def loss_named(name: str):
+    """The loss function ``LOSSES[name]``; a ValueError for any other name."""
+    if name not in LOSSES:
+        raise ValueError(f"unknown loss {name!r}, expected one of {sorted(LOSSES)}")
+    return LOSSES[name]
+
+
 # -- optimizer ---------------------------------------------------------------
 
 
@@ -242,37 +267,3 @@ def adam_step(params: dict, grads: dict, opt: AdamState, step: int,
         v_hat = v / (1 - ADAM_BETA2 ** step)
         out[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return out
-
-
-# -- parameter files ---------------------------------------------------------
-
-
-def save_codec(spec: CodecSpec, params: dict, path: str | Path) -> None:
-    blob = {
-        "format": "securejscc-codec",
-        "version": CODEC_FILE_VERSION,
-        "spec": {
-            "kind": spec.kind,
-            "input_shape": list(spec.input_shape),
-            "k": spec.k,
-            "latent_scale": spec.latent_scale,
-            "hidden_sizes": list(spec.hidden_sizes),
-        },
-        "params": {name: arr.tolist() for name, arr in params.items()},
-    }
-    Path(path).write_text(json.dumps(blob))
-
-
-def load_codec(path: str | Path) -> tuple[CodecSpec, dict]:
-    blob = json.loads(Path(path).read_text())
-    if blob.get("format") != "securejscc-codec":
-        raise ValueError(f"{path} is not a codec parameter file")
-    if blob.get("version") != CODEC_FILE_VERSION:
-        raise ValueError(f"unsupported codec file version {blob.get('version')}")
-    s = blob["spec"]
-    spec = CodecSpec(kind=s["kind"], input_shape=tuple(s["input_shape"]),
-                     k=s["k"], latent_scale=s["latent_scale"],
-                     hidden_sizes=tuple(s["hidden_sizes"]))
-    params = {name: np.asarray(arr, dtype=np.float64)
-              for name, arr in blob["params"].items()}
-    return spec, params

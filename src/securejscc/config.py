@@ -1,27 +1,37 @@
-"""Pipeline configuration: dataclasses plus JSON (de)serialization.
+"""Configuration and every JSON file the package reads or writes.
 
 Defaults follow the reference operating point: modulus 4093 with 192x192
 lattice dimensions and sampler width 8.87, 16 quantization levels,
 demodulator sharpness 5, and Adam at 1e-4 with betas (0.9, 0.999). Each
 default lives on its dataclass field: the loaders pass on only the keys a
-config sets, and every loader rejects a key that no field names. Every
-random choice is pinned by an explicit seed in the config.
+config sets. Every random choice is pinned by an explicit seed in the
+config. One rule, :func:`_build`, turns every JSON object into its
+dataclass by the dataclass's field names and annotations; key and codec
+files are checked against the params and spec they carry.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+import sys
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
-from .codec import ADAM_LR, CodecSpec
+import numpy as np
+
+from .codec import ADAM_LR, CodecSpec, loss_named, param_shapes
 from .datasets import DatasetSpec
-from .lwe import LweParams
-from .modem import AVG_POWER_DEFAULT, MAX_CONSTELLATION, SIGMA_L_DEFAULT
+from .lwe import KeyPair, LweParams, PublicKey, keygen
+from .modem import AVG_POWER_DEFAULT, MAX_CONSTELLATION, SIGMA_L_DEFAULT, Db
 from .security import AttackConfig, GameConfig
 
 DEFAULT_LWE = {"p": 4093, "n1": 192, "n2": 192, "sigma_s": 8.87}
+KEY_FILE_VERSION = 1
+KEY_HEADER = {"format": "securejscc-key", "version": KEY_FILE_VERSION}
+CODEC_FILE_VERSION = 1
+CODEC_HEADER = {"format": "securejscc-codec", "version": CODEC_FILE_VERSION}
 
 
 @dataclass(frozen=True)
@@ -42,13 +52,16 @@ class TrainingSettings:
     batch_size: int = 8
     learning_rate: float = ADAM_LR
     loss: str = "mse"
-    snr_train_db: float = 10.0
+    snr_train_db: Db = 10.0
     val_fraction: float = 0.2
     shuffle_seed: int = 11
     init_seed: int = 12
     patience: int = 10
     decay_patience: int = 5
     lr_decay: float = 0.8
+
+    def __post_init__(self):
+        loss_named(self.loss)  # an unknown loss fails here, not at the first step
 
 
 @dataclass(frozen=True)
@@ -60,7 +73,7 @@ class PipelineConfig:
     n_levels: int = 16
     sigma_l: float = SIGMA_L_DEFAULT
     avg_power: float = AVG_POWER_DEFAULT
-    snr_grid_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0)
+    snr_grid_db: tuple[Db, ...] = (0.0, 5.0, 10.0, 15.0)
     output_csv: str = "sweep.csv"
     training: TrainingSettings = field(default_factory=TrainingSettings)
 
@@ -73,94 +86,260 @@ class PipelineConfig:
                 f"latent length mismatch: lwe.k={self.lwe.k}, codec.k={self.codec.k}")
 
 
-def _snr_value(v):
-    if v in ("inf", "Infinity"):
+# -- the value rule ----------------------------------------------------------
+
+FLOAT_MAX = sys.float_info.max
+EXPECTED = {int: "an integer", float: "a finite number", str: "a string",
+            Db: 'a finite number or "inf"'}
+
+
+def _show(value) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _object(raw, what: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object, got {_show(raw)}")
+    return raw
+
+
+def _value(tp, raw, name: str):
+    """``raw`` as a value of annotation ``tp``; a ValueError names ``name``."""
+    if is_dataclass(tp):
+        return _build(tp, raw, name + ".")
+    if tp is Db and raw in ("inf", "Infinity", math.inf):
         return math.inf
-    return float(v)
+    if tp is int and type(raw) is int or tp is str and type(raw) is str:
+        return raw
+    # a comparison, unlike float(), cannot overflow on a huge integer
+    if tp in (float, Db) and type(raw) in (int, float) and abs(raw) <= FLOAT_MAX:
+        return float(raw)
+    if get_origin(tp) is tuple:
+        args = get_args(tp)
+        kinds = args[:1] * len(raw) if args[-1] is ... and type(raw) is list else args
+        if type(raw) is list and len(raw) == len(kinds):
+            return tuple(_value(kind, item, f"{name}[{i}]")
+                         for i, (kind, item) in enumerate(zip(kinds, raw)))
+        expected = "a list" if args[-1] is ... else f"a list of {len(args)}"
+    else:
+        expected = EXPECTED[tp]
+    raise ValueError(f"config key '{name}' must be {expected}, got {_show(raw)}")
 
 
-def _present(raw: dict, casts: dict) -> dict:
-    """The keys of ``casts`` that ``raw`` sets, each value cast."""
-    return {key: cast(raw[key]) for key, cast in casts.items() if key in raw}
+def _build(cls, raw, prefix: str, **built):
+    """``cls`` from the JSON object ``raw``, each value under the rule.
 
-
-def _check_keys(raw: dict, allowed, prefix: str) -> None:
+    ``built`` holds fields the caller has made itself: ``raw`` may not set
+    them. An unknown or missing key is named after ``prefix``.
+    """
+    raw = _object(raw, f"config key '{prefix[:-1]}'" if prefix else "the config")
+    names = [f.name for f in fields(cls) if f.name not in built]
     for key in raw:
-        if key not in allowed:
+        if key not in names:
             raise ValueError(f"unknown config key {prefix + key!r}")
-
-
-def _build(cls, values: dict, prefix: str):
-    """``cls(**values)``, naming any unknown or missing key after ``prefix``."""
-    _check_keys(values, [f.name for f in fields(cls)], prefix)
     for f in fields(cls):
-        if f.name not in values and f.default is f.default_factory is MISSING:
+        required = f.default is f.default_factory is MISSING
+        if required and f.name in names and f.name not in raw:
             raise ValueError(f"missing config key '{prefix}{f.name}'")
-    return cls(**values)
+    hints = get_type_hints(cls)
+    return cls(**built, **{key: _value(hints[key], value, prefix + key)
+                           for key, value in raw.items()})
 
 
-TOP_LEVEL_CASTS = {"n_levels": int, "sigma_l": float, "avg_power": float,
-                   "snr_grid_db": lambda v: tuple(map(_snr_value, v)),
-                   "output_csv": str}
-# top-level sections read by game_config_from_dict and attack_config_from_dict
-OWN_LOADER_SECTIONS = ("game", "attack")
-GAME_CASTS = {"n_levels": int, "seed": int, "distinguisher": str}
-ATTACK_CASTS = {"epochs": int, "error_mode": str, "snr_e_db": _snr_value,
-                "test_fraction": float, "seed": int, "mlp_hidden": int}
+def _section(raw: dict, key: str, prefix: str = "") -> dict:
+    """The object ``raw[key]``; ``{}`` when it is absent."""
+    return _object(raw.get(key, {}), f"config key '{prefix}{key}'")
+
+
+def _without(raw: dict, *keys) -> dict:
+    return {key: value for key, value in raw.items() if key not in keys}
+
+
+def _load(path: str | Path, build):
+    """``build`` of the JSON value in ``path``; its ValueError names the file."""
+    try:
+        return build(json.loads(Path(path).read_text()))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+# -- config files ------------------------------------------------------------
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    raw = json.loads(Path(path).read_text())
-    return config_from_dict(raw)
+    return _load(path, config_from_dict)
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
-    _check_keys(raw, [f.name for f in fields(PipelineConfig)]
-                + list(OWN_LOADER_SECTIONS), "")
+    raw = _object(raw, "the config")
     dataset = _build(DatasetSpec, raw.get("dataset", {
         "kind": "blob", "count": 100, "height": 16, "width": 16}), "dataset.")
     n_pixels = dataset.height * dataset.width * dataset.channels
-    lwe = _build(LweParams, {**DEFAULT_LWE, "k": n_pixels, **raw.get("lwe", {})},
+    lwe = _build(LweParams, {**DEFAULT_LWE, "k": n_pixels, **_section(raw, "lwe")},
                  "lwe.")
 
     codec_raw = {"kind": "identity",
                  "input_shape": [dataset.height, dataset.width, dataset.channels],
-                 "k": lwe.k, **raw.get("codec", {})}
+                 "k": lwe.k, **_section(raw, "codec")}
     codec_raw.setdefault("latent_scale",
                          lwe.p / 256.0 if codec_raw["kind"] != "mlp" else float(lwe.p))
-    codec_raw["input_shape"] = tuple(codec_raw["input_shape"])
-    if "hidden_sizes" in codec_raw:
-        codec_raw["hidden_sizes"] = tuple(codec_raw["hidden_sizes"])
-    return PipelineConfig(
-        lwe=lwe, codec=_build(CodecSpec, codec_raw, "codec."), dataset=dataset,
-        seeds=_build(Seeds, raw.get("seeds", {}), "seeds."),
-        training=_build(TrainingSettings, raw.get("training", {}), "training."),
-        **_present(raw, TOP_LEVEL_CASTS))
+    # game and attack are read by game_ and attack_config_from_dict
+    return _build(PipelineConfig,
+                  _without(raw, "lwe", "codec", "dataset", "game", "attack"), "",
+                  lwe=lwe, codec=_build(CodecSpec, codec_raw, "codec."),
+                  dataset=dataset)
 
 
 def game_config_from_dict(raw: dict) -> GameConfig:
-    _check_keys(raw, ["trials", "lwe", *GAME_CASTS], "game.")
-    lwe_raw = {**DEFAULT_LWE, "k": 16, **raw.get("lwe", {})}
-    return GameConfig(
-        trials=int(raw.get("trials", 10000)),
-        params=_build(LweParams, lwe_raw, "game.lwe."),
-        **_present(raw, GAME_CASTS))
+    raw = _object(raw, "config key 'game'")
+    lwe = _build(LweParams, {**DEFAULT_LWE, "k": 16, **_section(raw, "lwe", "game.")},
+                 "game.lwe.")
+    return _build(GameConfig, {"trials": 10000, **_without(raw, "lwe")}, "game.",
+                  params=lwe)
 
 
 def attack_config_from_dict(raw: dict, default_dataset: DatasetSpec) -> AttackConfig:
-    _check_keys(raw, ["adversary", "pairs", "dataset", *ATTACK_CASTS], "attack.")
-    pairs = int(raw.get("pairs", 2000))
+    raw = _object(raw, "config key 'attack'")
+    pairs = _value(int, raw.get("pairs", 2000), "attack.pairs")
     # the attack draws one image per pair, so ``count`` may be left out
-    dataset = (_build(DatasetSpec, {"count": pairs, **raw["dataset"]},
+    dataset = (_build(DatasetSpec, {"count": pairs,
+                                    **_section(raw, "dataset", "attack.")},
                       "attack.dataset.")
                if "dataset" in raw else default_dataset)
-    return AttackConfig(
-        adversary=raw.get("adversary", "linear"),
-        pairs=pairs,
-        dataset=dataset,
-        **_present(raw, ATTACK_CASTS))
+    return _build(AttackConfig, {"adversary": "linear", "pairs": pairs,
+                                 **_without(raw, "dataset")},
+                  "attack.", dataset=dataset)
 
 
-def lwe_params_from_dict(raw: dict) -> LweParams:
-    """The lattice parameters of a keygen params file, seeds removed."""
-    return _build(LweParams, raw, "")
+def load_game_config(path: str | Path) -> GameConfig:
+    """The ``game`` section of a config file, or the whole file if it has none."""
+    return _load(path, lambda raw: game_config_from_dict(
+        _object(raw, "the config").get("game", raw)))
+
+
+def load_attack_config(path: str | Path) -> tuple[PipelineConfig, AttackConfig]:
+    """A config file and its ``attack`` section."""
+    def build(raw):
+        cfg = config_from_dict(raw)
+        return cfg, attack_config_from_dict(raw.get("attack", {}), cfg.dataset)
+    return _load(path, build)
+
+
+def load_keygen_params(path: str | Path, key_seed: int | None = None,
+                       lattice_seed: int | None = None) -> tuple[LweParams, int, int]:
+    """The lattice parameters and the two seeds of a keygen params file; a
+    seed passed here overrides the file's."""
+    def build(raw):
+        raw = _object(raw, "the params file")
+        seeds = {"key_seed": key_seed, "lattice_seed": lattice_seed}
+        seeds = {name: raw.get(name) if seed is None else seed
+                 for name, seed in seeds.items()}
+        if None in seeds.values():
+            raise ValueError("key_seed and lattice_seed must come from the params "
+                             "file or the command line")
+        return (_build(LweParams, _without(raw, *seeds), ""),
+                *(_value(int, seed, name) for name, seed in seeds.items()))
+    return _load(path, build)
+
+
+# -- key and codec files -----------------------------------------------------
+#
+# Structured JSON, matrices base-10 row-major. The public key file holds the
+# public matrices explicitly and omits both S and key_seed: key_seed
+# regenerates S, so it is secret material and never leaves the secret file.
+
+
+def _file_fields(raw, header: dict, names, what: str) -> dict:
+    """The object ``raw``: ``header``'s entries, then ``names``, no other key."""
+    raw = _object(raw, what)
+    for key, want in header.items():
+        if json.dumps(raw.get(key)) != json.dumps(want):  # 1.0 and true are not 1
+            raise ValueError(f"not a {what}: {key!r} is {_show(raw.get(key))}")
+    for name in names:
+        if name not in raw:
+            raise ValueError(f"{what} has no {name!r} field")
+    for key in raw:
+        if key not in header and key not in names:
+            raise ValueError(f"unknown {what} field {key!r}")
+    return raw
+
+
+def _array(raw, name: str, shape: tuple[int, ...], kinds: str) -> np.ndarray:
+    """``raw`` as an array of ``shape`` of integers (kinds "i") or finite
+    numbers ("if")."""
+    try:
+        arr = np.asarray(raw)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in kinds or arr.shape != shape or not np.isfinite(arr).all():
+        what = "integers" if kinds == "i" else "finite numbers"
+        raise ValueError(f"{name!r} must be a {shape} array of {what}; "
+                         f"it is a {arr.shape} array of {arr.dtype}")
+    return arr
+
+
+def save_key_files(key: KeyPair, public_path: str | Path,
+                   secret_path: str | Path) -> None:
+    params = asdict(key.params)
+    Path(public_path).write_text(json.dumps({
+        **KEY_HEADER, "kind": "public", "params": params,
+        "lattice_seed": key.lattice_seed, "B": key.B.tolist(), "A": key.A.tolist()}))
+    Path(secret_path).write_text(json.dumps({
+        **KEY_HEADER, "kind": "secret", "params": params, "key_seed": key.key_seed,
+        "lattice_seed": key.lattice_seed, "S": key.S.tolist()}))
+
+
+def _key_file(raw, kind: str, names) -> tuple[dict, LweParams]:
+    raw = _file_fields(raw, {**KEY_HEADER, "kind": kind}, names, f"{kind} key file")
+    return raw, _build(LweParams, raw["params"], "params.")
+
+
+def load_public_key(path: str | Path) -> PublicKey:
+    """The public key file; ``B`` and ``A`` must be residues of its params."""
+    def build(raw):
+        raw, params = _key_file(raw, "public", ("params", "lattice_seed", "B", "A"))
+        B = _array(raw["B"], "B", (params.n1, params.k), "i")
+        A = _array(raw["A"], "A", (params.n1, params.n2), "i")
+        for name, m in (("B", B), ("A", A)):
+            if m.min() < 0 or m.max() >= params.p:
+                raise ValueError(f"{name!r} entries must lie in [0, {params.p})")
+        return PublicKey(params, B, A, _value(int, raw["lattice_seed"], "lattice_seed"))
+    return _load(path, build)
+
+
+def load_secret_key(path: str | Path) -> KeyPair:
+    """Rebuild the full key pair from the secret file.
+
+    The pair is regenerated from the stored seeds; the stored S acts as an
+    integrity check against seed or parameter mismatches.
+    """
+    def build(raw):
+        raw, params = _key_file(raw, "secret",
+                                ("params", "key_seed", "lattice_seed", "S"))
+        S = _array(raw["S"], "S", (params.n2, params.k), "i")
+        key = keygen(params, *(_value(int, raw[name], name)
+                               for name in ("key_seed", "lattice_seed")))
+        if not np.array_equal(S, key.S):
+            raise ValueError("secret key file is inconsistent with its seeds")
+        return key
+    return _load(path, build)
+
+
+def save_codec(spec: CodecSpec, params: dict, path: str | Path) -> None:
+    Path(path).write_text(json.dumps({
+        **CODEC_HEADER, "spec": asdict(spec),
+        "params": {name: arr.tolist() for name, arr in params.items()}}))
+
+
+def load_codec(path: str | Path) -> tuple[CodecSpec, dict]:
+    """A codec file's spec and parameters; every parameter the spec names
+    must be there, with its shape and finite entries, and no other."""
+    def build(raw):
+        raw = _file_fields(raw, CODEC_HEADER, ("spec", "params"), "codec file")
+        spec = _build(CodecSpec, raw["spec"], "spec.")
+        shapes = param_shapes(spec)
+        stored = _file_fields(raw["params"], {}, shapes, "codec file params")
+        return spec, {name: _array(value, name, shapes[name], "if").astype(np.float64)
+                      for name, value in stored.items()}
+    return _load(path, build)

@@ -7,6 +7,7 @@ replayable without shipping binary fixtures.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +31,9 @@ class DatasetSpec:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.count < 0:
             raise ValueError(f"count must be >= 0, got {self.count}")
+        if min(self.height, self.width, self.channels) < 1:
+            raise ValueError(f"image dimensions must be positive, got "
+                             f"{self.height}x{self.width}x{self.channels}")
 
 
 def _unit_grid(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
@@ -101,32 +105,29 @@ def synthesize_dataset(spec: DatasetSpec, data_seed: int) -> list[np.ndarray]:
 # -- PGM / PPM ---------------------------------------------------------------
 
 
+# magic number, then width, height and maxval, each after whitespace or
+# comment lines, then the single whitespace byte that ends the header
+PNM_HEADER = re.compile(rb"(P[56])" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
+
+
 def read_image(path: str | Path) -> np.ndarray:
     """Read a binary PGM (P5) or PPM (P6) file into an HxWxC float array."""
     raw = Path(path).read_bytes()
-    tokens = []
-    pos = 0
-    while len(tokens) < 4:
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        if raw[pos:pos + 1] == b"#":
-            while pos < len(raw) and raw[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        tokens.append(raw[start:pos])
-    magic = tokens[0]
-    if magic not in (b"P5", b"P6"):
-        raise ValueError(f"unsupported image format {magic!r} (need P5/P6)")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    header = PNM_HEADER.match(raw)
+    if header is None:
+        raise ValueError(f"{path}: not a binary PGM/PPM file (P5 or P6 header "
+                         f"with width, height and maxval)")
+    w, h, maxval = (int(n) for n in header.groups()[1:])
     if maxval != 255:
-        raise ValueError(f"only maxval 255 supported, got {maxval}")
-    pos += 1  # single whitespace byte after the header
-    channels = 1 if magic == b"P5" else 3
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=h * w * channels, offset=pos)
-    return pixels.reshape(h, w, channels).astype(np.float64)
+        raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
+    if min(w, h) < 1:
+        raise ValueError(f"{path}: image dimensions must be positive, got {w}x{h}")
+    count = h * w * (1 if header[1] == b"P5" else 3)
+    if count > len(raw) - header.end():
+        raise ValueError(f"{path}: a {w}x{h} image needs {count} pixel bytes, "
+                         f"the file has {len(raw) - header.end()}")
+    pixels = np.frombuffer(raw, dtype=np.uint8, count=count, offset=header.end())
+    return pixels.reshape(h, w, -1).astype(np.float64)
 
 
 def write_image(path: str | Path, image: np.ndarray) -> None:

@@ -17,16 +17,13 @@ resistance.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .rng import stream
 
-KEY_FILE_VERSION = 1
 # float64 holds every integer of magnitude up to 2**53 exactly
 EXACT_FLOAT_LIMIT = 2 ** 53
 # numpy's ziggurat normal never returns a value beyond 13.72 standard
@@ -49,8 +46,8 @@ class LweParams:
             raise ValueError(f"modulus p must be >= 2, got {self.p}")
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError(f"lattice dimensions must be >= 1, got {self.n1}x{self.n2}")
-        if not self.sigma_s > 0:
-            raise ValueError(f"sigma_s must be positive, got {self.sigma_s}")
+        if not 0 < self.sigma_s < math.inf:
+            raise ValueError(f"sigma_s must be positive and finite, got {self.sigma_s}")
         if self.k < 1:
             raise ValueError(f"plaintext length k must be >= 1, got {self.k}")
         if max(self.n1, self.n2) * (self.p - 1) * self.tail >= 2 ** 63:
@@ -266,79 +263,3 @@ def centered(x: np.ndarray, p: int) -> np.ndarray:
     """Map residues (or reals) to the centered range around zero."""
     half = p // 2
     return np.mod(np.asarray(x) + half, p) - half
-
-
-# -- key files ---------------------------------------------------------------
-#
-# Structured JSON, matrices base-10 row-major. The public file holds the
-# public matrices explicitly and omits both S and key_seed: key_seed
-# regenerates S, so it is secret material and never leaves the secret file.
-
-
-def _params_dict(params: LweParams) -> dict:
-    return {"p": params.p, "n1": params.n1, "n2": params.n2,
-            "sigma_s": params.sigma_s, "k": params.k}
-
-
-def save_key_files(key: KeyPair, public_path: str | Path,
-                   secret_path: str | Path) -> None:
-    public = {
-        "format": "securejscc-key",
-        "version": KEY_FILE_VERSION,
-        "kind": "public",
-        "params": _params_dict(key.params),
-        "lattice_seed": key.lattice_seed,
-        "B": key.B.tolist(),
-        "A": key.A.tolist(),
-    }
-    secret = {
-        "format": "securejscc-key",
-        "version": KEY_FILE_VERSION,
-        "kind": "secret",
-        "params": _params_dict(key.params),
-        "key_seed": key.key_seed,
-        "lattice_seed": key.lattice_seed,
-        "S": key.S.tolist(),
-    }
-    Path(public_path).write_text(json.dumps(public))
-    Path(secret_path).write_text(json.dumps(secret))
-
-
-KEY_FILE_FIELDS = {"public": ("params", "lattice_seed", "B", "A"),
-                   "secret": ("params", "key_seed", "lattice_seed", "S")}
-
-
-def _load_key_json(path: str | Path, kind: str) -> dict:
-    data = json.loads(Path(path).read_text())
-    if data.get("format") != "securejscc-key" or data.get("kind") != kind:
-        raise ValueError(f"{path} is not a securejscc {kind} key file")
-    if data.get("version") != KEY_FILE_VERSION:
-        raise ValueError(f"unsupported key file version {data.get('version')}")
-    for name in KEY_FILE_FIELDS[kind]:
-        if name not in data:
-            raise ValueError(f"{kind} key file {path} has no {name!r} field")
-    return data
-
-
-def load_public_key(path: str | Path) -> PublicKey:
-    data = _load_key_json(path, "public")
-    params = LweParams(**data["params"])
-    return PublicKey(params=params,
-                     B=np.asarray(data["B"], dtype=np.int64),
-                     A=np.asarray(data["A"], dtype=np.int64),
-                     lattice_seed=int(data["lattice_seed"]))
-
-
-def load_secret_key(path: str | Path) -> KeyPair:
-    """Rebuild the full key pair from the secret file.
-
-    The pair is regenerated from the stored seeds; the stored S acts as an
-    integrity check against seed or parameter mismatches.
-    """
-    data = _load_key_json(path, "secret")
-    params = LweParams(**data["params"])
-    key = keygen(params, int(data["key_seed"]), int(data["lattice_seed"]))
-    stored_S = np.asarray(data["S"], dtype=np.int64)
-    if not np.array_equal(stored_S, key.S):
-        raise ValueError(f"secret file {path} is inconsistent with its seeds")
-    return key

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NewType
 
 import numpy as np
 
@@ -41,9 +42,17 @@ class Constellation:
     levels: np.ndarray  # grid levels per axis: point m*b + a is (levels[a], levels[b])
 
 
-def noise_variance(snr_db: float, avg_power: float) -> float:
-    """Complex AWGN variance per symbol at ``snr_db``; infinite SNR gives 0."""
-    return 0.0 if math.isinf(snr_db) else avg_power * 10.0 ** (-snr_db / 10.0)
+# an SNR in dB: finite, or +inf for a noiseless channel
+Db = NewType("Db", float)
+
+
+def noise_variance(snr_db: Db, avg_power: float) -> float:
+    """Complex AWGN variance per symbol at ``snr_db``; +inf dB gives 0."""
+    if snr_db == math.inf:
+        return 0.0
+    if not math.isfinite(snr_db):
+        raise ValueError(f"SNR must be finite or +inf dB, got {snr_db}")
+    return avg_power * 10.0 ** (-snr_db / 10.0)
 
 
 def build_constellation(p: int, target_power: float = AVG_POWER_DEFAULT) -> Constellation:

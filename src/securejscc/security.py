@@ -26,8 +26,8 @@ from .datasets import DatasetSpec, synthesize_dataset
 from .lwe import (ErrorTriple, LweParams, PublicKey, centered,
                   derive_error_rows, encrypt, error_rows, keygen_stack,
                   lattice_product, sample_discrete_gaussian)
-from .modem import (AVG_POWER_DEFAULT, SIGMA_L_DEFAULT, build_constellation,
-                    noise_variance, receive)
+from .modem import (AVG_POWER_DEFAULT, SIGMA_L_DEFAULT, Db,
+                    build_constellation, noise_variance, receive)
 from .quantizer import QuantizerConfig, build_centroids, hard_quantize
 from .rng import spawn_seed, stream
 
@@ -236,7 +236,7 @@ class AttackConfig:
     dataset: DatasetSpec
     epochs: int = 30
     error_mode: str = "fresh"
-    snr_e_db: float = math.inf
+    snr_e_db: Db = math.inf
     test_fraction: float = 0.2
     seed: int = 0
     mlp_hidden: int = 64

@@ -39,7 +39,7 @@ class TrainContext:
     sigma_l: float
     error_seed: int
     channel_seed: int
-    loss: str = "mse"  # "mse" or "ssim"
+    loss: str = "mse"  # a key of codec.LOSSES
 
     @property
     def sigma2(self) -> float:
@@ -62,14 +62,6 @@ def init_train_state(spec: codec.CodecSpec, seed: int,
                       learning_rate=learning_rate)
 
 
-def _loss_fn(kind: str):
-    if kind == "mse":
-        return codec.mse_loss
-    if kind == "ssim":
-        return codec.ssim_loss
-    raise ValueError(f"unknown loss {kind!r}")
-
-
 def _through_chain(ctx: TrainContext, message_base: int):
     """Latent map of the real chain: quantize, transmit the batch, dequantize."""
     def latent_map(z: np.ndarray) -> np.ndarray:
@@ -86,7 +78,7 @@ def _forward(batch: np.ndarray, params: dict, ctx: TrainContext, latent_map):
     x = np.asarray(batch, dtype=np.float64)
     z, enc_cache = codec.encode(x, ctx.spec, params)
     x_hat, dec_cache = codec.decode(latent_map(z), ctx.spec, params)
-    loss, grad_x = _loss_fn(ctx.loss)(x, x_hat)
+    loss, grad_x = codec.loss_named(ctx.loss)(x, x_hat)
     return loss, (grad_x, z, enc_cache, dec_cache)
 
 

@@ -4,7 +4,8 @@ import pytest
 from securejscc.codec import (AdamState, CodecSpec, adam_step, decode,
                               decode_backward, dense_backward, dense_forward,
                               dense_init, encode, encode_backward, init_params,
-                              load_codec, mse_loss, save_codec, ssim_loss)
+                              mse_loss, param_shapes, ssim_loss)
+from securejscc.config import load_codec, save_codec
 from securejscc.quantizer import QuantizerConfig, hard_quantize
 from securejscc.rng import stream
 
@@ -21,6 +22,22 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         CodecSpec(kind="mlp", input_shape=(4, 4, 1), k=8, latent_scale=1.0,
                   hidden_sizes=(8, 8, 8))
+
+
+@pytest.mark.parametrize("shape, k, hidden", [((0, 4, 1), 8, ()), ((4, -4, 1), 8, ()),
+                                              ((4, 4, 1), 0, ()), ((4, 4, 1), 8, (0,))])
+def test_spec_rejects_non_positive_sizes(shape, k, hidden):
+    with pytest.raises(ValueError, match="must be positive"):
+        CodecSpec(kind="mlp", input_shape=shape, k=k, latent_scale=1.0,
+                  hidden_sizes=hidden)
+
+
+def test_param_shapes_match_init_params():
+    spec = CodecSpec(kind="mlp", input_shape=(4, 4, 1), k=8, latent_scale=1.0,
+                     hidden_sizes=(12, 6))
+    params = init_params(spec, stream(1))
+    assert param_shapes(spec) == {name: a.shape for name, a in params.items()}
+    assert param_shapes(IDENT) == {}
 
 
 def test_identity_encode_scaling():

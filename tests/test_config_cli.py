@@ -8,9 +8,8 @@ import pytest
 from securejscc.cli import main
 from securejscc.config import (PipelineConfig, attack_config_from_dict,
                                config_from_dict, game_config_from_dict,
-                               load_config)
+                               load_config, load_public_key, load_secret_key)
 from securejscc.datasets import DatasetSpec
-from securejscc.lwe import load_public_key, load_secret_key
 
 
 def test_defaults_mirror_reference_operating_point():
@@ -249,7 +248,7 @@ def test_cli_train_writes_codec(tmp_path):
         training={"max_steps": 30, "batch_size": 5, "snr_train_db": 10.0})
     out = tmp_path / "codec.json"
     assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
-    from securejscc.codec import load_codec
+    from securejscc.config import load_codec
     spec, params = load_codec(out)
     assert spec.kind == "mlp"
     assert params

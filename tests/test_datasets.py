@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from securejscc.datasets import (DatasetSpec, read_image, synthesize_dataset,
                                  write_image)
@@ -67,3 +68,55 @@ def test_read_rejects_other_formats(tmp_path):
     path.write_bytes(b"P1\n2 2\n0 1 1 0\n")
     with pytest.raises(ValueError):
         read_image(path)
+
+
+@pytest.mark.parametrize("dims", [(-2, -2, 1), (0, 4, 1), (4, 4, 0)])
+def test_spec_rejects_non_positive_dimensions(dims):
+    with pytest.raises(ValueError, match="must be positive"):
+        DatasetSpec("blob", 4, *dims)
+
+
+@pytest.mark.parametrize("header", [b"P5\n-4 4\n255\n", b"P5\n0 4\n255\n",
+                                    b"P5\n4 0\n255\n"])
+def test_read_rejects_non_positive_dimensions(tmp_path, header):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(header + bytes(16))
+    with pytest.raises(ValueError, match="bad.pgm"):
+        read_image(path)
+
+
+def test_read_rejects_short_pixel_data(tmp_path):
+    path = tmp_path / "short.pgm"
+    path.write_bytes(b"P5\n4 4\n255\n" + bytes(15))
+    with pytest.raises(ValueError, match="needs 16 pixel bytes, the file has 15"):
+        read_image(path)
+
+
+@st.composite
+def image_bytes(draw):
+    """Arbitrary bytes, or a P5/P6 header of drawn dimensions over arbitrary
+    pixel bytes; the expected shape when the header is well formed."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=40)), None
+    magic = draw(st.sampled_from([b"P5", b"P6"]))
+    w, h = draw(st.integers(-2, 6)), draw(st.integers(-2, 6))
+    comment = draw(st.sampled_from([b"", b"# note\n"]))
+    body = draw(st.binary(max_size=120))
+    shape = (h, w, 1 if magic == b"P5" else 3)
+    return magic + b"\n" + comment + f"{w} {h}\n255\n".encode() + body, shape
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=image_bytes())
+def test_read_image_fuzz(tmp_path_factory, case):
+    data, shape = case
+    path = tmp_path_factory.mktemp("img") / "x.pgm"
+    path.write_bytes(data)
+    try:
+        img = read_image(path)
+    except ValueError:
+        return
+    assert img.dtype == np.float64 and img.ndim == 3 and img.shape[2] in (1, 3)
+    assert min(img.shape) >= 1
+    if shape is not None:
+        assert img.shape == shape

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from securejscc.config import load_public_key, load_secret_key, save_key_files
 from securejscc.lwe import (EXACT_FLOAT_LIMIT, Ciphertext, ErrorTriple,
                             LweParams, centered, decrypt, decrypt_noisy,
                             derive_error_rows, encrypt,
                             keygen, keygen_stack, lattice_product,
-                            load_public_key, load_secret_key,
                             public_matrix, round_half_away,
-                            sample_discrete_gaussian, save_key_files)
+                            sample_discrete_gaussian)
 from securejscc.rng import stream
 
 SMALL = LweParams(p=17, n1=4, n2=4, sigma_s=2.0, k=3)
@@ -54,6 +54,12 @@ def test_params_reject_int64_overflow():
         LweParams(p=top + 2, n1=1, n2=1, sigma_s=8.87, k=1)
     with pytest.raises(ValueError, match="overflow int64"):
         LweParams(p=2 ** 40, n1=4, n2=2 ** 20, sigma_s=8.87, k=1)
+
+
+@pytest.mark.parametrize("sigma_s", [math.inf, math.nan])
+def test_params_reject_non_finite_sigma(sigma_s):
+    with pytest.raises(ValueError, match="sigma_s must be positive and finite"):
+        LweParams(p=17, n1=4, n2=4, sigma_s=sigma_s, k=3)
 
 
 # -- exact lattice products --------------------------------------------------

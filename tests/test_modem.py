@@ -158,6 +158,13 @@ def test_channel_model_sigma2():
     assert noise_variance(math.inf, 1.0) == 0.0
 
 
+@pytest.mark.parametrize("snr_db", [-math.inf, math.nan])
+def test_only_plus_infinity_is_noiseless(snr_db):
+    # -inf dB is the noisiest channel there is, not a noiseless one
+    with pytest.raises(ValueError, match="finite or \\+inf"):
+        noise_variance(snr_db, 1.0)
+
+
 def test_zero_noise_identity():
     y = stream(3).standard_normal(100) + 1j * stream(4).standard_normal(100)
     assert np.array_equal(awgn(y, noise_variance(math.inf, 1.0), stream(5)), y)

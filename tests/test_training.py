@@ -131,6 +131,13 @@ def test_nonfinite_loss_aborts_with_diagnostic():
         compute_gradients(toy_batch(), state, ctx)
 
 
+def test_unknown_loss_raises_value_error():
+    ctx = make_ctx(MLP_SPEC, loss="l1")
+    state = init_train_state(MLP_SPEC, seed=7)
+    with pytest.raises(ValueError, match="unknown loss 'l1'"):
+        compute_gradients(toy_batch(), state, ctx)
+
+
 def test_training_skips_exact_decrypt(monkeypatch):
     # training reads only the noisy plaintext; the exact decrypt is lazy
     def fail(*args):
