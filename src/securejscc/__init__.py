@@ -20,9 +20,9 @@ from .metrics import ms_ssim, mse, psnr, ssim
 from .modem import (Constellation, awgn, build_constellation, modulate,
                     noise_variance, receive, soft_demodulate)
 from .pipeline import TransmissionRecord, records_to_csv, sweep, transmit_latent
-from .quantizer import (QuantizedLatent, QuantizerConfig, anneal_sigma_q,
-                        build_centroids, hard_quantize, soft_dequantize,
-                        soft_quantize, soft_quantize_jacobian)
+from .quantizer import (QuantizerConfig, anneal_sigma_q, build_centroids,
+                        hard_quantize, soft_dequantize, soft_quantize,
+                        soft_quantize_jacobian)
 from .rng import stream
 from .security import (AttackConfig, AttackReport, GameConfig, GameResult,
                        run_cpa_attack, run_ind_cpa_game)

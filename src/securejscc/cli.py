@@ -2,8 +2,8 @@
 
 Subcommands: keygen, transmit, sweep, indcpa, attack, train. All of them
 read JSON config files; see README for the schema. A bad config, key,
-codec or image file, or a missing path, ends the command with one line on
-stderr and exit status 2.
+codec or image file, a missing path, or a lattice too large to allocate,
+ends the command with one line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -132,12 +132,17 @@ def _cmd_train(args) -> int:
         snr_db=tr.snr_train_db, sigma_l=cfg.sigma_l,
         error_seed=cfg.seeds.error, channel_seed=cfg.seeds.channel,
         loss=tr.loss)
+    # streams key on a seed's low 64 bits: flipping the top one keeps every
+    # validation stream off the training messages' (unless error and
+    # channel seeds differ in that bit alone)
+    eval_ctx = replace(ctx, error_seed=cfg.seeds.error ^ (1 << 63),
+                       channel_seed=cfg.seeds.channel ^ (1 << 63))
     state = training.init_train_state(cfg.codec, tr.init_seed, tr.learning_rate)
     result = training.train_codec(
         train_images, val_images, ctx, state, max_steps=tr.max_steps,
         batch_size=tr.batch_size, shuffle_seed=tr.shuffle_seed,
-        patience=tr.patience, decay_patience=tr.decay_patience,
-        lr_decay=tr.lr_decay)
+        eval_ctx=eval_ctx, patience=tr.patience,
+        decay_patience=tr.decay_patience, lr_decay=tr.lr_decay)
     save_codec(cfg.codec, result.state.params, args.out)
     print(f"trained {result.state.step} steps; "
           f"val loss {result.val_losses[0]:.4f} -> {result.val_losses[-1]:.4f}; "
@@ -195,7 +200,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"securejscc {args.command}: {exc}", file=sys.stderr)
         return 2
 

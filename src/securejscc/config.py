@@ -26,6 +26,7 @@ from .datasets import DatasetSpec
 from .lwe import KeyPair, LweParams, PublicKey, keygen
 from .modem import AVG_POWER_DEFAULT, MAX_CONSTELLATION, SIGMA_L_DEFAULT, Db
 from .security import AttackConfig, GameConfig
+from .training import DECAY_PATIENCE, LR_DECAY, PATIENCE
 
 DEFAULT_LWE = {"p": 4093, "n1": 192, "n2": 192, "sigma_s": 8.87}
 KEY_FILE_VERSION = 1
@@ -45,8 +46,7 @@ class Seeds:
 
 @dataclass(frozen=True)
 class TrainingSettings:
-    """The ``training`` section; its stopping rule (``patience``,
-    ``decay_patience``, ``lr_decay``) is also ``train_codec``'s default."""
+    """The ``training`` section; the stopping rule defaults to train_codec's."""
 
     max_steps: int = 5000
     batch_size: int = 8
@@ -56,12 +56,16 @@ class TrainingSettings:
     val_fraction: float = 0.2
     shuffle_seed: int = 11
     init_seed: int = 12
-    patience: int = 10
-    decay_patience: int = 5
-    lr_decay: float = 0.8
+    patience: int = PATIENCE
+    decay_patience: int = DECAY_PATIENCE
+    lr_decay: float = LR_DECAY
 
     def __post_init__(self):
         loss_named(self.loss)  # an unknown loss fails here, not at the first step
+        for name in ("max_steps", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"training.{name} must be at least 1, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -84,6 +88,11 @@ class PipelineConfig:
         if self.lwe.k != self.codec.k:
             raise ValueError(
                 f"latent length mismatch: lwe.k={self.lwe.k}, codec.k={self.codec.k}")
+        if not 2 <= self.n_levels <= self.lwe.p:
+            raise ValueError(f"n_levels must lie in [2, lwe.p = {self.lwe.p}], "
+                             f"got {self.n_levels}")
+        if not self.snr_grid_db:
+            raise ValueError("snr_grid_db must name at least one SNR")
 
 
 # -- the value rule ----------------------------------------------------------
@@ -202,11 +211,15 @@ def game_config_from_dict(raw: dict) -> GameConfig:
 def attack_config_from_dict(raw: dict, default_dataset: DatasetSpec) -> AttackConfig:
     raw = _object(raw, "config key 'attack'")
     pairs = _value(int, raw.get("pairs", 2000), "attack.pairs")
-    # the attack draws one image per pair, so ``count`` may be left out
-    dataset = (_build(DatasetSpec, {"count": pairs,
-                                    **_section(raw, "dataset", "attack.")},
-                      "attack.dataset.")
-               if "dataset" in raw else default_dataset)
+    dataset = default_dataset
+    if "dataset" in raw:
+        # the attack draws one image per pair, so ``count`` may be left out
+        dataset = _build(DatasetSpec, {"count": pairs,
+                                       **_section(raw, "dataset", "attack.")},
+                         "attack.dataset.")
+        if dataset.count != pairs:
+            raise ValueError(f"config key 'attack.dataset.count' must equal "
+                             f"attack.pairs ({pairs}), got {dataset.count}")
     return _build(AttackConfig, {"adversary": "linear", "pairs": pairs,
                                  **_without(raw, "dataset")},
                   "attack.", dataset=dataset)

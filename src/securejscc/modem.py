@@ -192,7 +192,7 @@ def soft_demodulate(y_hat: np.ndarray, cons: Constellation, sigma2: float,
     return out.reshape(y_hat.shape)
 
 
-def receive(c: np.ndarray, cons: Constellation | None, sigma2: float,
+def receive(c: np.ndarray, cons: Constellation, sigma2: float,
             sigma_l: float, seed: int, message_indices) -> np.ndarray:
     """Channel and receiver for (B, k) ciphertext rows.
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -43,29 +42,13 @@ class TransmissionRecord:
     compound_noise_std: float
 
 
-@dataclass(frozen=True)
-class LatentTrace:
-    """Intermediates of a batch of latent round trips, one row per message."""
-
-    z_prime: np.ndarray   # noisy plaintext after decryption
-    c_hat: np.ndarray     # soft-demodulated ciphertext estimate
-    ct: Ciphertext        # the transmitted ciphertext
-    keys: KeyPair
-
-    @property
-    def c(self) -> np.ndarray:  # transmitted ciphertext values
-        return self.ct.c
-
-    @cached_property
-    def exact_plain(self) -> np.ndarray:
-        """Decrypt of the exact ciphertext, computed on first read."""
-        return decrypt(self.ct, self.keys)
-
-
 def transmit_latent(z_bar: np.ndarray, keys: KeyPair, cons: Constellation,
                     sigma2: float, sigma_l: float, error_seed: int,
-                    channel_seed: int, message_indices) -> LatentTrace:
-    """Carry (B, k) quantized latents through encryption, channel and decryption.
+                    channel_seed: int, message_indices
+                    ) -> tuple[Ciphertext, np.ndarray, np.ndarray]:
+    """Carry (B, k) quantized latents through encryption, channel and
+    decryption: the ciphertext, its soft-demodulated estimate c_hat and the
+    noisy plaintext decrypted from c_hat, one row per message.
 
     Row i uses the error triple and channel stream of ``message_indices[i]``,
     so a row's output does not depend on the batch it travels in.
@@ -74,8 +57,7 @@ def transmit_latent(z_bar: np.ndarray, keys: KeyPair, cons: Constellation,
     ct = encrypt(z_bar, keys, derive_error_rows(error_seed, message_indices,
                                                 keys.params))
     c_hat = receive(ct.c, cons, sigma2, sigma_l, channel_seed, message_indices)
-    return LatentTrace(z_prime=decrypt_noisy(c_hat, ct.d, keys), c_hat=c_hat,
-                       ct=ct, keys=keys)
+    return ct, c_hat, decrypt_noisy(c_hat, ct.d, keys)
 
 
 def _transmit_images(images: list[np.ndarray], spec: codec.CodecSpec,
@@ -90,11 +72,12 @@ def _transmit_images(images: list[np.ndarray], spec: codec.CodecSpec,
         raise ValueError(f"image shape {batch.shape[1:]} != codec {spec.input_shape}")
 
     z, _ = codec.encode(batch.reshape(len(images), -1), spec, params)
-    z_bar = hard_quantize(z, qcfg).values
-    trace = transmit_latent(z_bar, keys, cons,
-                            noise_variance(snr_db, cons.avg_power), sigma_l,
-                            error_seed, channel_seed, message_indices)
-    z_hat = soft_dequantize(trace.z_prime, qcfg)
+    z_bar = hard_quantize(z, qcfg)
+    ct, c_hat, z_prime = transmit_latent(
+        z_bar, keys, cons, noise_variance(snr_db, cons.avg_power), sigma_l,
+        error_seed, channel_seed, message_indices)
+    exact_plain = decrypt(ct, keys)  # the crypto noise column's reference
+    z_hat = soft_dequantize(z_prime, qcfg)
     x_hat_flat, _ = codec.decode(z_hat, spec, params)
     x_hats = x_hat_flat.reshape(len(images), h, w, c)
 
@@ -111,9 +94,9 @@ def _transmit_images(images: list[np.ndarray], spec: codec.CodecSpec,
             psnr=metrics.psnr(x, x_hat),
             ssim=metrics.ssim(x, x_hat),
             ms_ssim=metrics.ms_ssim(x, x_hat) if report_ms else None,
-            crypto_noise_std=float(np.std(centered(trace.exact_plain[i] - z_bar[i], p))),
-            channel_noise_std=float(np.std(trace.c_hat[i] - trace.c[i])),
-            compound_noise_std=float(np.std(centered(trace.z_prime[i] - z_bar[i], p))),
+            crypto_noise_std=float(np.std(centered(exact_plain[i] - z_bar[i], p))),
+            channel_noise_std=float(np.std(c_hat[i] - ct.c[i])),
+            compound_noise_std=float(np.std(centered(z_prime[i] - z_bar[i], p))),
         ))
     return records
 
@@ -130,22 +113,17 @@ def _fmt(value: float | int | None) -> str:
 
 def records_to_csv(records: list[TransmissionRecord]) -> str:
     """Fixed-order CSV: per-image rows, then mean/std rows per SNR."""
+    # past the version and row kind every column is a record field; the
+    # aggregate rows leave the two indices blank and reduce rho onward
     lines = [",".join(CSV_COLUMNS)]
     for r in records:
-        lines.append(",".join([
-            str(CSV_SCHEMA_VERSION), "image", str(r.image_index),
-            str(r.message_index), _fmt(r.snr_db), _fmt(r.rho), _fmt(r.mse),
-            _fmt(r.psnr), _fmt(r.ssim), _fmt(r.ms_ssim),
-            _fmt(r.crypto_noise_std), _fmt(r.channel_noise_std),
-            _fmt(r.compound_noise_std),
-        ]))
-    numeric = ("rho", "mse", "psnr", "ssim", "ms_ssim",
-               "crypto_noise_std", "channel_noise_std", "compound_noise_std")
+        lines.append(",".join([str(CSV_SCHEMA_VERSION), "image"]
+                              + [_fmt(getattr(r, name)) for name in CSV_COLUMNS[2:]]))
     for snr in sorted({r.snr_db for r in records}):
         group = [r for r in records if r.snr_db == snr]
         for kind, reducer in (("mean", np.mean), ("std", np.std)):
             row = [str(CSV_SCHEMA_VERSION), kind, "", "", _fmt(snr)]
-            for name in numeric:
+            for name in CSV_COLUMNS[5:]:
                 vals = [getattr(r, name) for r in group]
                 vals = [v for v in vals if v is not None and math.isfinite(v)]
                 row.append(_fmt(float(reducer(vals))) if vals else "")

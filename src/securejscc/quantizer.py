@@ -40,12 +40,6 @@ class QuantizerConfig:
         self.centroids = build_centroids(self.p, self.n_levels)
 
 
-@dataclass(frozen=True)
-class QuantizedLatent:
-    values: np.ndarray   # centroid values, int64
-    indices: np.ndarray  # centroid indices in [0, n_levels)
-
-
 def _check_finite(z: np.ndarray, what: str) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):
@@ -53,12 +47,13 @@ def _check_finite(z: np.ndarray, what: str) -> np.ndarray:
     return z
 
 
-def hard_quantize(z: np.ndarray, cfg: QuantizerConfig) -> QuantizedLatent:
-    """Map each entry to the nearest centroid; ties go to the lower index."""
+def hard_quantize(z: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
+    """The nearest centroid's value (int64) for each entry, in ``z``'s shape;
+    ties go to the lower centroid."""
     z = _check_finite(z, "latent vector")
     d = np.abs(z[..., None] - cfg.centroids[None, :])
-    idx = np.argmin(d, axis=-1)  # argmin returns the first (lower) index on ties
-    return QuantizedLatent(values=cfg.centroids[idx], indices=idx)
+    # argmin returns the first (lower) index on ties
+    return cfg.centroids[np.argmin(d, axis=-1)]
 
 
 def _centroid_weights(z: np.ndarray, cfg: QuantizerConfig, sharpness: float,

@@ -17,7 +17,7 @@ configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -248,6 +248,13 @@ class AttackConfig:
             raise ValueError(f"unknown error mode {self.error_mode!r}")
         if self.pairs < 1:
             raise ValueError("need at least one (image, ciphertext) pair")
+        if self.n_test >= self.pairs:
+            raise ValueError("test fraction leaves no training pairs")
+
+    @property
+    def n_test(self) -> int:
+        """Pairs held out to score the adversary: at least one."""
+        return max(1, int(round(self.pairs * self.test_fraction)))
 
 
 @dataclass(frozen=True)
@@ -348,31 +355,26 @@ def run_cpa_attack(cfg: AttackConfig, spec: codec.CodecSpec, codec_params: dict,
     eve_seed = spawn_seed(rng)
     fit_seed = spawn_seed(rng)
 
-    dataset = DatasetSpec(kind=cfg.dataset.kind, count=cfg.pairs,
-                          height=cfg.dataset.height, width=cfg.dataset.width,
-                          channels=cfg.dataset.channels)
-    images = synthesize_dataset(dataset, data_seed)
+    images = synthesize_dataset(replace(cfg.dataset, count=cfg.pairs), data_seed)
     x = np.stack([im.reshape(-1) for im in images])
 
     z, _ = codec.encode(x, spec, codec_params)
-    z_bar = hard_quantize(z.ravel(), qcfg).values.reshape(z.shape)
+    z_bar = hard_quantize(z, qcfg)
     messages = np.arange(cfg.pairs)
     error_indices = np.zeros_like(messages) if cfg.error_mode == "reused" else messages
     errors = derive_error_rows(error_seed, error_indices, params)
     ct = encrypt(z_bar, public_key, errors)
     # Eve's channel: the same receiver as Bob's, without the secret key
-    sigma2_e = noise_variance(cfg.snr_e_db, avg_power)
-    cons = build_constellation(params.p, avg_power) if sigma2_e > 0 else None
-    observations = receive(ct.c, cons, sigma2_e, sigma_l, eve_seed, messages)
+    observations = receive(ct.c, build_constellation(params.p, avg_power),
+                           noise_variance(cfg.snr_e_db, avg_power), sigma_l,
+                           eve_seed, messages)
     if cfg.error_mode == "known_seed":
         # the seed lets the adversary remove the error layer exactly
         observations = (observations - (lattice_product(errors.e1, public_key.B)
                                         + errors.e3)) % params.p
 
-    n_test = max(1, int(round(cfg.pairs * cfg.test_fraction)))
+    n_test = cfg.n_test
     n_train = cfg.pairs - n_test
-    if n_train < 1:
-        raise ValueError("test fraction leaves no training pairs")
     feats = _circular_features(observations, params.p)
     x_train, x_test = x[:n_train], x[n_train:]
     f_train, f_test = feats[:n_train], feats[n_train:]
@@ -387,7 +389,7 @@ def run_cpa_attack(cfg: AttackConfig, spec: codec.CodecSpec, codec_params: dict,
         out, _ = codec.dense_forward(net, "adv", f_test, 2)
         pred = np.clip(255.0 * out, 0.0, 255.0)
 
-    shape = (dataset.height, dataset.width, dataset.channels)
+    shape = (cfg.dataset.height, cfg.dataset.width, cfg.dataset.channels)
 
     def _scores(predicted):
         mses, psnrs, ssims = [], [], []

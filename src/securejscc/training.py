@@ -18,13 +18,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import codec
-from .config import TrainingSettings
 from .lwe import KeyPair
 from .modem import Constellation, noise_variance
 from .pipeline import transmit_latent
 from .quantizer import (SIGMA_Q_INITIAL, QuantizerConfig, anneal_sigma_q,
                         hard_quantize, soft_dequantize, soft_quantize_jacobian)
 from .rng import stream
+
+# train_codec's stopping rule: epochs without a better validation loss
+# before training stops, and before each learning-rate decay by LR_DECAY
+PATIENCE = 10
+DECAY_PATIENCE = 5
+LR_DECAY = 0.8
 
 
 @dataclass
@@ -40,10 +45,6 @@ class TrainContext:
     error_seed: int
     channel_seed: int
     loss: str = "mse"  # a key of codec.LOSSES
-
-    @property
-    def sigma2(self) -> float:
-        return noise_variance(self.snr_db, self.cons.avg_power)
 
 
 @dataclass
@@ -65,11 +66,11 @@ def init_train_state(spec: codec.CodecSpec, seed: int,
 def _through_chain(ctx: TrainContext, message_base: int):
     """Latent map of the real chain: quantize, transmit the batch, dequantize."""
     def latent_map(z: np.ndarray) -> np.ndarray:
-        z_bar = hard_quantize(z.ravel(), ctx.qcfg).values.reshape(z.shape)
-        trace = transmit_latent(z_bar, ctx.keys, ctx.cons, ctx.sigma2,
-                                ctx.sigma_l, ctx.error_seed, ctx.channel_seed,
-                                message_base + np.arange(z.shape[0]))
-        return soft_dequantize(trace.z_prime, ctx.qcfg)
+        _, _, z_prime = transmit_latent(
+            hard_quantize(z, ctx.qcfg), ctx.keys, ctx.cons,
+            noise_variance(ctx.snr_db, ctx.cons.avg_power), ctx.sigma_l,
+            ctx.error_seed, ctx.channel_seed, message_base + np.arange(z.shape[0]))
+        return soft_dequantize(z_prime, ctx.qcfg)
     return latent_map
 
 
@@ -138,20 +139,20 @@ class TrainResult:
 
 def train_codec(train_images: list[np.ndarray], val_images: list[np.ndarray],
                 ctx: TrainContext, state: TrainState, *, max_steps: int,
-                batch_size: int, shuffle_seed: int, eval_ctx: TrainContext | None = None,
-                patience: int = TrainingSettings.patience,
-                decay_patience: int = TrainingSettings.decay_patience,
-                lr_decay: float = TrainingSettings.lr_decay) -> TrainResult:
+                batch_size: int, shuffle_seed: int, eval_ctx: TrainContext,
+                patience: int = PATIENCE, decay_patience: int = DECAY_PATIENCE,
+                lr_decay: float = LR_DECAY) -> TrainResult:
     """Epoch loop with early stopping and stagnation-triggered LR decay.
 
     An epoch is one pass over the training set. Validation runs after each
-    epoch on a dedicated context (fresh noise seeds, same chain); training
-    stops after ``patience`` epochs without improvement and the learning
-    rate shrinks by ``lr_decay`` after ``decay_patience`` stagnant epochs.
+    epoch on ``eval_ctx``: the same chain, whose error and channel seeds
+    must differ from ``ctx``'s so that no validation image shares a
+    training message's noise. Training stops after ``patience`` epochs
+    without improvement and the learning rate shrinks by ``lr_decay`` after
+    ``decay_patience`` stagnant epochs.
     """
     x_train = np.stack([im.reshape(-1) for im in train_images])
     x_val = np.stack([im.reshape(-1) for im in val_images])
-    ectx = eval_ctx if eval_ctx is not None else ctx
     shuffle_rng = stream(shuffle_seed)
 
     best_val = math.inf
@@ -169,14 +170,14 @@ def train_codec(train_images: list[np.ndarray], val_images: list[np.ndarray],
             state, loss = train_step(batch, state, ctx)
             epoch_losses.append(loss)
         train_losses.append(float(np.mean(epoch_losses)))
-        val = evaluate(x_val, state.params, ectx)
+        val = evaluate(x_val, state.params, eval_ctx)
         val_losses.append(val)
         if val < best_val - 1e-12:
             best_val = val
             stagnant = 0
         else:
             stagnant += 1
-            if stagnant > 0 and stagnant % decay_patience == 0:
+            if stagnant % decay_patience == 0:
                 state = replace(state, learning_rate=state.learning_rate * lr_decay)
             if stagnant >= patience:
                 stopped_early = True

@@ -65,7 +65,7 @@ def test_identity_through_hard_quantization_error_bound():
     for start in range(0, 256, 16):
         x = grays[start:start + 16][None, :]
         z, _ = encode(x, IDENT, {})
-        z_bar = hard_quantize(z[0], cfg).values.astype(float)
+        z_bar = hard_quantize(z[0], cfg).astype(float)
         x_hat, _ = decode(z_bar[None, :], IDENT, {})
         err = np.abs(x_hat[0] - x[0])
         in_span = z[0] <= cfg.centroids[-1] + (P / 16) / 2

@@ -74,7 +74,7 @@ def test_attack_loader_rejects_unknown_key(raw, key):
 
 
 def test_attack_dataset_count_is_optional():
-    # run_cpa_attack draws one image per pair, so count is never read
+    # run_cpa_attack draws one image per pair, so count defaults to pairs
     cfg = config_from_dict({})
     attack = attack_config_from_dict(
         {"pairs": 30, "dataset": {"kind": "blob", "height": 4, "width": 4}},
@@ -252,3 +252,83 @@ def test_cli_train_writes_codec(tmp_path):
     spec, params = load_codec(out)
     assert spec.kind == "mlp"
     assert params
+
+
+MLP_TRAINING = dict(
+    dataset={"kind": "blob", "count": 20, "height": 4, "width": 4, "channels": 1},
+    codec={"kind": "mlp", "k": 16, "hidden_sizes": [12], "latent_scale": 251.0},
+    training={"max_steps": 30, "batch_size": 5, "snr_train_db": 10.0})
+
+
+def test_cli_train_validation_streams_disjoint_from_training(tmp_path, monkeypatch):
+    # every (seed, index) stream the chain draws, by phase: error triples
+    # come from derive_error_rows, channel noise from receive
+    from securejscc import pipeline, training
+    drawn = {"train": set(), "val": set()}
+    phase = ["train"]
+
+    def spy(fn, at):  # args[at], args[at + 1] are the seed and the indices
+        def wrapper(*args):
+            seed, indices = args[at:at + 2]
+            drawn[phase[0]].update((seed, int(i)) for i in indices)
+            return fn(*args)
+        return wrapper
+
+    def evaluate(*args):
+        phase[0] = "val"
+        try:
+            return real_evaluate(*args)
+        finally:
+            phase[0] = "train"
+
+    real_evaluate = training.evaluate
+    monkeypatch.setattr(pipeline, "derive_error_rows", spy(pipeline.derive_error_rows, 0))
+    monkeypatch.setattr(pipeline, "receive", spy(pipeline.receive, 4))
+    monkeypatch.setattr(training, "evaluate", evaluate)
+    cfg_path = make_config_file(tmp_path, **MLP_TRAINING)
+    assert main(["train", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "codec.json")]) == 0
+    assert drawn["train"] and drawn["val"]
+    assert not drawn["train"] & drawn["val"]
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"training": {"max_steps": 0}}, "training.max_steps must be at least 1"),
+    ({"training": {"batch_size": -1}}, "training.batch_size must be at least 1"),
+    ({"n_levels": 1}, "n_levels must lie in [2, lwe.p = 251], got 1"),
+    ({"n_levels": 252}, "n_levels must lie in [2, lwe.p = 251], got 252"),
+    ({"snr_grid_db": []}, "snr_grid_db must name at least one SNR"),
+])
+def test_cli_unworkable_settings_exit_2(tmp_path, capsys, over, message):
+    cfg_path = make_config_file(tmp_path, **{**MLP_TRAINING, **over})
+    assert main(["train", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "codec.json")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+    assert not (tmp_path / "codec.json").exists()
+
+
+@pytest.mark.parametrize("attack, message", [
+    ({"pairs": 1}, "test fraction leaves no training pairs"),
+    ({"pairs": 10, "test_fraction": 0.96}, "test fraction leaves no training pairs"),
+    ({"pairs": 50, "dataset": {"kind": "blob", "count": 7, "height": 4,
+                               "width": 4}},
+     "'attack.dataset.count' must equal attack.pairs (50), got 7"),
+])
+def test_cli_unworkable_attack_exits_2(tmp_path, capsys, attack, message):
+    cfg_path = make_config_file(tmp_path, attack=attack)
+    assert main(["attack", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+
+
+def test_cli_unallocatable_lattice_exits_2(tmp_path, capsys, monkeypatch):
+    from securejscc import cli
+
+    def keygen(*args):
+        raise MemoryError("Unable to allocate 116. TiB for an array")
+    monkeypatch.setattr(cli, "keygen", keygen)
+    assert main(["sweep", "--config", str(make_config_file(tmp_path)),
+                 "--out", str(tmp_path / "sweep.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == "securejscc sweep: Unable to allocate 116. TiB for an array\n"

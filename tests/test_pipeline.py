@@ -7,7 +7,7 @@ import pytest
 from securejscc import codec, metrics
 from securejscc.codec import CodecSpec
 from securejscc.datasets import DatasetSpec, synthesize_dataset
-from securejscc.lwe import LweParams, centered, keygen
+from securejscc.lwe import LweParams, centered, decrypt, keygen
 from securejscc.modem import build_constellation
 from securejscc.pipeline import CSV_COLUMNS, records_to_csv, sweep, transmit_latent
 from securejscc.quantizer import QuantizerConfig, hard_quantize, soft_dequantize
@@ -36,10 +36,10 @@ def test_zero_noise_zero_errors_is_quantization_only(setup, zero_error_rows):
     keys, qcfg, cons, images = setup
     x = images[0]
     z, _ = codec.encode(x.reshape(1, -1), SPEC, {})
-    z_bar = hard_quantize(z, qcfg).values
-    trace = transmit_latent(z_bar, keys, cons, 0.0, 5.0, 3, 4, [0])
-    assert np.array_equal(trace.z_prime, z_bar)
-    x_hat, _ = codec.decode(soft_dequantize(trace.z_prime, qcfg), SPEC, {})
+    z_bar = hard_quantize(z, qcfg)
+    _, _, z_prime = transmit_latent(z_bar, keys, cons, 0.0, 5.0, 3, 4, [0])
+    assert np.array_equal(z_prime, z_bar)
+    x_hat, _ = codec.decode(soft_dequantize(z_prime, qcfg), SPEC, {})
     x_hat = x_hat.reshape(x.shape)
     spacing_px = (4093 / 16) / 2 * (256 / 4093)
     in_span = z[0] <= qcfg.centroids[-1] + (4093 / 16) / 2
@@ -55,10 +55,10 @@ def test_zero_noise_zero_errors_is_quantization_only(setup, zero_error_rows):
 def test_transmit_deterministic(setup):
     keys, qcfg, cons, _ = setup
     zbar = stream(52).integers(0, 4093, size=(2, 64))
-    a = transmit_latent(zbar, keys, cons, 0.1, 5.0, 3, 4, [7, 9])
-    b = transmit_latent(zbar, keys, cons, 0.1, 5.0, 3, 4, [7, 9])
-    for field in ("z_prime", "c_hat", "c"):
-        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    (ct_a, *a), (ct_b, *b) = (transmit_latent(zbar, keys, cons, 0.1, 5.0, 3, 4,
+                                              [7, 9]) for _ in range(2))
+    for x, y in zip([ct_a.c, ct_a.d, *a], [ct_b.c, ct_b.d, *b]):
+        assert np.array_equal(x, y)
 
 
 def test_distinct_message_indices_differ(setup):
@@ -123,11 +123,11 @@ def test_noise_accounting_additive(setup):
     zbar = np.stack([qcfg.centroids[stream(50, m).integers(0, 16, size=64)]
                      for m in range(30)])
     for snr in (5.0, 15.0):
-        tr = transmit_latent(zbar, keys, cons, 10 ** (-snr / 10), 5.0,
-                             3, 4, np.arange(30))
-        crypto_v = np.var(centered(tr.exact_plain - zbar, 4093), axis=1)
-        chan_v = np.var(tr.c_hat - tr.c, axis=1)
-        comp_v = np.var(centered(tr.z_prime - zbar, 4093), axis=1)
+        ct, c_hat, z_prime = transmit_latent(zbar, keys, cons, 10 ** (-snr / 10),
+                                             5.0, 3, 4, np.arange(30))
+        crypto_v = np.var(centered(decrypt(ct, keys) - zbar, 4093), axis=1)
+        chan_v = np.var(c_hat - ct.c, axis=1)
+        comp_v = np.var(centered(z_prime - zbar, 4093), axis=1)
         total = np.mean(crypto_v) + np.mean(chan_v)
         assert abs(np.mean(comp_v) / total - 1.0) < 0.10
 
@@ -141,13 +141,17 @@ def test_batched_chain_rows_equal_single_messages(k):
     cons = build_constellation(4093, 1.0)
     indices = [7, 2, 11, 3]
     zbar = stream(51).integers(0, 4093, size=(len(indices), k))
-    batch = transmit_latent(zbar, keys, cons, 0.1, 5.0, 3, 4, indices)
+    def outputs(rows, message_indices):
+        ct, c_hat, z_prime = transmit_latent(rows, keys, cons, 0.1, 5.0, 3, 4,
+                                             message_indices)
+        return {"c": ct.c, "d": ct.d, "exact_plain": decrypt(ct, keys),
+                "c_hat": c_hat, "z_prime": z_prime}
+
+    batch = outputs(zbar, indices)
     for row, index in enumerate(indices):
-        one = transmit_latent(zbar[row:row + 1], keys, cons, 0.1, 5.0, 3, 4,
-                              [index])
-        for field in ("z_prime", "exact_plain", "c", "c_hat"):
-            assert np.array_equal(getattr(batch, field)[row],
-                                  getattr(one, field)[0]), field
+        one = outputs(zbar[row:row + 1], [index])
+        for field, value in batch.items():
+            assert np.array_equal(value[row], one[field][0]), field
 
 
 def test_ms_ssim_omitted_for_small_images(setup):

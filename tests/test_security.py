@@ -189,7 +189,8 @@ def test_game_result_report_strings():
 
 def test_eve_infinite_snr_is_identity():
     c = stream(1).integers(0, 4093, size=(2, 64))
-    eve = receive(c, None, noise_variance(math.inf, 1.0), 5.0, 3, [0, 1])
+    eve = receive(c, build_constellation(4093, 1.0), noise_variance(math.inf, 1.0),
+                  5.0, 3, [0, 1])
     assert np.array_equal(eve, c)
 
 

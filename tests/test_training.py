@@ -25,8 +25,7 @@ def surrogate_gradients(batch, state, ctx):
     the two agree exactly, which pins down the gradient-routing contract.
     """
     return _gradients(batch, state.params, ctx, state.sigma_q,
-                      lambda z: hard_quantize(z.ravel(), ctx.qcfg).values
-                      .reshape(z.shape).astype(np.float64))
+                      lambda z: hard_quantize(z, ctx.qcfg).astype(np.float64))
 
 
 def soft_surrogate_gradients(batch, params, ctx, sigma_q):
