@@ -11,7 +11,7 @@ advantage empirically.
 from .codec import CodecSpec
 from .config import (load_codec, load_public_key, load_secret_key, save_codec,
                      save_key_files)
-from .datasets import DatasetSpec, read_image, synthesize_dataset, write_image
+from .datasets import DatasetSpec, read_image, synthesize_dataset
 from .lwe import (Ciphertext, ErrorTriple, KeyPair, LweParams, PublicKey,
                   centered, decrypt, decrypt_noisy, derive_error_rows, encrypt,
                   error_rows, keygen, keygen_stack, lattice_product,
@@ -21,8 +21,7 @@ from .modem import (Constellation, awgn, build_constellation, modulate,
                     noise_variance, receive, soft_demodulate)
 from .pipeline import TransmissionRecord, records_to_csv, sweep, transmit_latent
 from .quantizer import (QuantizerConfig, anneal_sigma_q, build_centroids,
-                        hard_quantize, soft_dequantize, soft_quantize,
-                        soft_quantize_jacobian)
+                        hard_quantize, soft_dequantize, soft_quantize_jacobian)
 from .rng import stream
 from .security import (AttackConfig, AttackReport, GameConfig, GameResult,
                        run_cpa_attack, run_ind_cpa_game)

@@ -48,7 +48,7 @@ def _sweep_to_csv(cfg, keys, images, snr_grid_db, codec_params_path, out) -> int
     return its record count."""
     records = sweep(images, cfg.codec, _codec_params(cfg, codec_params_path), keys,
                     QuantizerConfig(cfg.lwe.p, cfg.n_levels),
-                    build_constellation(cfg.lwe.p, cfg.avg_power), list(snr_grid_db),
+                    build_constellation(cfg.lwe.p), list(snr_grid_db),
                     cfg.sigma_l, cfg.seeds.error, cfg.seeds.channel)
     Path(out).write_text(records_to_csv(records))
     return len(records)
@@ -99,7 +99,7 @@ def _cmd_attack(args) -> int:
     if args.sabotage_control:
         attack_cfgs.append(replace(attack_cfg, error_mode="reused", adversary="linear"))
     reports = [security.run_cpa_attack(c, cfg.codec, params, keys.public(), qcfg,
-                                       sigma_l=cfg.sigma_l, avg_power=cfg.avg_power)
+                                       sigma_l=cfg.sigma_l)
                for c in attack_cfgs]
     # the sabotage control, when run, is the last report
     sabotage_ok = not args.sabotage_control or reports[-1].mse_ratio < 0.5
@@ -121,12 +121,15 @@ def _cmd_attack(args) -> int:
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
     tr = cfg.training
+    n_val = max(1, int(round(cfg.dataset.count * tr.val_fraction)))
+    if n_val >= cfg.dataset.count:
+        raise ValueError(f"training.val_fraction = {tr.val_fraction} of dataset.count "
+                         f"= {cfg.dataset.count} images leaves none to train on")
     keys = keygen(cfg.lwe, cfg.seeds.key, cfg.seeds.lattice)
     images = synthesize_dataset(cfg.dataset, cfg.seeds.data)
-    n_val = max(1, int(round(len(images) * tr.val_fraction)))
     train_images, val_images = images[:-n_val], images[-n_val:]
     qcfg = QuantizerConfig(cfg.lwe.p, cfg.n_levels)
-    cons = build_constellation(cfg.lwe.p, cfg.avg_power)
+    cons = build_constellation(cfg.lwe.p)
     ctx = training.TrainContext(
         spec=cfg.codec, keys=keys, qcfg=qcfg, cons=cons,
         snr_db=tr.snr_train_db, sigma_l=cfg.sigma_l,
@@ -140,9 +143,7 @@ def _cmd_train(args) -> int:
     state = training.init_train_state(cfg.codec, tr.init_seed, tr.learning_rate)
     result = training.train_codec(
         train_images, val_images, ctx, state, max_steps=tr.max_steps,
-        batch_size=tr.batch_size, shuffle_seed=tr.shuffle_seed,
-        eval_ctx=eval_ctx, patience=tr.patience,
-        decay_patience=tr.decay_patience, lr_decay=tr.lr_decay)
+        batch_size=tr.batch_size, shuffle_seed=tr.shuffle_seed, eval_ctx=eval_ctx)
     save_codec(cfg.codec, result.state.params, args.out)
     print(f"trained {result.state.step} steps; "
           f"val loss {result.val_losses[0]:.4f} -> {result.val_losses[-1]:.4f}; "

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import metrics
+
 CODEC_KINDS = ("identity", "mlp")
 
 ADAM_LR = 1e-4
@@ -204,16 +206,15 @@ def mse_loss(x: np.ndarray, x_hat: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, 2.0 * diff / diff.size
 
 
-def ssim_loss(x: np.ndarray, x_hat: np.ndarray,
-              peak: float = 255.0) -> tuple[float, np.ndarray]:
+def ssim_loss(x: np.ndarray, x_hat: np.ndarray) -> tuple[float, np.ndarray]:
     """1 - SSIM over the batch (global statistics per image), with gradient.
 
     Each row of ``x`` is treated as one single-channel image. sigma is
     floored at a tiny epsilon so the derivative stays finite on constant
     reconstructions.
     """
-    v1 = (0.01 * peak) ** 2
-    v2 = (0.03 * peak) ** 2
+    v1 = (metrics.V1_FACTOR * metrics.PEAK) ** 2
+    v2 = (metrics.V2_FACTOR * metrics.PEAK) ** 2
     n = x.shape[1]
     grad = np.zeros_like(x_hat)
     total = 0.0

@@ -2,12 +2,13 @@
 
 Defaults follow the reference operating point: modulus 4093 with 192x192
 lattice dimensions and sampler width 8.87, 16 quantization levels,
-demodulator sharpness 5, and Adam at 1e-4 with betas (0.9, 0.999). Each
-default lives on its dataclass field: the loaders pass on only the keys a
-config sets. Every random choice is pinned by an explicit seed in the
-config. One rule, :func:`_build`, turns every JSON object into its
-dataclass by the dataclass's field names and annotations; key and codec
-files are checked against the params and spec they carry.
+demodulator sharpness 5 at unit average power, and Adam at 1e-4 with
+betas (0.9, 0.999). Each default lives on its dataclass field: the
+loaders pass on only the keys a config sets. Every random choice is
+pinned by an explicit seed in the config. One rule, :func:`_build`, turns
+every JSON object into its dataclass by the dataclass's field names and
+annotations; key and codec files are checked against the params and spec
+they carry.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ import numpy as np
 from .codec import ADAM_LR, CodecSpec, loss_named, param_shapes
 from .datasets import DatasetSpec
 from .lwe import KeyPair, LweParams, PublicKey, keygen
-from .modem import AVG_POWER_DEFAULT, MAX_CONSTELLATION, SIGMA_L_DEFAULT, Db
+from .modem import MAX_CONSTELLATION, SIGMA_L_DEFAULT, Db
 from .security import AttackConfig, GameConfig
-from .training import DECAY_PATIENCE, LR_DECAY, PATIENCE
 
 DEFAULT_LWE = {"p": 4093, "n1": 192, "n2": 192, "sigma_s": 8.87}
 KEY_FILE_VERSION = 1
@@ -46,7 +46,7 @@ class Seeds:
 
 @dataclass(frozen=True)
 class TrainingSettings:
-    """The ``training`` section; the stopping rule defaults to train_codec's."""
+    """The ``training`` section."""
 
     max_steps: int = 5000
     batch_size: int = 8
@@ -56,9 +56,6 @@ class TrainingSettings:
     val_fraction: float = 0.2
     shuffle_seed: int = 11
     init_seed: int = 12
-    patience: int = PATIENCE
-    decay_patience: int = DECAY_PATIENCE
-    lr_decay: float = LR_DECAY
 
     def __post_init__(self):
         loss_named(self.loss)  # an unknown loss fails here, not at the first step
@@ -76,7 +73,6 @@ class PipelineConfig:
     seeds: Seeds = field(default_factory=Seeds)
     n_levels: int = 16
     sigma_l: float = SIGMA_L_DEFAULT
-    avg_power: float = AVG_POWER_DEFAULT
     snr_grid_db: tuple[Db, ...] = (0.0, 5.0, 10.0, 15.0)
     output_csv: str = "sweep.csv"
     training: TrainingSettings = field(default_factory=TrainingSettings)

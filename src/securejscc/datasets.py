@@ -1,4 +1,4 @@
-"""Synthetic image generation and minimal PGM/PPM file I/O.
+"""Synthetic image generation and a minimal PGM/PPM reader.
 
 Images are H x W x C float arrays with values in [0, 255]. Synthesis is
 deterministic given the data seed, which keeps every downstream run
@@ -128,16 +128,3 @@ def read_image(path: str | Path) -> np.ndarray:
                          f"the file has {len(raw) - header.end()}")
     pixels = np.frombuffer(raw, dtype=np.uint8, count=count, offset=header.end())
     return pixels.reshape(h, w, -1).astype(np.float64)
-
-
-def write_image(path: str | Path, image: np.ndarray) -> None:
-    """Write an HxWxC array (C=1 as PGM, C=3 as PPM), rounding to 8 bits."""
-    img = np.asarray(image)
-    if img.ndim == 2:
-        img = img[:, :, None]
-    h, w, c = img.shape
-    if c not in (1, 3):
-        raise ValueError(f"can only write 1- or 3-channel images, got C={c}")
-    magic = b"P5" if c == 1 else b"P6"
-    data = np.clip(np.rint(img), 0, 255).astype(np.uint8).tobytes()
-    Path(path).write_bytes(magic + f"\n{w} {h}\n255\n".encode() + data)

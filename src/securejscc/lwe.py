@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import stream
+from .rng import normal_rows, stream
 
 # float64 holds every integer of magnitude up to 2**53 exactly
 EXACT_FLOAT_LIMIT = 2 ** 53
@@ -59,8 +59,11 @@ class LweParams:
     @property
     def tail(self) -> int:
         """The largest magnitude :func:`sample_discrete_gaussian` can return:
-        ``SAMPLER_TAIL_SIGMAS`` standard deviations of its normal, rounded up."""
-        return math.ceil(SAMPLER_TAIL_SIGMAS * self.sigma_s / math.sqrt(2.0 * math.pi))
+        ``SAMPLER_TAIL_SIGMAS`` standard deviations of its normal, rounded up.
+        Capped at 2**63, past which every lattice product overflows anyway,
+        so that a huge finite ``sigma_s`` gives a number, not +inf."""
+        tail = SAMPLER_TAIL_SIGMAS * self.sigma_s / math.sqrt(2.0 * math.pi)
+        return math.ceil(min(tail, 2.0 ** 63))
 
 
 @dataclass(frozen=True)
@@ -114,12 +117,10 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
 def _gaussian_rows(sigma_s: float, rngs, shape) -> np.ndarray:
     """One ``shape`` block of rounded N(0, sigma_s^2 / 2pi) draws per stream.
 
-    Each stream is drawn once and the whole stack is rounded once; the
-    draws are the ones ``rng.normal(0, sigma_s / sqrt(2 pi), shape)`` makes.
+    The whole stack is rounded once; the draws are the ones
+    ``rng.normal(0, sigma_s / sqrt(2 pi), shape)`` makes.
     """
-    x = np.empty((len(rngs), *shape))
-    for row, rng in zip(x, rngs):
-        rng.standard_normal(out=row)
+    x = normal_rows(rngs, shape)
     x *= sigma_s / math.sqrt(2.0 * math.pi)
     return round_half_away(x).astype(np.int64)
 

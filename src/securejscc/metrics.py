@@ -1,8 +1,8 @@
 """Image distortion metrics: MSE, PSNR, SSIM and MS-SSIM.
 
 All statistics are global per channel (no sliding window). Images are
-H x W or H x W x C arrays of reals; ``peak`` is the maximum pixel value
-(255 for 8-bit content).
+H x W or H x W x C arrays of reals with 8-bit content: ``PEAK`` is the
+maximum pixel value.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+PEAK = 255.0
 # stability constants and scale weights from the standard MS-SSIM defaults
 V1_FACTOR = 0.01
 V2_FACTOR = 0.03
@@ -39,12 +40,12 @@ def mse(x: np.ndarray, x_hat: np.ndarray) -> float:
     return float(np.mean((a - b) ** 2))
 
 
-def psnr(x: np.ndarray, x_hat: np.ndarray, peak: float = 255.0) -> float:
-    """10 * log10(peak^2 / MSE) in dB; identical images give +inf."""
+def psnr(x: np.ndarray, x_hat: np.ndarray) -> float:
+    """10 * log10(PEAK^2 / MSE) in dB; identical images give +inf."""
     err = mse(x, x_hat)
     if err == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / err)
+    return 10.0 * math.log10(PEAK * PEAK / err)
 
 
 def _luminance_term(a: np.ndarray, b: np.ndarray, v1: float) -> float:
@@ -62,7 +63,7 @@ def _structure_term(a: np.ndarray, b: np.ndarray, v3: float) -> float:
     return (cov + v3) / (a.std() * b.std() + v3)
 
 
-def ssim(x: np.ndarray, x_hat: np.ndarray, peak: float = 255.0) -> float:
+def ssim(x: np.ndarray, x_hat: np.ndarray) -> float:
     """Global-statistics structural similarity, averaged over channels.
 
     Product of a luminance term and a contrast term; the contrast term uses
@@ -70,8 +71,8 @@ def ssim(x: np.ndarray, x_hat: np.ndarray, peak: float = 255.0) -> float:
     numerator.
     """
     a, b = _check_pair(x, x_hat)
-    v1 = (V1_FACTOR * peak) ** 2
-    v2 = (V2_FACTOR * peak) ** 2
+    v1 = (V1_FACTOR * PEAK) ** 2
+    v2 = (V2_FACTOR * PEAK) ** 2
     vals = [_luminance_term(a[:, :, c], b[:, :, c], v1)
             * _contrast_term(a[:, :, c], b[:, :, c], v2)
             for c in range(a.shape[2])]
@@ -85,8 +86,7 @@ def _downsample2(x: np.ndarray) -> np.ndarray:
     return 0.25 * (x[0::2, 0::2] + x[1::2, 0::2] + x[0::2, 1::2] + x[1::2, 1::2])
 
 
-def ms_ssim(x: np.ndarray, x_hat: np.ndarray, scales: int = 5,
-            peak: float = 255.0) -> float:
+def ms_ssim(x: np.ndarray, x_hat: np.ndarray, scales: int = 5) -> float:
     """Multi-scale structural similarity, averaged over channels.
 
     Contrast and structure terms are evaluated on a dyadic pyramid (2x2
@@ -100,8 +100,8 @@ def ms_ssim(x: np.ndarray, x_hat: np.ndarray, scales: int = 5,
     if min(a.shape[0], a.shape[1]) < 2 ** (scales - 1):
         raise ValueError(
             f"image {a.shape[0]}x{a.shape[1]} too small for {scales} scales")
-    v1 = (V1_FACTOR * peak) ** 2
-    v2 = (V2_FACTOR * peak) ** 2
+    v1 = (V1_FACTOR * PEAK) ** 2
+    v2 = (V2_FACTOR * PEAK) ** 2
     v3 = v2 / 2.0
     weights = MSSSIM_WEIGHTS[:scales]
     vals = []

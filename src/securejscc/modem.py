@@ -17,11 +17,10 @@ from typing import NewType
 
 import numpy as np
 
-from .rng import stream
+from .rng import normal_rows, stream
 
 MAX_CONSTELLATION = 4096
 SIGMA_L_DEFAULT = 5.0
-AVG_POWER_DEFAULT = 1.0
 # symbols x window points of one demodulator block: 1 MiB of float64
 BLOCK_ELEMENTS = 1 << 17
 # A symbol's window drops points whose score is more than GAP below the
@@ -55,7 +54,7 @@ def noise_variance(snr_db: Db, avg_power: float) -> float:
     return avg_power * 10.0 ** (-snr_db / 10.0)
 
 
-def build_constellation(p: int, target_power: float = AVG_POWER_DEFAULT) -> Constellation:
+def build_constellation(p: int, target_power: float = 1.0) -> Constellation:
     """Square QAM with the last grid points dropped and power normalized.
 
     Uses the smallest even grid side m with m*m >= p (m=64 for the 4093
@@ -91,16 +90,20 @@ def modulate(values: np.ndarray, cons: Constellation) -> np.ndarray:
     return cons.points[v]
 
 
-def awgn(y: np.ndarray, sigma2: float, rng: np.random.Generator) -> np.ndarray:
-    """y + n with n complex Gaussian, total variance sigma2 per symbol."""
+def awgn(y: np.ndarray, sigma2: float, rngs) -> np.ndarray:
+    """y + n with n complex Gaussian, total variance sigma2 per symbol.
+
+    ``y`` is (B, ...) with one stream per row: row i draws its real, then
+    its imaginary parts from ``rngs[i]``.
+    """
     y = np.asarray(y, dtype=np.complex128)
+    if len(rngs) != len(y):
+        raise ValueError(f"need one stream per row: {len(y)} rows, "
+                         f"{len(rngs)} streams")
     if not np.all(np.isfinite(y.real)) or not np.all(np.isfinite(y.imag)):
         raise ValueError("channel input must be finite")
-    if sigma2 == 0.0:
-        return y.copy()
-    s = math.sqrt(sigma2 / 2.0)
-    noise = s * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
-    return y + noise
+    n = normal_rows(rngs, (2, *y.shape[1:]))
+    return y + math.sqrt(sigma2 / 2.0) * (n[:, 0] + 1j * n[:, 1])
 
 
 def _score(y: np.ndarray, col_lo: np.ndarray, row_lo: np.ndarray, width: int,
@@ -207,8 +210,6 @@ def receive(c: np.ndarray, cons: Constellation, sigma2: float,
                          f"{c.shape} and {len(message_indices)} indices")
     if sigma2 == 0.0:
         return c.astype(np.float64)
-    y = modulate(c, cons)
-    y_hat = np.empty_like(y)
-    for row, index in enumerate(message_indices):
-        y_hat[row] = awgn(y[row], sigma2, stream(seed, int(index)))
+    y_hat = awgn(modulate(c, cons), sigma2,
+                 [stream(seed, int(index)) for index in message_indices])
     return soft_demodulate(y_hat, cons, sigma2, sigma_l)

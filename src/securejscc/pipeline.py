@@ -60,47 +60,6 @@ def transmit_latent(z_bar: np.ndarray, keys: KeyPair, cons: Constellation,
     return ct, c_hat, decrypt_noisy(c_hat, ct.d, keys)
 
 
-def _transmit_images(images: list[np.ndarray], spec: codec.CodecSpec,
-                     params: dict, keys: KeyPair, qcfg: QuantizerConfig,
-                     cons: Constellation, snr_db: float, sigma_l: float,
-                     error_seed: int, channel_seed: int, message_indices,
-                     image_indices) -> list[TransmissionRecord]:
-    """Send a batch of images through the full chain and score each one."""
-    h, w, c = spec.input_shape
-    batch = np.stack(images)
-    if batch.shape[1:] != (h, w, c):
-        raise ValueError(f"image shape {batch.shape[1:]} != codec {spec.input_shape}")
-
-    z, _ = codec.encode(batch.reshape(len(images), -1), spec, params)
-    z_bar = hard_quantize(z, qcfg)
-    ct, c_hat, z_prime = transmit_latent(
-        z_bar, keys, cons, noise_variance(snr_db, cons.avg_power), sigma_l,
-        error_seed, channel_seed, message_indices)
-    exact_plain = decrypt(ct, keys)  # the crypto noise column's reference
-    z_hat = soft_dequantize(z_prime, qcfg)
-    x_hat_flat, _ = codec.decode(z_hat, spec, params)
-    x_hats = x_hat_flat.reshape(len(images), h, w, c)
-
-    p = keys.params.p
-    report_ms = min(h, w) >= MS_SSIM_MIN_SIDE
-    records = []
-    for i, (x, x_hat) in enumerate(zip(images, x_hats)):
-        records.append(TransmissionRecord(
-            image_index=int(image_indices[i]),
-            message_index=int(message_indices[i]),
-            snr_db=snr_db,
-            rho=spec.rho,
-            mse=metrics.mse(x, x_hat),
-            psnr=metrics.psnr(x, x_hat),
-            ssim=metrics.ssim(x, x_hat),
-            ms_ssim=metrics.ms_ssim(x, x_hat) if report_ms else None,
-            crypto_noise_std=float(np.std(centered(exact_plain[i] - z_bar[i], p))),
-            channel_noise_std=float(np.std(c_hat[i] - ct.c[i])),
-            compound_noise_std=float(np.std(centered(z_prime[i] - z_bar[i], p))),
-        ))
-    return records
-
-
 def _fmt(value: float | int | None) -> str:
     if value is None:
         return ""
@@ -135,16 +94,45 @@ def sweep(images: list[np.ndarray], spec: codec.CodecSpec, params: dict,
           keys: KeyPair, qcfg: QuantizerConfig, cons: Constellation,
           snr_grid_db: list[float], sigma_l: float, error_seed: int,
           channel_seed: int) -> list[TransmissionRecord]:
-    """Transmit every image at every SNR; message indices never repeat."""
+    """Transmit every image at every SNR and score each reconstruction.
+
+    The images are encoded and quantized once. At the g-th SNR image i
+    travels as message ``g * len(images) + i``, so message indices never
+    repeat.
+    """
     if not snr_grid_db:
         raise ValueError("SNR grid must be non-empty")
     records = []
     if not images:
         return records
-    image_indices = np.arange(len(images))
+    h, w, c = spec.input_shape
+    batch = np.stack(images)
+    if batch.shape[1:] != (h, w, c):
+        raise ValueError(f"image shape {batch.shape[1:]} != codec {spec.input_shape}")
+    n = len(images)
+    z, _ = codec.encode(batch.reshape(n, -1), spec, params)
+    z_bar = hard_quantize(z, qcfg)
+    p = keys.params.p
+    report_ms = min(h, w) >= MS_SSIM_MIN_SIDE
     for g, snr_db in enumerate(snr_grid_db):
-        records.extend(_transmit_images(
-            images, spec, params, keys, qcfg, cons, snr_db, sigma_l,
-            error_seed, channel_seed, g * len(images) + image_indices,
-            image_indices))
+        messages = g * n + np.arange(n)
+        ct, c_hat, z_prime = transmit_latent(
+            z_bar, keys, cons, noise_variance(snr_db, cons.avg_power), sigma_l,
+            error_seed, channel_seed, messages)
+        exact_plain = decrypt(ct, keys)  # the crypto noise column's reference
+        x_hats, _ = codec.decode(soft_dequantize(z_prime, qcfg), spec, params)
+        for i, (x, x_hat) in enumerate(zip(images, x_hats.reshape(n, h, w, c))):
+            records.append(TransmissionRecord(
+                image_index=i,
+                message_index=int(messages[i]),
+                snr_db=snr_db,
+                rho=spec.rho,
+                mse=metrics.mse(x, x_hat),
+                psnr=metrics.psnr(x, x_hat),
+                ssim=metrics.ssim(x, x_hat),
+                ms_ssim=metrics.ms_ssim(x, x_hat) if report_ms else None,
+                crypto_noise_std=float(np.std(centered(exact_plain[i] - z_bar[i], p))),
+                channel_noise_std=float(np.std(c_hat[i] - ct.c[i])),
+                compound_noise_std=float(np.std(centered(z_prime[i] - z_bar[i], p))),
+            ))
     return records

@@ -69,20 +69,10 @@ def _centroid_weights(z: np.ndarray, cfg: QuantizerConfig, sharpness: float,
     return w / w.sum(axis=-1, keepdims=True), q
 
 
-def soft_quantize(z: np.ndarray, cfg: QuantizerConfig,
-                  sigma_q: float) -> np.ndarray:
-    """Softmax-weighted centroid sum with sharpness ``sigma_q``.
-
-    Converges to :func:`hard_quantize` as sigma_q grows and to the centroid
-    mean as sigma_q -> 0.
-    """
-    w, q = _centroid_weights(z, cfg, sigma_q, "latent vector")
-    return w @ q
-
-
 def soft_quantize_jacobian(z: np.ndarray, cfg: QuantizerConfig,
                            sigma_q: float) -> np.ndarray:
-    """Elementwise derivative of :func:`soft_quantize`.
+    """Elementwise derivative of the soft quantizer ``w @ q``, with ``w``
+    the softmax over ``-sigma_q * (z - q)^2`` across centroids q.
 
     The map is separable, so the Jacobian is diagonal with entries
     ``2 * sigma_q * Var_w(q)``, the softmax-weighted centroid variance.

@@ -42,6 +42,18 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_PhiloxKey(words)))
 
 
+def normal_rows(rngs, shape) -> np.ndarray:
+    """One ``shape`` block of standard normal draws per stream, stacked.
+
+    Each stream is drawn once, filling its block in C order; the draws are
+    the ones ``rng.standard_normal(shape)`` makes.
+    """
+    x = np.empty((len(rngs), *shape))
+    for row, rng in zip(x, rngs):
+        rng.standard_normal(out=row)
+    return x
+
+
 def spawn_seed(rng: np.random.Generator) -> int:
     """Draw a fresh 63-bit seed from an existing stream."""
     return int(rng.integers(0, 1 << 63))

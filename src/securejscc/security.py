@@ -26,8 +26,7 @@ from .datasets import DatasetSpec, synthesize_dataset
 from .lwe import (ErrorTriple, LweParams, PublicKey, centered,
                   derive_error_rows, encrypt, error_rows, keygen_stack,
                   lattice_product, sample_discrete_gaussian)
-from .modem import (AVG_POWER_DEFAULT, SIGMA_L_DEFAULT, Db,
-                    build_constellation, noise_variance, receive)
+from .modem import SIGMA_L_DEFAULT, Db, build_constellation, noise_variance, receive
 from .quantizer import QuantizerConfig, build_centroids, hard_quantize
 from .rng import spawn_seed, stream
 
@@ -227,6 +226,7 @@ def run_ind_cpa_game(cfg: GameConfig, distinguisher=None) -> GameResult:
 
 ERROR_MODES = ("fresh", "reused", "known_seed")
 ADVERSARIES = ("linear", "mlp")
+MLP_HIDDEN = 64  # hidden width of the mlp adversary
 
 
 @dataclass(frozen=True)
@@ -239,7 +239,6 @@ class AttackConfig:
     snr_e_db: Db = math.inf
     test_fraction: float = 0.2
     seed: int = 0
-    mlp_hidden: int = 64
 
     def __post_init__(self):
         if self.adversary not in ADVERSARIES:
@@ -318,8 +317,8 @@ def _predict_linear(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.hstack([x, np.ones((x.shape[0], 1))]) @ w
 
 
-def _fit_mlp(x, y, hidden, epochs, rng):
-    params = codec.dense_init([x.shape[1], hidden, y.shape[1]], "adv", rng)
+def _fit_mlp(x, y, epochs, rng):
+    params = codec.dense_init([x.shape[1], MLP_HIDDEN, y.shape[1]], "adv", rng)
     opt = codec.AdamState()
     step = 0
     batch = 64
@@ -337,8 +336,7 @@ def _fit_mlp(x, y, hidden, epochs, rng):
 
 def run_cpa_attack(cfg: AttackConfig, spec: codec.CodecSpec, codec_params: dict,
                    public_key: PublicKey, qcfg: QuantizerConfig, *,
-                   sigma_l: float = SIGMA_L_DEFAULT,
-                   avg_power: float = AVG_POWER_DEFAULT) -> AttackReport:
+                   sigma_l: float = SIGMA_L_DEFAULT) -> AttackReport:
     """Train the configured adversary on (image, ciphertext) pairs.
 
     In ``fresh`` mode every message uses an independent error triple the
@@ -365,9 +363,9 @@ def run_cpa_attack(cfg: AttackConfig, spec: codec.CodecSpec, codec_params: dict,
     errors = derive_error_rows(error_seed, error_indices, params)
     ct = encrypt(z_bar, public_key, errors)
     # Eve's channel: the same receiver as Bob's, without the secret key
-    observations = receive(ct.c, build_constellation(params.p, avg_power),
-                           noise_variance(cfg.snr_e_db, avg_power), sigma_l,
-                           eve_seed, messages)
+    cons = build_constellation(params.p)
+    observations = receive(ct.c, cons, noise_variance(cfg.snr_e_db, cons.avg_power),
+                           sigma_l, eve_seed, messages)
     if cfg.error_mode == "known_seed":
         # the seed lets the adversary remove the error layer exactly
         observations = (observations - (lattice_product(errors.e1, public_key.B)
@@ -384,8 +382,7 @@ def run_cpa_attack(cfg: AttackConfig, spec: codec.CodecSpec, codec_params: dict,
         w = _fit_linear(f_train, x_train)
         pred = np.clip(_predict_linear(w, f_test), 0.0, 255.0)
     else:
-        net = _fit_mlp(f_train, x_train / 255.0, cfg.mlp_hidden, cfg.epochs,
-                       stream(fit_seed))
+        net = _fit_mlp(f_train, x_train / 255.0, cfg.epochs, stream(fit_seed))
         out, _ = codec.dense_forward(net, "adv", f_test, 2)
         pred = np.clip(255.0 * out, 0.0, 255.0)
 

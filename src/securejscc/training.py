@@ -139,17 +139,16 @@ class TrainResult:
 
 def train_codec(train_images: list[np.ndarray], val_images: list[np.ndarray],
                 ctx: TrainContext, state: TrainState, *, max_steps: int,
-                batch_size: int, shuffle_seed: int, eval_ctx: TrainContext,
-                patience: int = PATIENCE, decay_patience: int = DECAY_PATIENCE,
-                lr_decay: float = LR_DECAY) -> TrainResult:
+                batch_size: int, shuffle_seed: int,
+                eval_ctx: TrainContext) -> TrainResult:
     """Epoch loop with early stopping and stagnation-triggered LR decay.
 
     An epoch is one pass over the training set. Validation runs after each
     epoch on ``eval_ctx``: the same chain, whose error and channel seeds
     must differ from ``ctx``'s so that no validation image shares a
-    training message's noise. Training stops after ``patience`` epochs
-    without improvement and the learning rate shrinks by ``lr_decay`` after
-    ``decay_patience`` stagnant epochs.
+    training message's noise. Training stops after ``PATIENCE`` epochs
+    without improvement and the learning rate shrinks by ``LR_DECAY`` after
+    every ``DECAY_PATIENCE`` stagnant epochs.
     """
     x_train = np.stack([im.reshape(-1) for im in train_images])
     x_val = np.stack([im.reshape(-1) for im in val_images])
@@ -177,9 +176,9 @@ def train_codec(train_images: list[np.ndarray], val_images: list[np.ndarray],
             stagnant = 0
         else:
             stagnant += 1
-            if stagnant % decay_patience == 0:
-                state = replace(state, learning_rate=state.learning_rate * lr_decay)
-            if stagnant >= patience:
+            if stagnant % DECAY_PATIENCE == 0:
+                state = replace(state, learning_rate=state.learning_rate * LR_DECAY)
+            if stagnant >= PATIENCE:
                 stopped_early = True
                 break
     return TrainResult(state=state, train_losses=train_losses,

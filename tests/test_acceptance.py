@@ -15,17 +15,17 @@ from securejscc.datasets import DatasetSpec, synthesize_dataset
 from securejscc.lwe import (LweParams, centered, decrypt, encrypt, keygen,
                             sample_discrete_gaussian)
 from securejscc.metrics import ms_ssim, mse, psnr, ssim
-from securejscc.modem import awgn, build_constellation, modulate
+from securejscc.modem import build_constellation, modulate
 from securejscc.pipeline import records_to_csv, sweep, transmit_latent
 from securejscc.quantizer import (QuantizerConfig, build_centroids,
-                                  hard_quantize, soft_quantize,
-                                  soft_quantize_jacobian)
+                                  hard_quantize, soft_quantize_jacobian)
 from securejscc.rng import stream
 from securejscc.security import (AttackConfig, GameConfig, MarginalChiSquare,
                                  run_cpa_attack, run_ind_cpa_game)
 from securejscc.training import TrainContext, evaluate, init_train_state, train_step
 from test_lwe import message_errors
-from test_modem import nearest_point_demodulate
+from test_modem import awgn_one, nearest_point_demodulate
+from test_quantizer import soft_quantize
 from test_security import BROKEN_LWE, LeakyDistinguisher, SmallClassifier
 
 TABLE = LweParams(p=4093, n1=192, n2=192, sigma_s=8.87, k=512)
@@ -112,7 +112,7 @@ def test_criterion_4_modem():
     details = []
     for snr_db in (0.0, 10.0, 20.0):
         sigma2 = 10 ** (-snr_db / 10)
-        noise = awgn(y, sigma2, stream(int(snr_db) + 3)) - y
+        noise = awgn_one(y, sigma2, stream(int(snr_db) + 3)) - y
         rel = abs(float(np.mean(np.abs(noise) ** 2)) / sigma2 - 1.0)
         noise_ok = noise_ok and rel < 0.03
         details.append(f"{snr_db:.0f}dB:{rel:.3%}")

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from securejscc.config import (PipelineConfig, attack_config_from_dict,
                                config_from_dict, game_config_from_dict,
                                load_config, load_public_key, load_secret_key)
 from securejscc.datasets import DatasetSpec
+from test_datasets import write_image
 
 
 def test_defaults_mirror_reference_operating_point():
@@ -38,10 +40,26 @@ def test_defaults_mirror_reference_operating_point():
                   "chanels": 1}}, "dataset.chanels"),
     ({"seeds": {"keys": 1}}, "seeds.keys"),
     ({"training": {"sigma_q": 5.0}}, "training.sigma_q"),
+    # removed settings: sigma_l alone sets the demodulator's sharpness, and
+    # the stopping rule is training.PATIENCE, DECAY_PATIENCE and LR_DECAY
+    ({"avg_power": 1.0}, "avg_power"),
+    ({"training": {"patience": 10}}, "training.patience"),
+    ({"training": {"decay_patience": 5}}, "training.decay_patience"),
+    ({"training": {"lr_decay": 0.8}}, "training.lr_decay"),
 ])
 def test_unknown_key_rejected_at_load(raw, key):
     with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
         config_from_dict(raw)
+
+
+def test_readme_config_example_loads():
+    # a key removed from the loaders cannot linger in the documented example
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1]
+    raw = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    cfg = config_from_dict(raw)
+    game_config_from_dict(raw["game"])
+    attack_config_from_dict(raw["attack"], cfg.dataset)
 
 
 def test_missing_section_key_rejected_at_load():
@@ -66,6 +84,7 @@ def test_game_loader_rejects_unknown_key(raw, key):
     ({"pair": 10}, "attack.pair"),
     ({"dataset": {"kind": "blob", "count": 0, "height": 4, "width": 4,
                   "chanels": 1}}, "attack.dataset.chanels"),
+    ({"mlp_hidden": 64}, "attack.mlp_hidden"),  # now security.MLP_HIDDEN
 ])
 def test_attack_loader_rejects_unknown_key(raw, key):
     cfg = config_from_dict({})
@@ -179,7 +198,6 @@ def test_cli_sweep_deterministic(tmp_path):
 
 
 def test_cli_transmit_with_image_file(tmp_path):
-    from securejscc.datasets import write_image
     cfg_path = make_config_file(tmp_path)
     params = tmp_path / "params.json"
     params.write_text(json.dumps({"p": 251, "n1": 16, "n2": 16,
@@ -306,6 +324,27 @@ def test_cli_unworkable_settings_exit_2(tmp_path, capsys, over, message):
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
     assert not (tmp_path / "codec.json").exists()
+
+
+@pytest.mark.parametrize("over", [
+    {"training": {"val_fraction": 1.0}},
+    {"dataset": {"kind": "blob", "count": 1, "height": 4, "width": 4}},
+])
+def test_cli_train_split_without_training_images_exits_2(tmp_path, capsys, over):
+    cfg_path = make_config_file(tmp_path, **{**MLP_TRAINING, **over})
+    assert main(["train", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "codec.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "training.val_fraction" in err and "dataset.count" in err
+    assert not (tmp_path / "codec.json").exists()
+
+
+def test_sweep_config_with_one_image_loads(tmp_path):
+    # the split is checked by train, not by the loader
+    cfg = load_config(make_config_file(tmp_path, dataset={
+        "kind": "blob", "count": 1, "height": 4, "width": 4}))
+    assert cfg.dataset.count == 1
 
 
 @pytest.mark.parametrize("attack, message", [

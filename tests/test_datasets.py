@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from securejscc.datasets import (DatasetSpec, read_image, synthesize_dataset,
-                                 write_image)
+from securejscc.datasets import DatasetSpec, read_image, synthesize_dataset
+
+
+def write_image(path, image: np.ndarray) -> None:
+    """Write an HxWxC fixture (C=1 as PGM, C=3 as PPM), rounding to 8 bits."""
+    img = np.asarray(image)
+    magic = b"P5" if img.shape[2] == 1 else b"P6"
+    data = np.clip(np.rint(img), 0, 255).astype(np.uint8).tobytes()
+    path.write_bytes(magic + f"\n{img.shape[1]} {img.shape[0]}\n255\n".encode() + data)
 
 
 def test_empty_dataset():

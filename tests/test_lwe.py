@@ -54,6 +54,9 @@ def test_params_reject_int64_overflow():
         LweParams(p=top + 2, n1=1, n2=1, sigma_s=8.87, k=1)
     with pytest.raises(ValueError, match="overflow int64"):
         LweParams(p=2 ** 40, n1=4, n2=2 ** 20, sigma_s=8.87, k=1)
+    # a finite sigma_s whose tail overflows a float is an overflow too
+    with pytest.raises(ValueError, match="overflow int64"):
+        LweParams(p=251, n1=16, n2=16, sigma_s=1.3e307, k=16)
 
 
 @pytest.mark.parametrize("sigma_s", [math.inf, math.nan])

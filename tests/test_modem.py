@@ -152,6 +152,12 @@ def test_uniform_symbols_hit_average_power():
 # -- channel -----------------------------------------------------------------
 
 
+def awgn_one(y: np.ndarray, sigma2: float, rng) -> np.ndarray:
+    """:func:`awgn` on one message ``y``: its real, then its imaginary noise
+    drawn from ``rng``."""
+    return awgn(y[None], sigma2, [rng])[0]
+
+
 def test_channel_model_sigma2():
     assert abs(noise_variance(10.0, 1.0) - 0.1) < 1e-12
     assert abs(noise_variance(0.0, 2.5) - 2.5) < 1e-12
@@ -167,7 +173,7 @@ def test_only_plus_infinity_is_noiseless(snr_db):
 
 def test_zero_noise_identity():
     y = stream(3).standard_normal(100) + 1j * stream(4).standard_normal(100)
-    assert np.array_equal(awgn(y, noise_variance(math.inf, 1.0), stream(5)), y)
+    assert np.array_equal(awgn_one(y, noise_variance(math.inf, 1.0), stream(5)), y)
     c = stream(6).integers(0, 16, size=(3, 8))
     c_hat = receive(c, build_constellation(16, 1.0), 0.0, 5.0, 7, [0, 1, 2])
     assert c_hat.dtype == np.float64
@@ -176,7 +182,7 @@ def test_zero_noise_identity():
 
 def test_noise_power_calibration():
     y = np.zeros(100_000, dtype=complex)
-    noisy = awgn(y, 0.1, stream(6))
+    noisy = awgn_one(y, 0.1, stream(6))
     assert abs(np.mean(np.abs(noisy) ** 2) / 0.1 - 1.0) < 0.03
 
 
@@ -184,7 +190,7 @@ def test_empirical_snr_estimate():
     cons = build_constellation(4093, 1.0)
     values = stream(7).integers(0, 4093, size=100_000)
     y = modulate(values, cons)
-    y_hat = awgn(y, 10 ** (-5 / 10), stream(8))
+    y_hat = awgn_one(y, 10 ** (-5 / 10), stream(8))
     n = y_hat - y
     snr_est = 10 * math.log10(np.mean(np.abs(y) ** 2) / np.mean(np.abs(n) ** 2))
     assert abs(snr_est - 5.0) < 0.2
@@ -193,16 +199,29 @@ def test_empirical_snr_estimate():
 def test_channel_additivity_and_stream_independence():
     y1 = stream(9).standard_normal(1000) + 0j
     y2 = stream(10).standard_normal(1000) + 0j
-    assert np.array_equal(awgn(y1 + y2, 0.0, stream(11)), y1 + y2)
-    n1 = awgn(np.zeros(100_000, dtype=complex), 1.0, stream(12))
-    n2 = awgn(np.zeros(100_000, dtype=complex), 1.0, stream(13))
+    assert np.array_equal(awgn_one(y1 + y2, 0.0, stream(11)), y1 + y2)
+    n1 = awgn_one(np.zeros(100_000, dtype=complex), 1.0, stream(12))
+    n2 = awgn_one(np.zeros(100_000, dtype=complex), 1.0, stream(13))
     r = np.corrcoef(n1.real, n2.real)[0, 1]
     assert abs(r) < 0.01
 
 
 def test_channel_rejects_nonfinite():
     with pytest.raises(ValueError):
-        awgn(np.array([np.inf + 0j]), 0.1, stream(0))
+        awgn_one(np.array([np.inf + 0j]), 0.1, stream(0))
+
+
+def test_channel_draws_each_row_from_its_stream():
+    y = stream(14).standard_normal((3, 50)) + 0j
+    s = math.sqrt(0.3 / 2.0)
+    rows = awgn(y, 0.3, [stream(15, i) for i in range(3)])
+    for i, row in enumerate(rows):
+        rng = stream(15, i)
+        re, im = rng.standard_normal(50), rng.standard_normal(50)
+        assert np.array_equal(row, y[i] + s * (re + 1j * im))
+    # one stream for a batch would give every row the same noise
+    with pytest.raises(ValueError, match="one stream per row"):
+        awgn(y, 0.3, [stream(15)])
 
 
 # -- likelihoods -------------------------------------------------------------
@@ -261,7 +280,7 @@ def test_soft_demodulate_uniform_likelihoods_hit_midpoint():
 def test_soft_demodulate_matches_scalar_path():
     cons = build_constellation(257, 1.0)
     values = stream(16).integers(0, 257, size=64)
-    y_hat = awgn(modulate(values, cons), 0.05, stream(17))
+    y_hat = awgn_one(modulate(values, cons), 0.05, stream(17))
     sigma2 = 0.05
     vec = soft_demodulate(y_hat, cons, sigma2, 5.0)
     scalar = np.array([soft_symbol_estimate(likelihoods(y, cons, sigma2), 5.0)
@@ -271,7 +290,8 @@ def test_soft_demodulate_matches_scalar_path():
 
 def test_soft_demodulate_output_in_value_range():
     cons = build_constellation(4093, 1.0)
-    y_hat = awgn(modulate(stream(18).integers(0, 4093, 500), cons), 1.0, stream(19))
+    y_hat = awgn_one(modulate(stream(18).integers(0, 4093, 500), cons), 1.0,
+                     stream(19))
     c_hat = soft_demodulate(y_hat, cons, 1.0, 5.0)
     assert np.all(c_hat >= 0.0)
     assert np.all(c_hat <= 4092.0)
@@ -294,7 +314,7 @@ def test_monotone_fidelity_in_snr():
     prev = math.inf
     for snr_db in (0.0, 5.0, 10.0, 15.0, 20.0):
         sigma2 = 10 ** (-snr_db / 10)
-        y_hat = awgn(y, sigma2, stream(21))
+        y_hat = awgn_one(y, sigma2, stream(21))
         n_c = soft_demodulate(y_hat, cons, sigma2, 5.0) - values
         mean_abs = float(np.mean(np.abs(n_c)))
         assert mean_abs <= prev
@@ -356,7 +376,7 @@ def _received(cons: Constellation, sigma2: float, seed: int) -> np.ndarray:
     rng = stream(seed)
     p, m = len(cons.points), len(cons.levels)
     edge = cons.levels[-1] + (cons.levels[1] - cons.levels[0])
-    noisy = awgn(modulate(rng.integers(0, p, 200), cons), sigma2, rng)
+    noisy = awgn_one(modulate(rng.integers(0, p, 200), cons), sigma2, rng)
     off = (rng.uniform(-3.0, 3.0, 40) + 1j * rng.uniform(-3.0, 3.0, 40)) * edge
     dropped = np.arange(p, m * m) if p < m * m else np.arange(p - 3, p)
     centres = cons.levels[dropped % m] + 1j * cons.levels[dropped // m]
@@ -395,7 +415,8 @@ def test_soft_demodulate_rows_equal_single_messages(k):
     values = stream(22).integers(0, 4093, size=(5, k))
     for snr_db in (0.0, 15.0, 20.0):
         sigma2 = noise_variance(snr_db, cons.avg_power)
-        y_hat = awgn(modulate(values, cons), sigma2, stream(23))
+        y_hat = awgn(modulate(values, cons), sigma2,
+                     [stream(23, row) for row in range(len(values))])
         batch = soft_demodulate(y_hat, cons, sigma2, 5.0)
         for row in range(len(values)):
             one = soft_demodulate(y_hat[row:row + 1], cons, sigma2, 5.0)
@@ -425,7 +446,7 @@ def test_soft_demodulate_window_rule(monkeypatch):
     rng = stream(24)
     # 45 dB: every noisy symbol is windowed, on at most log2(m) + 1 widths
     sigma2 = noise_variance(45.0, cons.avg_power)
-    y_hat = awgn(modulate(rng.integers(0, 4093, 2000), cons), sigma2, rng)
+    y_hat = awgn_one(modulate(rng.integers(0, 4093, 2000), cons), sigma2, rng)
     widths = _scored_widths(monkeypatch, y_hat, cons, sigma2)
     assert np.all(widths < m)
     assert len(set(widths.tolist())) <= math.log2(m) + 1

@@ -105,6 +105,28 @@ def test_single_point_sweep_equals_single_image_sweeps(setup):
     assert recs[1] == dataclasses.replace(alone, image_index=1)
 
 
+def test_average_power_is_a_rescaling_of_sigma_l(setup):
+    # the points scale with sqrt(P) and sigma2 with P, so the likelihoods do
+    # not depend on P and the demodulator's sharpness is sigma_l / P: there
+    # is no separate average-power setting
+    keys, qcfg, _, images = setup
+    grid = [0.0, 10.0, 20.0, math.inf]
+
+    def send(power, sigma_l):
+        return sweep(images, SPEC, {}, keys, qcfg, build_constellation(4093, power),
+                     grid, sigma_l, 3, 4)
+
+    base = send(1.0, 5.0)
+    # at 4P the amplitudes double, a power of two: every float op scales exactly
+    assert send(4.0, 20.0) == base
+    # at 2P they scale by sqrt(2), which rounds in the last bits
+    for a, b in zip(base, send(2.0, 10.0)):
+        for f in dataclasses.fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert x == y or math.isclose(x, y, rel_tol=1e-12), f.name
+    assert [r.mse for r in send(2.0, 5.0)] != [r.mse for r in base]
+
+
 def test_empty_dataset_header_only(setup):
     keys, qcfg, cons, _ = setup
     csv = records_to_csv(sweep([], SPEC, {}, keys, qcfg, cons, [10.0], 5.0, 3, 4))

@@ -6,8 +6,8 @@ import pytest
 from securejscc.codec import CodecSpec
 from securejscc.datasets import DatasetSpec
 from securejscc.lwe import LweParams, encrypt, keygen
-from securejscc.modem import (awgn, build_constellation, modulate,
-                              noise_variance, receive, soft_demodulate)
+from securejscc.modem import (build_constellation, modulate, noise_variance,
+                              receive, soft_demodulate)
 from securejscc.quantizer import QuantizerConfig
 from securejscc.rng import spawn_seed, stream
 from securejscc.security import (DISTINGUISHERS, GAME_CHUNK_ENTRIES,
@@ -15,6 +15,7 @@ from securejscc.security import (DISTINGUISHERS, GAME_CHUNK_ENTRIES,
                                  default_plaintext_pair, run_cpa_attack,
                                  run_ind_cpa_game)
 from test_lwe import message_errors
+from test_modem import awgn_one
 
 GAME_LWE = LweParams(p=257, n1=32, n2=32, sigma_s=8.87, k=16)
 # a sampler this narrow draws only zeros: every challenge is c == m_b
@@ -201,8 +202,8 @@ def test_eve_same_snr_same_seed_matches_bob():
     sigma2 = noise_variance(10.0, 1.0)
     eve = receive(c, cons, sigma2, 5.0, 6, [4, 0, 9])
     for row, index in enumerate([4, 0, 9]):
-        bob = soft_demodulate(awgn(modulate(c[row], cons), sigma2,
-                                   stream(6, index)), cons, sigma2, 5.0)
+        bob = soft_demodulate(awgn_one(modulate(c[row], cons), sigma2,
+                                       stream(6, index)), cons, sigma2, 5.0)
         assert np.array_equal(eve[row], bob)
     with pytest.raises(ValueError):
         receive(c, cons, sigma2, 5.0, 6, [4, 0])

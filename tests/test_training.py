@@ -8,11 +8,12 @@ from securejscc.codec import CodecSpec, init_params
 from securejscc.datasets import DatasetSpec, synthesize_dataset
 from securejscc.lwe import LweParams, keygen
 from securejscc.modem import build_constellation
-from securejscc.quantizer import QuantizerConfig, hard_quantize, soft_quantize
+from securejscc.quantizer import QuantizerConfig, hard_quantize
 from securejscc.rng import stream
-from securejscc.training import (TrainContext, TrainState, _gradients,
+from securejscc.training import (PATIENCE, TrainContext, TrainState, _gradients,
                                  compute_gradients, evaluate, init_train_state,
                                  train_codec, train_step)
+from test_quantizer import soft_quantize
 
 TOY_LWE = LweParams(p=251, n1=16, n2=16, sigma_s=1.5, k=16)
 
@@ -212,8 +213,9 @@ def test_train_codec_early_stopping():
     state = init_train_state(MLP_SPEC, seed=14, learning_rate=0.0)
     result = train_codec(images[:16], images[16:], ctx, state,
                          max_steps=10_000, batch_size=8, shuffle_seed=15,
-                         eval_ctx=eval_ctx, patience=3)
+                         eval_ctx=eval_ctx)
     # zero learning rate never improves, so patience must trigger
     assert result.stopped_early
     assert result.state.step < 10_000
-    assert len(result.val_losses) == 4  # first epoch sets best, then 3 stagnant
+    # the first epoch sets the best loss, then PATIENCE stagnant ones
+    assert len(result.val_losses) == PATIENCE + 1
