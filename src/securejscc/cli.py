@@ -9,6 +9,7 @@ ends the command with one line on stderr and exit status 2.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -25,7 +26,7 @@ from .quantizer import QuantizerConfig
 
 
 def _cmd_keygen(args) -> int:
-    key = keygen(*load_keygen_params(args.params, args.key_seed, args.lattice_seed))
+    key = keygen(*load_keygen_params(args.params))
     public_path, secret_path = args.out
     save_key_files(key, public_path, secret_path)
     print(f"wrote public key to {public_path} and secret key to {secret_path}")
@@ -70,11 +71,10 @@ def _cmd_transmit(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    out = args.out or cfg.output_csv
     n = _sweep_to_csv(cfg, keygen(cfg.lwe, cfg.seeds.key, cfg.seeds.lattice),
                       synthesize_dataset(cfg.dataset, cfg.seeds.data),
-                      cfg.snr_grid_db, args.codec_params, out)
-    print(f"wrote {n} records ({len(cfg.snr_grid_db)} SNR points) to {out}")
+                      cfg.snr_grid_db, args.codec_params, args.out)
+    print(f"wrote {n} records ({len(cfg.snr_grid_db)} SNR points) to {args.out}")
     return 0
 
 
@@ -97,7 +97,9 @@ def _cmd_attack(args) -> int:
 
     attack_cfgs = [attack_cfg]
     if args.sabotage_control:
-        attack_cfgs.append(replace(attack_cfg, error_mode="reused", adversary="linear"))
+        # a noiseless eavesdropper: the control tests the harness, not the channel
+        attack_cfgs.append(replace(attack_cfg, error_mode="reused", adversary="linear",
+                                   snr_e_db=math.inf))
     reports = [security.run_cpa_attack(c, cfg.codec, params, keys.public(), qcfg,
                                        sigma_l=cfg.sigma_l)
                for c in attack_cfgs]
@@ -158,9 +160,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("keygen", help="generate a key pair from a params file")
-    p.add_argument("--params", required=True, help="JSON with p,n1,n2,sigma_s,k")
-    p.add_argument("--key-seed", type=int, default=None)
-    p.add_argument("--lattice-seed", type=int, default=None)
+    p.add_argument("--params", required=True,
+                   help="JSON with p,n1,n2,sigma_s,k,key_seed,lattice_seed")
     p.add_argument("--out", nargs=2, required=True,
                    metavar=("PUBLIC", "SECRET"))
     p.set_defaults(func=_cmd_keygen)
@@ -176,7 +177,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("sweep", help="full dataset x SNR grid sweep to CSV")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None, help="override config output_csv")
+    p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--codec-params", default=None)
     p.set_defaults(func=_cmd_sweep)
 

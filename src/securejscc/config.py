@@ -74,7 +74,6 @@ class PipelineConfig:
     n_levels: int = 16
     sigma_l: float = SIGMA_L_DEFAULT
     snr_grid_db: tuple[Db, ...] = (0.0, 5.0, 10.0, 15.0)
-    output_csv: str = "sweep.csv"
     training: TrainingSettings = field(default_factory=TrainingSettings)
 
     def __post_init__(self):
@@ -235,20 +234,16 @@ def load_attack_config(path: str | Path) -> tuple[PipelineConfig, AttackConfig]:
     return _load(path, build)
 
 
-def load_keygen_params(path: str | Path, key_seed: int | None = None,
-                       lattice_seed: int | None = None) -> tuple[LweParams, int, int]:
-    """The lattice parameters and the two seeds of a keygen params file; a
-    seed passed here overrides the file's."""
+def load_keygen_params(path: str | Path) -> tuple[LweParams, int, int]:
+    """The lattice parameters and the two seeds of a keygen params file."""
+    seeds = ("key_seed", "lattice_seed")
+
     def build(raw):
         raw = _object(raw, "the params file")
-        seeds = {"key_seed": key_seed, "lattice_seed": lattice_seed}
-        seeds = {name: raw.get(name) if seed is None else seed
-                 for name, seed in seeds.items()}
-        if None in seeds.values():
-            raise ValueError("key_seed and lattice_seed must come from the params "
-                             "file or the command line")
+        if any(name not in raw for name in seeds):
+            raise ValueError("the params file must set key_seed and lattice_seed")
         return (_build(LweParams, _without(raw, *seeds), ""),
-                *(_value(int, seed, name) for name, seed in seeds.items()))
+                *(_value(int, raw[name], name) for name in seeds))
     return _load(path, build)
 
 

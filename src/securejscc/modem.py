@@ -195,19 +195,20 @@ def soft_demodulate(y_hat: np.ndarray, cons: Constellation, sigma2: float,
     return out.reshape(y_hat.shape)
 
 
-def receive(c: np.ndarray, cons: Constellation, sigma2: float,
+def receive(c: np.ndarray, cons: Constellation, snr_db: Db,
             sigma_l: float, seed: int, message_indices) -> np.ndarray:
-    """Channel and receiver for (B, k) ciphertext rows.
+    """Channel and receiver for (B, k) ciphertext rows at ``snr_db``.
 
     Row i is modulated, perturbed by AWGN drawn from
-    ``stream(seed, message_indices[i])`` and soft-demodulated. ``sigma2 == 0``
-    is the exact noiseless limit: the demodulator output converges to the
+    ``stream(seed, message_indices[i])`` and soft-demodulated. +inf dB is
+    the exact noiseless limit: the demodulator output converges to the
     transmitted integers, which are returned as floats (``cons`` is unused).
     """
     c = np.asarray(c)
     if c.ndim != 2 or len(message_indices) != c.shape[0]:
         raise ValueError(f"need (B, k) rows and B message indices, got shape "
                          f"{c.shape} and {len(message_indices)} indices")
+    sigma2 = noise_variance(snr_db, cons.avg_power)
     if sigma2 == 0.0:
         return c.astype(np.float64)
     y_hat = awgn(modulate(c, cons), sigma2,

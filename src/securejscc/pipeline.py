@@ -17,7 +17,7 @@ import numpy as np
 from . import codec, metrics
 from .lwe import (Ciphertext, KeyPair, centered, decrypt, decrypt_noisy,
                   derive_error_rows, encrypt)
-from .modem import Constellation, noise_variance, receive
+from .modem import Constellation, Db, receive
 from .quantizer import QuantizerConfig, hard_quantize, soft_dequantize
 
 CSV_SCHEMA_VERSION = 1
@@ -43,7 +43,7 @@ class TransmissionRecord:
 
 
 def transmit_latent(z_bar: np.ndarray, keys: KeyPair, cons: Constellation,
-                    sigma2: float, sigma_l: float, error_seed: int,
+                    snr_db: Db, sigma_l: float, error_seed: int,
                     channel_seed: int, message_indices
                     ) -> tuple[Ciphertext, np.ndarray, np.ndarray]:
     """Carry (B, k) quantized latents through encryption, channel and
@@ -52,11 +52,11 @@ def transmit_latent(z_bar: np.ndarray, keys: KeyPair, cons: Constellation,
 
     Row i uses the error triple and channel stream of ``message_indices[i]``,
     so a row's output does not depend on the batch it travels in.
-    ``sigma2 == 0`` short-circuits the modem with its exact noiseless limit.
+    +inf dB short-circuits the modem with its exact noiseless limit.
     """
     ct = encrypt(z_bar, keys, derive_error_rows(error_seed, message_indices,
                                                 keys.params))
-    c_hat = receive(ct.c, cons, sigma2, sigma_l, channel_seed, message_indices)
+    c_hat = receive(ct.c, cons, snr_db, sigma_l, channel_seed, message_indices)
     return ct, c_hat, decrypt_noisy(c_hat, ct.d, keys)
 
 
@@ -116,9 +116,8 @@ def sweep(images: list[np.ndarray], spec: codec.CodecSpec, params: dict,
     report_ms = min(h, w) >= MS_SSIM_MIN_SIDE
     for g, snr_db in enumerate(snr_grid_db):
         messages = g * n + np.arange(n)
-        ct, c_hat, z_prime = transmit_latent(
-            z_bar, keys, cons, noise_variance(snr_db, cons.avg_power), sigma_l,
-            error_seed, channel_seed, messages)
+        ct, c_hat, z_prime = transmit_latent(z_bar, keys, cons, snr_db, sigma_l,
+                                             error_seed, channel_seed, messages)
         exact_plain = decrypt(ct, keys)  # the crypto noise column's reference
         x_hats, _ = codec.decode(soft_dequantize(z_prime, qcfg), spec, params)
         for i, (x, x_hat) in enumerate(zip(images, x_hats.reshape(n, h, w, c))):

@@ -26,7 +26,7 @@ from .datasets import DatasetSpec, synthesize_dataset
 from .lwe import (ErrorTriple, LweParams, PublicKey, centered,
                   derive_error_rows, encrypt, error_rows, keygen_stack,
                   lattice_product, sample_discrete_gaussian)
-from .modem import SIGMA_L_DEFAULT, Db, build_constellation, noise_variance, receive
+from .modem import SIGMA_L_DEFAULT, Db, build_constellation, receive
 from .quantizer import QuantizerConfig, build_centroids, hard_quantize
 from .rng import spawn_seed, stream
 
@@ -363,8 +363,7 @@ def run_cpa_attack(cfg: AttackConfig, spec: codec.CodecSpec, codec_params: dict,
     errors = derive_error_rows(error_seed, error_indices, params)
     ct = encrypt(z_bar, public_key, errors)
     # Eve's channel: the same receiver as Bob's, without the secret key
-    cons = build_constellation(params.p)
-    observations = receive(ct.c, cons, noise_variance(cfg.snr_e_db, cons.avg_power),
+    observations = receive(ct.c, build_constellation(params.p), cfg.snr_e_db,
                            sigma_l, eve_seed, messages)
     if cfg.error_mode == "known_seed":
         # the seed lets the adversary remove the error layer exactly

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import codec
 from .lwe import KeyPair
-from .modem import Constellation, noise_variance
+from .modem import Constellation, Db
 from .pipeline import transmit_latent
 from .quantizer import (SIGMA_Q_INITIAL, QuantizerConfig, anneal_sigma_q,
                         hard_quantize, soft_dequantize, soft_quantize_jacobian)
@@ -40,7 +40,7 @@ class TrainContext:
     keys: KeyPair
     qcfg: QuantizerConfig
     cons: Constellation
-    snr_db: float
+    snr_db: Db
     sigma_l: float
     error_seed: int
     channel_seed: int
@@ -67,8 +67,7 @@ def _through_chain(ctx: TrainContext, message_base: int):
     """Latent map of the real chain: quantize, transmit the batch, dequantize."""
     def latent_map(z: np.ndarray) -> np.ndarray:
         _, _, z_prime = transmit_latent(
-            hard_quantize(z, ctx.qcfg), ctx.keys, ctx.cons,
-            noise_variance(ctx.snr_db, ctx.cons.avg_power), ctx.sigma_l,
+            hard_quantize(z, ctx.qcfg), ctx.keys, ctx.cons, ctx.snr_db, ctx.sigma_l,
             ctx.error_seed, ctx.channel_seed, message_base + np.arange(z.shape[0]))
         return soft_dequantize(z_prime, ctx.qcfg)
     return latent_map

@@ -82,7 +82,7 @@ def test_criterion_3_compound_noise_calibration():
     n_msgs = 196  # ~1e5 symbols at k = 512
     zbar = np.stack([qcfg.centroids[qrng.integers(0, 16, size=512)]
                      for _ in range(n_msgs)])
-    ct, c_hat, z_prime = transmit_latent(zbar, keys, cons, 0.1, 5.0, 21, 22,
+    ct, c_hat, z_prime = transmit_latent(zbar, keys, cons, 10.0, 5.0, 21, 22,
                                          np.arange(n_msgs))
     crypto = centered(decrypt(ct, keys) - zbar, 4093).ravel()
     chan = (c_hat - ct.c).ravel()

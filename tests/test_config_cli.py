@@ -183,7 +183,8 @@ def test_cli_unknown_config_key_exits_2(tmp_path, capsys):
 
 def test_cli_missing_config_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "nowhere.json"
-    assert main(["sweep", "--config", str(missing)]) == 2
+    assert main(["sweep", "--config", str(missing),
+                 "--out", str(tmp_path / "a.csv")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(missing) in err
 
@@ -254,6 +255,47 @@ def test_cli_attack_with_sabotage_control(tmp_path, capsys):
                  "--sabotage-control"]) == 0
     text = out.read_text().strip().split("\n")
     assert len(text) == 3  # header + fresh + sabotage rows
+
+
+def test_cli_sabotage_control_runs_at_infinite_snr(tmp_path):
+    # the control tests the harness, not the channel: at the configured
+    # 10 dB the channel hides the reused triple's leak (mse ratio 0.644)
+    cfg_path = make_config_file(
+        tmp_path, attack={"adversary": "linear", "pairs": 200, "snr_e_db": 10.0})
+    out = tmp_path / "attack.csv"
+    assert main(["attack", "--config", str(cfg_path), "--out", str(out),
+                 "--sabotage-control"]) == 0
+    _, fresh, reused = out.read_text().strip().split("\n")
+    assert fresh.split(",")[1:3] == ["fresh", "10.0"]
+    assert reused.split(",")[1:3] == ["reused", "inf"]
+    assert float(reused.split(",")[-1]) < 0.5
+
+
+def test_cli_keygen_seed_flags_are_gone(tmp_path, capsys):
+    # the params file is the one home of the keygen seeds
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"p": 251, "n1": 16, "n2": 16, "sigma_s": 1.5,
+                                  "k": 16, "key_seed": 7, "lattice_seed": 8}))
+    for flag in ("--key-seed", "--lattice-seed"):
+        with pytest.raises(SystemExit) as exc:
+            main(["keygen", "--params", str(params), flag, "9",
+                  "--out", str(tmp_path / "p"), str(tmp_path / "s")])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+def test_cli_sweep_output_path_is_the_out_flag(tmp_path, capsys):
+    # --out is the one home of the sweep's output path
+    cfg_path = make_config_file(tmp_path, output_csv="sweep.csv")
+    assert main(["sweep", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "a.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "unknown config key 'output_csv'" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(make_config_file(tmp_path))])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
 
 
 def test_cli_train_writes_codec(tmp_path):

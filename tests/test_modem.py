@@ -175,7 +175,7 @@ def test_zero_noise_identity():
     y = stream(3).standard_normal(100) + 1j * stream(4).standard_normal(100)
     assert np.array_equal(awgn_one(y, noise_variance(math.inf, 1.0), stream(5)), y)
     c = stream(6).integers(0, 16, size=(3, 8))
-    c_hat = receive(c, build_constellation(16, 1.0), 0.0, 5.0, 7, [0, 1, 2])
+    c_hat = receive(c, build_constellation(16, 1.0), math.inf, 5.0, 7, [0, 1, 2])
     assert c_hat.dtype == np.float64
     assert np.array_equal(c_hat, c)
 

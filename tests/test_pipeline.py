@@ -37,7 +37,7 @@ def test_zero_noise_zero_errors_is_quantization_only(setup, zero_error_rows):
     x = images[0]
     z, _ = codec.encode(x.reshape(1, -1), SPEC, {})
     z_bar = hard_quantize(z, qcfg)
-    _, _, z_prime = transmit_latent(z_bar, keys, cons, 0.0, 5.0, 3, 4, [0])
+    _, _, z_prime = transmit_latent(z_bar, keys, cons, math.inf, 5.0, 3, 4, [0])
     assert np.array_equal(z_prime, z_bar)
     x_hat, _ = codec.decode(soft_dequantize(z_prime, qcfg), SPEC, {})
     x_hat = x_hat.reshape(x.shape)
@@ -55,7 +55,7 @@ def test_zero_noise_zero_errors_is_quantization_only(setup, zero_error_rows):
 def test_transmit_deterministic(setup):
     keys, qcfg, cons, _ = setup
     zbar = stream(52).integers(0, 4093, size=(2, 64))
-    (ct_a, *a), (ct_b, *b) = (transmit_latent(zbar, keys, cons, 0.1, 5.0, 3, 4,
+    (ct_a, *a), (ct_b, *b) = (transmit_latent(zbar, keys, cons, 10.0, 5.0, 3, 4,
                                               [7, 9]) for _ in range(2))
     for x, y in zip([ct_a.c, ct_a.d, *a], [ct_b.c, ct_b.d, *b]):
         assert np.array_equal(x, y)
@@ -145,8 +145,8 @@ def test_noise_accounting_additive(setup):
     zbar = np.stack([qcfg.centroids[stream(50, m).integers(0, 16, size=64)]
                      for m in range(30)])
     for snr in (5.0, 15.0):
-        ct, c_hat, z_prime = transmit_latent(zbar, keys, cons, 10 ** (-snr / 10),
-                                             5.0, 3, 4, np.arange(30))
+        ct, c_hat, z_prime = transmit_latent(zbar, keys, cons, snr, 5.0, 3, 4,
+                                             np.arange(30))
         crypto_v = np.var(centered(decrypt(ct, keys) - zbar, 4093), axis=1)
         chan_v = np.var(c_hat - ct.c, axis=1)
         comp_v = np.var(centered(z_prime - zbar, 4093), axis=1)
@@ -164,7 +164,7 @@ def test_batched_chain_rows_equal_single_messages(k):
     indices = [7, 2, 11, 3]
     zbar = stream(51).integers(0, 4093, size=(len(indices), k))
     def outputs(rows, message_indices):
-        ct, c_hat, z_prime = transmit_latent(rows, keys, cons, 0.1, 5.0, 3, 4,
+        ct, c_hat, z_prime = transmit_latent(rows, keys, cons, 10.0, 5.0, 3, 4,
                                              message_indices)
         return {"c": ct.c, "d": ct.d, "exact_plain": decrypt(ct, keys),
                 "c_hat": c_hat, "z_prime": z_prime}

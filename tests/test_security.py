@@ -190,8 +190,7 @@ def test_game_result_report_strings():
 
 def test_eve_infinite_snr_is_identity():
     c = stream(1).integers(0, 4093, size=(2, 64))
-    eve = receive(c, build_constellation(4093, 1.0), noise_variance(math.inf, 1.0),
-                  5.0, 3, [0, 1])
+    eve = receive(c, build_constellation(4093, 1.0), math.inf, 5.0, 3, [0, 1])
     assert np.array_equal(eve, c)
 
 
@@ -200,13 +199,13 @@ def test_eve_same_snr_same_seed_matches_bob():
     cons = build_constellation(257, 1.0)
     c = stream(4).integers(0, 257, size=(3, 16))
     sigma2 = noise_variance(10.0, 1.0)
-    eve = receive(c, cons, sigma2, 5.0, 6, [4, 0, 9])
+    eve = receive(c, cons, 10.0, 5.0, 6, [4, 0, 9])
     for row, index in enumerate([4, 0, 9]):
         bob = soft_demodulate(awgn_one(modulate(c[row], cons), sigma2,
                                        stream(6, index)), cons, sigma2, 5.0)
         assert np.array_equal(eve[row], bob)
     with pytest.raises(ValueError):
-        receive(c, cons, sigma2, 5.0, 6, [4, 0])
+        receive(c, cons, 10.0, 5.0, 6, [4, 0])
 
 
 # -- chosen-plaintext attack -------------------------------------------------
