@@ -16,8 +16,8 @@ from pathlib import Path
 
 from . import security, training
 from .config import (load_attack_config, load_codec, load_config,
-                     load_game_config, load_keygen_params, load_secret_key,
-                     save_codec, save_key_files)
+                     load_game_config, load_secret_key, save_codec,
+                     save_key_files)
 from .datasets import read_image, synthesize_dataset
 from .lwe import keygen
 from .modem import build_constellation
@@ -26,7 +26,8 @@ from .quantizer import QuantizerConfig
 
 
 def _cmd_keygen(args) -> int:
-    key = keygen(*load_keygen_params(args.params))
+    cfg = load_config(args.config)
+    key = keygen(cfg.lwe, cfg.seeds.key, cfg.seeds.lattice)
     public_path, secret_path = args.out
     save_key_files(key, public_path, secret_path)
     print(f"wrote public key to {public_path} and secret key to {secret_path}")
@@ -159,9 +160,8 @@ def main(argv=None) -> int:
         description="encrypted joint source-channel transmission toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("keygen", help="generate a key pair from a params file")
-    p.add_argument("--params", required=True,
-                   help="JSON with p,n1,n2,sigma_s,k,key_seed,lattice_seed")
+    p = sub.add_parser("keygen", help="generate the config's key pair")
+    p.add_argument("--config", required=True)
     p.add_argument("--out", nargs=2, required=True,
                    metavar=("PUBLIC", "SECRET"))
     p.set_defaults(func=_cmd_keygen)

@@ -203,27 +203,18 @@ def game_config_from_dict(raw: dict) -> GameConfig:
                   params=lwe)
 
 
-def attack_config_from_dict(raw: dict, default_dataset: DatasetSpec) -> AttackConfig:
-    raw = _object(raw, "config key 'attack'")
-    pairs = _value(int, raw.get("pairs", 2000), "attack.pairs")
-    dataset = default_dataset
-    if "dataset" in raw:
-        # the attack draws one image per pair, so ``count`` may be left out
-        dataset = _build(DatasetSpec, {"count": pairs,
-                                       **_section(raw, "dataset", "attack.")},
-                         "attack.dataset.")
-        if dataset.count != pairs:
-            raise ValueError(f"config key 'attack.dataset.count' must equal "
-                             f"attack.pairs ({pairs}), got {dataset.count}")
-    return _build(AttackConfig, {"adversary": "linear", "pairs": pairs,
-                                 **_without(raw, "dataset")},
-                  "attack.", dataset=dataset)
+def attack_config_from_dict(raw: dict, dataset: DatasetSpec) -> AttackConfig:
+    """The ``attack`` section: one (image, ciphertext) pair per image of
+    ``dataset``, so the section sets neither ``pairs`` nor ``dataset``."""
+    return _build(AttackConfig, raw, "attack.", dataset=dataset, pairs=dataset.count)
 
 
 def load_game_config(path: str | Path) -> GameConfig:
-    """The ``game`` section of a config file, or the whole file if it has none."""
-    return _load(path, lambda raw: game_config_from_dict(
-        _object(raw, "the config").get("game", raw)))
+    """The ``game`` section of a config file; the whole file is checked."""
+    def build(raw):
+        config_from_dict(raw)
+        return game_config_from_dict(raw.get("game", {}))
+    return _load(path, build)
 
 
 def load_attack_config(path: str | Path) -> tuple[PipelineConfig, AttackConfig]:
@@ -231,19 +222,6 @@ def load_attack_config(path: str | Path) -> tuple[PipelineConfig, AttackConfig]:
     def build(raw):
         cfg = config_from_dict(raw)
         return cfg, attack_config_from_dict(raw.get("attack", {}), cfg.dataset)
-    return _load(path, build)
-
-
-def load_keygen_params(path: str | Path) -> tuple[LweParams, int, int]:
-    """The lattice parameters and the two seeds of a keygen params file."""
-    seeds = ("key_seed", "lattice_seed")
-
-    def build(raw):
-        raw = _object(raw, "the params file")
-        if any(name not in raw for name in seeds):
-            raise ValueError("the params file must set key_seed and lattice_seed")
-        return (_build(LweParams, _without(raw, *seeds), ""),
-                *(_value(int, raw[name], name) for name in seeds))
     return _load(path, build)
 
 

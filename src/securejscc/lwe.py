@@ -58,7 +58,7 @@ class LweParams:
 
     @property
     def tail(self) -> int:
-        """The largest magnitude :func:`sample_discrete_gaussian` can return:
+        """The largest magnitude :func:`_gaussian_rows` can return:
         ``SAMPLER_TAIL_SIGMAS`` standard deviations of its normal, rounded up.
         Capped at 2**63, past which every lattice product overflows anyway,
         so that a huge finite ``sigma_s`` gives a number, not +inf."""
@@ -118,25 +118,12 @@ def _gaussian_rows(sigma_s: float, rngs, shape) -> np.ndarray:
     """One ``shape`` block of rounded N(0, sigma_s^2 / 2pi) draws per stream.
 
     The whole stack is rounded once; the draws are the ones
-    ``rng.normal(0, sigma_s / sqrt(2 pi), shape)`` makes.
+    ``rng.normal(0, sigma_s / sqrt(2 pi), shape)`` makes. The rounding adds
+    roughly 1/12 to the continuous variance.
     """
     x = normal_rows(rngs, shape)
     x *= sigma_s / math.sqrt(2.0 * math.pi)
     return round_half_away(x).astype(np.int64)
-
-
-def sample_discrete_gaussian(sigma_s: float, count: int,
-                             rng: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` integers: continuous N(0, sigma_s^2 / 2pi), rounded.
-
-    The rounding adds roughly 1/12 to the continuous variance, so the
-    samples have variance close to ``sigma_s**2 / (2*pi) + 1/12``.
-    """
-    if not sigma_s > 0:
-        raise ValueError(f"sigma_s must be positive, got {sigma_s}")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    return _gaussian_rows(sigma_s, [rng], (count,))[0]
 
 
 def _max_abs(x: np.ndarray) -> int:

@@ -83,9 +83,11 @@ def soft_quantize_jacobian(z: np.ndarray, cfg: QuantizerConfig,
     return 2.0 * sigma_q * (second - mean * mean)
 
 
-def anneal_sigma_q(step: int, sigma_prev: float) -> float:
-    """Linear annealing toward the hard limit, capped at SIGMA_Q_CAP."""
-    return min(SIGMA_Q_CAP, sigma_prev + SIGMA_Q_RAMP * (step // SIGMA_Q_PERIOD))
+def anneal_sigma_q(step: int) -> float:
+    """sigma_q at training step ``step``: a linear ramp toward the hard limit,
+    SIGMA_Q_RAMP per SIGMA_Q_PERIOD steps from SIGMA_Q_INITIAL, capped at
+    SIGMA_Q_CAP."""
+    return min(SIGMA_Q_CAP, SIGMA_Q_INITIAL + SIGMA_Q_RAMP * (step // SIGMA_Q_PERIOD))
 
 
 def soft_dequantize(z_prime: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:

@@ -23,9 +23,9 @@ import numpy as np
 
 from . import codec, metrics
 from .datasets import DatasetSpec, synthesize_dataset
-from .lwe import (ErrorTriple, LweParams, PublicKey, centered,
+from .lwe import (ErrorTriple, LweParams, PublicKey, _gaussian_rows, centered,
                   derive_error_rows, encrypt, error_rows, keygen_stack,
-                  lattice_product, sample_discrete_gaussian)
+                  lattice_product)
 from .modem import SIGMA_L_DEFAULT, Db, build_constellation, receive
 from .quantizer import QuantizerConfig, build_centroids, hard_quantize
 from .rng import spawn_seed, stream
@@ -101,8 +101,7 @@ class TrainedClassifier:
         params = pk.params
         n = self.train_size
         labels = np.tile([0, 1], n // 2 + 1)[:n]
-        e = sample_discrete_gaussian(params.sigma_s, n * (params.n1 + params.k),
-                                     rng)
+        e = _gaussian_rows(params.sigma_s, [rng], (n * (params.n1 + params.k),))[0]
         e1 = e[:n * params.n1].reshape(n, params.n1)
         e3 = e[n * params.n1:].reshape(n, params.k)
         x = self._features((lattice_product(e1, pk.B) + e3
@@ -231,9 +230,9 @@ MLP_HIDDEN = 64  # hidden width of the mlp adversary
 
 @dataclass(frozen=True)
 class AttackConfig:
-    adversary: str
     pairs: int
     dataset: DatasetSpec
+    adversary: str = "linear"
     epochs: int = 30
     error_mode: str = "fresh"
     snr_e_db: Db = math.inf

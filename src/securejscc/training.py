@@ -21,8 +21,8 @@ from . import codec
 from .lwe import KeyPair
 from .modem import Constellation, Db
 from .pipeline import transmit_latent
-from .quantizer import (SIGMA_Q_INITIAL, QuantizerConfig, anneal_sigma_q,
-                        hard_quantize, soft_dequantize, soft_quantize_jacobian)
+from .quantizer import (QuantizerConfig, anneal_sigma_q, hard_quantize,
+                        soft_dequantize, soft_quantize_jacobian)
 from .rng import stream
 
 # train_codec's stopping rule: epochs without a better validation loss
@@ -51,7 +51,6 @@ class TrainContext:
 class TrainState:
     params: dict
     step: int = 0
-    sigma_q: float = SIGMA_Q_INITIAL
     learning_rate: float = codec.ADAM_LR
     messages_sent: int = 0
     opt: codec.AdamState = field(default_factory=codec.AdamState)
@@ -98,25 +97,26 @@ def _gradients(batch: np.ndarray, params: dict, ctx: TrainContext,
 
 def compute_gradients(batch: np.ndarray, state: TrainState,
                       ctx: TrainContext) -> tuple[float, dict]:
-    """Loss and parameter gradients for one batch of flattened images."""
-    loss, grads = _gradients(batch, state.params, ctx, state.sigma_q,
+    """Loss and parameter gradients for one batch of flattened images, with
+    the soft quantizer's sharpness at ``state.step``."""
+    sigma_q = anneal_sigma_q(state.step)
+    loss, grads = _gradients(batch, state.params, ctx, sigma_q,
                              _through_chain(ctx, state.messages_sent))
     if not math.isfinite(loss):
         raise RuntimeError(
             f"non-finite loss at step {state.step} "
-            f"(sigma_q={state.sigma_q}, snr_db={ctx.snr_db})")
+            f"(sigma_q={sigma_q}, snr_db={ctx.snr_db})")
     return loss, grads
 
 
 def train_step(batch: np.ndarray, state: TrainState,
                ctx: TrainContext) -> tuple[TrainState, float]:
-    """One optimizer update; advances the step counter and anneals sigma_q."""
+    """One optimizer update; advances the step counter."""
     loss, grads = compute_gradients(batch, state, ctx)
     step = state.step + 1
     params = codec.adam_step(state.params, grads, state.opt, step,
                              lr=state.learning_rate)
     return TrainState(params=params, step=step,
-                      sigma_q=anneal_sigma_q(step, state.sigma_q),
                       learning_rate=state.learning_rate,
                       messages_sent=state.messages_sent + batch.shape[0],
                       opt=state.opt), loss

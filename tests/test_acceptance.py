@@ -12,8 +12,7 @@ import pytest
 
 from securejscc.codec import CodecSpec
 from securejscc.datasets import DatasetSpec, synthesize_dataset
-from securejscc.lwe import (LweParams, centered, decrypt, encrypt, keygen,
-                            sample_discrete_gaussian)
+from securejscc.lwe import LweParams, centered, decrypt, encrypt, keygen
 from securejscc.metrics import ms_ssim, mse, psnr, ssim
 from securejscc.modem import build_constellation, modulate
 from securejscc.pipeline import records_to_csv, sweep, transmit_latent
@@ -23,7 +22,7 @@ from securejscc.rng import stream
 from securejscc.security import (AttackConfig, GameConfig, MarginalChiSquare,
                                  run_cpa_attack, run_ind_cpa_game)
 from securejscc.training import TrainContext, evaluate, init_train_state, train_step
-from test_lwe import message_errors
+from test_lwe import message_errors, sample_discrete_gaussian
 from test_modem import awgn_one, nearest_point_demodulate
 from test_quantizer import soft_quantize
 from test_security import BROKEN_LWE, LeakyDistinguisher, SmallClassifier

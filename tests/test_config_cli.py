@@ -68,7 +68,7 @@ def test_missing_section_key_rejected_at_load():
 
 
 def test_game_and_attack_sections_allowed():
-    config_from_dict({"game": {"trials": 200}, "attack": {"pairs": 10}})
+    config_from_dict({"game": {"trials": 200}, "attack": {"adversary": "mlp"}})
 
 
 @pytest.mark.parametrize("raw, key", [
@@ -82,9 +82,11 @@ def test_game_loader_rejects_unknown_key(raw, key):
 
 @pytest.mark.parametrize("raw, key", [
     ({"pair": 10}, "attack.pair"),
-    ({"dataset": {"kind": "blob", "count": 0, "height": 4, "width": 4,
-                  "chanels": 1}}, "attack.dataset.chanels"),
+    # the attack sends one pair per image of the config's dataset
+    ({"dataset": {"kind": "blob", "count": 7, "height": 4, "width": 4}},
+     "attack.dataset"),
     ({"mlp_hidden": 64}, "attack.mlp_hidden"),  # now security.MLP_HIDDEN
+    ({"pairs": 10}, "attack.pairs"),
 ])
 def test_attack_loader_rejects_unknown_key(raw, key):
     cfg = config_from_dict({})
@@ -92,13 +94,11 @@ def test_attack_loader_rejects_unknown_key(raw, key):
         attack_config_from_dict(raw, cfg.dataset)
 
 
-def test_attack_dataset_count_is_optional():
-    # run_cpa_attack draws one image per pair, so count defaults to pairs
-    cfg = config_from_dict({})
-    attack = attack_config_from_dict(
-        {"pairs": 30, "dataset": {"kind": "blob", "height": 4, "width": 4}},
-        cfg.dataset)
+def test_attack_pairs_are_the_dataset_count():
+    cfg = config_from_dict({"dataset": images(30)})
+    attack = attack_config_from_dict({"error_mode": "reused"}, cfg.dataset)
     assert attack.dataset == DatasetSpec("blob", 30, 4, 4, 1)
+    assert (attack.pairs, attack.adversary) == (30, "linear")
 
 
 def test_k_mismatch_rejected():
@@ -133,42 +133,39 @@ def make_config_file(tmp_path, **over):
     return path
 
 
+def images(count):
+    """The ``dataset`` section of ``count`` 4x4 images."""
+    return {"kind": "blob", "count": count, "height": 4, "width": 4}
+
+
 def test_cli_keygen_and_key_files(tmp_path):
-    params = tmp_path / "params.json"
-    params.write_text(json.dumps({"p": 251, "n1": 16, "n2": 16,
-                                  "sigma_s": 1.5, "k": 16,
-                                  "key_seed": 7, "lattice_seed": 8}))
+    cfg_path = make_config_file(tmp_path, seeds={"key": 7, "lattice": 8})
     pub, sec = tmp_path / "pub.json", tmp_path / "sec.json"
-    assert main(["keygen", "--params", str(params),
+    assert main(["keygen", "--config", str(cfg_path),
                  "--out", str(pub), str(sec)]) == 0
     loaded = load_secret_key(sec)
-    assert loaded.key_seed == 7
+    assert (loaded.params, loaded.key_seed) == (load_config(cfg_path).lwe, 7)
     assert np.array_equal(load_public_key(pub).B, loaded.B)
 
 
-@pytest.mark.parametrize("raw, message", [
-    ({"p": 251, "n1": 16, "n2": 16, "sigma_s": 1.5, "sigma": 1.5, "k": 16},
-     "unknown config key 'sigma'"),
-    ({"p": 251, "n1": 16, "n2": 16, "sigma_s": 1.5}, "missing config key 'k'"),
+@pytest.mark.parametrize("over, message", [
+    ({"lwe": {"p": 251, "n1": 16, "n2": 16, "sigma_s": 1.5, "sigma": 1.5, "k": 16}},
+     "unknown config key 'lwe.sigma'"),
+    ({"dataset": {"kind": "blob", "height": 4, "width": 4}},
+     "missing config key 'dataset.count'"),
+    # keygen makes the same checks as every other command
+    ({"lwe": {"p": 5003, "n1": 16, "n2": 16, "sigma_s": 1.5, "k": 16}},
+     "exceeds the largest QAM constellation"),
+    # the seeds of the keygen params file of earlier versions
+    ({"key_seed": 7, "lattice_seed": 8}, "unknown config key 'key_seed'"),
 ])
-def test_cli_keygen_bad_params_file_exits_2(tmp_path, capsys, raw, message):
-    params = tmp_path / "params.json"
-    params.write_text(json.dumps({**raw, "key_seed": 7, "lattice_seed": 8}))
-    code = main(["keygen", "--params", str(params),
+def test_cli_keygen_bad_config_exits_2(tmp_path, capsys, over, message):
+    code = main(["keygen", "--config", str(make_config_file(tmp_path, **over)),
                  "--out", str(tmp_path / "p"), str(tmp_path / "s")])
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
-
-
-def test_cli_keygen_requires_seeds(tmp_path, capsys):
-    params = tmp_path / "params.json"
-    params.write_text(json.dumps({"p": 251, "n1": 16, "n2": 16,
-                                  "sigma_s": 1.5, "k": 16}))
-    code = main(["keygen", "--params", str(params),
-                 "--out", str(tmp_path / "p"), str(tmp_path / "s")])
-    assert code == 2
-    assert "key_seed and lattice_seed" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_cli_unknown_config_key_exits_2(tmp_path, capsys):
@@ -200,12 +197,8 @@ def test_cli_sweep_deterministic(tmp_path):
 
 def test_cli_transmit_with_image_file(tmp_path):
     cfg_path = make_config_file(tmp_path)
-    params = tmp_path / "params.json"
-    params.write_text(json.dumps({"p": 251, "n1": 16, "n2": 16,
-                                  "sigma_s": 1.5, "k": 16,
-                                  "key_seed": 1, "lattice_seed": 2}))
     pub, sec = tmp_path / "pub.json", tmp_path / "sec.json"
-    main(["keygen", "--params", str(params), "--out", str(pub), str(sec)])
+    main(["keygen", "--config", str(cfg_path), "--out", str(pub), str(sec)])
     img = tmp_path / "x.pgm"
     write_image(img, np.arange(16, dtype=np.float64).reshape(4, 4, 1) * 16)
     out = tmp_path / "tx.csv"
@@ -227,12 +220,8 @@ def test_cli_indcpa(tmp_path, capsys):
 
 def test_cli_transmit_key_file_missing_field_exits_2(tmp_path, capsys):
     cfg_path = make_config_file(tmp_path)
-    params = tmp_path / "params.json"
-    params.write_text(json.dumps({"p": 251, "n1": 16, "n2": 16,
-                                  "sigma_s": 1.5, "k": 16,
-                                  "key_seed": 1, "lattice_seed": 2}))
     pub, sec = tmp_path / "pub.json", tmp_path / "sec.json"
-    assert main(["keygen", "--params", str(params), "--out", str(pub), str(sec)]) == 0
+    assert main(["keygen", "--config", str(cfg_path), "--out", str(pub), str(sec)]) == 0
     blob = json.loads(sec.read_text())
     del blob["params"]
     sec.write_text(json.dumps(blob))
@@ -246,10 +235,8 @@ def test_cli_transmit_key_file_missing_field_exits_2(tmp_path, capsys):
 
 def test_cli_attack_with_sabotage_control(tmp_path, capsys):
     cfg_path = make_config_file(
-        tmp_path,
-        dataset={"kind": "blob", "count": 0, "height": 4, "width": 4,
-                 "channels": 1},
-        attack={"adversary": "linear", "pairs": 400, "epochs": 5, "seed": 1})
+        tmp_path, dataset=images(400),
+        attack={"adversary": "linear", "epochs": 5, "seed": 1})
     out = tmp_path / "attack.csv"
     assert main(["attack", "--config", str(cfg_path), "--out", str(out),
                  "--sabotage-control"]) == 0
@@ -261,7 +248,7 @@ def test_cli_sabotage_control_runs_at_infinite_snr(tmp_path):
     # the control tests the harness, not the channel: at the configured
     # 10 dB the channel hides the reused triple's leak (mse ratio 0.644)
     cfg_path = make_config_file(
-        tmp_path, attack={"adversary": "linear", "pairs": 200, "snr_e_db": 10.0})
+        tmp_path, dataset=images(200), attack={"adversary": "linear", "snr_e_db": 10.0})
     out = tmp_path / "attack.csv"
     assert main(["attack", "--config", str(cfg_path), "--out", str(out),
                  "--sabotage-control"]) == 0
@@ -272,13 +259,11 @@ def test_cli_sabotage_control_runs_at_infinite_snr(tmp_path):
 
 
 def test_cli_keygen_seed_flags_are_gone(tmp_path, capsys):
-    # the params file is the one home of the keygen seeds
-    params = tmp_path / "params.json"
-    params.write_text(json.dumps({"p": 251, "n1": 16, "n2": 16, "sigma_s": 1.5,
-                                  "k": 16, "key_seed": 7, "lattice_seed": 8}))
-    for flag in ("--key-seed", "--lattice-seed"):
+    # the config's seeds section is the one home of the keygen seeds
+    cfg_path = make_config_file(tmp_path)
+    for flag in ("--key-seed", "--lattice-seed", "--params"):
         with pytest.raises(SystemExit) as exc:
-            main(["keygen", "--params", str(params), flag, "9",
+            main(["keygen", "--config", str(cfg_path), flag, "9",
                   "--out", str(tmp_path / "p"), str(tmp_path / "s")])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
@@ -389,15 +374,16 @@ def test_sweep_config_with_one_image_loads(tmp_path):
     assert cfg.dataset.count == 1
 
 
+# the config settings of an attack run, which sends one pair per image
 @pytest.mark.parametrize("attack, message", [
-    ({"pairs": 1}, "test fraction leaves no training pairs"),
-    ({"pairs": 10, "test_fraction": 0.96}, "test fraction leaves no training pairs"),
-    ({"pairs": 50, "dataset": {"kind": "blob", "count": 7, "height": 4,
-                               "width": 4}},
-     "'attack.dataset.count' must equal attack.pairs (50), got 7"),
+    ({"dataset": images(1)}, "test fraction leaves no training pairs"),
+    ({"dataset": images(10), "attack": {"test_fraction": 0.96}},
+     "test fraction leaves no training pairs"),
+    ({"attack": {"pairs": 50}}, "unknown config key 'attack.pairs'"),
+    ({"attack": {"dataset": images(7)}}, "unknown config key 'attack.dataset'"),
 ])
 def test_cli_unworkable_attack_exits_2(tmp_path, capsys, attack, message):
-    cfg_path = make_config_file(tmp_path, attack=attack)
+    cfg_path = make_config_file(tmp_path, **attack)
     assert main(["attack", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1

@@ -16,7 +16,7 @@ from securejscc import (CodecSpec, LweParams, keygen, load_codec,
 from securejscc.cli import main
 from securejscc.codec import init_params
 from securejscc.config import (attack_config_from_dict, config_from_dict,
-                               game_config_from_dict, load_keygen_params)
+                               game_config_from_dict)
 from securejscc.rng import stream
 
 LWE = {"p": 251, "n1": 16, "n2": 16, "sigma_s": 1.5, "k": 16}
@@ -35,7 +35,6 @@ MLP_CONFIG = {
     "codec": {"kind": "mlp", "k": 16, "hidden_sizes": [4], "latent_scale": 251.0},
     "training": {"max_steps": 2, "batch_size": 4},
 }
-PARAMS = {**LWE, "key_seed": 1, "lattice_seed": 2}
 DELETE = object()
 
 
@@ -43,11 +42,10 @@ DELETE = object()
 def files(tmp_path):
     """Valid inputs of every kind, all consistent with one another."""
     paths = {name: tmp_path / name for name in (
-        "cfg.json", "mlp.json", "params.json", "pub.json", "sec.json",
+        "cfg.json", "mlp.json", "pub.json", "sec.json",
         "codec.json", "img.pgm")}
     paths["cfg.json"].write_text(json.dumps(CONFIG))
     paths["mlp.json"].write_text(json.dumps(MLP_CONFIG))
-    paths["params.json"].write_text(json.dumps(PARAMS))
     save_key_files(keygen(LweParams(**LWE), 1, 2), paths["pub.json"], paths["sec.json"])
     save_codec(MLP_SPEC, init_params(MLP_SPEC, stream(0)), paths["codec.json"])
     paths["img.pgm"].write_bytes(b"P5\n4 4\n255\n" + bytes(range(16)))
@@ -81,7 +79,7 @@ def _argv(command, files, out):
         "sweep_mlp": ["sweep", "--config", files["mlp.json"], "--codec-params",
                       files["codec.json"], "--out", out],
         "train": ["train", "--config", files["mlp.json"], "--out", out],
-        "keygen": ["keygen", "--params", files["params.json"], "--out", out,
+        "keygen": ["keygen", "--config", files["cfg.json"], "--out", out,
                    str(out) + ".secret"],
     }[command]
 
@@ -102,7 +100,7 @@ MALFORMED = [
     ("sweep_mlp", "codec.json", ("params", "dec.W1"), DELETE, "'dec.W1'"),
     ("sweep", "cfg.json", ("lwe", "sigma_s"), math.inf, "'lwe.sigma_s'"),
     ("sweep", "cfg.json", ("n_levels",), 16.7, "'n_levels'"),
-    ("keygen", "params.json", ("key_seed",), 1.7, "'key_seed'"),
+    ("keygen", "cfg.json", ("seeds", "key"), 1.7, "'seeds.key'"),
     ("sweep", "cfg.json", ("snr_grid_db",), ["-inf", 0], "'snr_grid_db[0]'"),
     ("transmit_img", "img.pgm", None, b"P5\n-4 4\n255\n" + bytes(16), "img.pgm"),
     ("transmit_img", "img.pgm", None, b"P5\n0 4\n255\n" + bytes(16), "img.pgm"),
@@ -123,7 +121,7 @@ def test_malformed_input_exits_2_with_one_line(files, tmp_path, capsys,
     assert err.count("\n") == 1 and needle in err, err
 
 
-def test_load_time_checks(files):
+def test_load_time_checks():
     with pytest.raises(ValueError, match="unknown loss 'l1'"):
         config_from_dict({"training": {"loss": "l1"}})
     # a float field given a JSON integer holds a float
@@ -133,7 +131,6 @@ def test_load_time_checks(files):
     for snr in ("5", "-inf", -math.inf, math.nan, True):
         with pytest.raises(ValueError, match="snr_grid_db"):
             config_from_dict({"snr_grid_db": [snr]})
-    assert load_keygen_params(files["params.json"])[1:] == (1, 2)
 
 
 @pytest.mark.parametrize("keys, value, message", [
@@ -216,12 +213,13 @@ DICT_LOADERS = {
                                   "training": {"loss": "mse", "snr_train_db": 10.0}}),
     "game": (game_config_from_dict, {"trials": 200, "seed": 3,
                                      "distinguisher": "marginal_chisq", "lwe": LWE}),
-    "attack": (lambda raw: attack_config_from_dict(raw, config_from_dict({}).dataset),
-               {"adversary": "linear", "pairs": 10, "epochs": 5, "snr_e_db": "inf",
-                "dataset": {"kind": "blob", "height": 4, "width": 4}}),
+    # the attack's pairs are the config's images
+    "attack": (lambda raw: attack_config_from_dict(raw["attack"],
+                                                   config_from_dict(raw).dataset),
+               {**CONFIG, "attack": {"adversary": "linear", "epochs": 5,
+                                     "snr_e_db": "inf", "test_fraction": 0.2}}),
 }
 FILE_LOADERS = {
-    "keygen params": (load_keygen_params, PARAMS),
     "public key": (load_public_key, FILES["pub.json"]),
     "secret key": (load_secret_key, FILES["sec.json"]),
     "codec": (load_codec, FILES["codec.json"]),

@@ -10,8 +10,7 @@ from securejscc.lwe import (EXACT_FLOAT_LIMIT, Ciphertext, ErrorTriple,
                             LweParams, centered, decrypt, decrypt_noisy,
                             derive_error_rows, encrypt,
                             keygen, keygen_stack, lattice_product,
-                            public_matrix, round_half_away,
-                            sample_discrete_gaussian)
+                            public_matrix, round_half_away)
 from securejscc.rng import stream
 
 SMALL = LweParams(p=17, n1=4, n2=4, sigma_s=2.0, k=3)
@@ -22,6 +21,20 @@ def message_errors(seed, index, params):
     """The (e1, e2, e3) triple of one message: row 0 of derive_error_rows."""
     rows = derive_error_rows(seed, [index], params)
     return ErrorTriple(e1=rows.e1[0], e2=rows.e2[0], e3=rows.e3[0])
+
+
+def sample_discrete_gaussian(sigma_s: float, count: int,
+                             rng: np.random.Generator) -> np.ndarray:
+    """``count`` integers: ``rng``'s N(0, sigma_s^2 / 2pi) draws, rounded half
+    away from zero, so of variance close to ``sigma_s**2 / (2*pi) + 1/12``.
+
+    The library's sampler, ``lwe._gaussian_rows``, must make exactly these
+    draws; the tests below compare keys and error triples against them.
+    """
+    if not sigma_s > 0:
+        raise ValueError(f"sigma_s must be positive, got {sigma_s}")
+    x = rng.normal(0.0, sigma_s / math.sqrt(2.0 * math.pi), count)
+    return round_half_away(x).astype(np.int64)
 
 
 def zero_errors(params):

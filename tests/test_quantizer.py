@@ -177,17 +177,16 @@ def test_jacobian_matches_finite_differences_reference_scale():
 
 
 def test_anneal_examples():
-    assert anneal_sigma_q(1, 5.0) == 5.0
-    assert anneal_sigma_q(2000, 5.0) == 10.0
-    assert anneal_sigma_q(10 ** 6, 199.0) == 200.0
+    # 5 per 2000 steps from 5
+    for step, sigma_q in ((0, 5.0), (1999, 5.0), (2000, 10.0), (2001, 10.0),
+                          (3999, 10.0), (4000, 15.0), (10 ** 6, 200.0)):
+        assert anneal_sigma_q(step) == sigma_q, step
 
 
 def test_anneal_caps_at_200():
-    sigma = 5.0
-    for step in range(1, 500_000, 997):
-        sigma = anneal_sigma_q(step, sigma)
-        assert sigma <= 200.0
-    assert sigma == 200.0
+    sigmas = [anneal_sigma_q(step) for step in range(0, 500_000, 997)]
+    assert sigmas == sorted(sigmas) and max(sigmas) == 200.0
+    assert (anneal_sigma_q(77_999), anneal_sigma_q(78_000)) == (195.0, 200.0)
 
 
 # -- dequantization ----------------------------------------------------------

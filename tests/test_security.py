@@ -20,6 +20,9 @@ from test_modem import awgn_one
 GAME_LWE = LweParams(p=257, n1=32, n2=32, sigma_s=8.87, k=16)
 # a sampler this narrow draws only zeros: every challenge is c == m_b
 BROKEN_LWE = LweParams(p=257, n1=32, n2=32, sigma_s=1e-3, k=16)
+# one lattice row and a unit-width sampler: every challenge lies within a few
+# units of its plaintext, so an honest distinguisher must win
+WEAK_LWE = LweParams(p=257, n1=1, n2=1, sigma_s=1.0, k=16)
 ATTACK_LWE = LweParams(p=4093, n1=64, n2=64, sigma_s=8.87, k=64)
 ATTACK_SPEC = CodecSpec(kind="identity", input_shape=(8, 8, 1), k=64,
                         latent_scale=4093 / 256.0)
@@ -176,6 +179,18 @@ def test_trained_classifier_honest_near_zero():
     cfg = GameConfig(trials=600, params=GAME_LWE, seed=9)
     result = run_ind_cpa_game(cfg, SmallClassifier())
     assert abs(result.advantage) < 0.12
+
+
+@pytest.mark.parametrize("name", [
+    "trained_classifier",
+    pytest.param("marginal_chisq", marks=pytest.mark.xfail(
+        strict=True, reason="blind by construction: shifting residues does not "
+        "change how uniform they look (ROADMAP item 1)")),
+])
+def test_honest_distinguisher_breaks_a_weak_lattice(name):
+    cfg = GameConfig(trials=400, params=WEAK_LWE, seed=0, distinguisher=name)
+    result = run_ind_cpa_game(cfg)
+    assert result.advantage > 0.5 and result.ci_low > 0, result.summary()
 
 
 def test_game_result_report_strings():

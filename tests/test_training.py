@@ -1,16 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from securejscc import pipeline
+from securejscc import pipeline, training
 from securejscc.codec import CodecSpec, init_params
 from securejscc.datasets import DatasetSpec, synthesize_dataset
 from securejscc.lwe import LweParams, keygen
 from securejscc.modem import build_constellation
-from securejscc.quantizer import QuantizerConfig, hard_quantize
+from securejscc.quantizer import QuantizerConfig, anneal_sigma_q, hard_quantize
 from securejscc.rng import stream
-from securejscc.training import (PATIENCE, TrainContext, TrainState, _gradients,
+from securejscc.training import (PATIENCE, TrainContext, _gradients,
                                  compute_gradients, evaluate, init_train_state,
                                  train_codec, train_step)
 from test_quantizer import soft_quantize
@@ -25,7 +26,7 @@ def surrogate_gradients(batch, state, ctx):
     to :func:`compute_gradients`. With zero errors and a noiseless channel
     the two agree exactly, which pins down the gradient-routing contract.
     """
-    return _gradients(batch, state.params, ctx, state.sigma_q,
+    return _gradients(batch, state.params, ctx, anneal_sigma_q(state.step),
                       lambda z: hard_quantize(z, ctx.qcfg).astype(np.float64))
 
 
@@ -110,17 +111,20 @@ def test_zero_learning_rate_freezes_parameters():
     assert state.step == 3
 
 
-def test_sigma_q_annealing_advances_with_steps():
+def test_sigma_q_annealing_advances_with_steps(monkeypatch):
+    # a step's sigma_q depends on its step alone: 5 more per 2000 steps
+    seen = []
+
+    def gradients(batch, params, ctx, sigma_q, latent_map):
+        seen.append(sigma_q)
+        return _gradients(batch, params, ctx, sigma_q, latent_map)
+    monkeypatch.setattr(training, "_gradients", gradients)
     ctx = make_ctx(MLP_SPEC)
     state = init_train_state(MLP_SPEC, seed=7)
     batch = toy_batch(2)
-    state, _ = train_step(batch, state, ctx)
-    assert state.sigma_q == 5.0  # floor(1/2000) == 0
-    state = TrainState(params=state.params, step=1999, sigma_q=5.0,
-                       learning_rate=state.learning_rate,
-                       messages_sent=state.messages_sent, opt=state.opt)
-    state, _ = train_step(batch, state, ctx)
-    assert state.sigma_q == 10.0
+    for step in (0, 1999, 2000, 2001, 3999, 4000):
+        train_step(batch, replace(state, step=step), ctx)
+    assert seen == [5.0, 5.0, 10.0, 10.0, 10.0, 15.0]
 
 
 def test_nonfinite_loss_aborts_with_diagnostic():
