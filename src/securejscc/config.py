@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from functools import partial
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -206,7 +207,13 @@ def game_config_from_dict(raw: dict) -> GameConfig:
 def attack_config_from_dict(raw: dict, dataset: DatasetSpec) -> AttackConfig:
     """The ``attack`` section: one (image, ciphertext) pair per image of
     ``dataset``, so the section sets neither ``pairs`` nor ``dataset``."""
-    return _build(AttackConfig, raw, "attack.", dataset=dataset, pairs=dataset.count)
+    build = partial(_build, AttackConfig, raw, "attack.", dataset=dataset)
+    try:
+        return build(pairs=dataset.count)
+    except ValueError as exc:
+        build(pairs=sys.maxsize)  # a section that fails at any pair count is at fault
+        raise ValueError(f"config key 'dataset.count' is {dataset.count}, one attack "
+                         f"pair per image: {exc}") from None
 
 
 def load_game_config(path: str | Path) -> GameConfig:

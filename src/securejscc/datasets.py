@@ -49,57 +49,71 @@ def _pixel_grid(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
                        np.arange(w, dtype=np.float64), indexing="ij")
 
 
-def _gradient(grid, c: int, rng: np.random.Generator) -> np.ndarray:
+def _gradient(grid, c: int, rngs) -> np.ndarray:
     yy, xx = grid
-    img = np.empty((*yy.shape, c))
-    for ch in range(c):
-        theta = rng.uniform(0, 2 * np.pi)
-        offset = rng.uniform(0.0, 1.0)
-        ramp = np.cos(theta) * xx + np.sin(theta) * yy + offset
-        ramp -= ramp.min()
-        span = ramp.max()
-        img[:, :, ch] = 255.0 * ramp / span if span > 0 else 0.0
+    img = np.empty((len(rngs), *yy.shape, c))
+    for im, rng in zip(img, rngs):
+        for ch in range(c):
+            theta = rng.uniform(0, 2 * np.pi)
+            offset = rng.uniform(0.0, 1.0)
+            ramp = np.cos(theta) * xx + np.sin(theta) * yy + offset
+            ramp -= ramp.min()
+            span = ramp.max()
+            im[:, :, ch] = 255.0 * ramp / span if span > 0 else 0.0
     return img
 
 
-def _checkerboard(grid, c: int, rng: np.random.Generator) -> np.ndarray:
+def _checkerboard(grid, c: int, rngs) -> np.ndarray:
     yy, xx = grid
     h, w = yy.shape
-    cell = int(rng.integers(1, max(2, min(h, w) // 2 + 1)))
-    phase = int(rng.integers(0, 2))
-    lo, hi = sorted(rng.uniform(0, 255, size=2))
-    board = ((yy // cell + xx // cell + phase) % 2).astype(np.float64)
-    img = lo + (hi - lo) * board
-    return np.repeat(img[:, :, None], c, axis=2)
+    img = np.empty((len(rngs), h, w, c))
+    for im, rng in zip(img, rngs):
+        cell = int(rng.integers(1, max(2, min(h, w) // 2 + 1)))
+        phase = int(rng.integers(0, 2))
+        lo, hi = sorted(rng.uniform(0, 255, size=2))
+        board = ((yy // cell + xx // cell + phase) % 2).astype(np.float64)
+        im[...] = (lo + (hi - lo) * board)[:, :, None]
+    return img
 
 
-def _blob(grid, c: int, rng: np.random.Generator) -> np.ndarray:
+def _blob(grid, c: int, rngs) -> np.ndarray:
+    """Each stream draws its blob count, then per blob the centre, width,
+    amplitude and gains; all bumps are made at once, summed in drawing order."""
     yy, xx = grid
     h, w = yy.shape
-    img = np.zeros((h, w, c))
-    n_blobs = int(rng.integers(1, 4))
-    for _ in range(n_blobs):
-        cy, cx = rng.uniform(0, h), rng.uniform(0, w)
-        width = rng.uniform(max(h, w) / 8.0, max(h, w) / 2.0)
-        amp = rng.uniform(64, 255)
-        bump = amp * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * width ** 2))
-        for ch in range(c):
-            img[:, :, ch] += bump * rng.uniform(0.5, 1.0)
+    counts = np.array([int(rng.integers(1, 4)) for rng in rngs])
+    u = np.concatenate([rng.random((n, 4 + c)) for rng, n in zip(rngs, counts)])
+    low = np.array([0.0, 0.0, max(h, w) / 8.0, 64.0] + [0.5] * c)
+    v = low + (np.array([h, w, max(h, w) / 2.0, 255.0] + [1.0] * c) - low) * u
+    cy, cx, amp = (v[:, i, None, None] for i in (0, 1, 3))
+    # Python's float power, as each blob's scalar width had it
+    den = np.array([2 * width ** 2 for width in v[:, 2].tolist()])[:, None, None]
+    bump = amp * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / den)
+    layers = bump[..., None] * v[:, None, None, 4:]
+    first = np.cumsum(counts) - counts
+    img = layers[first]
+    for j in range(1, counts.max()):
+        img[counts > j] += layers[first[counts > j] + j]
     return np.clip(img, 0.0, 255.0)
 
 
-# kind -> (grid builder, image generator); the grid is built once per call
+# kind -> (grid builder, stack generator); the grid is built once per call
 _GENERATORS = {"gradient": (_unit_grid, _gradient),
                "checkerboard": (_index_grid, _checkerboard),
                "blob": (_pixel_grid, _blob)}
+# image pixels generated as one stack: bounds the blob bumps' temporaries
+SYNTH_CHUNK_PIXELS = 1 << 12
 
 
 def synthesize_dataset(spec: DatasetSpec, data_seed: int) -> list[np.ndarray]:
-    """Deterministic list of ``spec.count`` images from the data seed."""
+    """Deterministic list of ``spec.count`` images from the data seed; image
+    i comes from the stream ``(data_seed, i)`` however many are made together."""
     build_grid, make = _GENERATORS[spec.kind]
     grid = build_grid(spec.height, spec.width)
-    return [make(grid, spec.channels, stream(data_seed, i))
-            for i in range(spec.count)]
+    step = max(1, SYNTH_CHUNK_PIXELS // (spec.height * spec.width))
+    return [image for start in range(0, spec.count, step) for image in make(
+        grid, spec.channels, [stream(data_seed, i)
+                              for i in range(start, min(start + step, spec.count))])]
 
 
 # -- PGM / PPM ---------------------------------------------------------------

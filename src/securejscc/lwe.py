@@ -111,7 +111,8 @@ class Ciphertext:
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
     """Round to nearest integer, halves away from zero (keeps zero mean)."""
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    r = np.abs(x)
+    return np.multiply(np.sign(x), np.floor(np.add(r, 0.5, out=r), out=r), out=r)
 
 
 def _gaussian_rows(sigma_s: float, rngs, shape) -> np.ndarray:

@@ -51,7 +51,7 @@ def hard_quantize(z: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
     """The nearest centroid's value (int64) for each entry, in ``z``'s shape;
     ties go to the lower centroid."""
     z = _check_finite(z, "latent vector")
-    d = np.abs(z[..., None] - cfg.centroids[None, :])
+    d = abs(z[..., None] - cfg.centroids[None, :])  # in the difference's memory
     # argmin returns the first (lower) index on ties
     return cfg.centroids[np.argmin(d, axis=-1)]
 

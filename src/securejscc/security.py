@@ -56,22 +56,22 @@ class MarginalChiSquare:
     name = "marginal_chisq"
     n_bins = 16
 
-    def prepare(self, pk, m0, m1, rng):
-        self.p = pk.params.p
-        self.m = (m0, m1)
+    def prepare(self, params, B, m0, m1, adv_seeds):
+        self.p = params.p
+        self.m = np.stack([m0, m1])
         self.bins = min(self.n_bins, self.p)
 
-    def _stat(self, residues: np.ndarray) -> float:
-        idx = (residues * self.bins) // self.p
-        counts = np.bincount(idx, minlength=self.bins)
-        expected = len(residues) / self.bins
-        return float(((counts - expected) ** 2).sum() / expected)
-
-    def guess(self, c, rng):
-        stats = [self._stat((c - m) % self.p) for m in self.m]
-        if stats[0] == stats[1]:
-            return int(rng.integers(0, 2))
-        return int(np.argmin(stats))
+    def guess(self, c, adv_seeds):
+        # one histogram row per (trial, hypothesis), counted in one call
+        idx = ((c[:, None] - self.m) % self.p * self.bins) // self.p
+        rows = self.bins * np.arange(2 * len(c)).reshape(-1, 2, 1)
+        counts = np.bincount((idx + rows).ravel(), minlength=rows.size * self.bins)
+        expected = c.shape[1] / self.bins
+        stats = ((counts.reshape(-1, 2, self.bins) - expected) ** 2).sum(-1) / expected
+        bits = (stats[:, 1] < stats[:, 0]).astype(np.int64)
+        for t in np.flatnonzero(stats[:, 0] == stats[:, 1]):
+            bits[t] = stream(adv_seeds[t], 1).integers(0, 2)
+        return bits
 
 
 class TrainedClassifier:
@@ -79,7 +79,7 @@ class TrainedClassifier:
 
     Knowing the public key, the adversary encrypts both candidate
     plaintexts many times with its own error samples and fits a logistic
-    model; the challenge is then classified by that model.
+    model per trial; each challenge is then classified by its trial's model.
     """
 
     name = "trained_classifier"
@@ -88,38 +88,42 @@ class TrainedClassifier:
     epochs = 20
     lr = 0.5
     l2 = 1e-2
+    # features fitted together: 5 trials at k = 16, ~0.5 MB
+    fit_entries = 1 << 16
 
-    def _features(self, c: np.ndarray) -> np.ndarray:
-        p = self.p
-        cols = [centered(c, p), centered(c - self.m[0], p), centered(c - self.m[1], p)]
-        return np.concatenate([np.asarray(col, dtype=np.float64) / p
-                               for col in cols], axis=-1)
+    def _features(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``[c, c - m0, c - m1]`` centered mod p, over p, into ``out``."""
+        np.divide(centered(c[..., None, :] - self.shifts, self.p), self.p,
+                  out=out.reshape(*c.shape[:-1], *self.shifts.shape))
+        return out
 
-    def prepare(self, pk, m0, m1, rng):
-        self.p = pk.params.p
-        self.m = (m0, m1)
-        params = pk.params
-        n = self.train_size
+    def prepare(self, params, B, m0, m1, adv_seeds):
+        self.p = params.p
+        self.shifts = np.stack([np.zeros_like(m0), m0, m1])
+        n, n1, k = self.train_size, params.n1, params.k
         labels = np.tile([0, 1], n // 2 + 1)[:n]
-        e = _gaussian_rows(params.sigma_s, [rng], (n * (params.n1 + params.k),))[0]
-        e1 = e[:n * params.n1].reshape(n, params.n1)
-        e3 = e[n * params.n1:].reshape(n, params.k)
-        x = self._features((lattice_product(e1, pk.B) + e3
-                            + np.stack(self.m)[labels]) % params.p)
-        y = labels.astype(np.float64)
-        w = np.zeros(x.shape[1])
-        b = 0.0
-        for _ in range(self.epochs):
-            logits = x @ w + b
-            prob = 1.0 / (1.0 + np.exp(-logits))
-            err = prob - y
-            w -= self.lr * (x.T @ err / n + self.l2 * w)
-            b -= self.lr * float(err.mean())
-        self.w, self.b = w, b
+        plain, y = self.shifts[1:][labels], labels.astype(np.float64)
+        self.w, self.b = np.zeros((len(B), 3 * k)), np.zeros(len(B))
+        # draws and features one trial at a time into a stack; one fit per stack
+        x = np.empty((max(1, self.fit_entries // (n * 3 * k)), n, 3 * k))
+        for s in range(0, len(B), len(x)):
+            xs, w, b = x[:len(B) - s], self.w[s:s + len(x)], self.b[s:s + len(x)]
+            for xt, Bt, seed in zip(xs, B[s:], adv_seeds[s:]):
+                e = _gaussian_rows(params.sigma_s, [stream(seed)], (n * (n1 + k),))[0]
+                e1, e3 = np.split(e, [n * n1])
+                c = lattice_product(e1.reshape(n, n1), Bt) + e3.reshape(n, k)
+                self._features((c + plain) % params.p, xt)
+            for _ in range(self.epochs):
+                logits = (xs @ w[:, :, None])[:, :, 0] + b[:, None]
+                err = 1.0 / (1.0 + np.exp(-logits)) - y
+                w -= self.lr * ((xs.transpose(0, 2, 1) @ err[:, :, None])[:, :, 0] / n
+                                + self.l2 * w)
+                b -= self.lr * err.mean(axis=1)
 
-    def guess(self, c, rng):
-        logit = float(self._features(c) @ self.w + self.b)
-        return int(logit >= 0.0)
+    def guess(self, c, adv_seeds):
+        f = self._features(c, np.empty((len(c), 3 * c.shape[1])))
+        logits = (f[:, None] @ self.w[:, :, None])[:, 0, 0] + self.b
+        return (logits >= 0.0).astype(np.int64)
 
 
 DISTINGUISHERS = {
@@ -171,9 +175,9 @@ GAME_CSV_HEADER = "distinguisher,trials,correct,accuracy,advantage,ci_low,ci_hig
 
 
 # lattice entries (n1 * n2 per trial) whose keys a chunk of game trials
-# generates together: 64 trials at n1 = n2 = 32, 1 at 192 x 192, so the
-# stacked keys stay near 1 MB whatever the trial count
-GAME_CHUNK_ENTRIES = 1 << 16
+# generates together: 32 trials at n1 = n2 = 32, 1 at 192 x 192, so each
+# stacked key array stays near 256 KB whatever the trial count
+GAME_CHUNK_ENTRIES = 1 << 15
 
 
 def run_ind_cpa_game(cfg: GameConfig, distinguisher=None) -> GameResult:
@@ -182,8 +186,8 @@ def run_ind_cpa_game(cfg: GameConfig, distinguisher=None) -> GameResult:
     Each trial draws fresh keys, a fair bit, and a fresh error triple for
     the challenge encryption. Trials are keyed by ``(seed, trial)`` so they
     are independent and order-insensitive: a chunk of trials generates its
-    keys and challenges as stacked products, and then the distinguisher
-    plays them one by one.
+    keys and challenges as stacked products, and the distinguisher prepares
+    on and guesses the whole chunk.
     """
     if distinguisher is None:
         distinguisher = DISTINGUISHERS[cfg.distinguisher]()
@@ -192,24 +196,19 @@ def run_ind_cpa_game(cfg: GameConfig, distinguisher=None) -> GameResult:
     chunk = max(1, GAME_CHUNK_ENTRIES // (params.n1 * params.n2))
     correct = 0
     for start in range(0, cfg.trials, chunk):
-        draws = []
-        for t in range(start, min(start + chunk, cfg.trials)):
-            trial_rng = stream(cfg.seed, t)
-            draws.append([spawn_seed(trial_rng) for _ in range(4)]
-                         + [int(trial_rng.integers(0, 2))])
-        key_seeds, lattice_seeds, error_seeds, adv_seeds, bits = zip(*draws)
+        rngs = [stream(cfg.seed, t) for t in range(start, min(start + chunk, cfg.trials))]
+        key_seeds, lattice_seeds, error_seeds, adv_seeds = np.array(
+            [rng.integers(0, 1 << 63, size=4) for rng in rngs]).T
+        bits = np.array([rng.integers(0, 2) for rng in rngs])
         _, B, A = keygen_stack(params, key_seeds, lattice_seeds)
         errors = error_rows([stream(s, 0) for s in error_seeds], params)
         # one key per trial: (T, 1, .) rows under the stacked (T, ., .) keys
-        challenge = encrypt(np.where(np.array(bits)[:, None], m1, m0)[:, None],
+        challenge = encrypt(np.where(bits[:, None], m1, m0)[:, None],
                             PublicKey(params, B, A, lattice_seed=lattice_seeds),
                             ErrorTriple(errors.e1[:, None], errors.e2[:, None],
                                         errors.e3[:, None])).c[:, 0]
-        for i, b in enumerate(bits):
-            distinguisher.prepare(PublicKey(params, B[i], A[i], lattice_seeds[i]),
-                                  m0, m1, stream(adv_seeds[i]))
-            correct += int(distinguisher.guess(challenge[i],
-                                               stream(adv_seeds[i], 1)) == b)
+        distinguisher.prepare(params, B, m0, m1, adv_seeds)
+        correct += int((distinguisher.guess(challenge, adv_seeds) == bits).sum())
     acc = correct / cfg.trials
     se = math.sqrt(max(acc * (1.0 - acc), 0.0) / cfg.trials)
     return GameResult(
@@ -352,8 +351,9 @@ def run_cpa_attack(cfg: AttackConfig, spec: codec.CodecSpec, codec_params: dict,
     eve_seed = spawn_seed(rng)
     fit_seed = spawn_seed(rng)
 
-    images = synthesize_dataset(replace(cfg.dataset, count=cfg.pairs), data_seed)
-    x = np.stack([im.reshape(-1) for im in images])
+    images = np.stack(synthesize_dataset(replace(cfg.dataset, count=cfg.pairs),
+                                         data_seed))
+    x = images.reshape(cfg.pairs, -1)
 
     z, _ = codec.encode(x, spec, codec_params)
     z_bar = hard_quantize(z, qcfg)
@@ -372,7 +372,7 @@ def run_cpa_attack(cfg: AttackConfig, spec: codec.CodecSpec, codec_params: dict,
     n_test = cfg.n_test
     n_train = cfg.pairs - n_test
     feats = _circular_features(observations, params.p)
-    x_train, x_test = x[:n_train], x[n_train:]
+    x_train = x[:n_train]
     f_train, f_test = feats[:n_train], feats[n_train:]
 
     baseline_pred = np.tile(x_train.mean(axis=0), (n_test, 1))
@@ -384,20 +384,11 @@ def run_cpa_attack(cfg: AttackConfig, spec: codec.CodecSpec, codec_params: dict,
         out, _ = codec.dense_forward(net, "adv", f_test, 2)
         pred = np.clip(255.0 * out, 0.0, 255.0)
 
-    shape = (cfg.dataset.height, cfg.dataset.width, cfg.dataset.channels)
-
-    def _scores(predicted):
-        mses, psnrs, ssims = [], [], []
-        for i in range(n_test):
-            a = x_test[i].reshape(shape)
-            b = predicted[i].reshape(shape)
-            mses.append(metrics.mse(a, b))
-            psnrs.append(metrics.psnr(a, b))
-            ssims.append(metrics.ssim(a, b))
-        return float(np.mean(mses)), float(np.mean(psnrs)), float(np.mean(ssims))
-
-    adv_mse, adv_psnr, adv_ssim = _scores(pred)
-    base_mse, base_psnr, base_ssim = _scores(baseline_pred)
+    test = images[n_train:]
+    (adv_mse, adv_psnr, adv_ssim), (base_mse, base_psnr, base_ssim) = (
+        [float(np.mean(score(test, predicted.reshape(test.shape))))
+         for score in (metrics.mse, metrics.psnr, metrics.ssim)]
+        for predicted in (pred, baseline_pred))
     return AttackReport(
         adversary=cfg.adversary, error_mode=cfg.error_mode,
         snr_e_db=cfg.snr_e_db, n_train=n_train, n_test=n_test,

@@ -20,12 +20,13 @@ from securejscc.quantizer import (QuantizerConfig, build_centroids,
                                   hard_quantize, soft_quantize_jacobian)
 from securejscc.rng import stream
 from securejscc.security import (AttackConfig, GameConfig, MarginalChiSquare,
-                                 run_cpa_attack, run_ind_cpa_game)
+                                 TrainedClassifier, run_cpa_attack,
+                                 run_ind_cpa_game)
 from securejscc.training import TrainContext, evaluate, init_train_state, train_step
 from test_lwe import message_errors, sample_discrete_gaussian
 from test_modem import awgn_one, nearest_point_demodulate
 from test_quantizer import soft_quantize
-from test_security import BROKEN_LWE, LeakyDistinguisher, SmallClassifier
+from test_security import BROKEN_LWE, LeakyDistinguisher
 
 TABLE = LweParams(p=4093, n1=192, n2=192, sigma_s=8.87, k=512)
 
@@ -243,7 +244,7 @@ def test_criterion_9_ind_cpa_harness():
     cfg = GameConfig(trials=10_000, params=params, seed=2026)
     ok = True
     details = []
-    for dist in (MarginalChiSquare(), SmallClassifier()):
+    for dist in (MarginalChiSquare(), TrainedClassifier()):
         r = run_ind_cpa_game(cfg, dist)
         ok = ok and abs(r.advantage) < 0.05 and r.ci_low <= 0.0 <= r.ci_high
         details.append(f"{r.distinguisher}: {r.advantage:+.4f}")

@@ -381,12 +381,17 @@ def test_sweep_config_with_one_image_loads(tmp_path):
      "test fraction leaves no training pairs"),
     ({"attack": {"pairs": 50}}, "unknown config key 'attack.pairs'"),
     ({"attack": {"dataset": images(7)}}, "unknown config key 'attack.dataset'"),
+    ({"dataset": images(0)}, "config key 'dataset.count' is 0, one attack pair per "
+     "image: need at least one (image, ciphertext) pair"),
+    ({"dataset": images(1)}, "config key 'dataset.count' is 1, one attack pair per "
+     "image: test fraction leaves no training pairs"),
 ])
 def test_cli_unworkable_attack_exits_2(tmp_path, capsys, attack, message):
     cfg_path = make_config_file(tmp_path, **attack)
     assert main(["attack", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
-    assert message in err and err.count("\n") == 1
+    # every message names the config key to change
+    assert message in err and "config key '" in err and err.count("\n") == 1
 
 
 def test_cli_unallocatable_lattice_exits_2(tmp_path, capsys, monkeypatch):

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from securejscc.datasets import DatasetSpec, read_image, synthesize_dataset
+from securejscc.datasets import (SYNTH_CHUNK_PIXELS, DatasetSpec, read_image,
+                                 synthesize_dataset)
+from securejscc.rng import stream
+
+# (height, width, channels, count, data seed) of the stacked-synthesis checks
+STACK_CASES = [(8, 8, 1, 500, 123), (16, 16, 1, 300, 5), (7, 9, 3, 200, 9)]
 
 
 def write_image(path, image: np.ndarray) -> None:
@@ -46,6 +51,32 @@ def test_blob_dataset_nondegenerate():
     assert stacked.var() > 0.0
     per_pixel_var = stacked.reshape(16, -1).var(axis=0)
     assert per_pixel_var.mean() > 0.0
+
+
+def blob_image(h: int, w: int, c: int, rng: np.random.Generator) -> np.ndarray:
+    """One blob image drawn and summed blob by blob: the oracle for the
+    stacked synthesis."""
+    yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
+                         np.arange(w, dtype=np.float64), indexing="ij")
+    img = np.zeros((h, w, c))
+    for _ in range(int(rng.integers(1, 4))):
+        cy, cx = rng.uniform(0, h), rng.uniform(0, w)
+        width = rng.uniform(max(h, w) / 8.0, max(h, w) / 2.0)
+        amp = rng.uniform(64, 255)
+        bump = amp * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * width ** 2))
+        for ch in range(c):
+            img[:, :, ch] += bump * rng.uniform(0.5, 1.0)
+    return np.clip(img, 0.0, 255.0)
+
+
+@pytest.mark.parametrize("h, w, c, count, seed", STACK_CASES)
+def test_stacked_blobs_match_per_image_loop(h, w, c, count, seed):
+    images = synthesize_dataset(DatasetSpec("blob", count, h, w, c), seed)
+    assert len(images) == count
+    # 16x16 crosses a chunk boundary
+    assert any(count * h * w > SYNTH_CHUNK_PIXELS for h, w, _, count, _ in STACK_CASES)
+    for i, image in enumerate(images):
+        assert np.array_equal(image, blob_image(h, w, c, stream(seed, i))), i
 
 
 def test_unknown_kind_rejected():

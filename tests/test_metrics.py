@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from securejscc.datasets import DatasetSpec, synthesize_dataset
 from securejscc.metrics import ms_ssim, mse, psnr, ssim
+from test_datasets import STACK_CASES
 
 images = hnp.arrays(np.float64, (6, 5, 3), elements=st.floats(0.0, 255.0))
 
@@ -170,3 +172,35 @@ def test_msssim_permutation_invariance():
     assert np.isclose(ssim(x, y), ssim(xp, yp), rtol=1e-12)
     assert np.isclose(ms_ssim(x, y, scales=1), ms_ssim(xp, yp, scales=1),
                       rtol=1e-12)
+
+
+# -- stacks ------------------------------------------------------------------
+
+
+def per_image_ssim(x, x_hat):
+    """SSIM of one HxWxC image from numpy scalar statistics per channel:
+    the oracle for the stacked form."""
+    v1 = (0.01 * 255.0) ** 2
+    v2 = (0.03 * 255.0) ** 2
+    vals = []
+    for c in range(x.shape[2]):
+        a, b = x[:, :, c], x_hat[:, :, c]
+        mu_a, mu_b, sa, sb = a.mean(), b.mean(), a.std(), b.std()
+        luminance = (2.0 * mu_a * mu_b + v1) / (mu_a ** 2 + mu_b ** 2 + v1)
+        contrast = (2.0 * sa * sb + v2) / (sa ** 2 + sb ** 2 + v2)
+        vals.append(luminance * contrast)
+    return float(np.mean(vals))
+
+
+@pytest.mark.parametrize("h, w, c, count, seed", STACK_CASES)
+def test_stacked_metrics_match_per_image_loop(h, w, c, count, seed):
+    x = np.stack(synthesize_dataset(DatasetSpec("blob", count, h, w, c), seed))
+    y = np.clip(x + np.random.default_rng(seed).normal(0.0, 20.0, x.shape), 0.0, 255.0)
+    y[0] = x[0]  # one identical pair: an infinite PSNR
+    metrics = [mse, psnr, ssim] + [ms_ssim] * (min(h, w) >= 16)
+    for metric in metrics:
+        stacked = metric(x, y)
+        assert stacked.shape == (count,)
+        assert stacked.tolist() == [metric(a, b) for a, b in zip(x, y)], metric
+    assert ssim(x, y).tolist() == [per_image_ssim(a, b) for a, b in zip(x, y)]
+    assert psnr(x, y)[0] == math.inf

@@ -46,55 +46,51 @@ def attack_setup():
 
 
 class FairCoin:
-    """Guessing baseline; ignores the challenge entirely."""
+    """Guessing baseline; ignores the challenges entirely."""
 
     name = "fair_coin"
 
-    def prepare(self, pk, m0, m1, rng):
+    def prepare(self, params, B, m0, m1, adv_seeds):
         pass
 
-    def guess(self, c, rng):
-        return int(rng.integers(0, 2))
+    def guess(self, c, adv_seeds):
+        return np.array([stream(seed, 1).integers(0, 2) for seed in adv_seeds])
 
 
 class LeakyDistinguisher:
-    """Known accuracy ``q`` on :data:`BROKEN_LWE`: reads the bit off the
+    """Known accuracy ``q`` on :data:`BROKEN_LWE`: reads the bit off each
     challenge and flips it with probability ``1 - q``."""
 
     def __init__(self, accuracy: float):
         self.accuracy = accuracy
         self.name = f"leaky_q{accuracy}"
 
-    def prepare(self, pk, m0, m1, rng):
-        self.m = (m0, m1)
+    def prepare(self, params, B, m0, m1, adv_seeds):
+        self.m = np.stack([m0, m1])
 
-    def guess(self, c, rng):
-        bit = int(np.array_equal(c, self.m[1]))
-        assert np.array_equal(c, self.m[bit]), "the challenge carries errors"
-        return bit if rng.random() < self.accuracy else 1 - bit
-
-
-class SmallClassifier(TrainedClassifier):
-    """The trained distinguisher on half the data and half the epochs."""
-
-    train_size = 128
-    epochs = 10
+    def guess(self, c, adv_seeds):
+        bits = np.all(c == self.m[1], axis=1).astype(np.int64)
+        assert np.array_equal(c, self.m[bits]), "the challenge carries errors"
+        keep = np.array([stream(seed, 1).random() < self.accuracy
+                         for seed in adv_seeds])
+        return np.where(keep, bits, 1 - bits)
 
 
 def serial_game_correct(cfg: GameConfig, distinguisher) -> int:
-    """The game one trial at a time: the oracle for the chunked game."""
+    """The game one trial at a time, each a stack of one: the oracle for
+    the chunked game."""
     m0, m1 = default_plaintext_pair(cfg.params, cfg.n_levels)
     correct = 0
     for t in range(cfg.trials):
         trial_rng = stream(cfg.seed, t)
         keys = keygen(cfg.params, spawn_seed(trial_rng), spawn_seed(trial_rng))
-        pk = keys.public()
         error_seed = spawn_seed(trial_rng)
         adv_seed = spawn_seed(trial_rng)
         b = int(trial_rng.integers(0, 2))
-        distinguisher.prepare(pk, m0, m1, stream(adv_seed))
-        ct = encrypt(m1 if b else m0, pk, message_errors(error_seed, 0, cfg.params))
-        correct += int(distinguisher.guess(ct.c, stream(adv_seed, 1)) == b)
+        distinguisher.prepare(cfg.params, keys.B[None], m0, m1, [adv_seed])
+        ct = encrypt(m1 if b else m0, keys.public(),
+                     message_errors(error_seed, 0, cfg.params))
+        correct += int(distinguisher.guess(ct.c[None], [adv_seed])[0] == b)
     return correct
 
 
@@ -124,13 +120,15 @@ def test_game_config_rejects_unknown_distinguisher():
 @pytest.mark.parametrize("trials", [100, 131])
 @pytest.mark.parametrize("make, params", [
     (DISTINGUISHERS["marginal_chisq"], GAME_LWE),
-    (SmallClassifier, GAME_LWE),
+    (DISTINGUISHERS["trained_classifier"], GAME_LWE),
     (lambda: LeakyDistinguisher(0.75), BROKEN_LWE),
     (FairCoin, GAME_LWE),
+    # every trial ties, so every guess is the tie-break coin
+    (DISTINGUISHERS["marginal_chisq"], BROKEN_LWE),
 ])
 def test_chunked_game_matches_serial_oracle(make, params, trials):
-    # 64-trial chunks at n1 = n2 = 32: neither count is a multiple
-    assert GAME_CHUNK_ENTRIES // (params.n1 * params.n2) == 64
+    # 32-trial chunks at n1 = n2 = 32: neither count is a multiple
+    assert GAME_CHUNK_ENTRIES // (params.n1 * params.n2) == 32
     cfg = GameConfig(trials=trials, params=params, seed=trials)
     result = run_ind_cpa_game(cfg, make())
     assert result.correct == serial_game_correct(cfg, make())
@@ -177,7 +175,7 @@ def test_marginal_chisq_honest_near_zero():
 
 def test_trained_classifier_honest_near_zero():
     cfg = GameConfig(trials=600, params=GAME_LWE, seed=9)
-    result = run_ind_cpa_game(cfg, SmallClassifier())
+    result = run_ind_cpa_game(cfg, TrainedClassifier())
     assert abs(result.advantage) < 0.12
 
 
