@@ -63,6 +63,11 @@ def _cmd_transmit(args) -> int:
         raise ValueError("key file parameters do not match the config")
     images = (synthesize_dataset(cfg.dataset, cfg.seeds.data)
               if args.infile == "synthetic" else [read_image(args.infile)])
+    # the codec's input shape is the dataset's
+    if images and images[0].shape != cfg.codec.input_shape:
+        raise ValueError(f"{args.infile}: image shape {images[0].shape} differs from "
+                         f"config keys 'dataset.height', 'dataset.width', "
+                         f"'dataset.channels' = {cfg.codec.input_shape}")
     # one grid point: message and image indices both run 0 .. n-1
     n = _sweep_to_csv(cfg, keys, images, cfg.snr_grid_db[:1], args.codec_params,
                       args.out)

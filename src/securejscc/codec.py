@@ -43,9 +43,9 @@ class CodecSpec:
             raise ValueError(f"codec sizes must be positive: input_shape="
                              f"{self.input_shape}, k={self.k}, "
                              f"hidden_sizes={self.hidden_sizes}")
-        if self.kind == "identity" and self.k != self.n_pixels:
-            raise ValueError(
-                f"identity codec needs k == H*W*C ({self.n_pixels}), got {self.k}")
+        if self.kind == "identity" and (self.k, self.hidden_sizes) != (self.n_pixels, ()):
+            raise ValueError(f"identity codec needs k == H*W*C ({self.n_pixels}) and no "
+                             f"hidden_sizes, got {self.k} and {self.hidden_sizes}")
         if self.kind == "mlp" and len(self.hidden_sizes) > 2:
             raise ValueError("mlp codec supports at most two hidden layers")
         if not self.latent_scale > 0:

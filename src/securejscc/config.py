@@ -2,13 +2,14 @@
 
 Defaults follow the reference operating point: modulus 4093 with 192x192
 lattice dimensions and sampler width 8.87, 16 quantization levels,
-demodulator sharpness 5 at unit average power, and Adam at 1e-4 with
-betas (0.9, 0.999). Each default lives on its dataclass field: the
-loaders pass on only the keys a config sets. Every random choice is
-pinned by an explicit seed in the config. One rule, :func:`_build`, turns
-every JSON object into its dataclass by the dataclass's field names and
-annotations; key and codec files are checked against the params and spec
-they carry.
+demodulator sharpness 5 and Adam at 1e-4 with betas (0.9, 0.999). Each
+default lives on its dataclass field: the loaders pass on only the keys a
+config sets, and a value that follows from others is no key (``dataset``,
+``lwe.k`` and ``lwe.p`` set the codec's input shape, length and scale; the
+game plays the run's ``n_levels``). Every random choice is pinned by an
+explicit seed. One rule, :func:`_build`, turns every JSON object into its
+dataclass by field names and annotations; key and codec files are checked
+against the params and spec they carry.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .codec import ADAM_LR, CodecSpec, loss_named, param_shapes
 from .datasets import DatasetSpec
 from .lwe import KeyPair, LweParams, PublicKey, keygen
 from .modem import MAX_CONSTELLATION, SIGMA_L_DEFAULT, Db
+from .quantizer import check_levels
 from .security import AttackConfig, GameConfig
 
 DEFAULT_LWE = {"p": 4093, "n1": 192, "n2": 192, "sigma_s": 8.87}
@@ -81,12 +83,9 @@ class PipelineConfig:
         if self.lwe.p > MAX_CONSTELLATION:
             raise ValueError(f"lwe.p={self.lwe.p} exceeds the largest QAM "
                              f"constellation, {MAX_CONSTELLATION} points")
-        if self.lwe.k != self.codec.k:
-            raise ValueError(
-                f"latent length mismatch: lwe.k={self.lwe.k}, codec.k={self.codec.k}")
-        if not 2 <= self.n_levels <= self.lwe.p:
-            raise ValueError(f"n_levels must lie in [2, lwe.p = {self.lwe.p}], "
-                             f"got {self.n_levels}")
+        check_levels(self.lwe.p, self.n_levels, "lwe.p")
+        if not self.sigma_l > 0:
+            raise ValueError(f"sigma_l must be positive, got {self.sigma_l}")
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must name at least one SNR")
 
@@ -180,28 +179,26 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     raw = _object(raw, "the config")
     dataset = _build(DatasetSpec, raw.get("dataset", {
         "kind": "blob", "count": 100, "height": 16, "width": 16}), "dataset.")
-    n_pixels = dataset.height * dataset.width * dataset.channels
-    lwe = _build(LweParams, {**DEFAULT_LWE, "k": n_pixels, **_section(raw, "lwe")},
-                 "lwe.")
-
-    codec_raw = {"kind": "identity",
-                 "input_shape": [dataset.height, dataset.width, dataset.channels],
-                 "k": lwe.k, **_section(raw, "codec")}
-    codec_raw.setdefault("latent_scale",
-                         lwe.p / 256.0 if codec_raw["kind"] != "mlp" else float(lwe.p))
+    shape = (dataset.height, dataset.width, dataset.channels)
+    lwe = _build(LweParams, {**DEFAULT_LWE, "k": math.prod(shape),
+                             **_section(raw, "lwe")}, "lwe.")
+    # the latent scale maps pixel values [0, 256), or the mlp's squash (0, 1), onto Z_p
+    codec_raw = {"kind": "identity", **_section(raw, "codec")}
+    scale = float(lwe.p) if codec_raw["kind"] == "mlp" else lwe.p / 256
+    codec = _build(CodecSpec, codec_raw, "codec.", input_shape=shape, k=lwe.k,
+                   latent_scale=scale)
     # game and attack are read by game_ and attack_config_from_dict
     return _build(PipelineConfig,
                   _without(raw, "lwe", "codec", "dataset", "game", "attack"), "",
-                  lwe=lwe, codec=_build(CodecSpec, codec_raw, "codec."),
-                  dataset=dataset)
+                  lwe=lwe, codec=codec, dataset=dataset)
 
 
-def game_config_from_dict(raw: dict) -> GameConfig:
+def game_config_from_dict(raw: dict, n_levels: int) -> GameConfig:
     raw = _object(raw, "config key 'game'")
     lwe = _build(LweParams, {**DEFAULT_LWE, "k": 16, **_section(raw, "lwe", "game.")},
                  "game.lwe.")
     return _build(GameConfig, {"trials": 10000, **_without(raw, "lwe")}, "game.",
-                  params=lwe)
+                  params=lwe, n_levels=n_levels)
 
 
 def attack_config_from_dict(raw: dict, dataset: DatasetSpec) -> AttackConfig:
@@ -219,8 +216,8 @@ def attack_config_from_dict(raw: dict, dataset: DatasetSpec) -> AttackConfig:
 def load_game_config(path: str | Path) -> GameConfig:
     """The ``game`` section of a config file; the whole file is checked."""
     def build(raw):
-        config_from_dict(raw)
-        return game_config_from_dict(raw.get("game", {}))
+        n_levels = config_from_dict(raw).n_levels
+        return game_config_from_dict(raw.get("game", {}), n_levels)
     return _load(path, build)
 
 

@@ -20,12 +20,15 @@ SIGMA_Q_RAMP = 5.0
 SIGMA_Q_PERIOD = 2000
 
 
+def check_levels(p: int, n_levels: int, modulus: str = "p") -> None:
+    """Reject a level count the grid cannot hold; ``modulus`` names ``p``."""
+    if not 2 <= n_levels <= p:
+        raise ValueError(f"n_levels must lie in [2, {modulus} = {p}], got {n_levels}")
+
+
 def build_centroids(p: int, n_levels: int) -> np.ndarray:
     """The ``n_levels`` values ``floor(i * p / n_levels)``, strictly increasing."""
-    if n_levels < 2:
-        raise ValueError(f"need at least 2 levels, got {n_levels}")
-    if n_levels > p:
-        raise ValueError(f"n_levels={n_levels} exceeds modulus p={p}")
+    check_levels(p, n_levels)
     i = np.arange(n_levels, dtype=np.int64)
     return (i * p) // n_levels
 
@@ -51,9 +54,9 @@ def hard_quantize(z: np.ndarray, cfg: QuantizerConfig) -> np.ndarray:
     """The nearest centroid's value (int64) for each entry, in ``z``'s shape;
     ties go to the lower centroid."""
     z = _check_finite(z, "latent vector")
-    d = abs(z[..., None] - cfg.centroids[None, :])  # in the difference's memory
-    # argmin returns the first (lower) index on ties
-    return cfg.centroids[np.argmin(d, axis=-1)]
+    c = cfg.centroids
+    # midpoints of integer centroids are exact halves; side="left" ties go low
+    return c[np.searchsorted((c[:-1] + c[1:]) / 2, z, side="left")]
 
 
 def _centroid_weights(z: np.ndarray, cfg: QuantizerConfig, sharpness: float,

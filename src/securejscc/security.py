@@ -27,7 +27,7 @@ from .lwe import (ErrorTriple, LweParams, PublicKey, _gaussian_rows, centered,
                   derive_error_rows, encrypt, error_rows, keygen_stack,
                   lattice_product)
 from .modem import SIGMA_L_DEFAULT, Db, build_constellation, receive
-from .quantizer import QuantizerConfig, build_centroids, hard_quantize
+from .quantizer import QuantizerConfig, build_centroids, check_levels, hard_quantize
 from .rng import spawn_seed, stream
 
 FEATURE_NOTE = ("features per symbol value v: [v/p, cos(2*pi*v/p), sin(2*pi*v/p)] "
@@ -148,6 +148,7 @@ class GameConfig:
             raise ValueError(f"need at least 100 trials, got {self.trials}")
         if self.distinguisher not in DISTINGUISHERS:
             raise ValueError(f"unknown distinguisher {self.distinguisher!r}")
+        check_levels(self.params.p, self.n_levels, "the game's lwe.p")
 
 
 @dataclass(frozen=True)

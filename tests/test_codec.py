@@ -17,6 +17,10 @@ IDENT = CodecSpec(kind="identity", input_shape=(4, 4, 1), k=16,
 def test_spec_validation():
     with pytest.raises(ValueError):
         CodecSpec(kind="identity", input_shape=(4, 4, 1), k=8, latent_scale=1.0)
+    # the identity codec has no layers: hidden sizes are rejected, not ignored
+    with pytest.raises(ValueError, match="no hidden_sizes"):
+        CodecSpec(kind="identity", input_shape=(4, 4, 1), k=16, latent_scale=1.0,
+                  hidden_sizes=(8,))
     with pytest.raises(ValueError):
         CodecSpec(kind="conv", input_shape=(4, 4, 1), k=8, latent_scale=1.0)
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from securejscc.cli import main
+from securejscc.codec import CodecSpec
 from securejscc.config import (PipelineConfig, attack_config_from_dict,
                                config_from_dict, game_config_from_dict,
                                load_config, load_public_key, load_secret_key)
@@ -46,10 +47,18 @@ def test_defaults_mirror_reference_operating_point():
     ({"training": {"patience": 10}}, "training.patience"),
     ({"training": {"decay_patience": 5}}, "training.decay_patience"),
     ({"training": {"lr_decay": 0.8}}, "training.lr_decay"),
+    # values that follow from others: the codec's input is the dataset's
+    # image, its output the plaintext of lwe.k symbols, its range set by
+    # lwe.p; the game plays the run's n_levels
+    ({"codec": {"kind": "mlp", "k": 16}}, "codec.k"),
+    ({"codec": {"kind": "mlp", "input_shape": [4, 4, 1]}}, "codec.input_shape"),
+    ({"codec": {"kind": "identity", "latent_scale": 1000.0}}, "codec.latent_scale"),
+    ({"game": {"n_levels": 16}}, "game.n_levels"),
 ])
 def test_unknown_key_rejected_at_load(raw, key):
     with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
-        config_from_dict(raw)
+        cfg = config_from_dict(raw)
+        game_config_from_dict(raw.get("game", {}), cfg.n_levels)
 
 
 def test_readme_config_example_loads():
@@ -58,7 +67,7 @@ def test_readme_config_example_loads():
     section = readme.split("\n## Configuration\n", 1)[1]
     raw = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
     cfg = config_from_dict(raw)
-    game_config_from_dict(raw["game"])
+    game_config_from_dict(raw["game"], cfg.n_levels)
     attack_config_from_dict(raw["attack"], cfg.dataset)
 
 
@@ -77,7 +86,7 @@ def test_game_and_attack_sections_allowed():
 ])
 def test_game_loader_rejects_unknown_key(raw, key):
     with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
-        game_config_from_dict(raw)
+        game_config_from_dict(raw, 16)
 
 
 @pytest.mark.parametrize("raw, key", [
@@ -101,10 +110,14 @@ def test_attack_pairs_are_the_dataset_count():
     assert (attack.pairs, attack.adversary) == (30, "linear")
 
 
-def test_k_mismatch_rejected():
-    with pytest.raises(ValueError):
-        config_from_dict({"lwe": {"k": 100},
-                          "codec": {"kind": "mlp", "k": 99}})
+def test_codec_follows_dataset_and_lwe():
+    cfg = config_from_dict({"lwe": {"p": 251, "k": 10},
+                            "codec": {"kind": "mlp", "hidden_sizes": [6]},
+                            "dataset": {"kind": "blob", "count": 3, "height": 8,
+                                        "width": 4, "channels": 3}})
+    assert cfg.codec == CodecSpec(kind="mlp", input_shape=(8, 4, 3), k=10,
+                                  latent_scale=251.0, hidden_sizes=(6,))
+    assert config_from_dict({"lwe": {"p": 251}}).codec.latent_scale == 251 / 256
 
 
 def test_oversized_modulus_rejected_at_load():
@@ -123,7 +136,7 @@ def make_config_file(tmp_path, **over):
         "lwe": {"p": 251, "n1": 16, "n2": 16, "sigma_s": 1.5, "k": 16},
         "dataset": {"kind": "blob", "count": 4, "height": 4, "width": 4,
                     "channels": 1},
-        "codec": {"kind": "identity", "k": 16, "latent_scale": 251 / 256},
+        "codec": {"kind": "identity"},
         "snr_grid_db": [5.0, 15.0],
         "seeds": {"key": 1, "lattice": 2, "error": 3, "channel": 4, "data": 5},
     }
@@ -218,6 +231,19 @@ def test_cli_indcpa(tmp_path, capsys):
     assert out.read_text().startswith("distinguisher,")
 
 
+def test_cli_indcpa_n_levels_above_game_modulus_exits_2(tmp_path, capsys):
+    # the game plays the run's 300 levels, which its p = 257 cannot hold
+    cfg = tmp_path / "game.json"
+    cfg.write_text(json.dumps({"n_levels": 300, "game": {
+        "trials": 200, "lwe": {"p": 257, "n1": 16, "n2": 16, "sigma_s": 8.87, "k": 8}}}))
+    out = tmp_path / "game.csv"
+    assert main(["indcpa", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(cfg) in err
+    assert "n_levels must lie in [2, the game's lwe.p = 257], got 300" in err
+    assert not out.exists()
+
+
 def test_cli_transmit_key_file_missing_field_exits_2(tmp_path, capsys):
     cfg_path = make_config_file(tmp_path)
     pub, sec = tmp_path / "pub.json", tmp_path / "sec.json"
@@ -288,8 +314,7 @@ def test_cli_train_writes_codec(tmp_path):
         tmp_path,
         dataset={"kind": "blob", "count": 20, "height": 4, "width": 4,
                  "channels": 1},
-        codec={"kind": "mlp", "k": 16, "hidden_sizes": [12],
-               "latent_scale": 251.0},
+        codec={"kind": "mlp", "hidden_sizes": [12]},
         training={"max_steps": 30, "batch_size": 5, "snr_train_db": 10.0})
     out = tmp_path / "codec.json"
     assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
@@ -301,7 +326,7 @@ def test_cli_train_writes_codec(tmp_path):
 
 MLP_TRAINING = dict(
     dataset={"kind": "blob", "count": 20, "height": 4, "width": 4, "channels": 1},
-    codec={"kind": "mlp", "k": 16, "hidden_sizes": [12], "latent_scale": 251.0},
+    codec={"kind": "mlp", "hidden_sizes": [12]},
     training={"max_steps": 30, "batch_size": 5, "snr_train_db": 10.0})
 
 
@@ -343,6 +368,8 @@ def test_cli_train_validation_streams_disjoint_from_training(tmp_path, monkeypat
     ({"n_levels": 1}, "n_levels must lie in [2, lwe.p = 251], got 1"),
     ({"n_levels": 252}, "n_levels must lie in [2, lwe.p = 251], got 252"),
     ({"snr_grid_db": []}, "snr_grid_db must name at least one SNR"),
+    ({"sigma_l": -1.0}, "sigma_l must be positive, got -1.0"),
+    ({"sigma_l": 0, "snr_grid_db": ["inf"]}, "sigma_l must be positive, got 0.0"),
 ])
 def test_cli_unworkable_settings_exit_2(tmp_path, capsys, over, message):
     cfg_path = make_config_file(tmp_path, **{**MLP_TRAINING, **over})

@@ -23,7 +23,7 @@ LWE = {"p": 251, "n1": 16, "n2": 16, "sigma_s": 1.5, "k": 16}
 CONFIG = {
     "lwe": LWE,
     "dataset": {"kind": "blob", "count": 4, "height": 4, "width": 4, "channels": 1},
-    "codec": {"kind": "identity", "k": 16, "latent_scale": 251 / 256},
+    "codec": {"kind": "identity"},
     "snr_grid_db": [5.0, "inf"],
     "seeds": {"key": 1, "lattice": 2, "error": 3, "channel": 4, "data": 5},
 }
@@ -32,7 +32,7 @@ MLP_SPEC = CodecSpec(kind="mlp", input_shape=(4, 4, 1), k=16, latent_scale=251.0
 MLP_CONFIG = {
     **CONFIG,
     "dataset": {"kind": "blob", "count": 10, "height": 4, "width": 4, "channels": 1},
-    "codec": {"kind": "mlp", "k": 16, "hidden_sizes": [4], "latent_scale": 251.0},
+    "codec": {"kind": "mlp", "hidden_sizes": [4]},
     "training": {"max_steps": 2, "batch_size": 4},
 }
 DELETE = object()
@@ -104,6 +104,9 @@ MALFORMED = [
     ("sweep", "cfg.json", ("snr_grid_db",), ["-inf", 0], "'snr_grid_db[0]'"),
     ("transmit_img", "img.pgm", None, b"P5\n-4 4\n255\n" + bytes(16), "img.pgm"),
     ("transmit_img", "img.pgm", None, b"P5\n0 4\n255\n" + bytes(16), "img.pgm"),
+    # an image must have the dataset's shape, and no codec key sets it
+    ("transmit_img", "img.pgm", None, b"P5\n8 8\n255\n" + bytes(64),
+     "'dataset.height', 'dataset.width', 'dataset.channels' = (4, 4, 1)"),
 ]
 
 
@@ -211,8 +214,12 @@ FILES = _file_blobs()
 DICT_LOADERS = {
     "config": (config_from_dict, {**CONFIG, "n_levels": 16, "sigma_l": 5.0,
                                   "training": {"loss": "mse", "snr_train_db": 10.0}}),
-    "game": (game_config_from_dict, {"trials": 200, "seed": 3,
-                                     "distinguisher": "marginal_chisq", "lwe": LWE}),
+    # the game plays the run's n_levels
+    "game": (lambda raw: game_config_from_dict(raw["game"],
+                                               config_from_dict(raw).n_levels),
+             {**CONFIG, "n_levels": 16, "game": {
+                 "trials": 200, "seed": 3, "distinguisher": "marginal_chisq",
+                 "lwe": LWE}}),
     # the attack's pairs are the config's images
     "attack": (lambda raw: attack_config_from_dict(raw["attack"],
                                                    config_from_dict(raw).dataset),

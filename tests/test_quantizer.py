@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,11 +60,47 @@ def test_hard_quantize_saturates():
     cfg = QuantizerConfig(4093, 16)
     assert hard_quantize(np.array([1e9]), cfg)[0] == 3837
     assert hard_quantize(np.array([-1e9]), cfg)[0] == 0
+    # float distances to every centroid tie here; the nearest is still an end
+    assert hard_quantize(np.array([1e20, -1e20, 1e300]), cfg).tolist() == [3837, 0, 3837]
 
 
 def test_hard_quantize_tie_to_lower_index():
     cfg = QuantizerConfig(4, 2)  # centroids [0, 2]
     assert hard_quantize(np.array([1.0]), cfg)[0] == 0
+
+
+def nearest_centroid(z: float, centroids: np.ndarray) -> int:
+    """The argmin oracle over exact distances: the first (lower) centroid
+    wins a tie, and no distance rounds, however large ``z`` is."""
+    exact = Fraction(z)
+    d = [abs(exact - int(c)) for c in centroids]
+    return int(centroids[d.index(min(d))])
+
+
+QUANTIZER_GRIDS = [(4, 2), (17, 17), (251, 16), (257, 256), (997, 13), (4093, 16),
+                   (4093, 4093)]
+
+
+@st.composite
+def grid_and_latents(draw):
+    """A centroid grid and latents on it: anywhere near Z_p, on a midpoint
+    or one float from it, or any finite float."""
+    cfg = QuantizerConfig(*draw(st.sampled_from(QUANTIZER_GRIDS)))
+    mids = (cfg.centroids[:-1] + cfg.centroids[1:]) / 2
+    near_mid = st.tuples(st.sampled_from(mids.tolist()), st.sampled_from(
+        [-np.inf, None, np.inf])).map(lambda m: m[0] if m[1] is None
+                                      else float(np.nextafter(m[0], m[1])))
+    value = st.one_of(st.floats(-2.0 * cfg.p, 2.0 * cfg.p), near_mid,
+                      st.floats(allow_nan=False, allow_infinity=False))
+    return cfg, draw(st.lists(value, min_size=1, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_and_latents())
+def test_hard_quantize_matches_argmin_oracle(case):
+    cfg, values = case
+    got = hard_quantize(np.array(values), cfg)
+    assert got.tolist() == [nearest_centroid(z, cfg.centroids) for z in values]
 
 
 def test_hard_quantize_rejects_nonfinite():
