@@ -184,6 +184,10 @@ def config_from_dict(raw: dict) -> PipelineConfig:
                              **_section(raw, "lwe")}, "lwe.")
     # the latent scale maps pixel values [0, 256), or the mlp's squash (0, 1), onto Z_p
     codec_raw = {"kind": "identity", **_section(raw, "codec")}
+    if codec_raw["kind"] == "identity" and lwe.k != math.prod(shape):
+        raise ValueError(f"the identity codec needs lwe.k == dataset.height * "
+                         f"dataset.width * dataset.channels = {math.prod(shape)}, "
+                         f"got lwe.k = {lwe.k}")
     scale = float(lwe.p) if codec_raw["kind"] == "mlp" else lwe.p / 256
     codec = _build(CodecSpec, codec_raw, "codec.", input_shape=shape, k=lwe.k,
                    latent_scale=scale)

@@ -106,37 +106,55 @@ def awgn(y: np.ndarray, sigma2: float, rngs) -> np.ndarray:
     return y + math.sqrt(sigma2 / 2.0) * (n[:, 0] + 1j * n[:, 1])
 
 
-def _score(y: np.ndarray, col_lo: np.ndarray, row_lo: np.ndarray, width: int,
-           levels: np.ndarray, p: int, sigma2: float, c: float) -> np.ndarray:
+def _estimate(y: np.ndarray, col_lo: np.ndarray, row_lo: np.ndarray, width: int,
+              levels: np.ndarray, p: int, sigma2: float, c: float) -> np.ndarray:
     """Softmax estimates of symbols ``y`` over width x width grid windows.
 
     Symbol i is scored on grid columns ``col_lo[i] + [0, width)`` and rows
     ``row_lo[i] + [0, width)``; point (row b, column a) has value
     ``m*b + a`` and score ``c*exp(-dx_a^2/sigma2)*exp(-dy_b^2/sigma2)``, the
-    outer product of two per-axis tables. Points at or past ``p`` (the
-    dropped grid corner) get zero weight. Every reduction runs within one
-    symbol's window and none uses BLAS, so a symbol's estimate does not
-    depend on the other symbols of the block.
+    outer product of two per-axis tables, built once for all of ``y``.
+    Points at or past ``p`` (the dropped grid corner) get zero weight. Each
+    block of at most ``BLOCK_ELEMENTS`` points takes three passes: the outer
+    product, ``exp`` in place, and one product with the moment matrix
+    ``[[1, 0], [1, 1], ..., [1, width-1]]`` that gives every window row its
+    weight and its column-weighted weight. Each output row of that product
+    is one window row's own sums, and the final sums run elementwise within
+    one symbol, so a symbol's estimate does not depend on the other symbols.
     """
-    m = len(levels)
-    cols = col_lo[:, None] + np.arange(width)
-    rows = row_lo[:, None] + np.arange(width)
-    x = c * np.exp(-(y.real[:, None] - levels[cols]) ** 2 / sigma2)
-    s = np.einsum("ni,nj->nij",
-                  np.exp(-(y.imag[:, None] - levels[rows]) ** 2 / sigma2), x)
+    m, n = len(levels), len(y)
+    steps = np.arange(width)
+    if width == m:  # the whole grid: the levels themselves, no gather
+        cols = rows = steps
+        col_levels = row_levels = levels
+    else:
+        cols = col_lo[:, None] + steps
+        rows = row_lo[:, None] + steps
+        col_levels, row_levels = levels[cols], levels[rows]
+    x = c * np.exp(-(y.real[:, None] - col_levels) ** 2 / sigma2)
+    e = np.exp(-(y.imag[:, None] - row_levels) ** 2 / sigma2)
     # the dropped points of a window are a suffix of its row-major order
-    flat = s.reshape(len(y), -1)
     cut = np.clip((p // m - row_lo) * width + np.clip(p % m - col_lo, 0, width),
                   0, width * width)
-    for start in set(cut[cut < width * width].tolist()):
-        flat[cut == start, start:] = -np.inf
-    if c > SHIFT_FREE:
-        flat -= flat.max(axis=1)[:, None]
-    np.exp(s, out=s)
-    row_w = np.einsum("nij->ni", s)
-    col_w = np.einsum("nij->nj", s)
-    return ((m * (rows * row_w).sum(axis=1) + (cols * col_w).sum(axis=1))
-            / row_w.sum(axis=1))
+    starts = set(cut[cut < width * width].tolist())
+    moments = np.stack([np.ones(width), steps], axis=1)
+    sums = np.empty((n, width, 2))
+    block = max(1, BLOCK_ELEMENTS // (width * width))
+    buf = np.empty(min(n, block) * width * width)
+    for lo in range(0, n, block):
+        b = slice(lo, lo + block)
+        s = buf[:len(e[b]) * width * width].reshape(-1, width, width)
+        np.einsum("ni,nj->nij", e[b], x[b], out=s)
+        flat = s.reshape(len(s), -1)
+        for start in starts:
+            flat[cut[b] == start, start:] = -np.inf
+        if c > SHIFT_FREE:
+            flat -= flat.max(axis=1)[:, None]
+        np.exp(s, out=s)
+        np.matmul(s.reshape(-1, width), moments, out=sums[b].reshape(-1, 2))
+    row_w, col_mw = sums[..., 0], sums[..., 1]
+    total = row_w.sum(axis=1)
+    return (m * (rows * row_w).sum(axis=1) + col_mw.sum(axis=1) + col_lo * total) / total
 
 
 def soft_demodulate(y_hat: np.ndarray, cons: Constellation, sigma2: float,
@@ -146,7 +164,7 @@ def soft_demodulate(y_hat: np.ndarray, cons: Constellation, sigma2: float,
     Value j gets weight ``softmax_j(sigma_l * N(y; x_j, sigma2))`` and the
     output is the weighted mean of the values, so entries lie in
     ``[0, p-1]``. ``y_hat`` is (..., k) and must be finite. The score of a
-    grid point factorises into per-axis terms (see :func:`_score`). A
+    grid point factorises into per-axis terms (see :func:`_estimate`). A
     symbol's peak score is its score at its nearest grid point. If that
     point is retained and the peak exceeds ``GAP``, the symbol is scored on
     a window of grid indices around the point, wide enough that every point
@@ -170,47 +188,63 @@ def soft_demodulate(y_hat: np.ndarray, cons: Constellation, sigma2: float,
     c = sigma_l / (math.pi * sigma2)
     out = np.empty(y.shape)
     with np.errstate(over="ignore"):  # far-off symbols: scores underflow to 0
-        near_col = np.rint(np.clip((y.real - levels[0]) / spacing, 0, m - 1))
-        near_row = np.rint(np.clip((y.imag - levels[0]) / spacing, 0, m - 1))
-        near_col, near_row = near_col.astype(np.intp), near_row.astype(np.intp)
-        # a symbol's largest score, at its nearest grid point
-        peak = c * np.exp(-((y.real - levels[near_col]) ** 2
-                            + (y.imag - levels[near_row]) ** 2) / sigma2)
-        sharp = (peak > GAP) & (near_row * m + near_col < p)
-        # beyond r on either axis a score is <= peak - GAP; widths of 2^j + 1
-        # keep the passes at log2(m) + 1
-        r = np.sqrt(sigma2 * np.log(c / (peak[sharp] - GAP)))
-        half = np.ceil(r / spacing) + 1
         width = np.full(y.shape, m)
-        width[sharp] = np.minimum(m, 2.0 ** np.ceil(np.log2(2 * half)) + 1)
+        near_col = near_row = np.zeros(y.shape, dtype=np.intp)
+        if c > GAP:  # else no score exceeds GAP and every symbol takes the grid
+            near_col = np.rint(np.clip((y.real - levels[0]) / spacing, 0, m - 1))
+            near_row = np.rint(np.clip((y.imag - levels[0]) / spacing, 0, m - 1))
+            near_col, near_row = near_col.astype(np.intp), near_row.astype(np.intp)
+            # a symbol's largest score, at its nearest grid point
+            peak = c * np.exp(-((y.real - levels[near_col]) ** 2
+                                + (y.imag - levels[near_row]) ** 2) / sigma2)
+            sharp = (peak > GAP) & (near_row * m + near_col < p)
+            # beyond r on either axis a score is <= peak - GAP; widths of
+            # 2^j + 1 keep the passes at log2(m) + 1
+            r = np.sqrt(sigma2 * np.log(c / (peak[sharp] - GAP)))
+            half = np.ceil(r / spacing) + 1
+            width[sharp] = np.minimum(m, 2.0 ** np.ceil(np.log2(2 * half)) + 1)
         for w in sorted(set(width.tolist())):
             idx = np.flatnonzero(width == w)
             col_lo = np.clip(near_col[idx] - (w - 1) // 2, 0, m - w)
             row_lo = np.clip(near_row[idx] - (w - 1) // 2, 0, m - w)
-            block = max(1, BLOCK_ELEMENTS // (w * w))
-            for s in range(0, len(idx), block):
-                b = slice(s, s + block)
-                out[idx[b]] = _score(y[idx[b]], col_lo[b], row_lo[b], w,
-                                     levels, p, sigma2, c)
+            # two per-axis tables of w entries per symbol fill one block
+            chunk = max(1, BLOCK_ELEMENTS // (2 * w))
+            for s in range(0, len(idx), chunk):
+                b = slice(s, s + chunk)
+                out[idx[b]] = _estimate(y[idx[b]], col_lo[b], row_lo[b], w,
+                                        levels, p, sigma2, c)
     return out.reshape(y_hat.shape)
 
 
-def receive(c: np.ndarray, cons: Constellation, snr_db: Db,
+def receive(c: np.ndarray, cons: Constellation, snr_db: Db | np.ndarray,
             sigma_l: float, seed: int, message_indices) -> np.ndarray:
-    """Channel and receiver for (B, k) ciphertext rows at ``snr_db``.
+    """Channel and receiver for (B, k) ciphertext rows.
 
-    Row i is modulated, perturbed by AWGN drawn from
-    ``stream(seed, message_indices[i])`` and soft-demodulated. +inf dB is
-    the exact noiseless limit: the demodulator output converges to the
-    transmitted integers, which are returned as floats (``cons`` is unused).
+    ``snr_db`` is one SNR for every row or one per row (each a :data:`Db`).
+    Row i is modulated, perturbed by AWGN at its SNR drawn from
+    ``stream(seed, message_indices[i])`` and soft-demodulated; the rows of
+    one SNR share one channel and one demodulator call. +inf dB is the exact
+    noiseless limit: the demodulator output converges to the transmitted
+    integers, which are returned as floats.
     """
     c = np.asarray(c)
     if c.ndim != 2 or len(message_indices) != c.shape[0]:
         raise ValueError(f"need (B, k) rows and B message indices, got shape "
                          f"{c.shape} and {len(message_indices)} indices")
-    sigma2 = noise_variance(snr_db, cons.avg_power)
-    if sigma2 == 0.0:
-        return c.astype(np.float64)
-    y_hat = awgn(modulate(c, cons), sigma2,
-                 [stream(seed, int(index)) for index in message_indices])
-    return soft_demodulate(y_hat, cons, sigma2, sigma_l)
+    snrs = np.asarray(snr_db, dtype=np.float64)
+    if snrs.ndim and snrs.shape != (len(c),):
+        raise ValueError(f"need one SNR or one per row: {len(c)} rows, "
+                         f"SNR shape {snrs.shape}")
+    snrs = np.broadcast_to(snrs, len(c))
+    indices = np.asarray(message_indices)
+    out = np.empty(c.shape)
+    for snr in dict.fromkeys(snrs.tolist()):  # distinct, in order of rows
+        sigma2 = noise_variance(snr, cons.avg_power)
+        rows = snrs == snr
+        if sigma2 == 0.0:
+            out[rows] = c[rows]
+            continue
+        y_hat = awgn(modulate(c[rows], cons), sigma2,
+                     [stream(seed, int(index)) for index in indices[rows]])
+        out[rows] = soft_demodulate(y_hat, cons, sigma2, sigma_l)
+    return out

@@ -43,16 +43,18 @@ class TransmissionRecord:
 
 
 def transmit_latent(z_bar: np.ndarray, keys: KeyPair, cons: Constellation,
-                    snr_db: Db, sigma_l: float, error_seed: int,
+                    snr_db: Db | np.ndarray, sigma_l: float, error_seed: int,
                     channel_seed: int, message_indices
                     ) -> tuple[Ciphertext, np.ndarray, np.ndarray]:
     """Carry (B, k) quantized latents through encryption, channel and
     decryption: the ciphertext, its soft-demodulated estimate c_hat and the
     noisy plaintext decrypted from c_hat, one row per message.
 
-    Row i uses the error triple and channel stream of ``message_indices[i]``,
-    so a row's output does not depend on the batch it travels in.
-    +inf dB short-circuits the modem with its exact noiseless limit.
+    ``snr_db`` is one SNR for every row or one per row (see
+    :func:`~securejscc.modem.receive`). Row i uses the error triple and
+    channel stream of ``message_indices[i]``, so a row's output does not
+    depend on the batch it travels in. +inf dB short-circuits the modem
+    with its exact noiseless limit.
     """
     ct = encrypt(z_bar, keys, derive_error_rows(error_seed, message_indices,
                                                 keys.params))
@@ -98,40 +100,47 @@ def sweep(images: list[np.ndarray], spec: codec.CodecSpec, params: dict,
 
     The images are encoded and quantized once. At the g-th SNR image i
     travels as message ``g * len(images) + i``, so message indices never
-    repeat.
+    repeat, and the records come in message order. A chunk of images
+    travels at every SNR in one chain call of at most
+    ``max(len(images), len(snr_grid_db))`` messages.
     """
     if not snr_grid_db:
         raise ValueError("SNR grid must be non-empty")
-    records = []
     if not images:
-        return records
+        return []
     h, w, c = spec.input_shape
     batch = np.stack(images)
     if batch.shape[1:] != (h, w, c):
         raise ValueError(f"image shape {batch.shape[1:]} != codec {spec.input_shape}")
-    n = len(images)
+    n, n_snr = len(images), len(snr_grid_db)
     z, _ = codec.encode(batch.reshape(n, -1), spec, params)
     z_bar = hard_quantize(z, qcfg)
     p = keys.params.p
     report_ms = min(h, w) >= MS_SSIM_MIN_SIDE
-    for g, snr_db in enumerate(snr_grid_db):
-        messages = g * n + np.arange(n)
-        ct, c_hat, z_prime = transmit_latent(z_bar, keys, cons, snr_db, sigma_l,
+    snrs = np.asarray(snr_grid_db, dtype=np.float64)
+    per_call = max(1, n // n_snr)  # images per chain call
+    records = [None] * (n * n_snr)
+    for lo in range(0, n, per_call):
+        chunk = np.arange(lo, min(lo + per_call, n))
+        g = np.repeat(np.arange(n_snr), len(chunk))
+        i = np.tile(chunk, n_snr)
+        messages = g * n + i
+        ct, c_hat, z_prime = transmit_latent(z_bar[i], keys, cons, snrs[g], sigma_l,
                                              error_seed, channel_seed, messages)
         exact_plain = decrypt(ct, keys)  # the crypto noise column's reference
         x_hats, _ = codec.decode(soft_dequantize(z_prime, qcfg), spec, params)
-        for i, (x, x_hat) in enumerate(zip(images, x_hats.reshape(n, h, w, c))):
-            records.append(TransmissionRecord(
-                image_index=i,
-                message_index=int(messages[i]),
-                snr_db=snr_db,
-                rho=spec.rho,
-                mse=metrics.mse(x, x_hat),
-                psnr=metrics.psnr(x, x_hat),
-                ssim=metrics.ssim(x, x_hat),
-                ms_ssim=metrics.ms_ssim(x, x_hat) if report_ms else None,
-                crypto_noise_std=float(np.std(centered(exact_plain[i] - z_bar[i], p))),
-                channel_noise_std=float(np.std(c_hat[i] - ct.c[i])),
-                compound_noise_std=float(np.std(centered(z_prime[i] - z_bar[i], p))),
-            ))
+        x, x_hat = batch[i], x_hats.reshape(-1, h, w, c)
+        columns = zip(
+            metrics.mse(x, x_hat).tolist(), metrics.psnr(x, x_hat).tolist(),
+            metrics.ssim(x, x_hat).tolist(),
+            metrics.ms_ssim(x, x_hat).tolist() if report_ms else [None] * len(i),
+            np.std(centered(exact_plain - z_bar[i], p), axis=1).tolist(),
+            np.std(c_hat - ct.c, axis=1).tolist(),
+            np.std(centered(z_prime - z_bar[i], p), axis=1).tolist())
+        for row, (mse, psnr, ssim, ms_ssim, crypto, channel, compound) in enumerate(columns):
+            records[messages[row]] = TransmissionRecord(
+                image_index=int(i[row]), message_index=int(messages[row]),
+                snr_db=snr_grid_db[g[row]], rho=spec.rho, mse=mse, psnr=psnr,
+                ssim=ssim, ms_ssim=ms_ssim, crypto_noise_std=crypto,
+                channel_noise_std=channel, compound_noise_std=compound)
     return records

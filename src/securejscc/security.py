@@ -181,6 +181,22 @@ GAME_CSV_HEADER = "distinguisher,trials,correct,accuracy,advantage,ci_low,ci_hig
 GAME_CHUNK_ENTRIES = 1 << 15
 
 
+def trial_draws(rngs) -> np.ndarray:
+    """Each trial's key, lattice, error and adversary seeds and its bit: a
+    (T, 5) int64 array, one row from five raw words of each stream.
+
+    They are the values of ``rng.integers(0, 2**63, size=4)`` and then
+    ``rng.integers(0, 2)``: a bounded draw over 2**63 values is one raw word
+    shifted right by one, and the bit is the top bit of the low half of the
+    next word.
+    """
+    raw = np.array([rng.bit_generator.random_raw(5) for rng in rngs],
+                   dtype=np.uint64).reshape(-1, 5)
+    raw[:, :4] >>= np.uint64(1)
+    raw[:, 4] = (raw[:, 4] & np.uint64(0xFFFFFFFF)) >> np.uint64(31)
+    return raw.astype(np.int64)
+
+
 def run_ind_cpa_game(cfg: GameConfig, distinguisher=None) -> GameResult:
     """Estimate the distinguisher's advantage over ``cfg.trials`` games.
 
@@ -198,9 +214,7 @@ def run_ind_cpa_game(cfg: GameConfig, distinguisher=None) -> GameResult:
     correct = 0
     for start in range(0, cfg.trials, chunk):
         rngs = [stream(cfg.seed, t) for t in range(start, min(start + chunk, cfg.trials))]
-        key_seeds, lattice_seeds, error_seeds, adv_seeds = np.array(
-            [rng.integers(0, 1 << 63, size=4) for rng in rngs]).T
-        bits = np.array([rng.integers(0, 2) for rng in rngs])
+        key_seeds, lattice_seeds, error_seeds, adv_seeds, bits = trial_draws(rngs).T
         _, B, A = keygen_stack(params, key_seeds, lattice_seeds)
         errors = error_rows([stream(s, 0) for s in error_seeds], params)
         # one key per trial: (T, 1, .) rows under the stacked (T, ., .) keys

@@ -191,6 +191,20 @@ def test_cli_unknown_config_key_exits_2(tmp_path, capsys):
     assert not (tmp_path / "a.csv").exists()
 
 
+def test_cli_identity_k_mismatch_names_config_keys(tmp_path, capsys):
+    # lwe.k must be the dataset's pixel count (4 x 4 x 1) for the identity codec
+    cfg_path = make_config_file(
+        tmp_path, lwe={"p": 251, "n1": 16, "n2": 16, "sigma_s": 1.5, "k": 100})
+    assert main(["sweep", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    for key in ("lwe.k", "dataset.height", "dataset.width", "dataset.channels",
+                "= 16", "100"):
+        assert key in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_cli_missing_config_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "nowhere.json"
     assert main(["sweep", "--config", str(missing),

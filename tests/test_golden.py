@@ -21,7 +21,7 @@ from securejscc.security import GameConfig, run_ind_cpa_game
 from securejscc.training import TrainContext, init_train_state, train_codec
 
 SWEEP_CSV_SHA256 = "a40c638d695d8df76dc1ac89554552ef25a8be4a3ce421a2d0867c0af36ebe29"
-TRAIN_LOSSES = ["0x1.fbcc793a511fdp+12", "0x1.e467606e700cep+12"]
+TRAIN_LOSSES = ["0x1.fbcc793a51200p+12", "0x1.e467606e700cep+12"]
 VAL_LOSSES = ["0x1.f2260c09d06c0p+12", "0x1.e20f7ee6450f2p+12"]
 GAME_CORRECT = {"marginal_chisq": 101, "trained_classifier": 98}
 

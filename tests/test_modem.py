@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,11 +412,14 @@ def test_soft_demodulate_matches_dense_oracle_at_window_thresholds(p):
             assert np.max(np.abs(got - dense_soft_demodulate(y_hat, cons, sigma2))) <= 1e-9
 
 
-@pytest.mark.parametrize("k", [16, 63, 256])
-def test_soft_demodulate_rows_equal_single_messages(k):
-    # a symbol's output depends on that symbol alone, not on its batch
-    cons = build_constellation(4093, 1.0)
-    values = stream(22).integers(0, 4093, size=(5, k))
+@pytest.mark.parametrize("p", [251, 4093])
+@pytest.mark.parametrize("k", [1, 16, 31, 63, 64, 256, 257])
+def test_soft_demodulate_rows_equal_single_messages(k, p):
+    # a symbol's output depends on that symbol alone, not on its batch: the
+    # moment pass is one BLAS product per block whose output rows are single
+    # window rows, and every other sum runs within one symbol
+    cons = build_constellation(p, 1.0)
+    values = stream(22).integers(0, p, size=(5, k))
     for snr_db in (0.0, 15.0, 20.0):
         sigma2 = noise_variance(snr_db, cons.avg_power)
         y_hat = awgn(modulate(values, cons), sigma2,
@@ -423,17 +430,62 @@ def test_soft_demodulate_rows_equal_single_messages(k):
             assert np.array_equal(batch[row], one[0]), (snr_db, row)
 
 
+DEMOD_DIGEST = """
+import hashlib
+from securejscc.modem import (awgn, build_constellation, modulate,
+                              noise_variance, soft_demodulate)
+from securejscc.rng import stream
+digest = hashlib.sha256()
+for p in (251, 4093):
+    cons = build_constellation(p, 1.0)
+    values = stream(26).integers(0, p, size=(40, 256))
+    for snr_db in (0.0, 10.0, 15.0, 20.0, 30.0):
+        sigma2 = noise_variance(snr_db, 1.0)
+        y_hat = awgn(modulate(values, cons), sigma2,
+                     [stream(27, row) for row in range(len(values))])
+        digest.update(soft_demodulate(y_hat, cons, sigma2, 5.0).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_soft_demodulate_bytes_do_not_depend_on_blas_threads():
+    src = Path(modem.__file__).resolve().parents[1]
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        run = subprocess.run([sys.executable, "-c", DEMOD_DIGEST], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        digests.add(run.stdout.strip())
+    assert len(digests) == 1
+
+
+def test_receive_takes_one_snr_per_row():
+    # the rows of each SNR equal a receive of those rows alone
+    cons = build_constellation(251, 1.0)
+    c = stream(28).integers(0, 251, size=(5, 16))
+    snrs = [10.0, math.inf, 0.0, 10.0, math.inf]
+    got = receive(c, cons, snrs, 5.0, 29, [4, 3, 2, 1, 0])
+    for row, (snr, index) in enumerate(zip(snrs, [4, 3, 2, 1, 0])):
+        one = receive(c[row:row + 1], cons, snr, 5.0, 29, [index])
+        assert np.array_equal(got[row], one[0]), row
+    with pytest.raises(ValueError, match="one SNR or one per row"):
+        receive(c, cons, snrs[:2], 5.0, 29, range(5))
+
+
 def _scored_widths(monkeypatch, y_hat, cons, sigma2):
     """Run the demodulator and return the window width each symbol got."""
-    score = modem._score
+    estimate = modem._estimate
     widths = []
 
     def spy(y, col_lo, row_lo, width, *args):
         widths.extend([width] * len(y))
-        return score(y, col_lo, row_lo, width, *args)
+        return estimate(y, col_lo, row_lo, width, *args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(modem, "_score", spy)
+        patch.setattr(modem, "_estimate", spy)
         soft_demodulate(y_hat, cons, sigma2, 5.0)
     assert len(widths) == len(y_hat)
     return np.array(widths)

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from securejscc import codec, metrics
+from securejscc import codec, metrics, pipeline
 from securejscc.codec import CodecSpec
 from securejscc.datasets import DatasetSpec, synthesize_dataset
 from securejscc.lwe import LweParams, centered, decrypt, keygen
 from securejscc.modem import build_constellation
-from securejscc.pipeline import CSV_COLUMNS, records_to_csv, sweep, transmit_latent
+from securejscc.pipeline import (CSV_COLUMNS, TransmissionRecord, records_to_csv,
+                                 sweep, transmit_latent)
 from securejscc.quantizer import QuantizerConfig, hard_quantize, soft_dequantize
 from securejscc.rng import stream
 
@@ -174,6 +175,52 @@ def test_batched_chain_rows_equal_single_messages(k):
         one = outputs(zbar[row:row + 1], [index])
         for field, value in batch.items():
             assert np.array_equal(value[row], one[field][0]), field
+
+
+def per_snr_sweep(images, spec, params, keys, qcfg, cons, snr_grid_db,
+                  sigma_l, error_seed, channel_seed):
+    """:func:`sweep` as one chain call per SNR, each image scored alone: the
+    oracle for the chunked sweep."""
+    n, p = len(images), keys.params.p
+    z, _ = codec.encode(np.stack(images).reshape(n, -1), spec, params)
+    z_bar = hard_quantize(z, qcfg)
+    records = []
+    for g, snr_db in enumerate(snr_grid_db):
+        messages = g * n + np.arange(n)
+        ct, c_hat, z_prime = transmit_latent(z_bar, keys, cons, snr_db, sigma_l,
+                                             error_seed, channel_seed, messages)
+        exact_plain = decrypt(ct, keys)
+        x_hats, _ = codec.decode(soft_dequantize(z_prime, qcfg), spec, params)
+        for i, (x, x_hat) in enumerate(zip(images, x_hats.reshape(n, *spec.input_shape))):
+            records.append(TransmissionRecord(
+                image_index=i, message_index=int(messages[i]), snr_db=snr_db,
+                rho=spec.rho, mse=metrics.mse(x, x_hat),
+                psnr=metrics.psnr(x, x_hat), ssim=metrics.ssim(x, x_hat),
+                ms_ssim=None,
+                crypto_noise_std=float(np.std(centered(exact_plain[i] - z_bar[i], p))),
+                channel_noise_std=float(np.std(c_hat[i] - ct.c[i])),
+                compound_noise_std=float(np.std(centered(z_prime[i] - z_bar[i], p)))))
+    return records
+
+
+def test_chunked_sweep_equals_per_snr_chain_calls(setup, monkeypatch):
+    # 7 images x 3 SNRs: chunks of 2 images at every SNR, at most
+    # max(7, 3) messages a call, the last one ragged; +inf rows share a
+    # chain call with noisy rows
+    keys, qcfg, cons, _ = setup
+    images = synthesize_dataset(DatasetSpec("blob", 7, 8, 8, 1), 6)
+    grid = [0.0, math.inf, 15.0]
+    args = (SPEC, {}, keys, qcfg, cons, grid, 5.0, 3, 4)
+    oracle = per_snr_sweep(images, *args)
+    rows = []
+
+    def spy(z_bar, *rest):
+        rows.append(len(z_bar))
+        return transmit_latent(z_bar, *rest)
+
+    monkeypatch.setattr(pipeline, "transmit_latent", spy)
+    assert sweep(images, *args) == oracle
+    assert rows == [6, 6, 6, 3]
 
 
 def test_ms_ssim_omitted_for_small_images(setup):

@@ -13,7 +13,7 @@ from securejscc.rng import spawn_seed, stream
 from securejscc.security import (DISTINGUISHERS, GAME_CHUNK_ENTRIES,
                                  AttackConfig, GameConfig, TrainedClassifier,
                                  default_plaintext_pair, run_cpa_attack,
-                                 run_ind_cpa_game)
+                                 run_ind_cpa_game, trial_draws)
 from test_lwe import message_errors
 from test_modem import awgn_one
 
@@ -115,6 +115,20 @@ def test_game_config_requires_trials():
 def test_game_config_rejects_unknown_distinguisher():
     with pytest.raises(ValueError, match="unknown distinguisher 'fair_coin'"):
         GameConfig(trials=100, params=GAME_LWE, distinguisher="fair_coin")
+
+
+def test_trial_draws_equal_bounded_integer_draws():
+    # four 63-bit seeds and a bit from raw words, as integers() draws them
+    keys = [(seed, t) for seed in (0, 2026, 2**63 - 1) for t in range(2000)]
+    rngs = [stream(*key) for key in keys]
+    oracles = [stream(*key) for key in keys]
+    expected = [[*rng.integers(0, 1 << 63, size=4).tolist(), int(rng.integers(0, 2))]
+                for rng in oracles]
+    got = trial_draws(rngs)
+    assert got.dtype == np.int64 and got.tolist() == expected
+    # both leave their streams at the same word
+    assert ([rng.random() for rng in rngs[:50]]
+            == [rng.random() for rng in oracles[:50]])
 
 
 @pytest.mark.parametrize("trials", [100, 131])
