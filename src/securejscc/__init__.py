@@ -18,7 +18,7 @@ from .lwe import (Ciphertext, ErrorTriple, KeyPair, LweParams, PublicKey,
 from .metrics import ms_ssim, mse, psnr, ssim
 from .modem import (Constellation, awgn, build_constellation, modulate,
                     noise_variance, receive, soft_demodulate)
-from .pipeline import TransmissionRecord, records_to_csv, sweep, transmit_latent
+from .pipeline import records_to_csv, sweep, transmit_latent
 from .quantizer import (QuantizerConfig, anneal_sigma_q, build_centroids,
                         hard_quantize, soft_dequantize, soft_quantize_jacobian)
 from .rng import stream

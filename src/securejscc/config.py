@@ -66,6 +66,9 @@ class TrainingSettings:
             if getattr(self, name) < 1:
                 raise ValueError(f"training.{name} must be at least 1, "
                                  f"got {getattr(self, name)}")
+        if not 0 < self.val_fraction < 1:
+            raise ValueError(f"training.val_fraction must lie in (0, 1), "
+                             f"got {self.val_fraction}")
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,6 @@ does not depend on the batch it travels in.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import codec, metrics
@@ -24,22 +21,10 @@ CSV_SCHEMA_VERSION = 1
 CSV_COLUMNS = ("schema_version", "row_kind", "image_index", "message_index",
                "snr_db", "rho", "mse", "psnr", "ssim", "ms_ssim",
                "crypto_noise_std", "channel_noise_std", "compound_noise_std")
-MS_SSIM_MIN_SIDE = 64  # below this the multi-scale metric is not reported
-
-
-@dataclass(frozen=True)
-class TransmissionRecord:
-    image_index: int
-    message_index: int
-    snr_db: float
-    rho: float
-    mse: float
-    psnr: float
-    ssim: float
-    ms_ssim: float | None
-    crypto_noise_std: float
-    channel_noise_std: float
-    compound_noise_std: float
+# a sweep's table: one column per CSV field past the row kind
+SWEEP_DTYPE = np.dtype([(name, np.int64 if name.endswith("_index") else np.float64)
+                        for name in CSV_COLUMNS[2:]])
+MS_SSIM_MIN_SIDE = 64  # below this the multi-scale metric is not reported (NaN)
 
 
 def transmit_latent(z_bar: np.ndarray, keys: KeyPair, cons: Constellation,
@@ -62,64 +47,66 @@ def transmit_latent(z_bar: np.ndarray, keys: KeyPair, cons: Constellation,
     return ct, c_hat, decrypt_noisy(c_hat, ct.d, keys)
 
 
-def _fmt(value: float | int | None) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, int):
-        return str(value)
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return f"{value:.6f}"
+def _fmt(value: float) -> str:
+    return f"{value:.6f}" if value == value else ""  # NaN: not reported
 
 
-def records_to_csv(records: list[TransmissionRecord]) -> str:
-    """Fixed-order CSV: per-image rows, then mean/std rows per SNR."""
-    # past the version and row kind every column is a record field; the
-    # aggregate rows leave the two indices blank and reduce rho onward
+def records_to_csv(table: np.ndarray) -> str:
+    """Fixed-order CSV of a :func:`sweep` table: per-image rows, then
+    mean/std rows per SNR."""
+    columns = [table[name] for name in CSV_COLUMNS[2:]]  # each field read once
     lines = [",".join(CSV_COLUMNS)]
-    for r in records:
-        lines.append(",".join([str(CSV_SCHEMA_VERSION), "image"]
-                              + [_fmt(getattr(r, name)) for name in CSV_COLUMNS[2:]]))
-    for snr in sorted({r.snr_db for r in records}):
-        group = [r for r in records if r.snr_db == snr]
+    cells = [list(map(str if col.dtype.kind == "i" else _fmt, col.tolist()))
+             for col in columns]
+    lines += [f"{CSV_SCHEMA_VERSION},image," + ",".join(row) for row in zip(*cells)]
+    # the aggregate rows leave the two indices blank and reduce rho onward
+    snr_db, data = columns[2], np.stack(columns[3:])
+    for snr in sorted(set(snr_db.tolist())):  # np.unique's first call costs ~1.6 MB RSS
+        # a masked view is F-ordered; a C-contiguous block reduces each column
+        # along its own row, in the order a 1-D reduction of it sums
+        block = np.ascontiguousarray(data[:, snr_db == snr])
+        finite = np.isfinite(block)
+        partial = np.flatnonzero(~finite.all(axis=1))  # psnr at +inf dB, ms_ssim
         for kind, reducer in (("mean", np.mean), ("std", np.std)):
-            row = [str(CSV_SCHEMA_VERSION), kind, "", "", _fmt(snr)]
-            for name in CSV_COLUMNS[5:]:
-                vals = [getattr(r, name) for r in group]
-                vals = [v for v in vals if v is not None and math.isfinite(v)]
-                row.append(_fmt(float(reducer(vals))) if vals else "")
-            lines.append(",".join(row))
+            with np.errstate(invalid="ignore"):  # inf - inf in a partial row
+                values = reducer(block, axis=1)
+            for j in partial:  # over the finite entries alone, NaN if none
+                kept = block[j, finite[j]]
+                values[j] = reducer(kept) if kept.size else np.nan
+            lines.append(f"{CSV_SCHEMA_VERSION},{kind},,," + ",".join(
+                map(_fmt, [snr, *values.tolist()])))
     return "\n".join(lines) + "\n"
 
 
 def sweep(images: list[np.ndarray], spec: codec.CodecSpec, params: dict,
           keys: KeyPair, qcfg: QuantizerConfig, cons: Constellation,
           snr_grid_db: list[float], sigma_l: float, error_seed: int,
-          channel_seed: int) -> list[TransmissionRecord]:
+          channel_seed: int) -> np.recarray:
     """Transmit every image at every SNR and score each reconstruction.
 
     The images are encoded and quantized once. At the g-th SNR image i
     travels as message ``g * len(images) + i``, so message indices never
-    repeat, and the records come in message order. A chunk of images
-    travels at every SNR in one chain call of at most
-    ``max(len(images), len(snr_grid_db))`` messages.
+    repeat. The result is one :data:`SWEEP_DTYPE` row per message, in
+    message order; ``ms_ssim`` is NaN for images smaller than
+    ``MS_SSIM_MIN_SIDE``. A chunk of images travels at every SNR in one
+    chain call of at most ``max(len(images), len(snr_grid_db))`` messages.
     """
     if not snr_grid_db:
         raise ValueError("SNR grid must be non-empty")
+    n, n_snr = len(images), len(snr_grid_db)
+    table = np.recarray(n * n_snr, dtype=SWEEP_DTYPE)
     if not images:
-        return []
+        return table
     h, w, c = spec.input_shape
     batch = np.stack(images)
     if batch.shape[1:] != (h, w, c):
         raise ValueError(f"image shape {batch.shape[1:]} != codec {spec.input_shape}")
-    n, n_snr = len(images), len(snr_grid_db)
     z, _ = codec.encode(batch.reshape(n, -1), spec, params)
     z_bar = hard_quantize(z, qcfg)
     p = keys.params.p
     report_ms = min(h, w) >= MS_SSIM_MIN_SIDE
     snrs = np.asarray(snr_grid_db, dtype=np.float64)
     per_call = max(1, n // n_snr)  # images per chain call
-    records = [None] * (n * n_snr)
     for lo in range(0, n, per_call):
         chunk = np.arange(lo, min(lo + per_call, n))
         g = np.repeat(np.arange(n_snr), len(chunk))
@@ -130,17 +117,13 @@ def sweep(images: list[np.ndarray], spec: codec.CodecSpec, params: dict,
         exact_plain = decrypt(ct, keys)  # the crypto noise column's reference
         x_hats, _ = codec.decode(soft_dequantize(z_prime, qcfg), spec, params)
         x, x_hat = batch[i], x_hats.reshape(-1, h, w, c)
-        columns = zip(
-            metrics.mse(x, x_hat).tolist(), metrics.psnr(x, x_hat).tolist(),
-            metrics.ssim(x, x_hat).tolist(),
-            metrics.ms_ssim(x, x_hat).tolist() if report_ms else [None] * len(i),
-            np.std(centered(exact_plain - z_bar[i], p), axis=1).tolist(),
-            np.std(c_hat - ct.c, axis=1).tolist(),
-            np.std(centered(z_prime - z_bar[i], p), axis=1).tolist())
-        for row, (mse, psnr, ssim, ms_ssim, crypto, channel, compound) in enumerate(columns):
-            records[messages[row]] = TransmissionRecord(
-                image_index=int(i[row]), message_index=int(messages[row]),
-                snr_db=snr_grid_db[g[row]], rho=spec.rho, mse=mse, psnr=psnr,
-                ssim=ssim, ms_ssim=ms_ssim, crypto_noise_std=crypto,
-                channel_noise_std=channel, compound_noise_std=compound)
-    return records
+        columns = (
+            i, messages, snrs[g], spec.rho, metrics.mse(x, x_hat),
+            metrics.psnr(x, x_hat), metrics.ssim(x, x_hat),
+            metrics.ms_ssim(x, x_hat) if report_ms else np.nan,
+            np.std(centered(exact_plain - z_bar[i], p), axis=1),
+            np.std(c_hat - ct.c, axis=1),
+            np.std(centered(z_prime - z_bar[i], p), axis=1))
+        for name, column in zip(SWEEP_DTYPE.names, columns):
+            table[name][messages] = column
+    return table

@@ -260,6 +260,9 @@ class AttackConfig:
             raise ValueError(f"unknown error mode {self.error_mode!r}")
         if self.pairs < 1:
             raise ValueError("need at least one (image, ciphertext) pair")
+        if not 0 < self.test_fraction < 1:
+            raise ValueError(f"config key 'attack.test_fraction' must lie in (0, 1), "
+                             f"got {self.test_fraction}")
         if self.n_test >= self.pairs:
             raise ValueError("test fraction leaves no training pairs")
 

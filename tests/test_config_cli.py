@@ -384,6 +384,10 @@ def test_cli_train_validation_streams_disjoint_from_training(tmp_path, monkeypat
     ({"snr_grid_db": []}, "snr_grid_db must name at least one SNR"),
     ({"sigma_l": -1.0}, "sigma_l must be positive, got -1.0"),
     ({"sigma_l": 0, "snr_grid_db": ["inf"]}, "sigma_l must be positive, got 0.0"),
+    ({"training": {"val_fraction": -0.5}},
+     "training.val_fraction must lie in (0, 1), got -0.5"),
+    ({"training": {"val_fraction": 0}}, "training.val_fraction must lie in (0, 1), got 0.0"),
+    ({"training": {"val_fraction": 1}}, "training.val_fraction must lie in (0, 1), got 1.0"),
 ])
 def test_cli_unworkable_settings_exit_2(tmp_path, capsys, over, message):
     cfg_path = make_config_file(tmp_path, **{**MLP_TRAINING, **over})
@@ -395,7 +399,7 @@ def test_cli_unworkable_settings_exit_2(tmp_path, capsys, over, message):
 
 
 @pytest.mark.parametrize("over", [
-    {"training": {"val_fraction": 1.0}},
+    {"training": {"val_fraction": 0.98}},  # 20 images, 20 held out
     {"dataset": {"kind": "blob", "count": 1, "height": 4, "width": 4}},
 ])
 def test_cli_train_split_without_training_images_exits_2(tmp_path, capsys, over):
@@ -426,6 +430,12 @@ def test_sweep_config_with_one_image_loads(tmp_path):
      "image: need at least one (image, ciphertext) pair"),
     ({"dataset": images(1)}, "config key 'dataset.count' is 1, one attack pair per "
      "image: test fraction leaves no training pairs"),
+    ({"attack": {"test_fraction": -0.2}},
+     "config key 'attack.test_fraction' must lie in (0, 1), got -0.2"),
+    ({"attack": {"test_fraction": 0}},
+     "config key 'attack.test_fraction' must lie in (0, 1), got 0.0"),
+    ({"attack": {"test_fraction": 1.5}},
+     "config key 'attack.test_fraction' must lie in (0, 1), got 1.5"),
 ])
 def test_cli_unworkable_attack_exits_2(tmp_path, capsys, attack, message):
     cfg_path = make_config_file(tmp_path, **attack)

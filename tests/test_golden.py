@@ -1,5 +1,5 @@
-"""Golden outputs: a small sweep CSV, a short toy training run and two
-IND-CPA games.
+"""Golden outputs: a small sweep CSV, the CLI sweep of ``configs/sweep.json``,
+a short toy training run and two IND-CPA games.
 
 The sweep and training values were computed before the chain was batched;
 any change to the arithmetic of the chain (encryption, channel,
@@ -10,7 +10,9 @@ distinguishers.
 
 import hashlib
 import math
+from pathlib import Path
 
+from securejscc.cli import main
 from securejscc.codec import CodecSpec
 from securejscc.datasets import DatasetSpec, synthesize_dataset
 from securejscc.lwe import LweParams, keygen
@@ -21,6 +23,7 @@ from securejscc.security import GameConfig, run_ind_cpa_game
 from securejscc.training import TrainContext, init_train_state, train_codec
 
 SWEEP_CSV_SHA256 = "a40c638d695d8df76dc1ac89554552ef25a8be4a3ce421a2d0867c0af36ebe29"
+CLI_SWEEP_CSV_SHA256 = "ef2005ff23df89e802a088fa8468a53b1878b1bd855b400d2ef7f8fab865e22e"
 TRAIN_LOSSES = ["0x1.fbcc793a51200p+12", "0x1.e467606e700cep+12"]
 VAL_LOSSES = ["0x1.f2260c09d06c0p+12", "0x1.e20f7ee6450f2p+12"]
 GAME_CORRECT = {"marginal_chisq": 101, "trained_classifier": 98}
@@ -36,6 +39,15 @@ def test_identity_sweep_csv_is_pinned():
                     [0.0, 10.0, math.inf], 5.0, 3, 4)
     csv = records_to_csv(records)
     assert hashlib.sha256(csv.encode()).hexdigest() == SWEEP_CSV_SHA256
+
+
+def test_cli_sweep_csv_is_pinned(tmp_path):
+    # 100 images x 5 SNRs from an integer grid, which the config loader
+    # turns into floats
+    config = Path(__file__).parents[1] / "configs" / "sweep.json"
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CLI_SWEEP_CSV_SHA256
 
 
 def test_toy_training_losses_are_pinned():

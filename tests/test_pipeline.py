@@ -1,5 +1,5 @@
-import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,8 +9,8 @@ from securejscc.codec import CodecSpec
 from securejscc.datasets import DatasetSpec, synthesize_dataset
 from securejscc.lwe import LweParams, centered, decrypt, keygen
 from securejscc.modem import build_constellation
-from securejscc.pipeline import (CSV_COLUMNS, TransmissionRecord, records_to_csv,
-                                 sweep, transmit_latent)
+from securejscc.pipeline import (CSV_COLUMNS, CSV_SCHEMA_VERSION, SWEEP_DTYPE,
+                                 records_to_csv, sweep, transmit_latent)
 from securejscc.quantizer import QuantizerConfig, hard_quantize, soft_dequantize
 from securejscc.rng import stream
 
@@ -31,6 +31,14 @@ def setup():
 def _send(images, setup, snr_grid_db):
     keys, qcfg, cons, _ = setup
     return sweep(images, SPEC, {}, keys, qcfg, cons, snr_grid_db, 5.0, 3, 4)
+
+
+def assert_tables_equal(a, b):
+    """Column by column; a NaN (ms_ssim not reported) equals a NaN, which a
+    structured ``==`` does not grant."""
+    assert a.dtype == b.dtype
+    for name in a.dtype.names:
+        assert np.array_equal(a[name], b[name], equal_nan=True), name
 
 
 def test_zero_noise_zero_errors_is_quantization_only(setup, zero_error_rows):
@@ -100,10 +108,11 @@ def test_sweep_layout_and_determinism(setup):
 def test_single_point_sweep_equals_single_image_sweeps(setup):
     images = setup[3]
     recs = _send(images[:2], setup, [10.0])
-    assert recs[0] == _send(images[:1], setup, [10.0])[0]
+    assert_tables_equal(recs[:1], _send(images[:1], setup, [10.0]))
     # alone, image 1 travels as message 1 at the second grid point
-    alone = _send(images[1:2], setup, [0.0, 10.0])[1]
-    assert recs[1] == dataclasses.replace(alone, image_index=1)
+    alone = _send(images[1:2], setup, [0.0, 10.0])[1:]
+    alone["image_index"] = 1
+    assert_tables_equal(recs[1:], alone)
 
 
 def test_average_power_is_a_rescaling_of_sigma_l(setup):
@@ -119,13 +128,13 @@ def test_average_power_is_a_rescaling_of_sigma_l(setup):
 
     base = send(1.0, 5.0)
     # at 4P the amplitudes double, a power of two: every float op scales exactly
-    assert send(4.0, 20.0) == base
+    assert_tables_equal(send(4.0, 20.0), base)
     # at 2P they scale by sqrt(2), which rounds in the last bits
-    for a, b in zip(base, send(2.0, 10.0)):
-        for f in dataclasses.fields(a):
-            x, y = getattr(a, f.name), getattr(b, f.name)
-            assert x == y or math.isclose(x, y, rel_tol=1e-12), f.name
-    assert [r.mse for r in send(2.0, 5.0)] != [r.mse for r in base]
+    scaled = send(2.0, 10.0)
+    for name in base.dtype.names:
+        assert np.allclose(scaled[name], base[name], rtol=1e-12, atol=0,
+                           equal_nan=True), name
+    assert not np.array_equal(send(2.0, 5.0)["mse"], base["mse"])
 
 
 def test_empty_dataset_header_only(setup):
@@ -184,7 +193,7 @@ def per_snr_sweep(images, spec, params, keys, qcfg, cons, snr_grid_db,
     n, p = len(images), keys.params.p
     z, _ = codec.encode(np.stack(images).reshape(n, -1), spec, params)
     z_bar = hard_quantize(z, qcfg)
-    records = []
+    rows = []
     for g, snr_db in enumerate(snr_grid_db):
         messages = g * n + np.arange(n)
         ct, c_hat, z_prime = transmit_latent(z_bar, keys, cons, snr_db, sigma_l,
@@ -192,15 +201,13 @@ def per_snr_sweep(images, spec, params, keys, qcfg, cons, snr_grid_db,
         exact_plain = decrypt(ct, keys)
         x_hats, _ = codec.decode(soft_dequantize(z_prime, qcfg), spec, params)
         for i, (x, x_hat) in enumerate(zip(images, x_hats.reshape(n, *spec.input_shape))):
-            records.append(TransmissionRecord(
-                image_index=i, message_index=int(messages[i]), snr_db=snr_db,
-                rho=spec.rho, mse=metrics.mse(x, x_hat),
-                psnr=metrics.psnr(x, x_hat), ssim=metrics.ssim(x, x_hat),
-                ms_ssim=None,
-                crypto_noise_std=float(np.std(centered(exact_plain[i] - z_bar[i], p))),
-                channel_noise_std=float(np.std(c_hat[i] - ct.c[i])),
-                compound_noise_std=float(np.std(centered(z_prime[i] - z_bar[i], p)))))
-    return records
+            rows.append((
+                i, messages[i], snr_db, spec.rho, metrics.mse(x, x_hat),
+                metrics.psnr(x, x_hat), metrics.ssim(x, x_hat), math.nan,
+                np.std(centered(exact_plain[i] - z_bar[i], p)),
+                np.std(c_hat[i] - ct.c[i]),
+                np.std(centered(z_prime[i] - z_bar[i], p))))
+    return np.rec.fromrecords(rows, dtype=SWEEP_DTYPE)
 
 
 def test_chunked_sweep_equals_per_snr_chain_calls(setup, monkeypatch):
@@ -219,13 +226,95 @@ def test_chunked_sweep_equals_per_snr_chain_calls(setup, monkeypatch):
         return transmit_latent(z_bar, *rest)
 
     monkeypatch.setattr(pipeline, "transmit_latent", spy)
-    assert sweep(images, *args) == oracle
+    assert_tables_equal(sweep(images, *args), oracle)
     assert rows == [6, 6, 6, 3]
 
 
 def test_ms_ssim_omitted_for_small_images(setup):
-    [rec] = _send([setup[3][0]], setup, [10.0])
-    assert rec.ms_ssim is None
-    csv = records_to_csv([rec])
-    row = csv.strip().split("\n")[1].split(",")
-    assert row[CSV_COLUMNS.index("ms_ssim")] == ""
+    table = _send([setup[3][0]], setup, [10.0])
+    assert np.isnan(table["ms_ssim"]).all()
+    image, mean, std = (row.split(",") for row in
+                        records_to_csv(table).strip().split("\n")[1:])
+    column = CSV_COLUMNS.index("ms_ssim")
+    assert image[column] == mean[column] == std[column] == ""
+
+
+def test_int_snr_grid_prints_like_a_float_grid(setup):
+    images = setup[3][:2]
+    csv = records_to_csv(_send(images, setup, [0, 10]))
+    assert csv == records_to_csv(_send(images, setup, [0.0, 10.0]))
+    assert "1,mean,,,0.000000," in csv
+
+
+def as_records(table):
+    """The table as the per-message records the list writer took: Python
+    values, ``ms_ssim`` None where it is not reported."""
+    return [SimpleNamespace(**{name: None if name == "ms_ssim" and math.isnan(v) else v
+                               for name, v in zip(table.dtype.names, row)})
+            for row in table.tolist()]
+
+
+def list_records_to_csv(records, fmt):
+    """The list-based writer that the column writer replaced, kept as its
+    oracle: it filters every record once per SNR and reduces one list of
+    Python floats per (column, SNR). ``fmt`` formats a finite float."""
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, int):
+            return str(value)
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        return fmt(value)
+
+    lines = [",".join(CSV_COLUMNS)]
+    for r in records:
+        lines.append(",".join([str(CSV_SCHEMA_VERSION), "image"]
+                              + [cell(getattr(r, name)) for name in CSV_COLUMNS[2:]]))
+    for snr in sorted({r.snr_db for r in records}):
+        group = [r for r in records if r.snr_db == snr]
+        for kind, reducer in (("mean", np.mean), ("std", np.std)):
+            row = [str(CSV_SCHEMA_VERSION), kind, "", "", cell(snr)]
+            for name in CSV_COLUMNS[5:]:
+                vals = [getattr(r, name) for r in group]
+                vals = [v for v in vals if v is not None and math.isfinite(v)]
+                row.append(cell(float(reducer(vals))) if vals else "")
+            lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def wide_table(setup):
+    # 129 images per SNR, one past numpy's 128-element pairwise-sum block;
+    # the 10 dB group holds two grid points
+    keys, qcfg, cons, _ = setup
+    images = synthesize_dataset(DatasetSpec("blob", 129, 8, 8, 1), 7)
+    return sweep(images, SPEC, {}, keys, qcfg, cons, [10.0, 0.0, 10.0, math.inf],
+                 5.0, 3, 4)
+
+
+def ms_ssim_table(setup):
+    # 64 x 64 images: ms_ssim is reported
+    lwe = LweParams(p=4093, n1=16, n2=16, sigma_s=8.87, k=64 * 64)
+    spec = CodecSpec(kind="identity", input_shape=(64, 64, 1), k=64 * 64,
+                     latent_scale=4093 / 256.0)
+    images = synthesize_dataset(DatasetSpec("blob", 3, 64, 64, 1), 8)
+    _, qcfg, cons, _ = setup
+    table = sweep(images, spec, {}, keygen(lwe, 1, 2), qcfg, cons,
+                  [20.0, math.inf], 5.0, 3, 4)
+    assert np.isfinite(table["ms_ssim"]).all()
+    return table
+
+
+@pytest.mark.parametrize("make_table", [wide_table, ms_ssim_table])
+def test_column_writer_matches_list_writer_at_full_precision(setup, monkeypatch,
+                                                             make_table):
+    table = make_table(setup)
+    # perfect reconstructions at +inf dB: an infinite psnr leaves its
+    # group's reduction, as ms_ssim's NaN does
+    psnr = table["psnr"]
+    psnr[np.flatnonzero(table["snr_db"] == math.inf)[::2]] = math.inf
+    records = as_records(table)
+    assert records_to_csv(table) == list_records_to_csv(records, "{:.6f}".format)
+    # .6f hides last-bit drift in the reductions; repr shows every bit
+    monkeypatch.setattr(pipeline, "_fmt", lambda v: "" if math.isnan(v) else repr(v))
+    assert records_to_csv(table) == list_records_to_csv(records, repr)
