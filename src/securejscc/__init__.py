@@ -12,9 +12,8 @@ from .codec import CodecSpec
 from .config import (load_codec, load_public_key, load_secret_key, save_codec,
                      save_key_files)
 from .datasets import DatasetSpec, read_image, synthesize_dataset
-from .lwe import (Ciphertext, ErrorTriple, KeyPair, LweParams, PublicKey,
-                  centered, decrypt, decrypt_noisy, derive_error_rows, encrypt,
-                  error_rows, keygen, keygen_stack, lattice_product)
+from .lwe import (Ciphertext, ErrorTriple, KeyPair, LweParams, PublicKey, centered,
+                  decrypt, derive_error_rows, encrypt, error_rows, keygen, keygen_stack)
 from .metrics import ms_ssim, mse, psnr, ssim
 from .modem import (Constellation, awgn, build_constellation, modulate,
                     noise_variance, receive, soft_demodulate)

@@ -29,6 +29,7 @@ from .datasets import DatasetSpec
 from .lwe import KeyPair, LweParams, PublicKey, keygen
 from .modem import MAX_CONSTELLATION, SIGMA_L_DEFAULT, Db
 from .quantizer import check_levels
+from .rng import seed_word
 from .security import AttackConfig, GameConfig
 
 DEFAULT_LWE = {"p": 4093, "n1": 192, "n2": 192, "sigma_s": 8.87}
@@ -91,6 +92,14 @@ class PipelineConfig:
             raise ValueError(f"sigma_l must be positive, got {self.sigma_l}")
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must name at least one SNR")
+        seeds = {f"seeds.{name}": seed for name, seed in asdict(self.seeds).items()} | {
+            f"training.{name}": getattr(self.training, name)
+            for name in ("shuffle_seed", "init_seed")}
+        named: dict[int, str] = {}
+        for name, seed in seeds.items():
+            if (other := named.setdefault(seed_word(seed), name)) != name:
+                raise ValueError(f"config keys '{other}' and '{name}' are equal mod "
+                                 f"2**64, so they would draw the same random streams")
 
 
 # -- the value rule ----------------------------------------------------------

@@ -1,7 +1,7 @@
 """Lattice encryption over Z_p.
 
 Implements discrete Gaussian sampling, key generation, public-key
-encryption and both exact and noisy-ciphertext decryption. Decryption is
+encryption and decryption of exact or noisy ciphertexts. Decryption is
 additive: it returns the plaintext plus a small structured residual
 (``S^T e2 + U^T e1 + e3``), which the surrounding transmission chain
 treats as one more noise source.
@@ -50,20 +50,20 @@ class LweParams:
             raise ValueError(f"sigma_s must be positive and finite, got {self.sigma_s}")
         if self.k < 1:
             raise ValueError(f"plaintext length k must be >= 1, got {self.k}")
-        if max(self.n1, self.n2) * (self.p - 1) * self.tail >= 2 ** 63:
+        if max(self.n1, self.n2) * (self.p - 1) * self.tail >= EXACT_FLOAT_LIMIT:
             raise ValueError(
-                f"lattice products could overflow int64: max(n1, n2) * (p - 1) * "
-                f"{self.tail} (sampler tail) >= 2**63 for p={self.p}, "
+                f"lattice products would not be exact in float64: max(n1, n2) * "
+                f"(p - 1) * {self.tail} (sampler tail) >= 2**53 for p={self.p}, "
                 f"{self.n1}x{self.n2}, sigma_s={self.sigma_s}")
 
     @property
     def tail(self) -> int:
         """The largest magnitude :func:`_gaussian_rows` can return:
         ``SAMPLER_TAIL_SIGMAS`` standard deviations of its normal, rounded up.
-        Capped at 2**63, past which every lattice product overflows anyway,
-        so that a huge finite ``sigma_s`` gives a number, not +inf."""
+        Capped at 2**53, past which no lattice is accepted anyway, so that a
+        huge finite ``sigma_s`` gives a number, not +inf."""
         tail = SAMPLER_TAIL_SIGMAS * self.sigma_s / math.sqrt(2.0 * math.pi)
-        return math.ceil(min(tail, 2.0 ** 63))
+        return math.ceil(min(tail, float(EXACT_FLOAT_LIMIT)))
 
 
 @dataclass(frozen=True)
@@ -127,23 +127,17 @@ def _gaussian_rows(sigma_s: float, rngs, shape) -> np.ndarray:
     return round_half_away(x).astype(np.int64)
 
 
-def _max_abs(x: np.ndarray) -> int:
-    return max(int(x.max()), -int(x.min())) if x.size else 0
-
-
 def lattice_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``x @ y`` of integer arrays, exact, as int64.
 
-    numpy never sends an integer matmul to BLAS. Every partial sum of the
-    product is an integer of magnitude at most ``n * max|x| * max|y|``, n
-    the contracted length; below 2**53 float64 holds each one exactly, so
-    the float64 product is the exact one whatever order, blocking or
-    thread count BLAS sums in. Past that bound the product stays in int64.
+    numpy never sends an integer matmul to BLAS. Every product in the
+    package multiplies residues in ``[0, p)`` by sampler draws of magnitude
+    at most ``params.tail``, so each partial sum is an integer below the
+    bound :class:`LweParams` enforces, 2**53, and float64 holds it exactly:
+    the float64 product is the exact one whatever order, blocking or thread
+    count BLAS sums in.
     """
-    x, y = np.asarray(x), np.asarray(y)
-    if x.shape[-1] * _max_abs(x) * _max_abs(y) < EXACT_FLOAT_LIMIT:
-        return (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64)
-    return x.astype(np.int64, copy=False) @ y.astype(np.int64, copy=False)
+    return (np.asarray(x, np.float64) @ np.asarray(y, np.float64)).astype(np.int64)
 
 
 def public_matrix(U: np.ndarray, A: np.ndarray, S: np.ndarray, p: int) -> np.ndarray:
@@ -226,26 +220,17 @@ def encrypt(plaintext: np.ndarray, key: KeyPair | PublicKey,
     return Ciphertext(c=c, d=d)
 
 
-def decrypt(ct: Ciphertext, key: KeyPair) -> np.ndarray:
-    """Exact decryption: (d S + c) mod p = plaintext + residual mod p."""
-    if ct.c.shape[-1:] != (key.params.k,) or ct.d.shape[-1:] != (key.params.n2,):
+def decrypt(c: np.ndarray, d: np.ndarray, key: KeyPair) -> np.ndarray:
+    """(d S + c) mod p = plaintext + residual mod p, one row per message:
+    int64 residues for a ciphertext's integer ``c``, floats in ``[0, p)``
+    for its real-valued noisy estimate."""
+    if c.shape[-1:] != (key.params.k,) or d.shape[-1:] != (key.params.n2,):
         raise ValueError(
-            f"ciphertext shapes {ct.c.shape}/{ct.d.shape} do not match "
+            f"ciphertext shapes {c.shape}/{d.shape} do not match "
             f"params k={key.params.k}, n2={key.params.n2}")
-    return (lattice_product(ct.d, key.S) + ct.c) % key.params.p
-
-
-def decrypt_noisy(c_hat: np.ndarray, d: np.ndarray, key: KeyPair) -> np.ndarray:
-    """Decrypt real-valued noisy ciphertext rows.
-
-    Returns ``real_mod(d S + c_hat, p)`` with floor-based reduction to
-    ``[0, p)``, so on integer inputs this coincides with :func:`decrypt`.
-    """
-    c_hat = np.asarray(c_hat, dtype=np.float64)
-    if not np.all(np.isfinite(c_hat)):
-        raise ValueError("noisy ciphertext entries must be finite")
-    r = lattice_product(d, key.S) + c_hat
-    return np.mod(r, float(key.params.p))
+    if not np.isfinite(c).all():
+        raise ValueError("ciphertext entries must be finite")
+    return np.mod(lattice_product(d, key.S) + c, key.params.p)
 
 
 def centered(x: np.ndarray, p: int) -> np.ndarray:

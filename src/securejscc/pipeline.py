@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import codec, metrics
-from .lwe import (Ciphertext, KeyPair, centered, decrypt, decrypt_noisy,
-                  derive_error_rows, encrypt)
+from .lwe import Ciphertext, KeyPair, centered, decrypt, derive_error_rows, encrypt
 from .modem import Constellation, Db, receive
 from .quantizer import QuantizerConfig, hard_quantize, soft_dequantize
 
@@ -44,7 +43,7 @@ def transmit_latent(z_bar: np.ndarray, keys: KeyPair, cons: Constellation,
     ct = encrypt(z_bar, keys, derive_error_rows(error_seed, message_indices,
                                                 keys.params))
     c_hat = receive(ct.c, cons, snr_db, sigma_l, channel_seed, message_indices)
-    return ct, c_hat, decrypt_noisy(c_hat, ct.d, keys)
+    return ct, c_hat, decrypt(c_hat, ct.d, keys)
 
 
 def _fmt(value: float) -> str:
@@ -114,7 +113,7 @@ def sweep(images: list[np.ndarray], spec: codec.CodecSpec, params: dict,
         messages = g * n + i
         ct, c_hat, z_prime = transmit_latent(z_bar[i], keys, cons, snrs[g], sigma_l,
                                              error_seed, channel_seed, messages)
-        exact_plain = decrypt(ct, keys)  # the crypto noise column's reference
+        exact_plain = decrypt(ct.c, ct.d, keys)  # the crypto noise column's reference
         x_hats, _ = codec.decode(soft_dequantize(z_prime, qcfg), spec, params)
         x, x_hat = batch[i], x_hats.reshape(-1, h, w, c)
         columns = (

@@ -31,14 +31,19 @@ class _PhiloxKey(ISeedSequence):
         return self.words
 
 
+def seed_word(seed: int) -> int:
+    """The key word of ``seed``'s streams: seeds equal mod 2**64 share them."""
+    return int(seed) & _MASK64
+
+
 def stream(seed: int, index: int = 0) -> np.random.Generator:
     """Return the stream for ``(seed, index)``.
 
     The 128-bit Philox key is ``seed * 2**64 + index``: the high word
-    selects the seed domain, the low word the substream. Distinct pairs
-    never collide. Every call returns a new, independent generator.
+    selects the seed domain, the low word the substream. Pairs distinct
+    mod 2**64 never collide. Every call returns a new, independent generator.
     """
-    words = (int(index) & _MASK64, int(seed) & _MASK64)
+    words = (int(index) & _MASK64, seed_word(seed))
     return np.random.Generator(np.random.Philox(_PhiloxKey(words)))
 
 

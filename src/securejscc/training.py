@@ -13,7 +13,7 @@ differentiable surrogate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .modem import Constellation, Db
 from .pipeline import transmit_latent
 from .quantizer import (QuantizerConfig, anneal_sigma_q, hard_quantize,
                         soft_dequantize, soft_quantize_jacobian)
-from .rng import stream
+from .rng import seed_word, stream
 
 # train_codec's stopping rule: epochs without a better validation loss
 # before training stops, and before each learning-rate decay by LR_DECAY
@@ -109,17 +109,15 @@ def compute_gradients(batch: np.ndarray, state: TrainState,
     return loss, grads
 
 
-def train_step(batch: np.ndarray, state: TrainState,
-               ctx: TrainContext) -> tuple[TrainState, float]:
-    """One optimizer update; advances the step counter."""
+def train_step(batch: np.ndarray, state: TrainState, ctx: TrainContext) -> float:
+    """One optimizer update of ``state`` in place: its parameters, optimizer
+    moments, step and message counters advance. Returns the batch loss."""
     loss, grads = compute_gradients(batch, state, ctx)
-    step = state.step + 1
-    params = codec.adam_step(state.params, grads, state.opt, step,
-                             lr=state.learning_rate)
-    return TrainState(params=params, step=step,
-                      learning_rate=state.learning_rate,
-                      messages_sent=state.messages_sent + batch.shape[0],
-                      opt=state.opt), loss
+    state.step += 1
+    state.params = codec.adam_step(state.params, grads, state.opt, state.step,
+                                   lr=state.learning_rate)
+    state.messages_sent += batch.shape[0]
+    return loss
 
 
 def evaluate(images: np.ndarray, params: dict, ctx: TrainContext) -> float:
@@ -142,13 +140,18 @@ def train_codec(train_images: list[np.ndarray], val_images: list[np.ndarray],
                 eval_ctx: TrainContext) -> TrainResult:
     """Epoch loop with early stopping and stagnation-triggered LR decay.
 
-    An epoch is one pass over the training set. Validation runs after each
-    epoch on ``eval_ctx``: the same chain, whose error and channel seeds
-    must differ from ``ctx``'s so that no validation image shares a
-    training message's noise. Training stops after ``PATIENCE`` epochs
-    without improvement and the learning rate shrinks by ``LR_DECAY`` after
-    every ``DECAY_PATIENCE`` stagnant epochs.
+    ``state`` is trained in place. An epoch is one pass over the training
+    set. Validation runs after each epoch on ``eval_ctx``: the same chain,
+    whose error and channel seeds must differ (mod 2**64) from ``ctx``'s so
+    that no validation image shares a training message's noise. Training
+    stops after ``PATIENCE`` epochs without improvement and the learning
+    rate shrinks by ``LR_DECAY`` after every ``DECAY_PATIENCE`` stagnant
+    epochs.
     """
+    if {seed_word(ctx.error_seed), seed_word(ctx.channel_seed)} & {
+            seed_word(eval_ctx.error_seed), seed_word(eval_ctx.channel_seed)}:
+        raise ValueError("eval_ctx's error and channel seeds must differ from "
+                         "ctx's (mod 2**64)")
     x_train = np.stack([im.reshape(-1) for im in train_images])
     x_val = np.stack([im.reshape(-1) for im in val_images])
     shuffle_rng = stream(shuffle_seed)
@@ -165,8 +168,7 @@ def train_codec(train_images: list[np.ndarray], val_images: list[np.ndarray],
             if state.step >= max_steps:
                 break
             batch = x_train[order[start:start + batch_size]]
-            state, loss = train_step(batch, state, ctx)
-            epoch_losses.append(loss)
+            epoch_losses.append(train_step(batch, state, ctx))
         train_losses.append(float(np.mean(epoch_losses)))
         val = evaluate(x_val, state.params, eval_ctx)
         val_losses.append(val)
@@ -176,7 +178,7 @@ def train_codec(train_images: list[np.ndarray], val_images: list[np.ndarray],
         else:
             stagnant += 1
             if stagnant % DECAY_PATIENCE == 0:
-                state = replace(state, learning_rate=state.learning_rate * LR_DECAY)
+                state.learning_rate *= LR_DECAY
             if stagnant >= PATIENCE:
                 stopped_early = True
                 break

@@ -49,7 +49,8 @@ def test_criterion_1_lwe_algebraic_identity():
     for trial in range(1000):
         errors = message_errors(34, trial, params)
         z = rng.integers(0, 17, size=3)
-        got = (decrypt(encrypt(z, keys, errors), keys) - z) % 17
+        ct = encrypt(z, keys, errors)
+        got = (decrypt(ct.c, ct.d, keys) - z) % 17
         oracle = np.empty(3, dtype=np.int64)
         for i in range(3):
             acc = int(errors.e3[i])
@@ -84,7 +85,7 @@ def test_criterion_3_compound_noise_calibration():
                      for _ in range(n_msgs)])
     ct, c_hat, z_prime = transmit_latent(zbar, keys, cons, 10.0, 5.0, 21, 22,
                                          np.arange(n_msgs))
-    crypto = centered(decrypt(ct, keys) - zbar, 4093).ravel()
+    crypto = centered(decrypt(ct.c, ct.d, keys) - zbar, 4093).ravel()
     chan = (c_hat - ct.c).ravel()
     compound = centered(z_prime - zbar, 4093).ravel()
     std_ok = 235.0 <= crypto.std() <= 260.0
@@ -226,7 +227,7 @@ def test_criterion_8_toy_training():
         while state.step < 5000 and best >= 0.8:
             order = shuffle.permutation(len(train_x))
             for s in range(0, len(order), 10):
-                state, _ = train_step(train_x[order[s:s + 10]], state, ctx)
+                train_step(train_x[order[s:s + 10]], state, ctx)
                 if state.step % 250 == 0:
                     val = evaluate(val_x, state.params, eval_ctx)
                     best = min(best, val / val0)

@@ -171,6 +171,13 @@ def test_cli_keygen_and_key_files(tmp_path):
      "exceeds the largest QAM constellation"),
     # the seeds of the keygen params file of earlier versions
     ({"key_seed": 7, "lattice_seed": 8}, "unknown config key 'key_seed'"),
+    # seeds equal mod 2**64 key the same streams
+    ({"seeds": {"key": 2, "lattice": 2}},
+     "config keys 'seeds.key' and 'seeds.lattice' are equal mod 2**64"),
+    ({"seeds": {"error": 4 + 2 ** 64, "channel": 4}},
+     "config keys 'seeds.error' and 'seeds.channel' are equal mod 2**64"),
+    ({"seeds": {"data": -1}, "training": {"init_seed": 2 ** 64 - 1}},
+     "config keys 'seeds.data' and 'training.init_seed' are equal mod 2**64"),
 ])
 def test_cli_keygen_bad_config_exits_2(tmp_path, capsys, over, message):
     code = main(["keygen", "--config", str(make_config_file(tmp_path, **over)),
@@ -388,6 +395,11 @@ def test_cli_train_validation_streams_disjoint_from_training(tmp_path, monkeypat
      "training.val_fraction must lie in (0, 1), got -0.5"),
     ({"training": {"val_fraction": 0}}, "training.val_fraction must lie in (0, 1), got 0.0"),
     ({"training": {"val_fraction": 1}}, "training.val_fraction must lie in (0, 1), got 1.0"),
+    ({"training": {"shuffle_seed": 5}},
+     "config keys 'seeds.data' and 'training.shuffle_seed' are equal mod 2**64"),
+    # validation flips each seed's top bit: here onto the training channel seed
+    ({"seeds": {"error": 3, "channel": 3 + 2 ** 63}},
+     "eval_ctx's error and channel seeds must differ from ctx's (mod 2**64)"),
 ])
 def test_cli_unworkable_settings_exit_2(tmp_path, capsys, over, message):
     cfg_path = make_config_file(tmp_path, **{**MLP_TRAINING, **over})

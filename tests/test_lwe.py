@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from securejscc.config import load_public_key, load_secret_key, save_key_files
 from securejscc.lwe import (EXACT_FLOAT_LIMIT, Ciphertext, ErrorTriple,
-                            LweParams, centered, decrypt, decrypt_noisy,
-                            derive_error_rows, encrypt,
+                            LweParams, centered, decrypt, derive_error_rows, encrypt,
                             keygen, keygen_stack, lattice_product,
                             public_matrix, round_half_away)
 from securejscc.rng import stream
@@ -37,6 +36,12 @@ def sample_discrete_gaussian(sigma_s: float, count: int,
     return round_half_away(x).astype(np.int64)
 
 
+def round_trip(z, keys, errors):
+    """Decrypt the encryption of ``z``."""
+    ct = encrypt(z, keys, errors)
+    return decrypt(ct.c, ct.d, keys)
+
+
 def zero_errors(params):
     return ErrorTriple(e1=np.zeros(params.n1, dtype=np.int64),
                        e2=np.zeros(params.n2, dtype=np.int64),
@@ -58,17 +63,20 @@ def test_params_validation(kwargs):
         LweParams(**kwargs)
 
 
-def test_params_reject_int64_overflow():
+def test_params_reject_inexact_products():
     tail = LweParams(p=17, n1=1, n2=1, sigma_s=8.87, k=1).tail
     assert tail == 49  # ceil(13.72 * 8.87 / sqrt(2 pi))
-    top = (2 ** 63 - 1) // tail  # the largest p - 1 that cannot overflow
+    top = (EXACT_FLOAT_LIMIT - 1) // tail  # the largest exact p - 1 at n = 1
     LweParams(p=top + 1, n1=1, n2=1, sigma_s=8.87, k=1)
-    with pytest.raises(ValueError, match="overflow int64"):
+    with pytest.raises(ValueError, match=r"not be exact in float64.* >= 2\*\*53"):
         LweParams(p=top + 2, n1=1, n2=1, sigma_s=8.87, k=1)
-    with pytest.raises(ValueError, match="overflow int64"):
-        LweParams(p=2 ** 40, n1=4, n2=2 ** 20, sigma_s=8.87, k=1)
-    # a finite sigma_s whose tail overflows a float is an overflow too
-    with pytest.raises(ValueError, match="overflow int64"):
+    # sigma_s = 0.1 has a tail of 1: max(n1, n2) * (p - 1) is the bound itself
+    assert LweParams(p=17, n1=1, n2=1, sigma_s=0.1, k=1).tail == 1
+    LweParams(p=69431 * 20394401 + 1, n1=6361, n2=1, sigma_s=0.1, k=1)  # 2**53 - 1
+    with pytest.raises(ValueError, match=r">= 2\*\*53"):
+        LweParams(p=2 ** 52 + 1, n1=1, n2=2, sigma_s=0.1, k=1)  # 2**53
+    # a finite sigma_s whose tail overflows a float is rejected too
+    with pytest.raises(ValueError, match=r">= 2\*\*53"):
         LweParams(p=251, n1=16, n2=16, sigma_s=1.3e307, k=16)
 
 
@@ -102,8 +110,9 @@ def test_lattice_product_matches_int64_matmul(data):
         ((stack, 1, n), (stack, n, cols)),            # the game's challenges
     ]))
     mx = data.draw(st.integers(1, 2 ** 45))
-    # put n * max|x| * max|y| just below, at or just past 2**53
-    my = max(1, EXACT_FLOAT_LIMIT // (n * mx) + data.draw(st.integers(-1, 1)))
+    # put n * max|x| * max|y| at or just below 2**53 - 1, the largest bound
+    # LweParams accepts
+    my = max(1, (EXACT_FLOAT_LIMIT - 1) // (n * mx) - data.draw(st.integers(0, 1)))
     x = bounded_operands(data, x_shape, mx)
     y = bounded_operands(data, y_shape, my)
     got = lattice_product(x, y)
@@ -112,9 +121,7 @@ def test_lattice_product_matches_int64_matmul(data):
 
 
 @pytest.mark.parametrize("n, mx, my", [
-    (6361, 69431, 20394401),       # n * mx * my = 2**53 - 1: float64 path
-    (1, 3, (2 ** 53 + 1) // 3),    # = 2**53 + 1, which float64 rounds: int64 path
-    (2, 2 ** 26, 2 ** 26),         # = 2**53: int64 path
+    (6361, 69431, 20394401),       # n * mx * my = 2**53 - 1
 ])
 def test_lattice_product_exact_at_the_bound(n, mx, my):
     # every term at the maximum, one sign: the partial sums reach the bound
@@ -282,32 +289,32 @@ def test_encrypt_batch_needs_one_triple_per_row():
     with pytest.raises(ValueError):
         encrypt(z, keys, derive_error_rows(9, range(3), SMALL))
     batch = encrypt(z, keys, derive_error_rows(9, range(4), SMALL))
-    plain = decrypt(batch, keys)
+    plain = decrypt(batch.c, batch.d, keys)
     for i in range(4):
         single = encrypt(z[i], keys, message_errors(9, i, SMALL))
         assert np.array_equal(batch.c[i], single.c)
         assert np.array_equal(batch.d[i], single.d)
-        assert np.array_equal(plain[i], decrypt(single, keys))
+        assert np.array_equal(plain[i], decrypt(single.c, single.d, keys))
 
 
 def test_decrypt_zero_errors_exact():
     keys = keygen(SMALL, 1, 2)
     z = np.array([3, 11, 16])
-    assert np.array_equal(decrypt(encrypt(z, keys, zero_errors(SMALL)), keys), z)
+    assert np.array_equal(round_trip(z, keys, zero_errors(SMALL)), z)
 
 
 def test_decrypt_d_zero_returns_c():
     keys = keygen(SMALL, 1, 2)
     z = np.array([5, 0, 12])
     ct = Ciphertext(c=z.copy(), d=np.zeros(4, dtype=np.int64))
-    assert np.array_equal(decrypt(ct, keys), z)
+    assert np.array_equal(decrypt(ct.c, ct.d, keys), z)
 
 
 def test_decrypt_shape_mismatch():
     keys = keygen(SMALL, 1, 2)
     ct = Ciphertext(c=np.zeros(5, dtype=np.int64), d=np.zeros(4, dtype=np.int64))
     with pytest.raises(ValueError):
-        decrypt(ct, keys)
+        decrypt(ct.c, ct.d, keys)
 
 
 def brute_force_residual(keys, errors, params):
@@ -334,7 +341,7 @@ def test_decrypt_identity_against_brute_force():
     for trial in range(50):
         errors = message_errors(61, trial, SMALL)
         z = rng.integers(0, 17, size=3)
-        got = (decrypt(encrypt(z, keys, errors), keys) - z) % 17
+        got = (round_trip(z, keys, errors) - z) % 17
         assert np.array_equal(got, brute_force_residual(keys, errors, SMALL))
 
 
@@ -375,22 +382,24 @@ def test_decrypt_noisy_matches_exact_on_integers():
     keys = keygen(SMALL, 1, 2)
     errors = message_errors(9, 1, SMALL)
     ct = encrypt(np.array([3, 7, 2]), keys, errors)
-    noisy = decrypt_noisy(ct.c.astype(float), ct.d, keys)
-    assert np.allclose(noisy, decrypt(ct, keys))
+    exact = decrypt(ct.c, ct.d, keys)
+    noisy = decrypt(ct.c.astype(float), ct.d, keys)
+    assert exact.dtype == np.int64 and noisy.dtype == np.float64
+    assert np.array_equal(noisy, exact)
 
 
 def test_decrypt_noisy_additive_offset():
     keys = keygen(SMALL, 1, 2)
     z = np.array([3, 7, 2])
     ct = encrypt(z, keys, zero_errors(SMALL))
-    noisy = decrypt_noisy(ct.c + 0.5, ct.d, keys)
+    noisy = decrypt(ct.c + 0.5, ct.d, keys)
     assert np.allclose(noisy, (z + 0.5) % 17)
 
 
 def test_decrypt_noisy_rejects_nonfinite():
     keys = keygen(SMALL, 1, 2)
-    with pytest.raises(ValueError):
-        decrypt_noisy(np.array([np.nan, 0.0, 1.0]), np.zeros(4, dtype=np.int64), keys)
+    with pytest.raises(ValueError, match="must be finite"):
+        decrypt(np.array([np.nan, 0.0, 1.0]), np.zeros(4, dtype=np.int64), keys)
 
 
 def test_decryption_residual_statistics():
@@ -401,7 +410,7 @@ def test_decryption_residual_statistics():
     for m in range(40):
         z = qrng.integers(0, 4093, size=512)
         errors = message_errors(78, m, TABLE)
-        res = centered(decrypt(encrypt(z, keys, errors), keys) - z, 4093)
+        res = centered(round_trip(z, keys, errors) - z, 4093)
         residuals.append(res)
     res = np.concatenate(residuals)
     assert abs(res.mean()) < 3

@@ -157,7 +157,7 @@ def test_noise_accounting_additive(setup):
     for snr in (5.0, 15.0):
         ct, c_hat, z_prime = transmit_latent(zbar, keys, cons, snr, 5.0, 3, 4,
                                              np.arange(30))
-        crypto_v = np.var(centered(decrypt(ct, keys) - zbar, 4093), axis=1)
+        crypto_v = np.var(centered(decrypt(ct.c, ct.d, keys) - zbar, 4093), axis=1)
         chan_v = np.var(c_hat - ct.c, axis=1)
         comp_v = np.var(centered(z_prime - zbar, 4093), axis=1)
         total = np.mean(crypto_v) + np.mean(chan_v)
@@ -176,7 +176,7 @@ def test_batched_chain_rows_equal_single_messages(k):
     def outputs(rows, message_indices):
         ct, c_hat, z_prime = transmit_latent(rows, keys, cons, 10.0, 5.0, 3, 4,
                                              message_indices)
-        return {"c": ct.c, "d": ct.d, "exact_plain": decrypt(ct, keys),
+        return {"c": ct.c, "d": ct.d, "exact_plain": decrypt(ct.c, ct.d, keys),
                 "c_hat": c_hat, "z_prime": z_prime}
 
     batch = outputs(zbar, indices)
@@ -198,7 +198,7 @@ def per_snr_sweep(images, spec, params, keys, qcfg, cons, snr_grid_db,
         messages = g * n + np.arange(n)
         ct, c_hat, z_prime = transmit_latent(z_bar, keys, cons, snr_db, sigma_l,
                                              error_seed, channel_seed, messages)
-        exact_plain = decrypt(ct, keys)
+        exact_plain = decrypt(ct.c, ct.d, keys)
         x_hats, _ = codec.decode(soft_dequantize(z_prime, qcfg), spec, params)
         for i, (x, x_hat) in enumerate(zip(images, x_hats.reshape(n, *spec.input_shape))):
             rows.append((

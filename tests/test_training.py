@@ -105,7 +105,7 @@ def test_zero_learning_rate_freezes_parameters():
     before = {k: v.copy() for k, v in state.params.items()}
     batch = toy_batch()
     for _ in range(3):
-        state, _ = train_step(batch, state, ctx)
+        train_step(batch, state, ctx)
     for name in before:
         assert np.array_equal(state.params[name], before[name])
     assert state.step == 3
@@ -142,12 +142,28 @@ def test_unknown_loss_raises_value_error():
         compute_gradients(toy_batch(), state, ctx)
 
 
-def test_training_skips_exact_decrypt(monkeypatch):
-    # training reads only the noisy plaintext; the exact decrypt is lazy
-    def fail(*args):
-        raise AssertionError("exact decrypt ran during training")
-    monkeypatch.setattr(pipeline, "decrypt", fail)
+def test_training_step_decrypts_once(monkeypatch):
+    # training reads only the noisy plaintext: no exact decryption beside it
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return decrypt(*args)
+    decrypt = pipeline.decrypt
+    monkeypatch.setattr(pipeline, "decrypt", counting)
     train_step(toy_batch(), init_train_state(MLP_SPEC, seed=7), make_ctx(MLP_SPEC))
+    assert len(calls) == 1
+
+
+def test_train_step_advances_its_state_in_place():
+    ctx = make_ctx(MLP_SPEC)
+    state = init_train_state(MLP_SPEC, seed=7)
+    before = {k: v.copy() for k, v in state.params.items()}
+    loss = train_step(toy_batch(), state, ctx)
+    assert math.isfinite(loss)
+    assert (state.step, state.messages_sent) == (1, 4)
+    assert state.opt.m.keys() == state.opt.v.keys() == before.keys()
+    assert all(not np.array_equal(state.params[k], before[k]) for k in before)
 
 
 def test_linear_codec_learns_on_clean_chain(zero_error_rows):
@@ -163,7 +179,7 @@ def test_linear_codec_learns_on_clean_chain(zero_error_rows):
     rng = stream(12)
     for _ in range(2000):
         batch = data[rng.integers(0, len(data), size=8)]
-        state, _ = train_step(batch, state, ctx)
+        train_step(batch, state, ctx)
     loss1 = evaluate(data, state.params, ctx)
     assert loss1 < loss0
 
@@ -203,11 +219,24 @@ def test_converged_loss_beats_mean_predictor_baseline():
         while state.step < 1200:
             order = shuffle.permutation(len(train_x))
             for s in range(0, len(order), 10):
-                state, _ = train_step(train_x[order[s:s + 10]], state, ctx)
+                train_step(train_x[order[s:s + 10]], state, ctx)
                 if state.step >= 1200:
                     break
         finals.append(evaluate(val_x, state.params, eval_ctx))
     assert np.mean(finals) < baseline
+
+
+@pytest.mark.parametrize("error_seed, channel_seed", [
+    (3, 41), (31, 4), (4, 41), (31, 3), (3 + 2 ** 64, 41), (31, 4 - 2 ** 64)])
+def test_train_codec_rejects_training_seeds_in_eval_ctx(error_seed, channel_seed):
+    # validation must not draw a training message's error or channel stream
+    images = synthesize_dataset(DatasetSpec("blob", 24, 4, 4, 1), 13)
+    eval_ctx = make_ctx(MLP_SPEC, error_seed=error_seed, channel_seed=channel_seed)
+    state = init_train_state(MLP_SPEC, seed=14)
+    with pytest.raises(ValueError, match=r"eval_ctx's error and channel seeds must differ"):
+        train_codec(images[:16], images[16:], make_ctx(MLP_SPEC), state,
+                    max_steps=10, batch_size=8, shuffle_seed=15, eval_ctx=eval_ctx)
+    assert state.step == 0
 
 
 def test_train_codec_early_stopping():
