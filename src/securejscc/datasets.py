@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rng import stream
+from .rng import streams
 
 DATASET_KINDS = ("gradient", "checkerboard", "blob")
 
@@ -78,11 +78,13 @@ def _checkerboard(grid, c: int, rngs) -> np.ndarray:
 
 def _blob(grid, c: int, rngs) -> np.ndarray:
     """Each stream draws its blob count, then per blob the centre, width,
-    amplitude and gains; all bumps are made at once, summed in drawing order."""
+    amplitude and gains, in one pass over the streams; all bumps are made at
+    once, summed in drawing order."""
     yy, xx = grid
     h, w = yy.shape
-    counts = np.array([int(rng.integers(1, 4)) for rng in rngs])
-    u = np.concatenate([rng.random((n, 4 + c)) for rng, n in zip(rngs, counts)])
+    # one pass: a stream draws its count (the shape) before its parameters
+    draws = [rng.random((int(rng.integers(1, 4)), 4 + c)) for rng in rngs]
+    counts, u = np.array([len(d) for d in draws]), np.concatenate(draws)
     low = np.array([0.0, 0.0, max(h, w) / 8.0, 64.0] + [0.5] * c)
     v = low + (np.array([h, w, max(h, w) / 2.0, 255.0] + [1.0] * c) - low) * u
     cy, cx, amp = (v[:, i, None, None] for i in (0, 1, 3))
@@ -112,8 +114,8 @@ def synthesize_dataset(spec: DatasetSpec, data_seed: int) -> list[np.ndarray]:
     grid = build_grid(spec.height, spec.width)
     step = max(1, SYNTH_CHUNK_PIXELS // (spec.height * spec.width))
     return [image for start in range(0, spec.count, step) for image in make(
-        grid, spec.channels, [stream(data_seed, i)
-                              for i in range(start, min(start + step, spec.count))])]
+        grid, spec.channels,
+        streams(data_seed, range(start, min(start + step, spec.count))))]
 
 
 # -- PGM / PPM ---------------------------------------------------------------

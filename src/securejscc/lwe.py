@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import normal_rows, stream
+from .rng import normal_rows, streams
 
 # float64 holds every integer of magnitude up to 2**53 exactly
 EXACT_FLOAT_LIMIT = 2 ** 53
@@ -109,22 +109,21 @@ class Ciphertext:
     d: np.ndarray  # (..., n2), residues in [0, p)
 
 
-def round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round to nearest integer, halves away from zero (keeps zero mean)."""
-    r = np.abs(x)
-    return np.multiply(np.sign(x), np.floor(np.add(r, 0.5, out=r), out=r), out=r)
-
-
 def _gaussian_rows(sigma_s: float, rngs, shape) -> np.ndarray:
     """One ``shape`` block of rounded N(0, sigma_s^2 / 2pi) draws per stream.
 
     The whole stack is rounded once; the draws are the ones
-    ``rng.normal(0, sigma_s / sqrt(2 pi), shape)`` makes. The rounding adds
-    roughly 1/12 to the continuous variance.
+    ``rng.normal(0, sigma_s / sqrt(2 pi), shape)`` makes. Rounding is to the
+    nearest integer, halves away from zero, which keeps the mean at zero and
+    adds roughly 1/12 to the continuous variance: ``x + copysign(0.5, x)`` is
+    ``|x| + 0.5`` with the sign of x (float rounding is symmetric), and the
+    cast truncates it toward zero.
     """
     x = normal_rows(rngs, shape)
     x *= sigma_s / math.sqrt(2.0 * math.pi)
-    return round_half_away(x).astype(np.int64)
+    r = np.copysign(0.5, x)
+    r += x
+    return r.astype(np.int64)
 
 
 def lattice_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -150,11 +149,10 @@ def keygen_stack(params: LweParams, key_seeds,
     """The ``(S, B, A)`` of ``keygen(params, key_seeds[i], lattice_seeds[i])``
     for every i, stacked along a leading axis: B is one stacked product."""
     n1, n2, k = params.n1, params.n2, params.k
-    SU = _gaussian_rows(params.sigma_s, [stream(s) for s in key_seeds],
-                        (n2 + n1, k))
+    SU = _gaussian_rows(params.sigma_s, streams(key_seeds, 0), (n2 + n1, k))
     A = np.empty((len(lattice_seeds), n1, n2), dtype=np.int64)
-    for row, seed in zip(A, lattice_seeds):
-        row[...] = stream(seed).integers(0, params.p, size=(n1, n2), dtype=np.int64)
+    for row, rng in zip(A, streams(lattice_seeds, 0)):
+        row[...] = rng.integers(0, params.p, size=(n1, n2), dtype=np.int64)
     S, U = SU[:, :n2], SU[:, n2:]
     return S, public_matrix(U, A, S, params.p), A
 
@@ -190,7 +188,7 @@ def derive_error_rows(shared_error_seed: int, message_indices,
     indices = [int(i) for i in message_indices]
     if any(i < 0 for i in indices):
         raise ValueError(f"message indices must be >= 0, got {min(indices)}")
-    return error_rows([stream(shared_error_seed, i) for i in indices], params)
+    return error_rows(streams(shared_error_seed, indices), params)
 
 
 def encrypt(plaintext: np.ndarray, key: KeyPair | PublicKey,

@@ -17,7 +17,7 @@ from typing import NewType
 
 import numpy as np
 
-from .rng import normal_rows, stream
+from .rng import normal_rows, streams
 
 MAX_CONSTELLATION = 4096
 SIGMA_L_DEFAULT = 5.0
@@ -90,11 +90,12 @@ def modulate(values: np.ndarray, cons: Constellation) -> np.ndarray:
     return cons.points[v]
 
 
-def awgn(y: np.ndarray, sigma2: float, rngs) -> np.ndarray:
+def awgn(y: np.ndarray, sigma2: float | np.ndarray, rngs) -> np.ndarray:
     """y + n with n complex Gaussian, total variance sigma2 per symbol.
 
     ``y`` is (B, ...) with one stream per row: row i draws its real, then
-    its imaginary parts from ``rngs[i]``.
+    its imaginary parts from ``rngs[i]``. ``sigma2`` is one variance or an
+    array of them that broadcasts against ``y``, such as (B, 1) for (B, k).
     """
     y = np.asarray(y, dtype=np.complex128)
     if len(rngs) != len(y):
@@ -103,7 +104,7 @@ def awgn(y: np.ndarray, sigma2: float, rngs) -> np.ndarray:
     if not np.all(np.isfinite(y.real)) or not np.all(np.isfinite(y.imag)):
         raise ValueError("channel input must be finite")
     n = normal_rows(rngs, (2, *y.shape[1:]))
-    return y + math.sqrt(sigma2 / 2.0) * (n[:, 0] + 1j * n[:, 1])
+    return y + np.sqrt(np.divide(sigma2, 2.0)) * (n[:, 0] + 1j * n[:, 1])
 
 
 def _estimate(y: np.ndarray, col_lo: np.ndarray, row_lo: np.ndarray, width: int,
@@ -222,10 +223,10 @@ def receive(c: np.ndarray, cons: Constellation, snr_db: Db | np.ndarray,
 
     ``snr_db`` is one SNR for every row or one per row (each a :data:`Db`).
     Row i is modulated, perturbed by AWGN at its SNR drawn from
-    ``stream(seed, message_indices[i])`` and soft-demodulated; the rows of
-    one SNR share one channel and one demodulator call. +inf dB is the exact
-    noiseless limit: the demodulator output converges to the transmitted
-    integers, which are returned as floats.
+    ``stream(seed, message_indices[i])`` and soft-demodulated; the noisy
+    rows share one channel call, and the rows of one SNR one demodulator
+    call. +inf dB is the exact noiseless limit: the demodulator output
+    converges to the transmitted integers, which are returned as floats.
     """
     c = np.asarray(c)
     if c.ndim != 2 or len(message_indices) != c.shape[0]:
@@ -236,15 +237,17 @@ def receive(c: np.ndarray, cons: Constellation, snr_db: Db | np.ndarray,
         raise ValueError(f"need one SNR or one per row: {len(c)} rows, "
                          f"SNR shape {snrs.shape}")
     snrs = np.broadcast_to(snrs, len(c))
-    indices = np.asarray(message_indices)
-    out = np.empty(c.shape)
-    for snr in dict.fromkeys(snrs.tolist()):  # distinct, in order of rows
-        sigma2 = noise_variance(snr, cons.avg_power)
-        rows = snrs == snr
-        if sigma2 == 0.0:
-            out[rows] = c[rows]
-            continue
-        y_hat = awgn(modulate(c[rows], cons), sigma2,
-                     [stream(seed, int(index)) for index in indices[rows]])
-        out[rows] = soft_demodulate(y_hat, cons, sigma2, sigma_l)
+    variances = {snr: noise_variance(snr, cons.avg_power)  # distinct SNRs
+                 for snr in dict.fromkeys(snrs.tolist())}
+    sigma2 = np.array([variances[snr] for snr in snrs.tolist()])
+    noisy = np.flatnonzero(sigma2 > 0.0)
+    out = c.astype(np.float64)
+    if len(noisy):
+        # the noisy rows draw their channel streams in one pass, in row order
+        sigma2 = sigma2[noisy]
+        y_hat = awgn(modulate(c[noisy], cons), sigma2[:, None],
+                     streams(seed, np.asarray(message_indices)[noisy]))
+        for s2 in set(sigma2.tolist()):
+            rows = sigma2 == s2
+            out[noisy[rows]] = soft_demodulate(y_hat[rows], cons, s2, sigma_l)
     return out

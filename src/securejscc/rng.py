@@ -3,7 +3,9 @@
 Every random draw in the package comes from a Philox stream keyed by a
 ``(seed, index)`` pair, so any component can be replayed in isolation and
 independent messages get provably disjoint streams. Philox is counter
-based, so equal keys give bitwise-identical sequences on every platform.
+based, so equal keys give bitwise-identical sequences on every platform,
+and a new key needs no new generator: :class:`streams` walks many keys with
+one.
 """
 
 from __future__ import annotations
@@ -36,6 +38,12 @@ def seed_word(seed: int) -> int:
     return int(seed) & _MASK64
 
 
+def _key_words(seed: int, index: int) -> tuple[int, int]:
+    """The two 64-bit words, low first, of the Philox key of ``(seed, index)``:
+    ``seed * 2**64 + index``, each reduced mod 2**64."""
+    return int(index) & _MASK64, seed_word(seed)
+
+
 def stream(seed: int, index: int = 0) -> np.random.Generator:
     """Return the stream for ``(seed, index)``.
 
@@ -43,8 +51,48 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     selects the seed domain, the low word the substream. Pairs distinct
     mod 2**64 never collide. Every call returns a new, independent generator.
     """
-    words = (int(index) & _MASK64, seed_word(seed))
-    return np.random.Generator(np.random.Philox(_PhiloxKey(words)))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(_key_words(seed, index))))
+
+
+class streams:
+    """The streams of the pairs ``(seeds[i], indices[i])``, in order.
+
+    ``seeds`` and ``indices`` are equal-length sequences, or either one an
+    int that every pair shares. A Philox stream is nothing but its key, so
+    each pass builds one Philox and one Generator, and for each pair sets
+    the key with a fresh counter and an empty buffer through Philox's public
+    ``state`` setter: it yields the generator at the start of that pair's
+    stream, drawing what ``stream(seed, index)`` draws. A yielded generator
+    is valid only until the next one is yielded; iterating again restarts
+    every stream.
+    """
+
+    __slots__ = ("keys",)
+
+    def __init__(self, seeds, indices):
+        if isinstance(seeds, (int, np.integer)):
+            seeds = [seeds] * len(indices)
+        if isinstance(indices, (int, np.integer)):
+            indices = [indices] * len(seeds)
+        if len(seeds) != len(indices):
+            raise ValueError(f"need one index per seed: {len(seeds)} seeds, "
+                             f"{len(indices)} indices")
+        self.keys = [_key_words(s, i) for s, i in zip(seeds, indices)]
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __iter__(self):
+        bit_generator = np.random.Philox(_PhiloxKey((0, 0)))
+        rng = np.random.Generator(bit_generator)
+        fresh = {"counter": [0, 0, 0, 0], "key": None}
+        state = {"bit_generator": "Philox", "state": fresh,
+                 "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+        for words in self.keys:
+            fresh["key"] = words
+            bit_generator.state = state
+            yield rng
 
 
 def normal_rows(rngs, shape) -> np.ndarray:

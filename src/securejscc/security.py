@@ -28,7 +28,7 @@ from .lwe import (ErrorTriple, LweParams, PublicKey, _gaussian_rows, centered,
                   lattice_product)
 from .modem import SIGMA_L_DEFAULT, Db, build_constellation, receive
 from .quantizer import QuantizerConfig, build_centroids, check_levels, hard_quantize
-from .rng import spawn_seed, stream
+from .rng import spawn_seed, stream, streams
 
 FEATURE_NOTE = ("features per symbol value v: [v/p, cos(2*pi*v/p), sin(2*pi*v/p)] "
                 "(raw residue plus circular embedding)")
@@ -69,8 +69,9 @@ class MarginalChiSquare:
         expected = c.shape[1] / self.bins
         stats = ((counts.reshape(-1, 2, self.bins) - expected) ** 2).sum(-1) / expected
         bits = (stats[:, 1] < stats[:, 0]).astype(np.int64)
-        for t in np.flatnonzero(stats[:, 0] == stats[:, 1]):
-            bits[t] = stream(adv_seeds[t], 1).integers(0, 2)
+        ties = np.flatnonzero(stats[:, 0] == stats[:, 1])
+        for t, rng in zip(ties, streams([adv_seeds[t] for t in ties], 1)):
+            bits[t] = rng.integers(0, 2)
         return bits
 
 
@@ -92,27 +93,33 @@ class TrainedClassifier:
     fit_entries = 1 << 16
 
     def _features(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``[c, c - m0, c - m1]`` centered mod p, over p, into ``out``."""
-        np.divide(centered(c[..., None, :] - self.shifts, self.p), self.p,
-                  out=out.reshape(*c.shape[:-1], *self.shifts.shape))
+        """``[c, c - m0, c - m1]`` centered mod p, over p, into ``out``: each
+        difference lies in (-p, p), so it is one lookup in ``self.table``
+        (always in range: "clip" skips the buffered write "raise" makes)."""
+        np.take(self.table, c[..., None, :] - self.offsets, mode="clip",
+                out=out.reshape(*c.shape[:-1], *self.offsets.shape))
         return out
 
     def prepare(self, params, B, m0, m1, adv_seeds):
-        self.p = params.p
-        self.shifts = np.stack([np.zeros_like(m0), m0, m1])
+        p = params.p
+        # table[v + p - 1] = centered(v, p) / p for v in (-p, p)
+        self.table = centered(np.arange(-(p - 1), p), p) / p
+        self.offsets = np.stack([np.zeros_like(m0), m0, m1]) - (p - 1)
         n, n1, k = self.train_size, params.n1, params.k
         labels = np.tile([0, 1], n // 2 + 1)[:n]
-        plain, y = self.shifts[1:][labels], labels.astype(np.float64)
+        plain, y = np.stack([m0, m1])[labels], labels.astype(np.float64)
         self.w, self.b = np.zeros((len(B), 3 * k)), np.zeros(len(B))
         # draws and features one trial at a time into a stack; one fit per stack
         x = np.empty((max(1, self.fit_entries // (n * 3 * k)), n, 3 * k))
+        adversary = iter(streams(adv_seeds, 0))
         for s in range(0, len(B), len(x)):
             xs, w, b = x[:len(B) - s], self.w[s:s + len(x)], self.b[s:s + len(x)]
-            for xt, Bt, seed in zip(xs, B[s:], adv_seeds[s:]):
-                e = _gaussian_rows(params.sigma_s, [stream(seed)], (n * (n1 + k),))[0]
+            for xt, Bt in zip(xs, B[s:]):
+                e = _gaussian_rows(params.sigma_s, [next(adversary)],
+                                   (n * (n1 + k),))[0]
                 e1, e3 = np.split(e, [n * n1])
                 c = lattice_product(e1.reshape(n, n1), Bt) + e3.reshape(n, k)
-                self._features((c + plain) % params.p, xt)
+                self._features((c + plain) % p, xt)
             for _ in range(self.epochs):
                 logits = (xs @ w[:, :, None])[:, :, 0] + b[:, None]
                 err = 1.0 / (1.0 + np.exp(-logits)) - y
@@ -213,10 +220,10 @@ def run_ind_cpa_game(cfg: GameConfig, distinguisher=None) -> GameResult:
     chunk = max(1, GAME_CHUNK_ENTRIES // (params.n1 * params.n2))
     correct = 0
     for start in range(0, cfg.trials, chunk):
-        rngs = [stream(cfg.seed, t) for t in range(start, min(start + chunk, cfg.trials))]
-        key_seeds, lattice_seeds, error_seeds, adv_seeds, bits = trial_draws(rngs).T
+        trials = streams(cfg.seed, range(start, min(start + chunk, cfg.trials)))
+        key_seeds, lattice_seeds, error_seeds, adv_seeds, bits = trial_draws(trials).T
         _, B, A = keygen_stack(params, key_seeds, lattice_seeds)
-        errors = error_rows([stream(s, 0) for s in error_seeds], params)
+        errors = error_rows(streams(error_seeds, 0), params)
         # one key per trial: (T, 1, .) rows under the stacked (T, ., .) keys
         challenge = encrypt(np.where(bits[:, None], m1, m0)[:, None],
                             PublicKey(params, B, A, lattice_seed=lattice_seeds),

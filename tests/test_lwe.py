@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from securejscc.config import load_public_key, load_secret_key, save_key_files
 from securejscc.lwe import (EXACT_FLOAT_LIMIT, Ciphertext, ErrorTriple,
-                            LweParams, centered, decrypt, derive_error_rows, encrypt,
-                            keygen, keygen_stack, lattice_product,
-                            public_matrix, round_half_away)
+                            LweParams, _gaussian_rows, centered, decrypt,
+                            derive_error_rows, encrypt, keygen, keygen_stack,
+                            lattice_product, public_matrix)
 from securejscc.rng import stream
 
 SMALL = LweParams(p=17, n1=4, n2=4, sigma_s=2.0, k=3)
@@ -20,6 +20,12 @@ def message_errors(seed, index, params):
     """The (e1, e2, e3) triple of one message: row 0 of derive_error_rows."""
     rows = derive_error_rows(seed, [index], params)
     return ErrorTriple(e1=rows.e1[0], e2=rows.e2[0], e3=rows.e3[0])
+
+
+def round_half_away(x: np.ndarray) -> np.ndarray:
+    """Round to nearest integer, halves away from zero (keeps zero mean)."""
+    r = np.abs(x)
+    return np.multiply(np.sign(x), np.floor(np.add(r, 0.5, out=r), out=r), out=r)
 
 
 def sample_discrete_gaussian(sigma_s: float, count: int,
@@ -137,6 +143,30 @@ def test_lattice_product_exact_at_the_bound(n, mx, my):
 def test_round_half_away_from_zero():
     x = np.array([0.5, -0.5, 1.5, -1.5, 0.49, -0.49, 2.0])
     assert np.array_equal(round_half_away(x), [1, -1, 2, -2, 0, -0.0, 2])
+
+
+class FixedNormals:
+    """A stand-in stream whose normal draws are given values."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def standard_normal(self, out):
+        out[...] = self.values
+
+
+def test_sampler_rounding_equals_round_half_away():
+    halves = np.arange(-2000, 2001) + 0.5
+    x = np.concatenate([
+        halves, np.nextafter(halves, -np.inf), np.nextafter(halves, np.inf),
+        [0.0, -0.0, 0.49999999999999994, -0.49999999999999994,
+         2.0 ** 52 - 0.5, -(2.0 ** 52 - 0.5)],
+        *(scale * stream(80, i).standard_normal(10 ** 6)
+          for i, scale in enumerate((1.0, 8.87 / math.sqrt(2.0 * math.pi),
+                                     1e3, 1e12)))])
+    # sigma_s = sqrt(2 pi) scales the draws by exactly 1
+    got = _gaussian_rows(math.sqrt(2.0 * math.pi), [FixedNormals(x)], x.shape)[0]
+    assert np.array_equal(got, round_half_away(x).astype(np.int64))
 
 
 def test_sampler_determinism():

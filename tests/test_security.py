@@ -5,7 +5,7 @@ import pytest
 
 from securejscc.codec import CodecSpec
 from securejscc.datasets import DatasetSpec
-from securejscc.lwe import LweParams, encrypt, keygen
+from securejscc.lwe import LweParams, centered, encrypt, keygen
 from securejscc.modem import (build_constellation, modulate, noise_variance,
                               receive, soft_demodulate)
 from securejscc.quantizer import QuantizerConfig
@@ -154,6 +154,24 @@ def test_chunked_game_matches_serial_oracle_one_trial_per_chunk():
     cfg = GameConfig(trials=100, params=params, seed=3)
     assert (run_ind_cpa_game(cfg).correct
             == serial_game_correct(cfg, DISTINGUISHERS["marginal_chisq"]()))
+
+
+@pytest.mark.parametrize("p", [2, 3, 257, 4093])
+def test_classifier_features_equal_centered_residues(p):
+    k = 16
+    rng = stream(70, p)
+    m0, m1 = rng.integers(0, p, size=(2, k))
+    m0[:2], m1[:2] = (0, p - 1), (p - 1, 0)  # the widest differences
+    c = np.concatenate([rng.integers(0, p, size=(50, k)),
+                        np.zeros((1, k), np.int64), np.full((1, k), p - 1)])
+    clf = TrainedClassifier()
+    clf.train_size = 2
+    clf.prepare(LweParams(p=p, n1=1, n2=1, sigma_s=1.0, k=k),
+                np.zeros((1, 1, k), np.int64), m0, m1, [1])
+    shifts = np.stack([np.zeros(k, np.int64), m0, m1])
+    expected = centered(c[:, None, :] - shifts, p) / p
+    got = clf._features(c, np.empty((len(c), 3 * k)))
+    assert np.array_equal(got, expected.reshape(len(c), 3 * k))
 
 
 def test_synthetic_oracle_advantages():
