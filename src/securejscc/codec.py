@@ -103,44 +103,48 @@ def param_shapes(spec: CodecSpec) -> dict[str, tuple[int, ...]]:
             for name, shape in dense_shapes(sizes, prefix).items()}
 
 
-def dense_forward(params: dict, prefix: str, x: np.ndarray,
-                  n_layers: int) -> tuple[np.ndarray, list]:
-    """Dense stack with tanh between layers; final layer is affine."""
-    cache = []
-    a = x
+def dense_forward(params: dict, prefix: str, x: np.ndarray) -> tuple[np.ndarray, list]:
+    """Dense stack with tanh between layers; final layer is affine. Its depth
+    is the number of ``{prefix}.W{i}`` weight matrices in ``params``; the
+    cache holds each layer's input."""
+    n_layers = sum(name.startswith(prefix + ".W") for name in params)
+    cache, a = [], x
     for i in range(n_layers):
-        W, b = params[f"{prefix}.W{i}"], params[f"{prefix}.b{i}"]
-        u = a @ W + b
-        if i < n_layers - 1:
-            out = np.tanh(u)
-            cache.append((a, out))
-            a = out
-        else:
-            cache.append((a, None))
-            a = u
+        if i:
+            a = np.tanh(a)
+        cache.append(a)
+        a = a @ params[f"{prefix}.W{i}"] + params[f"{prefix}.b{i}"]
     return a, cache
 
 
 def dense_backward(params: dict, prefix: str, cache: list,
-                   grad_out: np.ndarray, n_layers: int) -> tuple[dict, np.ndarray]:
+                   grad_out: np.ndarray) -> tuple[dict, np.ndarray]:
     grads = {}
     g = grad_out
-    for i in reversed(range(n_layers)):
-        a_in, act_out = cache[i]
-        if act_out is not None:
-            g = g * (1.0 - act_out ** 2)
-        W = params[f"{prefix}.W{i}"]
-        grads[f"{prefix}.W{i}"] = a_in.T @ g
+    for i in reversed(range(len(cache))):
+        grads[f"{prefix}.W{i}"] = cache[i].T @ g
         grads[f"{prefix}.b{i}"] = g.sum(axis=0)
-        g = g @ W.T
+        g = g @ params[f"{prefix}.W{i}"].T
+        if i:  # back through the tanh that made this layer's input
+            g = g * (1.0 - cache[i] ** 2)
     return grads, g
 
 
-def _n_layers(spec: CodecSpec) -> int:
-    return len(spec.hidden_sizes) + 1
+def _squashed_forward(params: dict, prefix: str, x: np.ndarray,
+                      scale: float) -> tuple[np.ndarray, tuple]:
+    """``scale * sigmoid`` of the dense stack: the encoder's and decoder's."""
+    u, dense = dense_forward(params, prefix, x)
+    s = _sigmoid(u)
+    return scale * s, (prefix, scale, s, dense)
 
 
-def encode(x: np.ndarray, spec: CodecSpec, params: dict) -> tuple[np.ndarray, dict]:
+def _squashed_backward(params: dict, cache: tuple,
+                       grad_out: np.ndarray) -> tuple[dict, np.ndarray]:
+    prefix, scale, s, dense = cache
+    return dense_backward(params, prefix, dense, grad_out * scale * s * (1.0 - s))
+
+
+def encode(x: np.ndarray, spec: CodecSpec, params: dict) -> tuple[np.ndarray, tuple]:
     """Map a batch of flattened images (B, H*W*C) to latents (B, k).
 
     Returns the latent batch and a cache consumed by :func:`encode_backward`.
@@ -151,24 +155,18 @@ def encode(x: np.ndarray, spec: CodecSpec, params: dict) -> tuple[np.ndarray, di
     if x.shape[1] != spec.n_pixels:
         raise ValueError(f"expected {spec.n_pixels} pixels per image, got {x.shape[1]}")
     if spec.kind == "identity":
-        return x * spec.latent_scale, {}
-    u, cache = dense_forward(params, "enc", x / 255.0, _n_layers(spec))
-    s = _sigmoid(u)
-    return spec.latent_scale * s, {"dense": cache, "squash": s}
+        return x * spec.latent_scale, ()
+    return _squashed_forward(params, "enc", x / 255.0, spec.latent_scale)
 
 
 def encode_backward(grad_z: np.ndarray, spec: CodecSpec, params: dict,
-                    cache: dict) -> dict:
+                    cache: tuple) -> dict:
     if spec.kind == "identity":
         return {}
-    s = cache["squash"]
-    g = grad_z * spec.latent_scale * s * (1.0 - s)
-    grads, _ = dense_backward(params, "enc", cache["dense"], g,
-                              _n_layers(spec))
-    return grads
+    return _squashed_backward(params, cache, grad_z)[0]
 
 
-def decode(z_hat: np.ndarray, spec: CodecSpec, params: dict) -> tuple[np.ndarray, dict]:
+def decode(z_hat: np.ndarray, spec: CodecSpec, params: dict) -> tuple[np.ndarray, tuple]:
     """Map latents (B, k) back to flattened images clamped to [0, 255]."""
     z_hat = np.asarray(z_hat, dtype=np.float64)
     if z_hat.ndim == 1:
@@ -177,23 +175,17 @@ def decode(z_hat: np.ndarray, spec: CodecSpec, params: dict) -> tuple[np.ndarray
         raise ValueError(f"expected latent length {spec.k}, got {z_hat.shape[1]}")
     if spec.kind == "identity":
         raw = z_hat / spec.latent_scale
-        return np.clip(raw, 0.0, 255.0), {"raw": raw}
-    v, cache = dense_forward(params, "dec", z_hat / spec.latent_scale,
-                             _n_layers(spec))
-    s = _sigmoid(v)
-    return 255.0 * s, {"dense": cache, "squash": s}
+        return np.clip(raw, 0.0, 255.0), (raw,)
+    return _squashed_forward(params, "dec", z_hat / spec.latent_scale, 255.0)
 
 
 def decode_backward(grad_x: np.ndarray, spec: CodecSpec, params: dict,
-                    cache: dict) -> tuple[dict, np.ndarray]:
+                    cache: tuple) -> tuple[dict, np.ndarray]:
     """Gradients of the decoder parameters and of its latent input."""
     if spec.kind == "identity":
-        mask = (cache["raw"] > 0.0) & (cache["raw"] < 255.0)
+        mask = (cache[0] > 0.0) & (cache[0] < 255.0)
         return {}, grad_x * mask / spec.latent_scale
-    s = cache["squash"]
-    g = grad_x * 255.0 * s * (1.0 - s)
-    grads, g_in = dense_backward(params, "dec", cache["dense"], g,
-                                 _n_layers(spec))
+    grads, g_in = _squashed_backward(params, cache, grad_x)
     return grads, g_in / spec.latent_scale
 
 
@@ -213,26 +205,19 @@ def ssim_loss(x: np.ndarray, x_hat: np.ndarray) -> tuple[float, np.ndarray]:
     floored at a tiny epsilon so the derivative stays finite on constant
     reconstructions.
     """
-    v1 = (metrics.V1_FACTOR * metrics.PEAK) ** 2
-    v2 = (metrics.V2_FACTOR * metrics.PEAK) ** 2
     n = x.shape[1]
-    grad = np.zeros_like(x_hat)
-    total = 0.0
-    for i in range(x.shape[0]):
-        a, b = x[i], x_hat[i]
-        mu_a, mu_b = a.mean(), b.mean()
-        sd_a = max(a.std(), 1e-12)
-        sd_b = max(b.std(), 1e-12)
-        num_l, den_l = 2 * mu_a * mu_b + v1, mu_a ** 2 + mu_b ** 2 + v1
-        num_c, den_c = 2 * sd_a * sd_b + v2, sd_a ** 2 + sd_b ** 2 + v2
-        lum, con = num_l / den_l, num_c / den_c
-        total += 1.0 - lum * con
-        dl_dmu = (2 * mu_a * den_l - num_l * 2 * mu_b) / den_l ** 2
-        dc_dsd = (2 * sd_a * den_c - num_c * 2 * sd_b) / den_c ** 2
-        dssim = con * dl_dmu / n + lum * dc_dsd * (b - mu_b) / (n * sd_b)
-        grad[i] = -dssim
+    mu_a, mu_b = x.mean(axis=1), x_hat.mean(axis=1)
+    sd_a = np.maximum(x.std(axis=1), 1e-12)
+    sd_b = np.maximum(x_hat.std(axis=1), 1e-12)
+    num_l, den_l = 2 * mu_a * mu_b + metrics.C1, mu_a ** 2 + mu_b ** 2 + metrics.C1
+    num_c, den_c = 2 * sd_a * sd_b + metrics.C2, sd_a ** 2 + sd_b ** 2 + metrics.C2
+    lum, con = num_l / den_l, num_c / den_c
+    dl_dmu = (2 * mu_a * den_l - num_l * 2 * mu_b) / den_l ** 2
+    dc_dsd = (2 * sd_a * den_c - num_c * 2 * sd_b) / den_c ** 2
+    dssim = ((con * dl_dmu / n)[:, None]
+             + (lum * dc_dsd)[:, None] * (x_hat - mu_b[:, None]) / (n * sd_b)[:, None])
     batch = x.shape[0]
-    return total / batch, grad / batch
+    return float(np.sum(1.0 - lum * con)) / batch, -dssim / batch
 
 
 LOSSES = {"mse": mse_loss, "ssim": ssim_loss}

@@ -203,10 +203,14 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     scale = float(lwe.p) if codec_raw["kind"] == "mlp" else lwe.p / 256
     codec = _build(CodecSpec, codec_raw, "codec.", input_shape=shape, k=lwe.k,
                    latent_scale=scale)
-    # game and attack are read by game_ and attack_config_from_dict
-    return _build(PipelineConfig,
-                  _without(raw, "lwe", "codec", "dataset", "game", "attack"), "",
-                  lwe=lwe, codec=codec, dataset=dataset)
+    cfg = _build(PipelineConfig,
+                 _without(raw, "lwe", "codec", "dataset", "game", "attack"), "",
+                 lwe=lwe, codec=codec, dataset=dataset)
+    if "game" in raw:  # every command checks the sections it finds
+        game_config_from_dict(raw["game"], cfg.n_levels)
+    if "attack" in raw:  # at any pair count: dataset.count is the attack loader's check
+        _build(AttackConfig, raw["attack"], "attack.", dataset=dataset, pairs=sys.maxsize)
+    return cfg
 
 
 def game_config_from_dict(raw: dict, n_levels: int) -> GameConfig:

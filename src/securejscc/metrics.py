@@ -13,9 +13,11 @@ import math
 import numpy as np
 
 PEAK = 255.0
-# stability constants and scale weights from the standard MS-SSIM defaults
-V1_FACTOR = 0.01
-V2_FACTOR = 0.03
+# stability constants (K1 = 0.01, K2 = 0.03) and scale weights from the
+# standard MS-SSIM defaults (Wang et al., 2004)
+C1 = (0.01 * PEAK) ** 2
+C2 = (0.03 * PEAK) ** 2
+C3 = C2 / 2.0
 MSSSIM_WEIGHTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
 
 
@@ -52,17 +54,17 @@ def psnr(x: np.ndarray, x_hat: np.ndarray) -> float | np.ndarray:
                        for err in np.atleast_1d(mse(x, x_hat)).tolist()], x)
 
 
-def _luminance_term(mu_a: float, mu_b: float, v1: float) -> float:
-    return (2.0 * mu_a * mu_b + v1) / (mu_a ** 2 + mu_b ** 2 + v1)
+def _luminance_term(mu_a: float, mu_b: float) -> float:
+    return (2.0 * mu_a * mu_b + C1) / (mu_a ** 2 + mu_b ** 2 + C1)
 
 
-def _contrast_term(sa: float, sb: float, v2: float) -> float:
-    return (2.0 * sa * sb + v2) / (sa ** 2 + sb ** 2 + v2)
+def _contrast_term(sa: float, sb: float) -> float:
+    return (2.0 * sa * sb + C2) / (sa ** 2 + sb ** 2 + C2)
 
 
-def _structure_term(a: np.ndarray, b: np.ndarray, v3: float) -> float:
+def _structure_term(a: np.ndarray, b: np.ndarray) -> float:
     cov = float(np.mean((a - a.mean()) * (b - b.mean())))
-    return (cov + v3) / (a.std() * b.std() + v3)
+    return (cov + C3) / (a.std() * b.std() + C3)
 
 
 def ssim(x: np.ndarray, x_hat: np.ndarray) -> float | np.ndarray:
@@ -73,15 +75,13 @@ def ssim(x: np.ndarray, x_hat: np.ndarray) -> float | np.ndarray:
     numerator.
     """
     a, b = _check_pair(x, x_hat)
-    v1 = (V1_FACTOR * PEAK) ** 2
-    v2 = (V2_FACTOR * PEAK) ** 2
     vals = np.empty((len(a), a.shape[3]))
     for c in range(a.shape[3]):
         # each image's plane statistics, then scalar terms: a square there is
         # a float power, as for a single image
         stats = zip(*(f(axis=(1, 2)).tolist() for s in (a[..., c], b[..., c])
                       for f in (s.mean, s.std)))
-        vals[:, c] = [_luminance_term(mu_a, mu_b, v1) * _contrast_term(sa, sb, v2)
+        vals[:, c] = [_luminance_term(mu_a, mu_b) * _contrast_term(sa, sb)
                       for mu_a, sa, mu_b, sb in stats]
     return _per_image(vals.mean(axis=1), x)
 
@@ -107,22 +107,19 @@ def ms_ssim(x: np.ndarray, x_hat: np.ndarray, scales: int = 5) -> float | np.nda
     if min(a.shape[1], a.shape[2]) < 2 ** (scales - 1):
         raise ValueError(
             f"image {a.shape[1]}x{a.shape[2]} too small for {scales} scales")
-    v1 = (V1_FACTOR * PEAK) ** 2
-    v2 = (V2_FACTOR * PEAK) ** 2
-    v3 = v2 / 2.0
     weights = MSSSIM_WEIGHTS[:scales]
     vals = np.empty((len(a), a.shape[3]))
     for i, c in np.ndindex(vals.shape):
         ca, cb = a[i, :, :, c], b[i, :, :, c]
         score = 1.0
         for j in range(scales):
-            contrast = _contrast_term(ca.std(), cb.std(), v2)
-            structure = _structure_term(ca, cb, v3)
+            contrast = _contrast_term(ca.std(), cb.std())
+            structure = _structure_term(ca, cb)
             # negative factors are clipped before fractional powers
             score *= max(contrast, 0.0) ** weights[j]
             score *= max(structure, 0.0) ** weights[j]
             if j == scales - 1:
-                score *= max(_luminance_term(ca.mean(), cb.mean(), v1), 0.0) ** weights[j]
+                score *= max(_luminance_term(ca.mean(), cb.mean()), 0.0) ** weights[j]
             else:
                 ca, cb = _downsample2(ca), _downsample2(cb)
         vals[i, c] = score

@@ -26,6 +26,13 @@ SWEEP_DTYPE = np.dtype([(name, np.int64 if name.endswith("_index") else np.float
 MS_SSIM_MIN_SIDE = 64  # below this the multi-scale metric is not reported (NaN)
 
 
+def _encrypt_and_receive(z_bar, keys, cons, snr_db, sigma_l, error_seed, channel_seed,
+                         messages) -> tuple[Ciphertext, np.ndarray]:
+    """:func:`transmit_latent` up to its decryption: the ciphertext and c_hat."""
+    ct = encrypt(z_bar, keys, derive_error_rows(error_seed, messages, keys.params))
+    return ct, receive(ct.c, cons, snr_db, sigma_l, channel_seed, messages)
+
+
 def transmit_latent(z_bar: np.ndarray, keys: KeyPair, cons: Constellation,
                     snr_db: Db | np.ndarray, sigma_l: float, error_seed: int,
                     channel_seed: int, message_indices
@@ -40,9 +47,8 @@ def transmit_latent(z_bar: np.ndarray, keys: KeyPair, cons: Constellation,
     depend on the batch it travels in. +inf dB short-circuits the modem
     with its exact noiseless limit.
     """
-    ct = encrypt(z_bar, keys, derive_error_rows(error_seed, message_indices,
-                                                keys.params))
-    c_hat = receive(ct.c, cons, snr_db, sigma_l, channel_seed, message_indices)
+    ct, c_hat = _encrypt_and_receive(z_bar, keys, cons, snr_db, sigma_l,
+                                     error_seed, channel_seed, message_indices)
     return ct, c_hat, decrypt(c_hat, ct.d, keys)
 
 
@@ -111,9 +117,10 @@ def sweep(images: list[np.ndarray], spec: codec.CodecSpec, params: dict,
         g = np.repeat(np.arange(n_snr), len(chunk))
         i = np.tile(chunk, n_snr)
         messages = g * n + i
-        ct, c_hat, z_prime = transmit_latent(z_bar[i], keys, cons, snrs[g], sigma_l,
-                                             error_seed, channel_seed, messages)
-        exact_plain = decrypt(ct.c, ct.d, keys)  # the crypto noise column's reference
+        ct, c_hat = _encrypt_and_receive(z_bar[i], keys, cons, snrs[g], sigma_l,
+                                         error_seed, channel_seed, messages)
+        # the exact plaintext (crypto noise reference) and the noisy one: one product
+        exact_plain, z_prime = decrypt(np.stack([ct.c, c_hat]), ct.d, keys)
         x_hats, _ = codec.decode(soft_dequantize(z_prime, qcfg), spec, params)
         x, x_hat = batch[i], x_hats.reshape(-1, h, w, c)
         columns = (

@@ -349,9 +349,9 @@ def _fit_mlp(x, y, epochs, rng):
         order = rng.permutation(x.shape[0])
         for s in range(0, len(order), batch):
             sel = order[s:s + batch]
-            out, cache = codec.dense_forward(params, "adv", x[sel], 2)
+            out, cache = codec.dense_forward(params, "adv", x[sel])
             _, grad_out = codec.mse_loss(y[sel], out)
-            grads, _ = codec.dense_backward(params, "adv", cache, grad_out, 2)
+            grads, _ = codec.dense_backward(params, "adv", cache, grad_out)
             step += 1
             params = codec.adam_step(params, grads, opt, step, lr=1e-3)
     return params
@@ -406,7 +406,7 @@ def run_cpa_attack(cfg: AttackConfig, spec: codec.CodecSpec, codec_params: dict,
         pred = np.clip(_predict_linear(w, f_test), 0.0, 255.0)
     else:
         net = _fit_mlp(f_train, x_train / 255.0, cfg.epochs, stream(fit_seed))
-        out, _ = codec.dense_forward(net, "adv", f_test, 2)
+        out, _ = codec.dense_forward(net, "adv", f_test)
         pred = np.clip(255.0 * out, 0.0, 255.0)
 
     test = images[n_train:]

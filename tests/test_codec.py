@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from securejscc import metrics
 from securejscc.codec import (AdamState, CodecSpec, adam_step, decode,
                               decode_backward, dense_backward, dense_forward,
                               dense_init, encode, encode_backward, init_params,
@@ -131,20 +132,23 @@ def test_dense_stack_gradcheck():
     target = rng.standard_normal((4, 3))
 
     def loss_value():
-        out, _ = dense_forward(params, "net", x, 2)
+        out, _ = dense_forward(params, "net", x)
         return mse_loss(target, out)[0]
 
-    out, cache = dense_forward(params, "net", x, 2)
+    out, cache = dense_forward(params, "net", x)
     _, grad_out = mse_loss(target, out)
-    grads, _ = dense_backward(params, "net", cache, grad_out, 2)
+    grads, _ = dense_backward(params, "net", cache, grad_out)
     for name in params:
         num = numerical_grad(loss_value, params, name)
         assert np.allclose(grads[name], num, rtol=1e-5, atol=1e-8), name
 
 
-def test_mlp_codec_end_to_end_gradcheck():
+@pytest.mark.parametrize("hidden_sizes", [(), (6,), (6, 4)],
+                         ids=["no_hidden", "one_hidden", "two_hidden"])
+def test_mlp_codec_end_to_end_gradcheck(hidden_sizes):
+    # the stack depth is read from the parameters: check every depth
     spec = CodecSpec(kind="mlp", input_shape=(3, 3, 1), k=4,
-                     latent_scale=100.0, hidden_sizes=(6,))
+                     latent_scale=100.0, hidden_sizes=hidden_sizes)
     rng = stream(7)
     params = init_params(spec, rng)
     x = rng.uniform(0, 255, (2, 9))
@@ -179,6 +183,42 @@ def test_ssim_loss_gradcheck():
             x_hat[b, i] += h
             assert np.isclose(grad[b, i], (up - down) / (2 * h),
                               rtol=1e-4, atol=1e-10)
+
+
+def looped_ssim_loss(x, x_hat):
+    """:func:`ssim_loss` one image at a time: the oracle for its batched form."""
+    n = x.shape[1]
+    grad = np.zeros_like(x_hat)
+    total = 0.0
+    for i in range(x.shape[0]):
+        a, b = x[i], x_hat[i]
+        mu_a, mu_b = a.mean(), b.mean()
+        sd_a = max(a.std(), 1e-12)
+        sd_b = max(b.std(), 1e-12)
+        num_l, den_l = 2 * mu_a * mu_b + metrics.C1, mu_a ** 2 + mu_b ** 2 + metrics.C1
+        num_c, den_c = 2 * sd_a * sd_b + metrics.C2, sd_a ** 2 + sd_b ** 2 + metrics.C2
+        lum, con = num_l / den_l, num_c / den_c
+        total += 1.0 - lum * con
+        dl_dmu = (2 * mu_a * den_l - num_l * 2 * mu_b) / den_l ** 2
+        dc_dsd = (2 * sd_a * den_c - num_c * 2 * sd_b) / den_c ** 2
+        dssim = con * dl_dmu / n + lum * dc_dsd * (b - mu_b) / (n * sd_b)
+        grad[i] = -dssim
+    batch = x.shape[0]
+    return total / batch, grad / batch
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_batched_ssim_loss_equals_per_image_loop(seed):
+    rng = stream(10, seed)
+    batch, n = rng.integers(2, 9), rng.integers(2, 40)
+    x = rng.uniform(0, 255, (batch, n))
+    x_hat = rng.uniform(0, 255, (batch, n))
+    x_hat[0] = rng.uniform(0, 255)  # a constant reconstruction: sigma at its floor
+    x_hat[-1] = x[-1] + rng.normal(0.0, 1e-3, n)  # near perfect: terms cancel
+    loss, grad = ssim_loss(x, x_hat)
+    want_loss, want_grad = looped_ssim_loss(x, x_hat)
+    assert np.isclose(loss, want_loss, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(grad, want_grad, rtol=1e-10, atol=0)
 
 
 # -- optimizer ---------------------------------------------------------------

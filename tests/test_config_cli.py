@@ -424,6 +424,34 @@ def test_cli_train_split_without_training_images_exits_2(tmp_path, capsys, over)
     assert not (tmp_path / "codec.json").exists()
 
 
+# a misspelled key in any section, whichever command reads the config
+@pytest.mark.parametrize("over, key", [
+    ({"n_level": 16}, "n_level"),
+    ({"lwe": {"p": 251, "n1": 16, "n2": 16, "sigma_s": 1.5, "k": 16, "sigma": 1.5}},
+     "lwe.sigma"),
+    ({"codec": {"kind": "identity", "hiden_sizes": []}}, "codec.hiden_sizes"),
+    ({"dataset": {**images(4), "chanels": 1}}, "dataset.chanels"),
+    ({"seeds": {"lattise": 2}}, "seeds.lattise"),
+    ({"training": {"max_step": 5}}, "training.max_step"),
+    ({"game": {"trialz": 5}}, "game.trialz"),
+    ({"game": {"lwe": {"sigma": 8.87}}}, "game.lwe.sigma"),
+    ({"attack": {"adversery": "mlp"}}, "attack.adversery"),
+])
+@pytest.mark.parametrize("command", ["sweep", "keygen", "transmit", "train"])
+def test_cli_misspelled_key_in_any_section_exits_2(tmp_path, capsys, command,
+                                                   over, key):
+    cfg_path = make_config_file(tmp_path, **over)
+    out = str(tmp_path / "out")
+    flags = {"sweep": ["--out", out], "keygen": ["--out", out, out + ".secret"],
+             "transmit": ["--keys", str(tmp_path / "secret.json"),
+                          "--in", "synthetic", "--out", out],
+             "train": ["--out", out]}[command]
+    assert main([command, "--config", str(cfg_path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown config key '{key}'" in err and err.count("\n") == 1
+    assert not Path(out).exists()
+
+
 def test_sweep_config_with_one_image_loads(tmp_path):
     # the split is checked by train, not by the loader
     cfg = load_config(make_config_file(tmp_path, dataset={

@@ -220,14 +220,29 @@ def test_chunked_sweep_equals_per_snr_chain_calls(setup, monkeypatch):
     args = (SPEC, {}, keys, qcfg, cons, grid, 5.0, 3, 4)
     oracle = per_snr_sweep(images, *args)
     rows = []
+    send = pipeline._encrypt_and_receive
 
     def spy(z_bar, *rest):
         rows.append(len(z_bar))
-        return transmit_latent(z_bar, *rest)
+        return send(z_bar, *rest)
 
-    monkeypatch.setattr(pipeline, "transmit_latent", spy)
+    monkeypatch.setattr(pipeline, "_encrypt_and_receive", spy)
     assert_tables_equal(sweep(images, *args), oracle)
     assert rows == [6, 6, 6, 3]
+
+
+def test_sweep_decrypts_once_per_chain_call(setup, monkeypatch):
+    # the exact plaintext (crypto noise column) and the noisy one come from
+    # one decryption, one lattice product, of the stacked ciphertexts
+    keys, qcfg, cons, images = setup
+    calls = []
+
+    def counting(c, d, key):
+        calls.append(c.shape)
+        return decrypt(c, d, key)
+    monkeypatch.setattr(pipeline, "decrypt", counting)
+    sweep(images, SPEC, {}, keys, qcfg, cons, [5.0, math.inf], 5.0, 3, 4)
+    assert calls == [(2, 2 * 3, 64)] * 2  # 3 images at 2 SNRs per chain call
 
 
 def test_ms_ssim_omitted_for_small_images(setup):
