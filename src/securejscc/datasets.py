@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rng import streams
+from .rng import bounded, halves, raw_words, streams
 
 DATASET_KINDS = ("gradient", "checkerboard", "blob")
 
@@ -76,15 +76,30 @@ def _checkerboard(grid, c: int, rngs) -> np.ndarray:
     return img
 
 
+def _blob_draws(c: int, keyed) -> tuple[np.ndarray, np.ndarray]:
+    """The blob counts and the concatenated parameter rows of the streams:
+    the values ``rng.integers(1, 4)`` and then ``rng.random((count, 4 + c))``
+    draw. The count is the bounded draw of the first raw word's low half, a
+    parameter ``(w >> 11) * 2**-53`` of a later word; the generator draws
+    a stream whose count draw is rejected."""
+    words = raw_words(keyed, 1 + 3 * (4 + c))
+    counts, rejected = bounded(halves(words)[:, 0], 3)
+    counts += 1
+    u = ((words[:, 1:] >> np.uint64(11)) * 2.0 ** -53).reshape(len(keyed), 3, 4 + c)
+    redraw = np.flatnonzero(rejected)
+    for r, rng in zip(redraw, keyed.subset(redraw)):
+        counts[r] = rng.integers(1, 4)
+        u[r, :counts[r]] = rng.random((counts[r], 4 + c))
+    return counts, u[np.arange(3) < counts[:, None]]
+
+
 def _blob(grid, c: int, rngs) -> np.ndarray:
     """Each stream draws its blob count, then per blob the centre, width,
     amplitude and gains, in one pass over the streams; all bumps are made at
     once, summed in drawing order."""
     yy, xx = grid
     h, w = yy.shape
-    # one pass: a stream draws its count (the shape) before its parameters
-    draws = [rng.random((int(rng.integers(1, 4)), 4 + c)) for rng in rngs]
-    counts, u = np.array([len(d) for d in draws]), np.concatenate(draws)
+    counts, u = _blob_draws(c, rngs)
     low = np.array([0.0, 0.0, max(h, w) / 8.0, 64.0] + [0.5] * c)
     v = low + (np.array([h, w, max(h, w) / 2.0, 255.0] + [1.0] * c) - low) * u
     cy, cx, amp = (v[:, i, None, None] for i in (0, 1, 3))

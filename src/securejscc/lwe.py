@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import normal_rows, streams
+from .rng import integer_rows, normal_rows, streams
 
 # float64 holds every integer of magnitude up to 2**53 exactly
 EXACT_FLOAT_LIMIT = 2 ** 53
@@ -150,9 +150,7 @@ def keygen_stack(params: LweParams, key_seeds,
     for every i, stacked along a leading axis: B is one stacked product."""
     n1, n2, k = params.n1, params.n2, params.k
     SU = _gaussian_rows(params.sigma_s, streams(key_seeds, 0), (n2 + n1, k))
-    A = np.empty((len(lattice_seeds), n1, n2), dtype=np.int64)
-    for row, rng in zip(A, streams(lattice_seeds, 0)):
-        row[...] = rng.integers(0, params.p, size=(n1, n2), dtype=np.int64)
+    A = integer_rows(streams(lattice_seeds, 0), params.p, (n1, n2))
     S, U = SU[:, :n2], SU[:, n2:]
     return S, public_matrix(U, A, S, params.p), A
 
@@ -161,7 +159,8 @@ def keygen(params: LweParams, key_seed: int, lattice_seed: int) -> KeyPair:
     """Generate a key pair deterministically from two seeds.
 
     ``S`` then ``U`` are drawn from the key_seed stream (discrete Gaussian);
-    ``A`` is drawn uniformly over ``[0, p)`` from the lattice_seed stream.
+    ``A`` is uniform over ``[0, p)``: the values ``rng.integers(0, p,
+    (n1, n2), dtype=np.int64)`` draws from the lattice_seed stream.
     """
     S, B, A = (m[0] for m in keygen_stack(params, [key_seed], [lattice_seed]))
     # S is a view into the S-and-U draw: copy it so U can be freed
@@ -183,12 +182,19 @@ def derive_error_rows(shared_error_seed: int, message_indices,
     Row i comes from the stream keyed by ``(shared_error_seed,
     message_indices[i])``; reusing a triple across messages leaks plaintext
     differences (the ciphertext is affine in the plaintext), so every
-    message must use a fresh index.
+    message must use a fresh index. A repeated index is drawn once and its
+    row copied to each of its messages.
     """
     indices = [int(i) for i in message_indices]
     if any(i < 0 for i in indices):
         raise ValueError(f"message indices must be >= 0, got {min(indices)}")
-    return error_rows(streams(shared_error_seed, indices), params)
+    distinct = dict.fromkeys(indices)  # in order of first use
+    errors = error_rows(streams(shared_error_seed, list(distinct)), params)
+    if len(distinct) == len(indices):
+        return errors
+    row = {i: r for r, i in enumerate(distinct)}
+    gather = [row[i] for i in indices]
+    return ErrorTriple(errors.e1[gather], errors.e2[gather], errors.e3[gather])
 
 
 def encrypt(plaintext: np.ndarray, key: KeyPair | PublicKey,

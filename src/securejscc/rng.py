@@ -5,10 +5,13 @@ Every random draw in the package comes from a Philox stream keyed by a
 independent messages get provably disjoint streams. Philox is counter
 based, so equal keys give bitwise-identical sequences on every platform,
 and a new key needs no new generator: :class:`streams` walks many keys with
-one.
+one. A draw that is a fixed function of a stream's first raw words is
+computed from :func:`raw_words` as numpy's Generator computes it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -82,6 +85,12 @@ class streams:
     def __len__(self) -> int:
         return len(self.keys)
 
+    def subset(self, rows) -> streams:
+        """The streams of the pairs at positions ``rows``, in that order."""
+        keyed = object.__new__(streams)
+        keyed.keys = [self.keys[r] for r in rows]
+        return keyed
+
     def __iter__(self):
         bit_generator = np.random.Philox(_PhiloxKey((0, 0)))
         rng = np.random.Generator(bit_generator)
@@ -105,6 +114,55 @@ def normal_rows(rngs, shape) -> np.ndarray:
     for row, rng in zip(x, rngs):
         rng.standard_normal(out=row)
     return x
+
+
+def raw_words(rngs, n: int) -> np.ndarray:
+    """The first ``n`` raw 64-bit words of each stream, one uint64 row per
+    stream, in one pass; an empty ``rngs`` starts no stream."""
+    words = np.empty((len(rngs), n), dtype=np.uint64)
+    for row, rng in zip(words, rngs):
+        row[...] = rng.bit_generator.random_raw(n)
+    return words
+
+
+def halves(words: np.ndarray) -> np.ndarray:
+    """The 32-bit draws of C-contiguous ``words``, (..., n) -> (..., 2n)
+    uint32: each word's low half, then its high half, as Philox hands them out."""
+    return words.astype("<u8", copy=False).view("<u4")
+
+
+def bounded(u: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's map of 32-bit draws ``u`` onto ``[0, p)``, ``p <= 2**32``: the
+    int64 values, and where numpy rejects a draw and maps the next instead.
+
+    It is Lemire's multiply-shift: ``u`` gives ``(u * p) >> 32`` unless
+    ``u * p mod 2**32 < 2**32 mod p``, a threshold 0 when p is a power of two.
+    """
+    rejected = u * np.uint32(p & 0xFFFFFFFF) < (1 << 32) % p
+    values = u * np.uint64(p)
+    values >>= np.uint64(32)
+    return values.view(np.int64), rejected
+
+
+def integer_rows(keyed: streams, p: int, shape) -> np.ndarray:
+    """One ``shape`` block per stream of ``keyed`` of the values
+    ``rng.integers(0, p, size=shape, dtype=np.int64)`` draws, stacked.
+
+    For ``p <= 2**32`` a row is :func:`bounded` of its stream's raw words;
+    the generator draws again the rows holding a rejected draw, on a pass
+    over those rows only, and every row of a larger p (numpy's 64-bit map).
+    """
+    size = math.prod(shape)
+    redraw = range(len(keyed))
+    if p <= 1 << 32:
+        u = halves(raw_words(keyed, (size + 1) // 2))[:, :size]
+        rows, rejected = bounded(u, p)
+        redraw = np.flatnonzero(rejected.any(axis=1))
+    else:
+        rows = np.empty((len(keyed), size), dtype=np.int64)
+    for r, rng in zip(redraw, keyed.subset(redraw)):
+        rows[r] = rng.integers(0, p, size=size, dtype=np.int64)
+    return rows.reshape(len(keyed), *shape)
 
 
 def spawn_seed(rng: np.random.Generator) -> int:

@@ -28,7 +28,7 @@ from .lwe import (ErrorTriple, LweParams, PublicKey, _gaussian_rows, centered,
                   lattice_product)
 from .modem import SIGMA_L_DEFAULT, Db, build_constellation, receive
 from .quantizer import QuantizerConfig, build_centroids, check_levels, hard_quantize
-from .rng import spawn_seed, stream, streams
+from .rng import bounded, halves, raw_words, spawn_seed, stream, streams
 
 FEATURE_NOTE = ("features per symbol value v: [v/p, cos(2*pi*v/p), sin(2*pi*v/p)] "
                 "(raw residue plus circular embedding)")
@@ -50,7 +50,8 @@ class MarginalChiSquare:
     """Pick the hypothesis whose shifted residues look more uniform.
 
     Coarse-bins ``(c - m_b) mod p`` and compares goodness-of-fit statistics
-    against the uniform histogram; ties fall back to a coin flip.
+    against the uniform histogram; a tie falls back to a coin flip, the
+    bit ``rng.integers(0, 2)`` draws from its trial's ``(adv_seed, 1)`` stream.
     """
 
     name = "marginal_chisq"
@@ -70,8 +71,8 @@ class MarginalChiSquare:
         stats = ((counts.reshape(-1, 2, self.bins) - expected) ** 2).sum(-1) / expected
         bits = (stats[:, 1] < stats[:, 0]).astype(np.int64)
         ties = np.flatnonzero(stats[:, 0] == stats[:, 1])
-        for t, rng in zip(ties, streams([adv_seeds[t] for t in ties], 1)):
-            bits[t] = rng.integers(0, 2)
+        coins = raw_words(streams([adv_seeds[t] for t in ties], 1), 1)
+        bits[ties] = bounded(halves(coins)[:, 0], 2)[0]
         return bits
 
 
@@ -194,14 +195,13 @@ def trial_draws(rngs) -> np.ndarray:
 
     They are the values of ``rng.integers(0, 2**63, size=4)`` and then
     ``rng.integers(0, 2)``: a bounded draw over 2**63 values is one raw word
-    shifted right by one, and the bit is the top bit of the low half of the
-    next word.
+    shifted right by one, and the bit is the 32-bit bounded draw of the low
+    half of the next word, its top bit.
     """
-    raw = np.array([rng.bit_generator.random_raw(5) for rng in rngs],
-                   dtype=np.uint64).reshape(-1, 5)
+    raw = raw_words(rngs, 5)
+    raw[:, 4] = bounded(halves(raw)[:, 8], 2)[0]
     raw[:, :4] >>= np.uint64(1)
-    raw[:, 4] = (raw[:, 4] & np.uint64(0xFFFFFFFF)) >> np.uint64(31)
-    return raw.astype(np.int64)
+    return raw.view(np.int64)
 
 
 def run_ind_cpa_game(cfg: GameConfig, distinguisher=None) -> GameResult:

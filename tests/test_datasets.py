@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from securejscc import datasets
 from securejscc.datasets import (SYNTH_CHUNK_PIXELS, DatasetSpec, read_image,
                                  synthesize_dataset)
-from securejscc.rng import stream
+from securejscc.rng import stream, streams
 
 # (height, width, channels, count, data seed) of the stacked-synthesis checks
 STACK_CASES = [(8, 8, 1, 500, 123), (16, 16, 1, 300, 5), (7, 9, 3, 200, 9)]
@@ -77,6 +78,60 @@ def test_stacked_blobs_match_per_image_loop(h, w, c, count, seed):
     assert any(count * h * w > SYNTH_CHUNK_PIXELS for h, w, _, count, _ in STACK_CASES)
     for i, image in enumerate(images):
         assert np.array_equal(image, blob_image(h, w, c, stream(seed, i))), i
+
+
+def blob_draws(c: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Each stream's blob count, then its parameters, drawn by the generator:
+    the oracle for the raw-word blob draws."""
+    draws = [rng.random((int(rng.integers(1, 4)), 4 + c)) for rng in rngs]
+    return np.array([len(d) for d in draws]), np.concatenate(draws)
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 7, -3, 2**64 - 1])
+def test_blob_draws_equal_generator_draws(c, seed):
+    keys = range(300)
+    counts, u = datasets._blob_draws(c, streams(seed, keys))
+    expected_counts, expected_u = blob_draws(c, [stream(seed, i) for i in keys])
+    assert set(expected_counts.tolist()) == {1, 2, 3}
+    assert np.array_equal(counts, expected_counts)
+    assert np.array_equal(u, expected_u)
+
+
+def test_rejected_blob_count_is_drawn_by_the_generator(monkeypatch):
+    # a count draw is rejected only when the first word's low half is 0,
+    # which no real key is known to give: craft such words for rows 1 and 3
+    crafted = [1, 3]
+    real = datasets.raw_words
+
+    def with_rejected_counts(rngs, n):
+        words = real(rngs, n)
+        words[crafted, 0] = 5 << 32
+        words[crafted, 1:] = 0
+        return words
+
+    monkeypatch.setattr(datasets, "raw_words", with_rejected_counts)
+    counts, u = datasets._blob_draws(3, streams(11, range(5)))
+    expected_counts, expected_u = blob_draws(3, [stream(11, i) for i in range(5)])
+    assert np.array_equal(counts, expected_counts)
+    assert np.array_equal(u, expected_u)
+    # mapped from the crafted words, rows 1 and 3 would be one all-zero blob
+    assert all(u[np.cumsum(counts)[r] - counts[r]].any() for r in crafted)
+
+
+@pytest.mark.parametrize("kind", ["gradient", "checkerboard", "blob"])
+@pytest.mark.parametrize("h, w, c", [(8, 8, 1), (5, 11, 3), (1, 1, 2)])
+def test_images_of_any_kind_are_drawn_per_stream(kind, h, w, c):
+    # image i is the one the stream (seed, i) draws alone
+    spec = DatasetSpec(kind, 40, h, w, c)
+    images = synthesize_dataset(spec, 3)
+    build_grid, make = datasets._GENERATORS[kind]
+    for i, image in enumerate(images):
+        alone = make(build_grid(h, w), c, streams(3, [i]))[0]
+        assert np.array_equal(image, alone), i
+    if kind == "blob":
+        for i, image in enumerate(images):
+            assert np.array_equal(image, blob_image(h, w, c, stream(3, i))), i
 
 
 def test_unknown_kind_rejected():

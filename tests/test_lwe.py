@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from securejscc import lwe
 from securejscc.config import load_public_key, load_secret_key, save_key_files
 from securejscc.lwe import (EXACT_FLOAT_LIMIT, Ciphertext, ErrorTriple,
                             LweParams, _gaussian_rows, centered, decrypt,
@@ -245,6 +246,14 @@ def test_keygen_stack_rows_equal_keygen():
         assert np.array_equal(A[i], keys.A)
 
 
+@pytest.mark.parametrize("p", [17, 4093, 3 * 2**30, 2**32 + 1])
+def test_lattice_is_the_generator_integers(p):
+    params = LweParams(p=p, n1=3, n2=5, sigma_s=1e-3, k=2)
+    for lattice_seed in (20, -1, 2**64 - 1):
+        expected = stream(lattice_seed).integers(0, p, size=(3, 5), dtype=np.int64)
+        assert np.array_equal(keygen(params, 10, lattice_seed).A, expected)
+
+
 def test_public_view_carries_no_secret():
     pk = keygen(SMALL, 10, 20).public()
     assert not hasattr(pk, "S")
@@ -281,6 +290,30 @@ def test_derive_errors_independent_across_indices():
     assert not np.array_equal(a, b)
     r = np.corrcoef(a, b)[0, 1]
     assert abs(r) < 0.01
+
+
+def test_repeated_indices_are_drawn_once_and_gathered(monkeypatch):
+    drawn = []
+    real = lwe.error_rows
+
+    def counting(rngs, params):
+        drawn.append(len(rngs))
+        return real(rngs, params)
+
+    monkeypatch.setattr(lwe, "error_rows", counting)
+    indices = [3, 0, 3, 7, 0, 3, 2**64 - 1, 7]
+    rows = derive_error_rows(9, indices, TABLE)
+    assert drawn == [4]
+    for r, index in enumerate(indices):
+        one = message_errors(9, index, TABLE)
+        for got, expected in zip((rows.e1, rows.e2, rows.e3), (one.e1, one.e2, one.e3)):
+            assert got.dtype == np.int64 and np.array_equal(got[r], expected), r
+    # every row is its own copy: writing one leaves its repeats unchanged
+    before = [e.copy() for e in (rows.e1, rows.e2, rows.e3)]
+    for e in (rows.e1, rows.e2, rows.e3):
+        e[0] += 1
+    for e, old in zip((rows.e1, rows.e2, rows.e3), before):
+        assert np.array_equal(e[1:], old[1:])
 
 
 def test_derive_errors_rejects_negative_index():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from securejscc.rng import spawn_seed, stream, streams
+from securejscc.rng import (bounded, halves, integer_rows, raw_words, spawn_seed,
+                            stream, streams)
 
 
 def test_same_key_same_sequence():
@@ -90,3 +91,62 @@ def test_streams_broadcast_a_shared_seed_or_index_and_restart():
         stream(4, 2).random(), stream(5, 2).random()]
     with pytest.raises(ValueError, match="one index per seed"):
         streams([1, 2], [0])
+
+
+# 3 * 2**30 rejects a quarter of all 32-bit draws, so most of its rows take
+# the redraw pass; 2**32 + 1 takes numpy's 64-bit map
+BOUNDS = [2, 3, 251, 257, 4093, 4096, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32,
+          2**32 + 1]
+SHAPES = [(1,), (7,), (3, 5), (4, 4), (3, 3, 3)]
+
+
+@pytest.mark.parametrize("p", BOUNDS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_integer_rows_equal_generator_integers(p, shape):
+    keys = EDGE_KEYS + [(2026, t) for t in range(20)]
+    rows = integer_rows(streams(*zip(*keys)), p, shape)
+    assert rows.shape == (len(keys), *shape) and rows.dtype == np.int64
+    for row, key in zip(rows, keys):
+        expected = stream(*key).integers(0, p, size=shape, dtype=np.int64)
+        assert np.array_equal(row, expected), key
+
+
+def test_bounded_rejects_where_numpy_draws_again():
+    p = 3 * 2**30
+    u = np.array([0, 2**30 - 1, 2**30, 2**32 - 1, 1, 2, 3, 4], dtype=np.uint32)
+    values, rejected = bounded(u, p)
+    # u * p mod 2**32 is (3u mod 4) * 2**30, below 2**32 mod p = 2**30
+    # exactly when u is a multiple of 4
+    assert rejected.tolist() == [x % 4 == 0 for x in u.tolist()]
+    assert values.tolist() == [(int(x) * p) >> 32 for x in u]
+    assert not bounded(u, 2**32)[1].any()
+    assert bounded(u, 2**32)[0].tolist() == u.tolist()
+
+
+@pytest.mark.parametrize("p, rows, built", [
+    (257, 30, 1),          # no draw rejected: raw words only
+    (3 * 2**30, 30, 2),    # rejected rows: a second pass over those rows
+    (2**32 + 1, 30, 1),    # the 64-bit map: the generator, one pass
+    (3 * 2**30, 0, 0),     # no rows: no stream started
+])
+def test_integer_rows_builds_a_redraw_pass_only_when_needed(monkeypatch, p, rows,
+                                                            built):
+    philox, real = [], np.random.Philox
+
+    def counting(*args, **kwargs):
+        philox.append(real(*args, **kwargs))
+        return philox[-1]
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    integer_rows(streams(5, range(rows)), p, (8,))
+    assert len(philox) == built
+
+
+def test_raw_words_and_halves_follow_the_generator():
+    keys = [(7, 0), (7, 1), (-3, 2)]
+    words = raw_words(streams(*zip(*keys)), 3)
+    assert words.dtype == np.uint64 and words.shape == (3, 3)
+    for row, pairs, key in zip(words, halves(words), keys):
+        assert np.array_equal(row, stream(*key).bit_generator.random_raw(3))
+        # each word's low half, then its high half: the 32-bit draws
+        assert pairs.tolist() == stream(*key).integers(0, 2**32, size=6).tolist()

@@ -205,6 +205,19 @@ def test_marginal_chisq_honest_near_zero():
     assert abs(result.advantage) < 0.1
 
 
+def test_marginal_chisq_ties_flip_the_generator_coin():
+    # equal hypotheses tie on every trial: each guess is its trial's coin,
+    # rng.integers(0, 2) on the stream (adv_seed, 1)
+    distinguisher = DISTINGUISHERS["marginal_chisq"]()
+    m = np.arange(GAME_LWE.k)
+    distinguisher.prepare(GAME_LWE, None, m, m, None)
+    adv_seeds = [0, -3, 2**64 - 1, *range(5, 405)]
+    c = stream(1).integers(0, GAME_LWE.p, size=(len(adv_seeds), GAME_LWE.k))
+    bits = distinguisher.guess(c, adv_seeds)
+    assert bits.tolist() == [int(stream(seed, 1).integers(0, 2)) for seed in adv_seeds]
+    assert 0 < bits.sum() < len(bits)
+
+
 def test_trained_classifier_honest_near_zero():
     cfg = GameConfig(trials=600, params=GAME_LWE, seed=9)
     result = run_ind_cpa_game(cfg, TrainedClassifier())
