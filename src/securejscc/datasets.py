@@ -15,7 +15,7 @@ import numpy as np
 
 from .rng import bounded, halves, raw_words, streams
 
-DATASET_KINDS = ("gradient", "checkerboard", "blob")
+DATASET_KINDS = ("blob",)
 
 
 @dataclass(frozen=True)
@@ -34,46 +34,6 @@ class DatasetSpec:
         if min(self.height, self.width, self.channels) < 1:
             raise ValueError(f"image dimensions must be positive, got "
                              f"{self.height}x{self.width}x{self.channels}")
-
-
-def _unit_grid(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.meshgrid(np.linspace(0, 1, h), np.linspace(0, 1, w), indexing="ij")
-
-
-def _index_grid(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-
-
-def _pixel_grid(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.meshgrid(np.arange(h, dtype=np.float64),
-                       np.arange(w, dtype=np.float64), indexing="ij")
-
-
-def _gradient(grid, c: int, rngs) -> np.ndarray:
-    yy, xx = grid
-    img = np.empty((len(rngs), *yy.shape, c))
-    for im, rng in zip(img, rngs):
-        for ch in range(c):
-            theta = rng.uniform(0, 2 * np.pi)
-            offset = rng.uniform(0.0, 1.0)
-            ramp = np.cos(theta) * xx + np.sin(theta) * yy + offset
-            ramp -= ramp.min()
-            span = ramp.max()
-            im[:, :, ch] = 255.0 * ramp / span if span > 0 else 0.0
-    return img
-
-
-def _checkerboard(grid, c: int, rngs) -> np.ndarray:
-    yy, xx = grid
-    h, w = yy.shape
-    img = np.empty((len(rngs), h, w, c))
-    for im, rng in zip(img, rngs):
-        cell = int(rng.integers(1, max(2, min(h, w) // 2 + 1)))
-        phase = int(rng.integers(0, 2))
-        lo, hi = sorted(rng.uniform(0, 255, size=2))
-        board = ((yy // cell + xx // cell + phase) % 2).astype(np.float64)
-        im[...] = (lo + (hi - lo) * board)[:, :, None]
-    return img
 
 
 def _blob_draws(c: int, keyed) -> tuple[np.ndarray, np.ndarray]:
@@ -114,10 +74,6 @@ def _blob(grid, c: int, rngs) -> np.ndarray:
     return np.clip(img, 0.0, 255.0)
 
 
-# kind -> (grid builder, stack generator); the grid is built once per call
-_GENERATORS = {"gradient": (_unit_grid, _gradient),
-               "checkerboard": (_index_grid, _checkerboard),
-               "blob": (_pixel_grid, _blob)}
 # image pixels generated as one stack: bounds the blob bumps' temporaries
 SYNTH_CHUNK_PIXELS = 1 << 12
 
@@ -125,10 +81,10 @@ SYNTH_CHUNK_PIXELS = 1 << 12
 def synthesize_dataset(spec: DatasetSpec, data_seed: int) -> list[np.ndarray]:
     """Deterministic list of ``spec.count`` images from the data seed; image
     i comes from the stream ``(data_seed, i)`` however many are made together."""
-    build_grid, make = _GENERATORS[spec.kind]
-    grid = build_grid(spec.height, spec.width)
+    grid = np.meshgrid(np.arange(spec.height, dtype=np.float64),
+                       np.arange(spec.width, dtype=np.float64), indexing="ij")
     step = max(1, SYNTH_CHUNK_PIXELS // (spec.height * spec.width))
-    return [image for start in range(0, spec.count, step) for image in make(
+    return [image for start in range(0, spec.count, step) for image in _blob(
         grid, spec.channels,
         streams(data_seed, range(start, min(start + step, spec.count))))]
 

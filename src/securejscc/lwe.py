@@ -227,11 +227,16 @@ def encrypt(plaintext: np.ndarray, key: KeyPair | PublicKey,
 def decrypt(c: np.ndarray, d: np.ndarray, key: KeyPair) -> np.ndarray:
     """(d S + c) mod p = plaintext + residual mod p, one row per message:
     int64 residues for a ciphertext's integer ``c``, floats in ``[0, p)``
-    for its real-valued noisy estimate."""
+    for its real-valued noisy estimate. ``c`` may stack several estimates
+    of the same messages over ``d``'s rows: ``(m, B, k)`` over ``(B, n2)``."""
     if c.shape[-1:] != (key.params.k,) or d.shape[-1:] != (key.params.n2,):
         raise ValueError(
             f"ciphertext shapes {c.shape}/{d.shape} do not match "
             f"params k={key.params.k}, n2={key.params.n2}")
+    # broadcasting would pair one d row with many messages, or the reverse
+    if d.ndim > c.ndim or c.shape[c.ndim - d.ndim:-1] != d.shape[:-1]:
+        raise ValueError(f"ciphertext rows {c.shape[:-1]} do not end in the "
+                         f"d rows {d.shape[:-1]}: need one d row per message")
     if not np.isfinite(c).all():
         raise ValueError("ciphertext entries must be finite")
     return np.mod(lattice_product(d, key.S) + c, key.params.p)

@@ -26,20 +26,13 @@ SWEEP_DTYPE = np.dtype([(name, np.int64 if name.endswith("_index") else np.float
 MS_SSIM_MIN_SIDE = 64  # below this the multi-scale metric is not reported (NaN)
 
 
-def _encrypt_and_receive(z_bar, keys, cons, snr_db, sigma_l, error_seed, channel_seed,
-                         messages) -> tuple[Ciphertext, np.ndarray]:
-    """:func:`transmit_latent` up to its decryption: the ciphertext and c_hat."""
-    ct = encrypt(z_bar, keys, derive_error_rows(error_seed, messages, keys.params))
-    return ct, receive(ct.c, cons, snr_db, sigma_l, channel_seed, messages)
-
-
 def transmit_latent(z_bar: np.ndarray, keys: KeyPair, cons: Constellation,
                     snr_db: Db | np.ndarray, sigma_l: float, error_seed: int,
                     channel_seed: int, message_indices
-                    ) -> tuple[Ciphertext, np.ndarray, np.ndarray]:
-    """Carry (B, k) quantized latents through encryption, channel and
-    decryption: the ciphertext, its soft-demodulated estimate c_hat and the
-    noisy plaintext decrypted from c_hat, one row per message.
+                    ) -> tuple[Ciphertext, np.ndarray]:
+    """Carry (B, k) quantized latents through encryption and the channel:
+    the ciphertext and its soft-demodulated estimate c_hat, one row per
+    message. The receiver decrypts c_hat with ``decrypt(c_hat, ct.d, keys)``.
 
     ``snr_db`` is one SNR for every row or one per row (see
     :func:`~securejscc.modem.receive`). Row i uses the error triple and
@@ -47,9 +40,8 @@ def transmit_latent(z_bar: np.ndarray, keys: KeyPair, cons: Constellation,
     depend on the batch it travels in. +inf dB short-circuits the modem
     with its exact noiseless limit.
     """
-    ct, c_hat = _encrypt_and_receive(z_bar, keys, cons, snr_db, sigma_l,
-                                     error_seed, channel_seed, message_indices)
-    return ct, c_hat, decrypt(c_hat, ct.d, keys)
+    ct = encrypt(z_bar, keys, derive_error_rows(error_seed, message_indices, keys.params))
+    return ct, receive(ct.c, cons, snr_db, sigma_l, channel_seed, message_indices)
 
 
 def _fmt(value: float) -> str:
@@ -117,8 +109,8 @@ def sweep(images: list[np.ndarray], spec: codec.CodecSpec, params: dict,
         g = np.repeat(np.arange(n_snr), len(chunk))
         i = np.tile(chunk, n_snr)
         messages = g * n + i
-        ct, c_hat = _encrypt_and_receive(z_bar[i], keys, cons, snrs[g], sigma_l,
-                                         error_seed, channel_seed, messages)
+        ct, c_hat = transmit_latent(z_bar[i], keys, cons, snrs[g], sigma_l,
+                                    error_seed, channel_seed, messages)
         # the exact plaintext (crypto noise reference) and the noisy one: one product
         exact_plain, z_prime = decrypt(np.stack([ct.c, c_hat]), ct.d, keys)
         x_hats, _ = codec.decode(soft_dequantize(z_prime, qcfg), spec, params)

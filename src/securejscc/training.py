@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import codec
-from .lwe import KeyPair
+from . import codec, pipeline
+from .lwe import KeyPair, decrypt
 from .modem import Constellation, Db
-from .pipeline import transmit_latent
 from .quantizer import (QuantizerConfig, anneal_sigma_q, hard_quantize,
                         soft_dequantize, soft_quantize_jacobian)
 from .rng import seed_word, stream
@@ -65,10 +64,10 @@ def init_train_state(spec: codec.CodecSpec, seed: int,
 def _through_chain(ctx: TrainContext, message_base: int):
     """Latent map of the real chain: quantize, transmit the batch, dequantize."""
     def latent_map(z: np.ndarray) -> np.ndarray:
-        _, _, z_prime = transmit_latent(
+        ct, c_hat = pipeline.transmit_latent(
             hard_quantize(z, ctx.qcfg), ctx.keys, ctx.cons, ctx.snr_db, ctx.sigma_l,
             ctx.error_seed, ctx.channel_seed, message_base + np.arange(z.shape[0]))
-        return soft_dequantize(z_prime, ctx.qcfg)
+        return soft_dequantize(decrypt(c_hat, ct.d, ctx.keys), ctx.qcfg)
     return latent_map
 
 

@@ -83,8 +83,8 @@ def test_criterion_3_compound_noise_calibration():
     n_msgs = 196  # ~1e5 symbols at k = 512
     zbar = np.stack([qcfg.centroids[qrng.integers(0, 16, size=512)]
                      for _ in range(n_msgs)])
-    ct, c_hat, z_prime = transmit_latent(zbar, keys, cons, 10.0, 5.0, 21, 22,
-                                         np.arange(n_msgs))
+    ct, c_hat = transmit_latent(zbar, keys, cons, 10.0, 5.0, 21, 22, np.arange(n_msgs))
+    z_prime = decrypt(c_hat, ct.d, keys)
     crypto = centered(decrypt(ct.c, ct.d, keys) - zbar, 4093).ravel()
     chan = (c_hat - ct.c).ravel()
     compound = centered(z_prime - zbar, 4093).ravel()

@@ -198,6 +198,18 @@ def test_cli_unknown_config_key_exits_2(tmp_path, capsys):
     assert not (tmp_path / "a.csv").exists()
 
 
+@pytest.mark.parametrize("kind", ["gradient", "checkerboard"])
+def test_cli_removed_dataset_kind_exits_2(tmp_path, capsys, kind):
+    # blob is the only synthetic kind; the earlier ones are not read as it
+    cfg_path = make_config_file(tmp_path, dataset={**images(4), "kind": kind})
+    code = main(["sweep", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "a.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"unknown dataset kind '{kind}'" in err
+    assert not (tmp_path / "a.csv").exists()
+
+
 def test_cli_identity_k_mismatch_names_config_keys(tmp_path, capsys):
     # lwe.k must be the dataset's pixel count (4 x 4 x 1) for the identity codec
     cfg_path = make_config_file(

@@ -380,6 +380,34 @@ def test_decrypt_shape_mismatch():
         decrypt(ct.c, ct.d, keys)
 
 
+def batch_ciphertext():
+    """Four messages encrypted under their own error rows."""
+    keys = keygen(SMALL, 1, 2)
+    z = stream(63).integers(0, 17, size=(4, 3))
+    return keys, encrypt(z, keys, derive_error_rows(9, range(4), SMALL))
+
+
+# the decryption twin of encrypt's one-triple-per-row check: broadcasting
+# would decrypt several messages under one d row, or one under several
+@pytest.mark.parametrize("c_rows, d_rows", [
+    (np.s_[:], np.s_[:1]), (np.s_[:1], np.s_[:]), (0, np.s_[:]),
+    (np.s_[:3], np.s_[:2]), ("stacked", np.s_[:1])],
+    ids=["4c-1d", "1c-4d", "c-4d", "3c-2d", "2x4c-1d"])
+def test_decrypt_needs_one_d_row_per_message(c_rows, d_rows):
+    keys, ct = batch_ciphertext()
+    c = np.stack([ct.c, ct.c]) if c_rows == "stacked" else ct.c[c_rows]
+    with pytest.raises(ValueError, match="one d row per message"):
+        decrypt(c, ct.d[d_rows], keys)
+
+
+def test_decrypt_stacks_estimates_of_the_same_messages():
+    keys, ct = batch_ciphertext()
+    plain = decrypt(np.stack([ct.c, ct.c + 0.5]), ct.d, keys)
+    assert np.array_equal(plain[0], decrypt(ct.c, ct.d, keys))
+    assert np.array_equal(plain[1], decrypt(ct.c + 0.5, ct.d, keys))
+    assert np.array_equal(decrypt(ct.c[0], ct.d[0], keys), plain[0][0])
+
+
 def brute_force_residual(keys, errors, params):
     """Independent oracle: S^T e2 + U^T e1 + e3 with plain Python ints."""
     krng = stream(keys.key_seed)

@@ -1,0 +1,28 @@
+"""The benchmark's workloads still run against the library.
+
+perfbench/workloads.py calls the library's public entry points by name and
+position; a change that breaks one of those calls fails here, at smoke size,
+as well as in the benchmark's own smoke run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+_spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_plays_one_round_of_each_kind(name):
+    workload = workloads.WORKLOADS[name](1, smoke=True)
+    checks = workloads.Checks()
+    kinds = [workload.play(index, checks) for index in range(len(workload.round_items))]
+    assert {kind for kind, _ in kinds} == set(workload.round_items)
+    assert all(items > 0 for _, items in kinds)
+    workload.finish(checks)
+    assert checks.failures == []
+    assert checks.attempted > 0

@@ -46,7 +46,8 @@ def test_zero_noise_zero_errors_is_quantization_only(setup, zero_error_rows):
     x = images[0]
     z, _ = codec.encode(x.reshape(1, -1), SPEC, {})
     z_bar = hard_quantize(z, qcfg)
-    _, _, z_prime = transmit_latent(z_bar, keys, cons, math.inf, 5.0, 3, 4, [0])
+    ct, c_hat = transmit_latent(z_bar, keys, cons, math.inf, 5.0, 3, 4, [0])
+    z_prime = decrypt(c_hat, ct.d, keys)
     assert np.array_equal(z_prime, z_bar)
     x_hat, _ = codec.decode(soft_dequantize(z_prime, qcfg), SPEC, {})
     x_hat = x_hat.reshape(x.shape)
@@ -64,9 +65,10 @@ def test_zero_noise_zero_errors_is_quantization_only(setup, zero_error_rows):
 def test_transmit_deterministic(setup):
     keys, qcfg, cons, _ = setup
     zbar = stream(52).integers(0, 4093, size=(2, 64))
-    (ct_a, *a), (ct_b, *b) = (transmit_latent(zbar, keys, cons, 10.0, 5.0, 3, 4,
-                                              [7, 9]) for _ in range(2))
-    for x, y in zip([ct_a.c, ct_a.d, *a], [ct_b.c, ct_b.d, *b]):
+    (ct_a, a), (ct_b, b) = (transmit_latent(zbar, keys, cons, 10.0, 5.0, 3, 4,
+                                            [7, 9]) for _ in range(2))
+    for x, y in zip([ct_a.c, ct_a.d, a, decrypt(a, ct_a.d, keys)],
+                    [ct_b.c, ct_b.d, b, decrypt(b, ct_b.d, keys)]):
         assert np.array_equal(x, y)
 
 
@@ -155,8 +157,8 @@ def test_noise_accounting_additive(setup):
     zbar = np.stack([qcfg.centroids[stream(50, m).integers(0, 16, size=64)]
                      for m in range(30)])
     for snr in (5.0, 15.0):
-        ct, c_hat, z_prime = transmit_latent(zbar, keys, cons, snr, 5.0, 3, 4,
-                                             np.arange(30))
+        ct, c_hat = transmit_latent(zbar, keys, cons, snr, 5.0, 3, 4, np.arange(30))
+        z_prime = decrypt(c_hat, ct.d, keys)
         crypto_v = np.var(centered(decrypt(ct.c, ct.d, keys) - zbar, 4093), axis=1)
         chan_v = np.var(c_hat - ct.c, axis=1)
         comp_v = np.var(centered(z_prime - zbar, 4093), axis=1)
@@ -174,10 +176,10 @@ def test_batched_chain_rows_equal_single_messages(k):
     indices = [7, 2, 11, 3]
     zbar = stream(51).integers(0, 4093, size=(len(indices), k))
     def outputs(rows, message_indices):
-        ct, c_hat, z_prime = transmit_latent(rows, keys, cons, 10.0, 5.0, 3, 4,
-                                             message_indices)
+        ct, c_hat = transmit_latent(rows, keys, cons, 10.0, 5.0, 3, 4,
+                                    message_indices)
         return {"c": ct.c, "d": ct.d, "exact_plain": decrypt(ct.c, ct.d, keys),
-                "c_hat": c_hat, "z_prime": z_prime}
+                "c_hat": c_hat, "z_prime": decrypt(c_hat, ct.d, keys)}
 
     batch = outputs(zbar, indices)
     for row, index in enumerate(indices):
@@ -196,9 +198,9 @@ def per_snr_sweep(images, spec, params, keys, qcfg, cons, snr_grid_db,
     rows = []
     for g, snr_db in enumerate(snr_grid_db):
         messages = g * n + np.arange(n)
-        ct, c_hat, z_prime = transmit_latent(z_bar, keys, cons, snr_db, sigma_l,
-                                             error_seed, channel_seed, messages)
-        exact_plain = decrypt(ct.c, ct.d, keys)
+        ct, c_hat = transmit_latent(z_bar, keys, cons, snr_db, sigma_l,
+                                    error_seed, channel_seed, messages)
+        exact_plain, z_prime = decrypt(ct.c, ct.d, keys), decrypt(c_hat, ct.d, keys)
         x_hats, _ = codec.decode(soft_dequantize(z_prime, qcfg), spec, params)
         for i, (x, x_hat) in enumerate(zip(images, x_hats.reshape(n, *spec.input_shape))):
             rows.append((
@@ -220,13 +222,13 @@ def test_chunked_sweep_equals_per_snr_chain_calls(setup, monkeypatch):
     args = (SPEC, {}, keys, qcfg, cons, grid, 5.0, 3, 4)
     oracle = per_snr_sweep(images, *args)
     rows = []
-    send = pipeline._encrypt_and_receive
+    send = pipeline.transmit_latent
 
     def spy(z_bar, *rest):
         rows.append(len(z_bar))
         return send(z_bar, *rest)
 
-    monkeypatch.setattr(pipeline, "_encrypt_and_receive", spy)
+    monkeypatch.setattr(pipeline, "transmit_latent", spy)
     assert_tables_equal(sweep(images, *args), oracle)
     assert rows == [6, 6, 6, 3]
 

@@ -149,10 +149,30 @@ def test_training_step_decrypts_once(monkeypatch):
     def counting(*args):
         calls.append(args)
         return decrypt(*args)
-    decrypt = pipeline.decrypt
-    monkeypatch.setattr(pipeline, "decrypt", counting)
+    decrypt = training.decrypt
+    monkeypatch.setattr(training, "decrypt", counting)
     train_step(toy_batch(), init_train_state(MLP_SPEC, seed=7), make_ctx(MLP_SPEC))
     assert len(calls) == 1
+
+
+def test_sweep_and_training_share_one_chain_function(monkeypatch):
+    # one spy on the chain sees the sweep's chunks, a training step's batch
+    # and an evaluation's held-out set, each keyed by its message indices
+    ctx = make_ctx(MLP_SPEC)
+    state = init_train_state(MLP_SPEC, seed=7)
+    calls = []
+    send = pipeline.transmit_latent
+
+    def spy(z_bar, *rest):
+        calls.append(rest[-1].tolist())
+        return send(z_bar, *rest)
+    monkeypatch.setattr(pipeline, "transmit_latent", spy)
+    images = list(toy_batch(3).reshape(3, 4, 4, 1))
+    pipeline.sweep(images, MLP_SPEC, state.params, ctx.keys, ctx.qcfg, ctx.cons,
+                   [5.0, 15.0], ctx.sigma_l, ctx.error_seed, ctx.channel_seed)
+    train_step(toy_batch(), state, ctx)
+    evaluate(toy_batch(2), state.params, ctx)
+    assert calls == [[0, 3], [1, 4], [2, 5], [0, 1, 2, 3], [0, 1]]
 
 
 def test_train_step_advances_its_state_in_place():
