@@ -143,11 +143,8 @@ def _cmd_train(args) -> int:
         snr_db=tr.snr_train_db, sigma_l=cfg.sigma_l,
         error_seed=cfg.seeds.error, channel_seed=cfg.seeds.channel,
         loss=tr.loss)
-    # streams key on a seed's low 64 bits: flipping the top one keeps every
-    # validation stream off the training messages' (unless error and
-    # channel seeds differ in that bit alone)
-    eval_ctx = replace(ctx, error_seed=cfg.seeds.error ^ (1 << 63),
-                       channel_seed=cfg.seeds.channel ^ (1 << 63))
+    val_error, val_channel = cfg.seeds.validation().values()
+    eval_ctx = replace(ctx, error_seed=val_error, channel_seed=val_channel)
     state = training.init_train_state(cfg.codec, tr.init_seed, tr.learning_rate)
     result = training.train_codec(
         train_images, val_images, ctx, state, max_steps=tr.max_steps,

@@ -83,7 +83,7 @@ def dense_init(sizes: list[int], prefix: str, rng: np.random.Generator) -> dict:
             else np.zeros(shape) for name, shape in dense_shapes(sizes, prefix).items()}
 
 
-def _stacks(spec: CodecSpec) -> dict[str, list[int]]:
+def _layer_widths(spec: CodecSpec) -> dict[str, list[int]]:
     """Layer widths of the encoder and decoder stacks (none for identity)."""
     if spec.kind == "identity":
         return {}
@@ -93,13 +93,13 @@ def _stacks(spec: CodecSpec) -> dict[str, list[int]]:
 
 def init_params(spec: CodecSpec, rng: np.random.Generator) -> dict:
     """Fresh parameter dictionary for a codec spec (empty for identity)."""
-    return {name: value for prefix, sizes in _stacks(spec).items()
+    return {name: value for prefix, sizes in _layer_widths(spec).items()
             for name, value in dense_init(sizes, prefix, rng).items()}
 
 
 def param_shapes(spec: CodecSpec) -> dict[str, tuple[int, ...]]:
     """The names and shapes of :func:`init_params`, without allocating."""
-    return {name: shape for prefix, sizes in _stacks(spec).items()
+    return {name: shape for prefix, sizes in _layer_widths(spec).items()
             for name, shape in dense_shapes(sizes, prefix).items()}
 
 
@@ -150,10 +150,8 @@ def encode(x: np.ndarray, spec: CodecSpec, params: dict) -> tuple[np.ndarray, tu
     Returns the latent batch and a cache consumed by :func:`encode_backward`.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[1] != spec.n_pixels:
-        raise ValueError(f"expected {spec.n_pixels} pixels per image, got {x.shape[1]}")
+    if x.ndim != 2 or x.shape[1] != spec.n_pixels:
+        raise ValueError(f"expected (B, {spec.n_pixels}) pixel rows, got shape {x.shape}")
     if spec.kind == "identity":
         return x * spec.latent_scale, ()
     return _squashed_forward(params, "enc", x / 255.0, spec.latent_scale)
@@ -169,10 +167,8 @@ def encode_backward(grad_z: np.ndarray, spec: CodecSpec, params: dict,
 def decode(z_hat: np.ndarray, spec: CodecSpec, params: dict) -> tuple[np.ndarray, tuple]:
     """Map latents (B, k) back to flattened images clamped to [0, 255]."""
     z_hat = np.asarray(z_hat, dtype=np.float64)
-    if z_hat.ndim == 1:
-        z_hat = z_hat[None, :]
-    if z_hat.shape[1] != spec.k:
-        raise ValueError(f"expected latent length {spec.k}, got {z_hat.shape[1]}")
+    if z_hat.ndim != 2 or z_hat.shape[1] != spec.k:
+        raise ValueError(f"expected (B, {spec.k}) latent rows, got shape {z_hat.shape}")
     if spec.kind == "identity":
         raw = z_hat / spec.latent_scale
         return np.clip(raw, 0.0, 255.0), (raw,)

@@ -47,6 +47,13 @@ class Seeds:
     channel: int = 4
     data: int = 5
 
+    def validation(self) -> dict[str, int]:
+        """The ``train`` command's validation error and channel seeds, by their
+        derivation: streams key on a seed's low 64 bits, so flipping the top
+        one keeps validation off the training messages' streams."""
+        return {f"seeds.{name} ^ 2**63": getattr(self, name) ^ (1 << 63)
+                for name in ("error", "channel")}
+
 
 @dataclass(frozen=True)
 class TrainingSettings:
@@ -67,6 +74,9 @@ class TrainingSettings:
             if getattr(self, name) < 1:
                 raise ValueError(f"training.{name} must be at least 1, "
                                  f"got {getattr(self, name)}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"training.learning_rate must be positive, "
+                             f"got {self.learning_rate}")
         if not 0 < self.val_fraction < 1:
             raise ValueError(f"training.val_fraction must lie in (0, 1), "
                              f"got {self.val_fraction}")
@@ -94,7 +104,7 @@ class PipelineConfig:
             raise ValueError("snr_grid_db must name at least one SNR")
         seeds = {f"seeds.{name}": seed for name, seed in asdict(self.seeds).items()} | {
             f"training.{name}": getattr(self.training, name)
-            for name in ("shuffle_seed", "init_seed")}
+            for name in ("shuffle_seed", "init_seed")} | self.seeds.validation()
         named: dict[int, str] = {}
         for name, seed in seeds.items():
             if (other := named.setdefault(seed_word(seed), name)) != name:

@@ -267,6 +267,9 @@ class AttackConfig:
             raise ValueError(f"unknown error mode {self.error_mode!r}")
         if self.pairs < 1:
             raise ValueError("need at least one (image, ciphertext) pair")
+        if self.epochs < 1:
+            raise ValueError(f"config key 'attack.epochs' must be at least 1, "
+                             f"got {self.epochs}")
         if not 0 < self.test_fraction < 1:
             raise ValueError(f"config key 'attack.test_fraction' must lie in (0, 1), "
                              f"got {self.test_fraction}")

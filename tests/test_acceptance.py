@@ -155,28 +155,32 @@ def test_criterion_6_metrics():
     rng = stream(6)
     x = rng.uniform(0, 255, (32, 32, 3))
 
-    ok = psnr(np.zeros((4, 4)), np.full((4, 4), 255.0)) == 0.0
-    ok = ok and np.isclose(psnr(np.zeros((1, 1)),
-                                np.array([[math.sqrt(65.025)]])), 30.0)
-    ok = ok and psnr(x, x) == math.inf
+    def single(metric, a, b, **kwargs):  # one image pair as one-image stacks
+        return metric(*(np.reshape(v, (1, *np.shape(v)[:2], -1)) for v in (a, b)),
+                      **kwargs)[0]
 
-    ok = ok and mse(x, x) == 0.0
-    ok = ok and mse(np.zeros((3, 3)), np.full((3, 3), 255.0)) == 65025.0
+    ok = single(psnr, np.zeros((4, 4)), np.full((4, 4), 255.0)) == 0.0
+    ok = ok and np.isclose(single(psnr, np.zeros((1, 1)),
+                                  np.array([[math.sqrt(65.025)]])), 30.0)
+    ok = ok and single(psnr, x, x) == math.inf
+
+    ok = ok and single(mse, x, x) == 0.0
+    ok = ok and single(mse, np.zeros((3, 3)), np.full((3, 3), 255.0)) == 65025.0
 
     v1 = (0.01 * 255.0) ** 2
     const_oracle = v1 / (255.0 ** 2 + v1)
-    ok = ok and np.isclose(ssim(np.zeros((8, 8)), np.full((8, 8), 255.0)),
+    ok = ok and np.isclose(single(ssim, np.zeros((8, 8)), np.full((8, 8), 255.0)),
                            const_oracle, rtol=1e-12)
-    ok = ok and np.isclose(ssim(x, x), 1.0, atol=1e-12)
+    ok = ok and np.isclose(single(ssim, x, x), 1.0, atol=1e-12)
     gray = x[:, :, 0]
     mu = gray.mean()
     shift_oracle = (2 * mu * (mu + 30) + v1) / (mu ** 2 + (mu + 30) ** 2 + v1)
-    ok = ok and np.isclose(ssim(gray, gray + 30.0), shift_oracle, rtol=1e-12)
+    ok = ok and np.isclose(single(ssim, gray, gray + 30.0), shift_oracle, rtol=1e-12)
 
-    ok = ok and abs(ms_ssim(x, x, scales=5) - 1.0) < 1e-12
+    ok = ok and abs(single(ms_ssim, x, x, scales=5) - 1.0) < 1e-12
     lum = (2 * 60.0 * 200.0 + v1) / (60.0 ** 2 + 200.0 ** 2 + v1)
-    ok = ok and np.isclose(ms_ssim(np.full((32, 32), 60.0),
-                                   np.full((32, 32), 200.0), scales=5),
+    ok = ok and np.isclose(single(ms_ssim, np.full((32, 32), 60.0),
+                                  np.full((32, 32), 200.0), scales=5),
                            lum ** 0.1333, rtol=1e-12)
     report(6, bool(ok), "PSNR/SSIM/MS-SSIM oracle values all match")
 

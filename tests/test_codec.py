@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,12 @@ def test_spec_rejects_non_positive_sizes(shape, k, hidden):
     with pytest.raises(ValueError, match="must be positive"):
         CodecSpec(kind="mlp", input_shape=shape, k=k, latent_scale=1.0,
                   hidden_sizes=hidden)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
+def test_spec_rejects_non_positive_latent_scale(scale):
+    with pytest.raises(ValueError, match="latent_scale must be positive"):
+        CodecSpec(kind="identity", input_shape=(4, 4, 1), k=16, latent_scale=scale)
 
 
 def test_param_shapes_match_init_params():
@@ -106,6 +114,14 @@ def test_encode_shape_checks():
         encode(np.zeros((1, 15)), IDENT, {})
     with pytest.raises(ValueError):
         decode(np.zeros((1, 15)), IDENT, {})
+
+
+@pytest.mark.parametrize("shape", [(16,), (1, 1, 16)])
+def test_codec_takes_rows_only(shape):
+    # a single flattened image is one row of a (1, n) batch, not a 1-D array
+    for f in (encode, decode):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            f(np.zeros(shape), IDENT, {})
 
 
 # -- gradients ---------------------------------------------------------------

@@ -303,6 +303,25 @@ def test_cli_attack_with_sabotage_control(tmp_path, capsys):
     assert len(text) == 3  # header + fresh + sabotage rows
 
 
+def test_cli_failed_sabotage_control_exits_1(tmp_path, capsys, monkeypatch):
+    # an attack that never beats the baseline: the control fails
+    from securejscc import security
+    real = security.run_cpa_attack
+
+    def blind(*args, **kwargs):
+        report = real(*args, **kwargs)
+        return dataclasses.replace(report, adversary_mse=report.baseline_mse)
+    monkeypatch.setattr(security, "run_cpa_attack", blind)
+    cfg_path = make_config_file(tmp_path, dataset=images(40))
+    out = tmp_path / "attack.csv"
+    assert main(["attack", "--config", str(cfg_path), "--out", str(out),
+                 "--sabotage-control"]) == 1
+    assert capsys.readouterr().err == (
+        "SABOTAGE CONTROL FAILED: reused-error attack did not beat the baseline, "
+        "the harness cannot be trusted\n")
+    assert len(out.read_text().strip().split("\n")) == 3  # the report is written
+
+
 def test_cli_sabotage_control_runs_at_infinite_snr(tmp_path):
     # the control tests the harness, not the channel: at the configured
     # 10 dB the channel hides the reused triple's leak (mse ratio 0.644)
@@ -409,9 +428,10 @@ def test_cli_train_validation_streams_disjoint_from_training(tmp_path, monkeypat
     ({"training": {"val_fraction": 1}}, "training.val_fraction must lie in (0, 1), got 1.0"),
     ({"training": {"shuffle_seed": 5}},
      "config keys 'seeds.data' and 'training.shuffle_seed' are equal mod 2**64"),
-    # validation flips each seed's top bit: here onto the training channel seed
-    ({"seeds": {"error": 3, "channel": 3 + 2 ** 63}},
-     "eval_ctx's error and channel seeds must differ from ctx's (mod 2**64)"),
+    ({"training": {"learning_rate": 0}},
+     "training.learning_rate must be positive, got 0.0"),
+    ({"training": {"learning_rate": -1e-3}},
+     "training.learning_rate must be positive, got -0.001"),
 ])
 def test_cli_unworkable_settings_exit_2(tmp_path, capsys, over, message):
     cfg_path = make_config_file(tmp_path, **{**MLP_TRAINING, **over})
@@ -420,6 +440,27 @@ def test_cli_unworkable_settings_exit_2(tmp_path, capsys, over, message):
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
     assert not (tmp_path / "codec.json").exists()
+
+
+@pytest.mark.parametrize("seeds, keys", [
+    # validation flips each seed's top bit: here onto the training channel seed
+    ({"error": 3, "channel": 3 + 2 ** 63}, "'seeds.channel' and 'seeds.error ^ 2**63'"),
+    ({"data": 2 ** 63 + 4}, "'seeds.data' and 'seeds.channel ^ 2**63'"),
+    ({"key": 2 ** 63 + 3}, "'seeds.key' and 'seeds.error ^ 2**63'"),
+])
+def test_cli_train_validation_seed_clash_fails_before_keygen(tmp_path, capsys,
+                                                             monkeypatch, seeds, keys):
+    # the validation seeds are derived at load, so their clash is a config error
+    from securejscc import cli
+    calls = []
+    monkeypatch.setattr(cli, "keygen", lambda *args: calls.append(args))
+    cfg_path = make_config_file(tmp_path, **MLP_TRAINING,
+                                seeds={"error": 3, "channel": 4, **seeds})
+    assert main(["train", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "codec.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"config keys {keys} are equal mod 2**64" in err and err.count("\n") == 1
+    assert calls == [] and not (tmp_path / "codec.json").exists()
 
 
 @pytest.mark.parametrize("over", [
@@ -488,6 +529,7 @@ def test_sweep_config_with_one_image_loads(tmp_path):
      "config key 'attack.test_fraction' must lie in (0, 1), got 0.0"),
     ({"attack": {"test_fraction": 1.5}},
      "config key 'attack.test_fraction' must lie in (0, 1), got 1.5"),
+    ({"attack": {"epochs": 0}}, "config key 'attack.epochs' must be at least 1, got 0"),
 ])
 def test_cli_unworkable_attack_exits_2(tmp_path, capsys, attack, message):
     cfg_path = make_config_file(tmp_path, **attack)

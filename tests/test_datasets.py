@@ -23,6 +23,11 @@ def test_empty_dataset():
     assert synthesize_dataset(DatasetSpec("blob", 0, 8, 8, 1), 0) == []
 
 
+def test_spec_rejects_negative_count():
+    with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+        DatasetSpec("blob", -1, 8, 8, 1)
+
+
 def test_same_seed_identical():
     spec = DatasetSpec("blob", 5, 8, 8, 3)
     a = synthesize_dataset(spec, 42)
@@ -169,6 +174,13 @@ def test_read_rejects_non_positive_dimensions(tmp_path, header):
     path = tmp_path / "bad.pgm"
     path.write_bytes(header + bytes(16))
     with pytest.raises(ValueError, match="bad.pgm"):
+        read_image(path)
+
+
+def test_read_rejects_sixteen_bit_images(tmp_path):
+    path = tmp_path / "deep.pgm"
+    path.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
+    with pytest.raises(ValueError, match="only maxval 255 supported, got 65535"):
         read_image(path)
 
 

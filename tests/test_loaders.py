@@ -107,6 +107,12 @@ MALFORMED = [
     # an image must have the dataset's shape, and no codec key sets it
     ("transmit_img", "img.pgm", None, b"P5\n8 8\n255\n" + bytes(64),
      "'dataset.height', 'dataset.width', 'dataset.channels' = (4, 4, 1)"),
+    # keys made for other lattice params than the config's
+    ("transmit", "cfg.json", ("lwe", "sigma_s"), 2.0,
+     "key file parameters do not match the config"),
+    # a codec file for another spec than the config gives
+    ("sweep_mlp", "codec.json", ("spec", "latent_scale"), 1.0,
+     "codec parameter file does not match the config spec"),
 ]
 
 
@@ -122,6 +128,13 @@ def test_malformed_input_exits_2_with_one_line(files, tmp_path, capsys,
     assert main([str(a) for a in _argv(command, files, out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and needle in err, err
+
+
+def test_mlp_config_needs_codec_params(files, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(files["mlp.json"]), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "securejscc sweep: mlp codec needs --codec-params\n"
+    assert not out.exists()
 
 
 def test_load_time_checks():
@@ -143,6 +156,8 @@ def test_load_time_checks():
     (("A", 0, 0), 1.0, "array of integers"),
     (("kind",), "secret", "not a public key file"),
     (("extra",), 1, "unknown public key file field 'extra'"),
+    (("B",), [[0] * 16] * 15 + [[0] * 15], r"'B' must be a \(16, 16\) array of "
+     r"integers; it is a \(\) array of object"),  # ragged rows
 ])
 def test_public_key_checked_against_its_params(files, keys, value, message):
     _edit(files["pub.json"], keys, value)

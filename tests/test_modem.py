@@ -122,6 +122,12 @@ def test_order_bound():
         build_constellation(0, 1.0)
 
 
+@pytest.mark.parametrize("power", [0.0, -1.0, math.nan])
+def test_constellation_rejects_non_positive_power(power):
+    with pytest.raises(ValueError, match="target_power must be positive"):
+        build_constellation(16, power)
+
+
 # -- modulation --------------------------------------------------------------
 
 

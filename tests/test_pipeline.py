@@ -56,7 +56,7 @@ def test_zero_noise_zero_errors_is_quantization_only(setup, zero_error_rows):
     err = np.abs(x_hat - x).reshape(-1)
     assert np.all(err[in_span] <= spacing_px + 1e-9)
     [rec] = _send([x], setup, [math.inf])
-    assert rec.mse == metrics.mse(x, x_hat)
+    assert rec.mse == metrics.mse(x[None], x_hat[None])[0]
     assert rec.crypto_noise_std == 0.0
     assert rec.channel_noise_std == 0.0
     assert rec.compound_noise_std == 0.0
@@ -203,9 +203,10 @@ def per_snr_sweep(images, spec, params, keys, qcfg, cons, snr_grid_db,
         exact_plain, z_prime = decrypt(ct.c, ct.d, keys), decrypt(c_hat, ct.d, keys)
         x_hats, _ = codec.decode(soft_dequantize(z_prime, qcfg), spec, params)
         for i, (x, x_hat) in enumerate(zip(images, x_hats.reshape(n, *spec.input_shape))):
+            scores = [float(score(x[None], x_hat[None])[0])
+                      for score in (metrics.mse, metrics.psnr, metrics.ssim)]
             rows.append((
-                i, messages[i], snr_db, spec.rho, metrics.mse(x, x_hat),
-                metrics.psnr(x, x_hat), metrics.ssim(x, x_hat), math.nan,
+                i, messages[i], snr_db, spec.rho, *scores, math.nan,
                 np.std(centered(exact_plain[i] - z_bar[i], p)),
                 np.std(c_hat[i] - ct.c[i]),
                 np.std(centered(z_prime[i] - z_bar[i], p))))

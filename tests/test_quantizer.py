@@ -108,6 +108,12 @@ def test_hard_quantize_rejects_nonfinite():
         hard_quantize(np.array([np.inf]), QuantizerConfig(16, 4))
 
 
+@pytest.mark.parametrize("sigma_q", [0.0, -5.0])
+def test_soft_quantize_jacobian_rejects_non_positive_sharpness(sigma_q):
+    with pytest.raises(ValueError, match="sigma_q must be positive"):
+        soft_quantize_jacobian(np.array([1.0, 2.0]), QuantizerConfig(16, 4), sigma_q)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=32))
 def test_hard_quantize_idempotent(values):

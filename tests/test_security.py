@@ -228,7 +228,7 @@ def test_trained_classifier_honest_near_zero():
     "trained_classifier",
     pytest.param("marginal_chisq", marks=pytest.mark.xfail(
         strict=True, reason="blind by construction: shifting residues does not "
-        "change how uniform they look (ROADMAP item 1)")),
+        "change how uniform they look (ROADMAP item 2)")),
 ])
 def test_honest_distinguisher_breaks_a_weak_lattice(name):
     cfg = GameConfig(trials=400, params=WEAK_LWE, seed=0, distinguisher=name)
