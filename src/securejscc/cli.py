@@ -141,8 +141,7 @@ def _cmd_train(args) -> int:
     ctx = training.TrainContext(
         spec=cfg.codec, keys=keys, qcfg=qcfg, cons=cons,
         snr_db=tr.snr_train_db, sigma_l=cfg.sigma_l,
-        error_seed=cfg.seeds.error, channel_seed=cfg.seeds.channel,
-        loss=tr.loss)
+        error_seed=cfg.seeds.error, channel_seed=cfg.seeds.channel)
     val_error, val_channel = cfg.seeds.validation().values()
     eval_ctx = replace(ctx, error_seed=val_error, channel_seed=val_channel)
     state = training.init_train_state(cfg.codec, tr.init_seed, tr.learning_rate)

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import metrics
-
 CODEC_KINDS = ("identity", "mlp")
 
 ADAM_LR = 1e-4
@@ -185,45 +183,12 @@ def decode_backward(grad_x: np.ndarray, spec: CodecSpec, params: dict,
     return grads, g_in / spec.latent_scale
 
 
-# -- losses ------------------------------------------------------------------
-
-
 def mse_loss(x: np.ndarray, x_hat: np.ndarray) -> tuple[float, np.ndarray]:
+    """The training objective: mean squared error over the batch, and its
+    gradient in ``x_hat``."""
     diff = x_hat - x
     loss = float(np.mean(diff ** 2))
     return loss, 2.0 * diff / diff.size
-
-
-def ssim_loss(x: np.ndarray, x_hat: np.ndarray) -> tuple[float, np.ndarray]:
-    """1 - SSIM over the batch (global statistics per image), with gradient.
-
-    Each row of ``x`` is treated as one single-channel image. sigma is
-    floored at a tiny epsilon so the derivative stays finite on constant
-    reconstructions.
-    """
-    n = x.shape[1]
-    mu_a, mu_b = x.mean(axis=1), x_hat.mean(axis=1)
-    sd_a = np.maximum(x.std(axis=1), 1e-12)
-    sd_b = np.maximum(x_hat.std(axis=1), 1e-12)
-    num_l, den_l = 2 * mu_a * mu_b + metrics.C1, mu_a ** 2 + mu_b ** 2 + metrics.C1
-    num_c, den_c = 2 * sd_a * sd_b + metrics.C2, sd_a ** 2 + sd_b ** 2 + metrics.C2
-    lum, con = num_l / den_l, num_c / den_c
-    dl_dmu = (2 * mu_a * den_l - num_l * 2 * mu_b) / den_l ** 2
-    dc_dsd = (2 * sd_a * den_c - num_c * 2 * sd_b) / den_c ** 2
-    dssim = ((con * dl_dmu / n)[:, None]
-             + (lum * dc_dsd)[:, None] * (x_hat - mu_b[:, None]) / (n * sd_b)[:, None])
-    batch = x.shape[0]
-    return float(np.sum(1.0 - lum * con)) / batch, -dssim / batch
-
-
-LOSSES = {"mse": mse_loss, "ssim": ssim_loss}
-
-
-def loss_named(name: str):
-    """The loss function ``LOSSES[name]``; a ValueError for any other name."""
-    if name not in LOSSES:
-        raise ValueError(f"unknown loss {name!r}, expected one of {sorted(LOSSES)}")
-    return LOSSES[name]
 
 
 # -- optimizer ---------------------------------------------------------------

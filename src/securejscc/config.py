@@ -24,7 +24,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .codec import ADAM_LR, CodecSpec, loss_named, param_shapes
+from .codec import ADAM_LR, CodecSpec, param_shapes
 from .datasets import DatasetSpec
 from .lwe import KeyPair, LweParams, PublicKey, keygen
 from .modem import MAX_CONSTELLATION, SIGMA_L_DEFAULT, Db
@@ -62,14 +62,12 @@ class TrainingSettings:
     max_steps: int = 5000
     batch_size: int = 8
     learning_rate: float = ADAM_LR
-    loss: str = "mse"
     snr_train_db: Db = 10.0
     val_fraction: float = 0.2
     shuffle_seed: int = 11
     init_seed: int = 12
 
     def __post_init__(self):
-        loss_named(self.loss)  # an unknown loss fails here, not at the first step
         for name in ("max_steps", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"training.{name} must be at least 1, "
@@ -102,11 +100,15 @@ class PipelineConfig:
             raise ValueError(f"sigma_l must be positive, got {self.sigma_l}")
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must name at least one SNR")
+        self.check_seeds()
+
+    def check_seeds(self, more: dict[str, int] | None = None) -> None:
+        """A ValueError naming two seeds equal mod 2**64: the config's, then ``more``."""
         seeds = {f"seeds.{name}": seed for name, seed in asdict(self.seeds).items()} | {
             f"training.{name}": getattr(self.training, name)
             for name in ("shuffle_seed", "init_seed")} | self.seeds.validation()
         named: dict[int, str] = {}
-        for name, seed in seeds.items():
+        for name, seed in (seeds | (more or {})).items():
             if (other := named.setdefault(seed_word(seed), name)) != name:
                 raise ValueError(f"config keys '{other}' and '{name}' are equal mod "
                                  f"2**64, so they would draw the same random streams")
@@ -219,7 +221,8 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     if "game" in raw:  # every command checks the sections it finds
         game_config_from_dict(raw["game"], cfg.n_levels)
     if "attack" in raw:  # at any pair count: dataset.count is the attack loader's check
-        _build(AttackConfig, raw["attack"], "attack.", dataset=dataset, pairs=sys.maxsize)
+        cfg.check_seeds({"attack.seed": _build(AttackConfig, raw["attack"], "attack.",
+                                               dataset=dataset, pairs=sys.maxsize).seed})
     return cfg
 
 
@@ -255,7 +258,9 @@ def load_attack_config(path: str | Path) -> tuple[PipelineConfig, AttackConfig]:
     """A config file and its ``attack`` section."""
     def build(raw):
         cfg = config_from_dict(raw)
-        return cfg, attack_config_from_dict(raw.get("attack", {}), cfg.dataset)
+        attack = attack_config_from_dict(raw.get("attack", {}), cfg.dataset)
+        cfg.check_seeds({"attack.seed": attack.seed})  # the section's, or the default
+        return cfg, attack
     return _load(path, build)
 
 

@@ -65,6 +65,12 @@ class LweParams:
         tail = SAMPLER_TAIL_SIGMAS * self.sigma_s / math.sqrt(2.0 * math.pi)
         return math.ceil(min(tail, float(EXACT_FLOAT_LIMIT)))
 
+    def check_moduli(self, **moduli: int) -> None:
+        """A ValueError naming both if any of ``moduli`` (by owner) is not ``p``."""
+        for name, q in moduli.items():
+            if q != self.p:
+                raise ValueError(f"{name} modulus {q} is not the key modulus {self.p}")
+
 
 @dataclass(frozen=True)
 class PublicKey:

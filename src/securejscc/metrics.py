@@ -33,7 +33,7 @@ def _check_pair(x: np.ndarray, x_hat: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def mse(x: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
     """Mean squared per-element difference."""
     a, b = _check_pair(x, x_hat)
-    return ((a - b) ** 2).reshape(len(a), -1).mean(axis=1)
+    return ((a - b) ** 2).reshape(len(a), math.prod(a.shape[1:])).mean(axis=1)
 
 
 def psnr(x: np.ndarray, x_hat: np.ndarray) -> np.ndarray:

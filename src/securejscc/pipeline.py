@@ -90,6 +90,7 @@ def sweep(images: list[np.ndarray], spec: codec.CodecSpec, params: dict,
     """
     if not snr_grid_db:
         raise ValueError("SNR grid must be non-empty")
+    keys.params.check_moduli(quantizer=qcfg.p, constellation=len(cons.points))
     n, n_snr = len(images), len(snr_grid_db)
     table = np.recarray(n * n_snr, dtype=SWEEP_DTYPE)
     if not images:

@@ -373,6 +373,7 @@ def run_cpa_attack(cfg: AttackConfig, spec: codec.CodecSpec, codec_params: dict,
     """
     _require_public(public_key)
     params = public_key.params
+    params.check_moduli(quantizer=qcfg.p)
     rng = stream(cfg.seed)
     data_seed = spawn_seed(rng)
     error_seed = spawn_seed(rng)

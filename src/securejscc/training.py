@@ -43,7 +43,10 @@ class TrainContext:
     sigma_l: float
     error_seed: int
     channel_seed: int
-    loss: str = "mse"  # a key of codec.LOSSES
+
+    def __post_init__(self):
+        self.keys.params.check_moduli(quantizer=self.qcfg.p,
+                                      constellation=len(self.cons.points))
 
 
 @dataclass
@@ -76,7 +79,7 @@ def _forward(batch: np.ndarray, params: dict, ctx: TrainContext, latent_map):
     x = np.asarray(batch, dtype=np.float64)
     z, enc_cache = codec.encode(x, ctx.spec, params)
     x_hat, dec_cache = codec.decode(latent_map(z), ctx.spec, params)
-    loss, grad_x = codec.loss_named(ctx.loss)(x, x_hat)
+    loss, grad_x = codec.mse_loss(x, x_hat)
     return loss, (grad_x, z, enc_cache, dec_cache)
 
 

@@ -3,11 +3,10 @@ import re
 import numpy as np
 import pytest
 
-from securejscc import metrics
 from securejscc.codec import (AdamState, CodecSpec, adam_step, decode,
                               decode_backward, dense_backward, dense_forward,
                               dense_init, encode, encode_backward, init_params,
-                              mse_loss, param_shapes, ssim_loss)
+                              mse_loss, param_shapes)
 from securejscc.config import load_codec, save_codec
 from securejscc.quantizer import QuantizerConfig, hard_quantize
 from securejscc.rng import stream
@@ -182,59 +181,6 @@ def test_mlp_codec_end_to_end_gradcheck(hidden_sizes):
     for name in params:
         num = numerical_grad(loss_value, params, name)
         assert np.allclose(grads[name], num, rtol=1e-4, atol=1e-7), name
-
-
-def test_ssim_loss_gradcheck():
-    rng = stream(8)
-    x = rng.uniform(0, 255, (2, 16))
-    x_hat = rng.uniform(0, 255, (2, 16))
-    loss, grad = ssim_loss(x, x_hat)
-    h = 1e-5
-    for i in (0, 5, 12):
-        for b in (0, 1):
-            x_hat[b, i] += h
-            up = ssim_loss(x, x_hat)[0]
-            x_hat[b, i] -= 2 * h
-            down = ssim_loss(x, x_hat)[0]
-            x_hat[b, i] += h
-            assert np.isclose(grad[b, i], (up - down) / (2 * h),
-                              rtol=1e-4, atol=1e-10)
-
-
-def looped_ssim_loss(x, x_hat):
-    """:func:`ssim_loss` one image at a time: the oracle for its batched form."""
-    n = x.shape[1]
-    grad = np.zeros_like(x_hat)
-    total = 0.0
-    for i in range(x.shape[0]):
-        a, b = x[i], x_hat[i]
-        mu_a, mu_b = a.mean(), b.mean()
-        sd_a = max(a.std(), 1e-12)
-        sd_b = max(b.std(), 1e-12)
-        num_l, den_l = 2 * mu_a * mu_b + metrics.C1, mu_a ** 2 + mu_b ** 2 + metrics.C1
-        num_c, den_c = 2 * sd_a * sd_b + metrics.C2, sd_a ** 2 + sd_b ** 2 + metrics.C2
-        lum, con = num_l / den_l, num_c / den_c
-        total += 1.0 - lum * con
-        dl_dmu = (2 * mu_a * den_l - num_l * 2 * mu_b) / den_l ** 2
-        dc_dsd = (2 * sd_a * den_c - num_c * 2 * sd_b) / den_c ** 2
-        dssim = con * dl_dmu / n + lum * dc_dsd * (b - mu_b) / (n * sd_b)
-        grad[i] = -dssim
-    batch = x.shape[0]
-    return total / batch, grad / batch
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_batched_ssim_loss_equals_per_image_loop(seed):
-    rng = stream(10, seed)
-    batch, n = rng.integers(2, 9), rng.integers(2, 40)
-    x = rng.uniform(0, 255, (batch, n))
-    x_hat = rng.uniform(0, 255, (batch, n))
-    x_hat[0] = rng.uniform(0, 255)  # a constant reconstruction: sigma at its floor
-    x_hat[-1] = x[-1] + rng.normal(0.0, 1e-3, n)  # near perfect: terms cancel
-    loss, grad = ssim_loss(x, x_hat)
-    want_loss, want_grad = looped_ssim_loss(x, x_hat)
-    assert np.isclose(loss, want_loss, rtol=1e-10, atol=0)
-    np.testing.assert_allclose(grad, want_grad, rtol=1e-10, atol=0)
 
 
 # -- optimizer ---------------------------------------------------------------

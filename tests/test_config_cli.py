@@ -54,6 +54,8 @@ def test_defaults_mirror_reference_operating_point():
     ({"codec": {"kind": "mlp", "input_shape": [4, 4, 1]}}, "codec.input_shape"),
     ({"codec": {"kind": "identity", "latent_scale": 1000.0}}, "codec.latent_scale"),
     ({"game": {"n_levels": 16}}, "game.n_levels"),
+    # a removed setting: codec.mse_loss is the one training objective
+    ({"training": {"loss": "mse"}}, "training.loss"),
 ])
 def test_unknown_key_rejected_at_load(raw, key):
     with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
@@ -178,6 +180,9 @@ def test_cli_keygen_and_key_files(tmp_path):
      "config keys 'seeds.error' and 'seeds.channel' are equal mod 2**64"),
     ({"seeds": {"data": -1}, "training": {"init_seed": 2 ** 64 - 1}},
      "config keys 'seeds.data' and 'training.init_seed' are equal mod 2**64"),
+    # the attack's trial seeds come from attack.seed's stream, keygen's S from seeds.key's
+    ({"seeds": {"key": 7}, "attack": {"seed": 7}},
+     "config keys 'seeds.key' and 'attack.seed' are equal mod 2**64"),
 ])
 def test_cli_keygen_bad_config_exits_2(tmp_path, capsys, over, message):
     code = main(["keygen", "--config", str(make_config_file(tmp_path, **over)),
@@ -295,12 +300,25 @@ def test_cli_transmit_key_file_missing_field_exits_2(tmp_path, capsys):
 def test_cli_attack_with_sabotage_control(tmp_path, capsys):
     cfg_path = make_config_file(
         tmp_path, dataset=images(400),
-        attack={"adversary": "linear", "epochs": 5, "seed": 1})
+        attack={"adversary": "linear", "epochs": 5, "seed": 6})
     out = tmp_path / "attack.csv"
     assert main(["attack", "--config", str(cfg_path), "--out", str(out),
                  "--sabotage-control"]) == 0
     text = out.read_text().strip().split("\n")
     assert len(text) == 3  # header + fresh + sabotage rows
+
+
+def test_cli_attack_checks_the_default_attack_seed(tmp_path, capsys):
+    # with no attack section the attack plays seed 0: a config seed of 0
+    # would key the same stream, though every other command may run it
+    cfg_path = make_config_file(
+        tmp_path, dataset=images(40), seeds={"key": 1, "lattice": 2, "data": 0})
+    assert main(["attack", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and (
+        "config keys 'seeds.data' and 'attack.seed' are equal mod 2**64") in err
+    assert main(["sweep", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "a.csv")]) == 0
 
 
 def test_cli_failed_sabotage_control_exits_1(tmp_path, capsys, monkeypatch):
@@ -380,6 +398,22 @@ MLP_TRAINING = dict(
     dataset={"kind": "blob", "count": 20, "height": 4, "width": 4, "channels": 1},
     codec={"kind": "mlp", "hidden_sizes": [12]},
     training={"max_steps": 30, "batch_size": 5, "snr_train_db": 10.0})
+
+
+def test_cli_codec_params_round_trip(tmp_path):
+    # a trained codec file drives the sweep and transmit commands
+    cfg_path = make_config_file(tmp_path, **{**MLP_TRAINING, "training": {
+        **MLP_TRAINING["training"], "max_steps": 4}})
+    codec_path = tmp_path / "codec.json"
+    pub, sec = tmp_path / "pub.json", tmp_path / "sec.json"
+    assert main(["train", "--config", str(cfg_path), "--out", str(codec_path)]) == 0
+    assert main(["keygen", "--config", str(cfg_path), "--out", str(pub), str(sec)]) == 0
+    with_params = ["--config", str(cfg_path), "--codec-params", str(codec_path)]
+    for name in ("a.csv", "b.csv"):
+        assert main(["sweep", *with_params, "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert main(["transmit", *with_params, "--keys", str(sec), "--in", "synthetic",
+                 "--out", str(tmp_path / "t.csv")]) == 0
 
 
 def test_cli_train_validation_streams_disjoint_from_training(tmp_path, monkeypatch):

@@ -138,7 +138,7 @@ def test_mlp_config_needs_codec_params(files, tmp_path, capsys):
 
 
 def test_load_time_checks():
-    with pytest.raises(ValueError, match="unknown loss 'l1'"):
+    with pytest.raises(ValueError, match="unknown config key 'training.loss'"):
         config_from_dict({"training": {"loss": "l1"}})
     # a float field given a JSON integer holds a float
     assert type(config_from_dict({"lwe": {"sigma_s": 2}}).lwe.sigma_s) is float
@@ -228,7 +228,7 @@ def _file_blobs():
 FILES = _file_blobs()
 DICT_LOADERS = {
     "config": (config_from_dict, {**CONFIG, "n_levels": 16, "sigma_l": 5.0,
-                                  "training": {"loss": "mse", "snr_train_db": 10.0}}),
+                                  "training": {"snr_train_db": 10.0}}),
     # the game plays the run's n_levels
     "game": (lambda raw: game_config_from_dict(raw["game"],
                                                config_from_dict(raw).n_levels),

@@ -276,3 +276,10 @@ def test_msssim_scales_out_of_range(scales):
     x = np.zeros((1, 64, 64, 1))
     with pytest.raises(ValueError, match=r"scales must be in \[1, 5\]"):
         ms_ssim(x, x, scales=scales)
+
+
+@pytest.mark.parametrize("metric", [mse, psnr, ssim, ms_ssim])
+def test_metrics_of_an_empty_stack_are_empty(metric):
+    x = np.zeros((0, 16, 16, 3))
+    values = metric(x, x)
+    assert values.dtype == np.float64 and values.shape == (0,)

@@ -151,6 +151,22 @@ def test_empty_grid_rejected(setup):
         sweep(images, SPEC, {}, keys, qcfg, cons, [], 5.0, 3, 4)
 
 
+@pytest.mark.parametrize("qcfg, cons, message", [
+    (QuantizerConfig(251, 16), None, "quantizer modulus 251 is not the key modulus 4093"),
+    (None, build_constellation(4096, 1.0),
+     "constellation modulus 4096 is not the key modulus 4093"),
+    (None, build_constellation(251, 1.0),
+     "constellation modulus 251 is not the key modulus 4093"),
+])
+def test_sweep_rejects_another_modulus(setup, qcfg, cons, message):
+    # a 251-point constellation would fail deep in modulate, the other two
+    # would run: each is named before any message is sent
+    keys, key_qcfg, key_cons, images = setup
+    with pytest.raises(ValueError, match=message):
+        sweep(images, SPEC, {}, keys, qcfg or key_qcfg, cons or key_cons, [10.0],
+              5.0, 3, 4)
+
+
 def test_noise_accounting_additive(setup):
     # compound variance splits into crypto + demodulation contributions
     keys, qcfg, cons, images = setup

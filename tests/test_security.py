@@ -275,6 +275,13 @@ def test_attack_rejects_secret_material(attack_setup):
         run_cpa_attack(make_attack_cfg(), ATTACK_SPEC, {}, keys, qcfg)
 
 
+def test_attack_rejects_a_quantizer_for_another_modulus(attack_setup):
+    pk, _, _ = attack_setup
+    with pytest.raises(ValueError,
+                       match="quantizer modulus 251 is not the key modulus 4093"):
+        run_cpa_attack(make_attack_cfg(), ATTACK_SPEC, {}, pk, QuantizerConfig(251, 16))
+
+
 def test_fresh_errors_defeat_linear_adversary(attack_setup):
     pk, qcfg, _ = attack_setup
     report = run_cpa_attack(make_attack_cfg(), ATTACK_SPEC, {}, pk, qcfg)

@@ -43,13 +43,13 @@ def soft_surrogate_loss(batch, params, ctx, sigma_q):
     return soft_surrogate_gradients(batch, params, ctx, sigma_q)[0]
 
 
-def make_ctx(spec, snr_db=10.0, error_seed=3, channel_seed=4, loss="mse"):
+def make_ctx(spec, snr_db=10.0, error_seed=3, channel_seed=4):
     keys = keygen(TOY_LWE, 101, 102)
     return TrainContext(spec=spec, keys=keys,
                         qcfg=QuantizerConfig(TOY_LWE.p, 16),
                         cons=build_constellation(TOY_LWE.p, 1.0),
                         snr_db=snr_db, sigma_l=5.0, error_seed=error_seed,
-                        channel_seed=channel_seed, loss=loss)
+                        channel_seed=channel_seed)
 
 
 def toy_batch(n=4, seed=5):
@@ -135,11 +135,15 @@ def test_nonfinite_loss_aborts_with_diagnostic():
         compute_gradients(toy_batch(), state, ctx)
 
 
-def test_unknown_loss_raises_value_error():
-    ctx = make_ctx(MLP_SPEC, loss="l1")
-    state = init_train_state(MLP_SPEC, seed=7)
-    with pytest.raises(ValueError, match="unknown loss 'l1'"):
-        compute_gradients(toy_batch(), state, ctx)
+@pytest.mark.parametrize("over, message", [
+    ({"qcfg": QuantizerConfig(4093, 16)},
+     "quantizer modulus 4093 is not the key modulus 251"),
+    ({"cons": build_constellation(256, 1.0)},
+     "constellation modulus 256 is not the key modulus 251"),
+])
+def test_train_context_rejects_another_modulus(over, message):
+    with pytest.raises(ValueError, match=message):
+        replace(make_ctx(MLP_SPEC), **over)
 
 
 def test_training_step_decrypts_once(monkeypatch):
