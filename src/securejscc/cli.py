@@ -133,6 +133,7 @@ def _cmd_train(args) -> int:
     if n_val >= cfg.dataset.count:
         raise ValueError(f"training.val_fraction = {tr.val_fraction} of dataset.count "
                          f"= {cfg.dataset.count} images leaves none to train on")
+    state = training.init_train_state(cfg.codec, tr.init_seed, tr.learning_rate)
     keys = keygen(cfg.lwe, cfg.seeds.key, cfg.seeds.lattice)
     images = synthesize_dataset(cfg.dataset, cfg.seeds.data)
     train_images, val_images = images[:-n_val], images[-n_val:]
@@ -144,7 +145,6 @@ def _cmd_train(args) -> int:
         error_seed=cfg.seeds.error, channel_seed=cfg.seeds.channel)
     val_error, val_channel = cfg.seeds.validation().values()
     eval_ctx = replace(ctx, error_seed=val_error, channel_seed=val_channel)
-    state = training.init_train_state(cfg.codec, tr.init_seed, tr.learning_rate)
     result = training.train_codec(
         train_images, val_images, ctx, state, max_steps=tr.max_steps,
         batch_size=tr.batch_size, shuffle_seed=tr.shuffle_seed, eval_ctx=eval_ctx)

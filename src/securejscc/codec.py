@@ -1,10 +1,10 @@
 """Source codecs and their hand-rolled gradients.
 
-Two codec kinds share one interface. ``identity`` rescales pixels into
-the modulus range and back; ``mlp`` stacks up to three dense layers (tanh
-between them) with a bounded output squash so the encoder always emits
-values inside ``[0, latent_scale)``. An ``mlp`` with no hidden layer is the
-one-layer codec.
+Two codec kinds share one forward interface. ``identity`` rescales pixels
+into the modulus range and back. ``mlp`` is a dense stack of any depth
+(tanh between layers; no hidden layer gives the one-layer codec) whose
+output squash keeps the encoder's values inside ``[0, latent_scale)``.
+Only the ``mlp`` has parameters, so only it has a backward pass and trains.
 
 Gradients are written out explicitly rather than taken from an autodiff
 framework: the training loop needs to route them around a
@@ -44,8 +44,6 @@ class CodecSpec:
         if self.kind == "identity" and (self.k, self.hidden_sizes) != (self.n_pixels, ()):
             raise ValueError(f"identity codec needs k == H*W*C ({self.n_pixels}) and no "
                              f"hidden_sizes, got {self.k} and {self.hidden_sizes}")
-        if self.kind == "mlp" and len(self.hidden_sizes) > 2:
-            raise ValueError("mlp codec supports at most two hidden layers")
         if not self.latent_scale > 0:
             raise ValueError(f"latent_scale must be positive, got {self.latent_scale}")
 
@@ -157,8 +155,6 @@ def encode(x: np.ndarray, spec: CodecSpec, params: dict) -> tuple[np.ndarray, tu
 
 def encode_backward(grad_z: np.ndarray, spec: CodecSpec, params: dict,
                     cache: tuple) -> dict:
-    if spec.kind == "identity":
-        return {}
     return _squashed_backward(params, cache, grad_z)[0]
 
 
@@ -168,17 +164,13 @@ def decode(z_hat: np.ndarray, spec: CodecSpec, params: dict) -> tuple[np.ndarray
     if z_hat.ndim != 2 or z_hat.shape[1] != spec.k:
         raise ValueError(f"expected (B, {spec.k}) latent rows, got shape {z_hat.shape}")
     if spec.kind == "identity":
-        raw = z_hat / spec.latent_scale
-        return np.clip(raw, 0.0, 255.0), (raw,)
+        return np.clip(z_hat / spec.latent_scale, 0.0, 255.0), ()
     return _squashed_forward(params, "dec", z_hat / spec.latent_scale, 255.0)
 
 
 def decode_backward(grad_x: np.ndarray, spec: CodecSpec, params: dict,
                     cache: tuple) -> tuple[dict, np.ndarray]:
     """Gradients of the decoder parameters and of its latent input."""
-    if spec.kind == "identity":
-        mask = (cache[0] > 0.0) & (cache[0] < 255.0)
-        return {}, grad_x * mask / spec.latent_scale
     grads, g_in = _squashed_backward(params, cache, grad_x)
     return grads, g_in / spec.latent_scale
 

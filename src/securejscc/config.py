@@ -27,7 +27,7 @@ import numpy as np
 from .codec import ADAM_LR, CodecSpec, param_shapes
 from .datasets import DatasetSpec
 from .lwe import KeyPair, LweParams, PublicKey, keygen
-from .modem import MAX_CONSTELLATION, SIGMA_L_DEFAULT, Db
+from .modem import MAX_CONSTELLATION, SIGMA_L_DEFAULT, Db, noise_variance
 from .quantizer import check_levels
 from .rng import seed_word
 from .security import AttackConfig, GameConfig
@@ -78,6 +78,7 @@ class TrainingSettings:
         if not 0 < self.val_fraction < 1:
             raise ValueError(f"training.val_fraction must lie in (0, 1), "
                              f"got {self.val_fraction}")
+        noise_variance(self.snr_train_db, 1.0, "config key 'training.snr_train_db'")
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,8 @@ class PipelineConfig:
             raise ValueError(f"sigma_l must be positive, got {self.sigma_l}")
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must name at least one SNR")
+        for i, snr_db in enumerate(self.snr_grid_db):
+            noise_variance(snr_db, 1.0, f"config key 'snr_grid_db[{i}]'")
         self.check_seeds()
 
     def check_seeds(self, more: dict[str, int] | None = None) -> None:

@@ -45,13 +45,19 @@ class Constellation:
 Db = NewType("Db", float)
 
 
-def noise_variance(snr_db: Db, avg_power: float) -> float:
-    """Complex AWGN variance per symbol at ``snr_db``; +inf dB gives 0."""
+def noise_variance(snr_db: Db, avg_power: float, what: str = "SNR") -> float:
+    """Complex AWGN variance per symbol at ``snr_db``; +inf dB gives 0. Any
+    other SNR must give a positive normal float64; a ValueError names ``what``."""
     if snr_db == math.inf:
         return 0.0
-    if not math.isfinite(snr_db):
-        raise ValueError(f"SNR must be finite or +inf dB, got {snr_db}")
-    return avg_power * 10.0 ** (-snr_db / 10.0)
+    try:
+        sigma2 = avg_power * 10.0 ** (-snr_db / 10.0)
+    except OverflowError:  # rejected below, as nan and -inf dB are
+        sigma2 = math.inf
+    if not np.finfo(float).smallest_normal <= sigma2 < math.inf:
+        raise ValueError(f"{what} must be finite or +inf dB with a noise variance "
+                         f"in float64's normal range, got {snr_db} dB")
+    return sigma2
 
 
 def build_constellation(p: int, target_power: float = 1.0) -> Constellation:
@@ -187,6 +193,8 @@ def soft_demodulate(y_hat: np.ndarray, cons: Constellation, sigma2: float,
     m = len(levels)
     spacing = levels[1] - levels[0]
     c = sigma_l / (math.pi * sigma2)
+    if not math.isfinite(c):
+        raise ValueError(f"sigma_l / (pi sigma2) overflows: {sigma_l} / (pi * {sigma2})")
     out = np.empty(y.shape)
     with np.errstate(over="ignore"):  # far-off symbols: scores underflow to 0
         width = np.full(y.shape, m)

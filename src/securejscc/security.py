@@ -26,7 +26,7 @@ from .datasets import DatasetSpec, synthesize_dataset
 from .lwe import (ErrorTriple, LweParams, PublicKey, _gaussian_rows, centered,
                   derive_error_rows, encrypt, error_rows, keygen_stack,
                   lattice_product)
-from .modem import SIGMA_L_DEFAULT, Db, build_constellation, receive
+from .modem import SIGMA_L_DEFAULT, Db, build_constellation, noise_variance, receive
 from .quantizer import QuantizerConfig, build_centroids, check_levels, hard_quantize
 from .rng import bounded, halves, raw_words, spawn_seed, stream, streams
 
@@ -275,6 +275,7 @@ class AttackConfig:
                              f"got {self.test_fraction}")
         if self.n_test >= self.pairs:
             raise ValueError("test fraction leaves no training pairs")
+        noise_variance(self.snr_e_db, 1.0, "config key 'attack.snr_e_db'")
 
     @property
     def n_test(self) -> int:

@@ -60,6 +60,8 @@ class TrainState:
 
 def init_train_state(spec: codec.CodecSpec, seed: int,
                      learning_rate: float = codec.ADAM_LR) -> TrainState:
+    if not codec.param_shapes(spec):
+        raise ValueError(f"the {spec.kind} codec has no parameters to train")
     return TrainState(params=codec.init_params(spec, stream(seed)),
                       learning_rate=learning_rate)
 
@@ -97,10 +99,10 @@ def _gradients(batch: np.ndarray, params: dict, ctx: TrainContext,
     return loss, grads
 
 
-def compute_gradients(batch: np.ndarray, state: TrainState,
-                      ctx: TrainContext) -> tuple[float, dict]:
-    """Loss and parameter gradients for one batch of flattened images, with
-    the soft quantizer's sharpness at ``state.step``."""
+def train_step(batch: np.ndarray, state: TrainState, ctx: TrainContext) -> float:
+    """One optimizer update of ``state`` in place, with the soft quantizer's
+    sharpness at ``state.step``: its parameters, optimizer moments, step and
+    message counters advance. Returns the batch loss."""
     sigma_q = anneal_sigma_q(state.step)
     loss, grads = _gradients(batch, state.params, ctx, sigma_q,
                              _through_chain(ctx, state.messages_sent))
@@ -108,13 +110,6 @@ def compute_gradients(batch: np.ndarray, state: TrainState,
         raise RuntimeError(
             f"non-finite loss at step {state.step} "
             f"(sigma_q={sigma_q}, snr_db={ctx.snr_db})")
-    return loss, grads
-
-
-def train_step(batch: np.ndarray, state: TrainState, ctx: TrainContext) -> float:
-    """One optimizer update of ``state`` in place: its parameters, optimizer
-    moments, step and message counters advance. Returns the batch loss."""
-    loss, grads = compute_gradients(batch, state, ctx)
     state.step += 1
     state.params = codec.adam_step(state.params, grads, state.opt, state.step,
                                    lr=state.learning_rate)

@@ -25,9 +25,6 @@ def test_spec_validation():
                   hidden_sizes=(8,))
     with pytest.raises(ValueError):
         CodecSpec(kind="conv", input_shape=(4, 4, 1), k=8, latent_scale=1.0)
-    with pytest.raises(ValueError):
-        CodecSpec(kind="mlp", input_shape=(4, 4, 1), k=8, latent_scale=1.0,
-                  hidden_sizes=(8, 8, 8))
 
 
 @pytest.mark.parametrize("shape, k, hidden", [((0, 4, 1), 8, ()), ((4, -4, 1), 8, ()),
@@ -158,8 +155,8 @@ def test_dense_stack_gradcheck():
         assert np.allclose(grads[name], num, rtol=1e-5, atol=1e-8), name
 
 
-@pytest.mark.parametrize("hidden_sizes", [(), (6,), (6, 4)],
-                         ids=["no_hidden", "one_hidden", "two_hidden"])
+@pytest.mark.parametrize("hidden_sizes", [(), (6,), (6, 4), (6, 5, 4)],
+                         ids=["no_hidden", "one_hidden", "two_hidden", "three_hidden"])
 def test_mlp_codec_end_to_end_gradcheck(hidden_sizes):
     # the stack depth is read from the parameters: check every depth
     spec = CodecSpec(kind="mlp", input_shape=(3, 3, 1), k=4,

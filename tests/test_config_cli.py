@@ -466,6 +466,8 @@ def test_cli_train_validation_streams_disjoint_from_training(tmp_path, monkeypat
      "training.learning_rate must be positive, got 0.0"),
     ({"training": {"learning_rate": -1e-3}},
      "training.learning_rate must be positive, got -0.001"),
+    ({"training": {"snr_train_db": -4000}},
+     "config key 'training.snr_train_db' must be finite or +inf dB"),
 ])
 def test_cli_unworkable_settings_exit_2(tmp_path, capsys, over, message):
     cfg_path = make_config_file(tmp_path, **{**MLP_TRAINING, **over})
@@ -494,6 +496,36 @@ def test_cli_train_validation_seed_clash_fails_before_keygen(tmp_path, capsys,
                  "--out", str(tmp_path / "codec.json")]) == 2
     err = capsys.readouterr().err
     assert f"config keys {keys} are equal mod 2**64" in err and err.count("\n") == 1
+    assert calls == [] and not (tmp_path / "codec.json").exists()
+
+
+@pytest.mark.parametrize("snr_db", [-4000, 3100, 3300])
+def test_cli_sweep_snr_beyond_float64_fails_before_keygen(tmp_path, capsys, monkeypatch,
+                                                          snr_db):
+    # the noise variance overflows, is subnormal, or underflows to 0 (which
+    # would send the row down the noiseless path)
+    from securejscc import cli
+    calls = []
+    monkeypatch.setattr(cli, "keygen", lambda *args: calls.append(args))
+    cfg_path = make_config_file(tmp_path, snr_grid_db=[5.0, snr_db])
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "a.csv")]) == 2
+    err = capsys.readouterr().err
+    assert (f"config key 'snr_grid_db[1]' must be finite or +inf dB with a noise variance "
+            f"in float64's normal range, got {float(snr_db)} dB") in err
+    assert err.count("\n") == 1
+    assert calls == [] and not (tmp_path / "a.csv").exists()
+
+
+def test_cli_train_identity_codec_fails_before_keygen(tmp_path, capsys, monkeypatch):
+    # only a codec with parameters trains: the identity map has none
+    from securejscc import cli
+    calls = []
+    monkeypatch.setattr(cli, "keygen", lambda *args: calls.append(args))
+    cfg_path = make_config_file(tmp_path, **{**MLP_TRAINING, "codec": {"kind": "identity"}})
+    assert main(["train", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "codec.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == "securejscc train: the identity codec has no parameters to train\n"
     assert calls == [] and not (tmp_path / "codec.json").exists()
 
 
@@ -564,6 +596,7 @@ def test_sweep_config_with_one_image_loads(tmp_path):
     ({"attack": {"test_fraction": 1.5}},
      "config key 'attack.test_fraction' must lie in (0, 1), got 1.5"),
     ({"attack": {"epochs": 0}}, "config key 'attack.epochs' must be at least 1, got 0"),
+    ({"attack": {"snr_e_db": 3300}}, "config key 'attack.snr_e_db' must be finite or +inf dB"),
 ])
 def test_cli_unworkable_attack_exits_2(tmp_path, capsys, attack, message):
     cfg_path = make_config_file(tmp_path, **attack)

@@ -172,12 +172,16 @@ def test_channel_model_sigma2():
     assert abs(noise_variance(10.0, 1.0) - 0.1) < 1e-12
     assert abs(noise_variance(0.0, 2.5) - 2.5) < 1e-12
     assert noise_variance(math.inf, 1.0) == 0.0
+    # the SNR range ends where the variance leaves float64's normal range
+    assert noise_variance(-3000.0, 1.0) == 1e300
+    assert noise_variance(3000.0, 1.0) == 10.0 ** -300
 
 
-@pytest.mark.parametrize("snr_db", [-math.inf, math.nan])
+@pytest.mark.parametrize("snr_db", [-math.inf, math.nan, -4000.0, 3100.0, 3300.0])
 def test_only_plus_infinity_is_noiseless(snr_db):
-    # -inf dB is the noisiest channel there is, not a noiseless one
-    with pytest.raises(ValueError, match="finite or \\+inf"):
+    # -inf dB is the noisiest channel there is, not a noiseless one; past
+    # float64's range the variance overflows, is subnormal or underflows to 0
+    with pytest.raises(ValueError, match=f"^SNR must be finite or \\+inf dB.*got {snr_db} dB"):
         noise_variance(snr_db, 1.0)
 
 
@@ -337,6 +341,9 @@ def test_soft_demodulate_rejects_bad_sigma():
         soft_demodulate(np.array([0j]), cons, 0.0, 5.0)
     with pytest.raises(ValueError):
         soft_demodulate(np.array([0j]), cons, 0.1, 0.0)
+    # a sharpness past float64 would turn the window widths into nan
+    with pytest.raises(ValueError, match=r"sigma_l / \(pi sigma2\) overflows"):
+        soft_demodulate(np.array([0j]), cons, 1e-300, 1e10)
 
 
 def test_soft_demodulate_rejects_nonfinite():

@@ -26,3 +26,23 @@ def test_workload_plays_one_round_of_each_kind(name):
     workload.finish(checks)
     assert checks.failures == []
     assert checks.attempted > 0
+
+
+TRACER_PY = WORKLOADS_PY.with_name("tracer.py")
+_tracer_spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PY)
+tracer = importlib.util.module_from_spec(_tracer_spec)
+_tracer_spec.loader.exec_module(tracer)
+
+
+def test_tracer_spans_name_library_functions():
+    # every span the benchmark wraps resolves in the library, bar the four
+    # whose functions are gone; a rename that strands another fails here
+    def resolves(module_name, attr):
+        owner = importlib.import_module(f"securejscc.{module_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        return callable(owner)
+    unresolved = {f"{module_name}.{attr}" for _, module_name, attr in tracer.TARGETS
+                  if not resolves(module_name, attr)}
+    assert unresolved == {"pipeline.transmit", "lwe.derive_errors", "lwe.decrypt_noisy",
+                          "lwe.sample_discrete_gaussian"}

@@ -12,18 +12,24 @@ from securejscc.modem import build_constellation
 from securejscc.quantizer import QuantizerConfig, anneal_sigma_q, hard_quantize
 from securejscc.rng import stream
 from securejscc.training import (PATIENCE, TrainContext, _gradients,
-                                 compute_gradients, evaluate, init_train_state,
+                                 _through_chain, evaluate, init_train_state,
                                  train_codec, train_step)
 from test_quantizer import soft_quantize
 
 TOY_LWE = LweParams(p=251, n1=16, n2=16, sigma_s=1.5, k=16)
 
 
+def chain_gradients(batch, state, ctx):
+    """Loss and gradients of :func:`train_step`, through the real chain."""
+    return _gradients(batch, state.params, ctx, anneal_sigma_q(state.step),
+                      _through_chain(ctx, state.messages_sent))
+
+
 def surrogate_gradients(batch, state, ctx):
     """Gradients with the crypto/channel segment replaced by the identity.
 
     Forward uses the hard-quantized latent directly; backward is identical
-    to :func:`compute_gradients`. With zero errors and a noiseless channel
+    to :func:`chain_gradients`. With zero errors and a noiseless channel
     the two agree exactly, which pins down the gradient-routing contract.
     """
     return _gradients(batch, state.params, ctx, anneal_sigma_q(state.step),
@@ -67,7 +73,7 @@ def test_gradient_skip_contract(zero_error_rows):
     ctx = make_ctx(MLP_SPEC, snr_db=math.inf)
     state = init_train_state(MLP_SPEC, seed=7)
     batch = toy_batch()
-    loss_a, grads_a = compute_gradients(batch, state, ctx)
+    loss_a, grads_a = chain_gradients(batch, state, ctx)
     loss_b, grads_b = surrogate_gradients(batch, state, ctx)
     assert np.isclose(loss_a, loss_b, rtol=1e-12)
     assert grads_a.keys() == grads_b.keys()
@@ -132,7 +138,15 @@ def test_nonfinite_loss_aborts_with_diagnostic():
     state = init_train_state(MLP_SPEC, seed=7)
     state.params["dec.b1"][:] = np.nan
     with pytest.raises(RuntimeError, match="non-finite loss at step"):
-        compute_gradients(toy_batch(), state, ctx)
+        train_step(toy_batch(), state, ctx)
+    # the failed step leaves the state as it was
+    assert (state.step, state.messages_sent, state.opt.m) == (0, 0, {})
+
+
+def test_identity_codec_has_nothing_to_train():
+    spec = CodecSpec(kind="identity", input_shape=(4, 4, 1), k=16, latent_scale=1.0)
+    with pytest.raises(ValueError, match="the identity codec has no parameters to train"):
+        init_train_state(spec, seed=7)
 
 
 @pytest.mark.parametrize("over, message", [
@@ -213,7 +227,7 @@ def test_forward_path_matches_evaluation_pipeline():
     ctx = make_ctx(MLP_SPEC)
     state = init_train_state(MLP_SPEC, seed=7)
     batch = toy_batch(3)
-    loss_train, _ = compute_gradients(batch, state, ctx)
+    loss_train, _ = chain_gradients(batch, state, ctx)
     assert state.messages_sent == 0  # evaluate sends messages 0 .. 2
     loss_eval = evaluate(batch, state.params, ctx)
     assert np.isclose(loss_train, loss_eval, rtol=1e-12)
