@@ -15,6 +15,7 @@ closed forms stay readable and bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -58,12 +59,9 @@ class CodecSpec:
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
-    out = np.empty_like(u)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    e = np.exp(u[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # -|u| is exactly -u or u: each side is its overflow-free form, bit for bit
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def dense_shapes(sizes: list[int], prefix: str) -> dict[str, tuple[int, ...]]:
@@ -153,8 +151,7 @@ def encode(x: np.ndarray, spec: CodecSpec, params: dict) -> tuple[np.ndarray, tu
     return _squashed_forward(params, "enc", x / 255.0, spec.latent_scale)
 
 
-def encode_backward(grad_z: np.ndarray, spec: CodecSpec, params: dict,
-                    cache: tuple) -> dict:
+def encode_backward(grad_z: np.ndarray, params: dict, cache: tuple) -> dict:
     return _squashed_backward(params, cache, grad_z)[0]
 
 
@@ -188,21 +185,31 @@ def mse_loss(x: np.ndarray, x_hat: np.ndarray) -> tuple[float, np.ndarray]:
 
 @dataclass
 class AdamState:
-    m: dict = field(default_factory=dict)
+    """Adam's moments: rows m and v of one buffer, made on the first step."""
+    m: dict = field(default_factory=dict)  # name -> view of its slice of row m
     v: dict = field(default_factory=dict)
+    moments: np.ndarray | None = None
 
 
 def adam_step(params: dict, grads: dict, opt: AdamState, step: int,
               lr: float = ADAM_LR) -> dict:
-    """One Adam update (step is 1-based); params are replaced, not mutated."""
-    out = {}
-    for name in sorted(params):
-        g = grads[name]
-        m = opt.m.get(name, 0.0) * ADAM_BETA1 + (1 - ADAM_BETA1) * g
-        v = opt.v.get(name, 0.0) * ADAM_BETA2 + (1 - ADAM_BETA2) * g * g
-        opt.m[name] = m
-        opt.v[name] = v
-        m_hat = m / (1 - ADAM_BETA1 ** step)
-        v_hat = v / (1 - ADAM_BETA2 ** step)
-        out[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return out
+    """One Adam update (step is 1-based) of the parameters as one vector in sorted
+    name order; params are replaced, not mutated: the new ones view a new vector."""
+    names = sorted(params)
+
+    def views(flat: np.ndarray) -> dict:
+        ends = accumulate(params[name].size for name in names)
+        return {name: flat[end - params[name].size:end].reshape(params[name].shape)
+                for name, end in zip(names, ends)}
+
+    g = np.concatenate([np.ravel(grads[name]) for name in names])
+    if opt.moments is None:
+        opt.moments = np.zeros((2, g.size))
+        opt.m, opt.v = (views(row) for row in opt.moments)
+    m, v = opt.moments
+    np.add(m * ADAM_BETA1, (1 - ADAM_BETA1) * g, out=m)
+    np.add(v * ADAM_BETA2, (1 - ADAM_BETA2) * g * g, out=v)
+    m_hat = m / (1 - ADAM_BETA1 ** step)
+    v_hat = v / (1 - ADAM_BETA2 ** step)
+    flat = np.concatenate([np.ravel(params[name]) for name in names])
+    return views(flat - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))

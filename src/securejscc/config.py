@@ -27,7 +27,7 @@ import numpy as np
 from .codec import ADAM_LR, CodecSpec, param_shapes
 from .datasets import DatasetSpec
 from .lwe import KeyPair, LweParams, PublicKey, keygen
-from .modem import MAX_CONSTELLATION, SIGMA_L_DEFAULT, Db, noise_variance
+from .modem import MAX_CONSTELLATION, SIGMA_L_DEFAULT, Db, noise_variance, sharpness
 from .quantizer import check_levels
 from .rng import seed_word
 from .security import AttackConfig, GameConfig
@@ -101,9 +101,17 @@ class PipelineConfig:
             raise ValueError(f"sigma_l must be positive, got {self.sigma_l}")
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must name at least one SNR")
-        for i, snr_db in enumerate(self.snr_grid_db):
-            noise_variance(snr_db, 1.0, f"config key 'snr_grid_db[{i}]'")
+        self.check_sharpness({f"snr_grid_db[{i}]": snr_db for i, snr_db in enumerate(
+            self.snr_grid_db)} | {"training.snr_train_db": self.training.snr_train_db})
         self.check_seeds()
+
+    def check_sharpness(self, snrs: dict[str, Db]) -> None:
+        """A ValueError naming a key of ``snrs`` whose SNR is out of range or
+        overflows the demodulator's sharpness with ``sigma_l``."""
+        for key, snr_db in snrs.items():
+            if sigma2 := noise_variance(snr_db, 1.0, f"config key '{key}'"):  # 0 at +inf dB
+                sharpness(self.sigma_l, sigma2, f"config key 'sigma_l' at config key "
+                          f"'{key}' ({snr_db} dB): sigma_l / (pi sigma2)")
 
     def check_seeds(self, more: dict[str, int] | None = None) -> None:
         """A ValueError naming two seeds equal mod 2**64: the config's, then ``more``."""
@@ -224,8 +232,10 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     if "game" in raw:  # every command checks the sections it finds
         game_config_from_dict(raw["game"], cfg.n_levels)
     if "attack" in raw:  # at any pair count: dataset.count is the attack loader's check
-        cfg.check_seeds({"attack.seed": _build(AttackConfig, raw["attack"], "attack.",
-                                               dataset=dataset, pairs=sys.maxsize).seed})
+        attack = _build(AttackConfig, raw["attack"], "attack.", dataset=dataset,
+                        pairs=sys.maxsize)
+        cfg.check_seeds({"attack.seed": attack.seed})
+        cfg.check_sharpness({"attack.snr_e_db": attack.snr_e_db})
     return cfg
 
 

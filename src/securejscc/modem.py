@@ -113,14 +113,25 @@ def awgn(y: np.ndarray, sigma2: float | np.ndarray, rngs) -> np.ndarray:
     return y + np.sqrt(np.divide(sigma2, 2.0)) * (n[:, 0] + 1j * n[:, 1])
 
 
-def _estimate(y: np.ndarray, col_lo: np.ndarray, row_lo: np.ndarray, width: int,
-              levels: np.ndarray, p: int, sigma2: float, c: float) -> np.ndarray:
+def sharpness(sigma_l: float, sigma2: float,
+              what: str = "sigma_l / (pi sigma2)") -> float:
+    """The demodulator's peak score ``sigma_l / (pi sigma2)``, checked finite."""
+    c = sigma_l / (math.pi * sigma2)
+    if not math.isfinite(c):
+        raise ValueError(f"{what} overflows: {sigma_l} / (pi * {sigma2})")
+    return c
+
+
+def _estimate(y: np.ndarray, col_lo: np.ndarray | None, row_lo: np.ndarray | None,
+              width: int, levels: np.ndarray, p: int, sigma2: float,
+              c: float) -> np.ndarray:
     """Softmax estimates of symbols ``y`` over width x width grid windows.
 
     Symbol i is scored on grid columns ``col_lo[i] + [0, width)`` and rows
-    ``row_lo[i] + [0, width)``; point (row b, column a) has value
-    ``m*b + a`` and score ``c*exp(-dx_a^2/sigma2)*exp(-dy_b^2/sigma2)``, the
-    outer product of two per-axis tables, built once for all of ``y``.
+    ``row_lo[i] + [0, width)`` (the whole grid, width m, takes no offsets);
+    point (row b, column a) has value ``m*b + a`` and score
+    ``c*exp(-dx_a^2/sigma2)*exp(-dy_b^2/sigma2)``, the outer product of two
+    per-axis tables, built once for all of ``y``.
     Points at or past ``p`` (the dropped grid corner) get zero weight. Each
     block of at most ``BLOCK_ELEMENTS`` points takes three passes: the outer
     product, ``exp`` in place, and one product with the moment matrix
@@ -131,19 +142,19 @@ def _estimate(y: np.ndarray, col_lo: np.ndarray, row_lo: np.ndarray, width: int,
     """
     m, n = len(levels), len(y)
     steps = np.arange(width)
-    if width == m:  # the whole grid: the levels themselves, no gather
-        cols = rows = steps
+    if whole := width == m:  # the levels themselves, no gather; the corner is a flat tail
+        rows = steps
         col_levels = row_levels = levels
     else:
         cols = col_lo[:, None] + steps
         rows = row_lo[:, None] + steps
         col_levels, row_levels = levels[cols], levels[rows]
+        # the dropped points of a window are a suffix of its row-major order
+        cut = np.minimum(np.maximum((p // m - row_lo) * width + np.minimum(
+            np.maximum(p % m - col_lo, 0), width), 0), width * width)
+        starts = set(cut[cut < width * width].tolist())
     x = c * np.exp(-(y.real[:, None] - col_levels) ** 2 / sigma2)
     e = np.exp(-(y.imag[:, None] - row_levels) ** 2 / sigma2)
-    # the dropped points of a window are a suffix of its row-major order
-    cut = np.clip((p // m - row_lo) * width + np.clip(p % m - col_lo, 0, width),
-                  0, width * width)
-    starts = set(cut[cut < width * width].tolist())
     moments = np.stack([np.ones(width), steps], axis=1)
     sums = np.empty((n, width, 2))
     block = max(1, BLOCK_ELEMENTS // (width * width))
@@ -153,15 +164,19 @@ def _estimate(y: np.ndarray, col_lo: np.ndarray, row_lo: np.ndarray, width: int,
         s = buf[:len(e[b]) * width * width].reshape(-1, width, width)
         np.einsum("ni,nj->nij", e[b], x[b], out=s)
         flat = s.reshape(len(s), -1)
-        for start in starts:
-            flat[cut[b] == start, start:] = -np.inf
+        if whole:
+            flat[:, p:] = -np.inf
+        else:
+            for start in starts:
+                flat[cut[b] == start, start:] = -np.inf
         if c > SHIFT_FREE:
             flat -= flat.max(axis=1)[:, None]
         np.exp(s, out=s)
         np.matmul(s.reshape(-1, width), moments, out=sums[b].reshape(-1, 2))
     row_w, col_mw = sums[..., 0], sums[..., 1]
     total = row_w.sum(axis=1)
-    return (m * (rows * row_w).sum(axis=1) + col_mw.sum(axis=1) + col_lo * total) / total
+    moment = m * (rows * row_w).sum(axis=1) + col_mw.sum(axis=1)
+    return moment / total if whole else (moment + col_lo * total) / total
 
 
 def soft_demodulate(y_hat: np.ndarray, cons: Constellation, sigma2: float,
@@ -177,7 +192,8 @@ def soft_demodulate(y_hat: np.ndarray, cons: Constellation, sigma2: float,
     a window of grid indices around the point, wide enough that every point
     outside it weighs at most ``e^-GAP`` of the peak; the dropped weights
     move the estimate by at most ``(p-1)^2 e^-GAP``. Every other symbol is
-    scored on the whole grid. A symbol's output depends only on that
+    scored on the whole grid, as is every symbol, without window bookkeeping,
+    when ``c = sigma_l / (pi sigma2) <= GAP``. A symbol's output depends only on that
     symbol, so a message's output does not depend on the batch it is in,
     and the symbols of all messages run flat in cache-sized blocks.
     """
@@ -192,30 +208,32 @@ def soft_demodulate(y_hat: np.ndarray, cons: Constellation, sigma2: float,
     levels, p = cons.levels, len(cons.points)
     m = len(levels)
     spacing = levels[1] - levels[0]
-    c = sigma_l / (math.pi * sigma2)
-    if not math.isfinite(c):
-        raise ValueError(f"sigma_l / (pi sigma2) overflows: {sigma_l} / (pi * {sigma2})")
+    c = sharpness(sigma_l, sigma2)
     out = np.empty(y.shape)
     with np.errstate(over="ignore"):  # far-off symbols: scores underflow to 0
+        if c <= GAP:  # no peak exceeds GAP
+            chunk = max(1, BLOCK_ELEMENTS // (2 * m))
+            for s in range(0, len(y), chunk):
+                out[s:s + chunk] = _estimate(y[s:s + chunk], None, None, m,
+                                             levels, p, sigma2, c)
+            return out.reshape(y_hat.shape)
+        near_col = np.rint(np.clip((y.real - levels[0]) / spacing, 0, m - 1))
+        near_row = np.rint(np.clip((y.imag - levels[0]) / spacing, 0, m - 1))
+        near_col, near_row = near_col.astype(np.intp), near_row.astype(np.intp)
+        # a symbol's largest score, at its nearest grid point
+        peak = c * np.exp(-((y.real - levels[near_col]) ** 2
+                            + (y.imag - levels[near_row]) ** 2) / sigma2)
+        sharp = (peak > GAP) & (near_row * m + near_col < p)
+        # beyond r on either axis a score is <= peak - GAP; widths of
+        # 2^j + 1 keep the passes at log2(m) + 1
+        r = np.sqrt(sigma2 * np.log(c / (peak[sharp] - GAP)))
+        half = np.ceil(r / spacing) + 1
         width = np.full(y.shape, m)
-        near_col = near_row = np.zeros(y.shape, dtype=np.intp)
-        if c > GAP:  # else no score exceeds GAP and every symbol takes the grid
-            near_col = np.rint(np.clip((y.real - levels[0]) / spacing, 0, m - 1))
-            near_row = np.rint(np.clip((y.imag - levels[0]) / spacing, 0, m - 1))
-            near_col, near_row = near_col.astype(np.intp), near_row.astype(np.intp)
-            # a symbol's largest score, at its nearest grid point
-            peak = c * np.exp(-((y.real - levels[near_col]) ** 2
-                                + (y.imag - levels[near_row]) ** 2) / sigma2)
-            sharp = (peak > GAP) & (near_row * m + near_col < p)
-            # beyond r on either axis a score is <= peak - GAP; widths of
-            # 2^j + 1 keep the passes at log2(m) + 1
-            r = np.sqrt(sigma2 * np.log(c / (peak[sharp] - GAP)))
-            half = np.ceil(r / spacing) + 1
-            width[sharp] = np.minimum(m, 2.0 ** np.ceil(np.log2(2 * half)) + 1)
+        width[sharp] = np.minimum(m, 2.0 ** np.ceil(np.log2(2 * half)) + 1)
         for w in sorted(set(width.tolist())):
             idx = np.flatnonzero(width == w)
-            col_lo = np.clip(near_col[idx] - (w - 1) // 2, 0, m - w)
-            row_lo = np.clip(near_row[idx] - (w - 1) // 2, 0, m - w)
+            col_lo = np.minimum(np.maximum(near_col[idx] - (w - 1) // 2, 0), m - w)
+            row_lo = np.minimum(np.maximum(near_row[idx] - (w - 1) // 2, 0), m - w)
             # two per-axis tables of w entries per symbol fill one block
             chunk = max(1, BLOCK_ELEMENTS // (2 * w))
             for s in range(0, len(idx), chunk):

@@ -68,7 +68,9 @@ def _centroid_weights(z: np.ndarray, cfg: QuantizerConfig, sharpness: float,
     q = cfg.centroids.astype(np.float64)
     a = -sharpness * (z[..., None] - q[None, :]) ** 2
     # max subtraction is exact: softmax is shift invariant
-    w = np.exp(a - a.max(axis=-1, keepdims=True))
+    a -= a.max(axis=-1, keepdims=True)
+    # exp is exactly 0 at or below -746: masking those keeps exp off its slow path
+    w = np.exp(a, out=np.zeros_like(a), where=a > -746.0)
     return w / w.sum(axis=-1, keepdims=True), q
 
 

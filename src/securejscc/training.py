@@ -95,7 +95,7 @@ def _gradients(batch: np.ndarray, params: dict, ctx: TrainContext,
     # treated as identity, then the soft-quantizer Jacobian maps back to z
     grad_z = grad_zhat * soft_quantize_jacobian(z.ravel(), ctx.qcfg,
                                                 sigma_q).reshape(z.shape)
-    grads.update(codec.encode_backward(grad_z, ctx.spec, params, enc_cache))
+    grads.update(codec.encode_backward(grad_z, params, enc_cache))
     return loss, grads
 
 

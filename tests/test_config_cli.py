@@ -516,6 +516,28 @@ def test_cli_sweep_snr_beyond_float64_fails_before_keygen(tmp_path, capsys, monk
     assert calls == [] and not (tmp_path / "a.csv").exists()
 
 
+@pytest.mark.parametrize("command, over, key", [
+    # 10 dB: sigma2 = 0.1, so sigma_l = 1e308 puts sigma_l / (pi sigma2) past float64
+    ("sweep", {"sigma_l": 1e308, "snr_grid_db": [10]}, "snr_grid_db[0]"),
+    ("train", {**MLP_TRAINING, "sigma_l": 1e308, "snr_grid_db": [-10]},
+     "training.snr_train_db"),
+    # the training default, 10 dB, stays finite at 1e306; 30 dB does not
+    ("attack", {"sigma_l": 1e306, "snr_grid_db": [-10], "attack": {"snr_e_db": 30}},
+     "attack.snr_e_db"),
+])
+def test_cli_sigma_l_overflowing_the_sharpness_fails_before_keygen(
+        tmp_path, capsys, monkeypatch, command, over, key):
+    from securejscc import cli
+    calls = []
+    monkeypatch.setattr(cli, "keygen", lambda *args: calls.append(args))
+    cfg_path = make_config_file(tmp_path, **over)
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config key 'sigma_l' at config key '{key}'" in err
+    assert "sigma_l / (pi sigma2) overflows" in err and err.count("\n") == 1
+    assert calls == [] and list(tmp_path.iterdir()) == [cfg_path]
+
+
 def test_cli_train_identity_codec_fails_before_keygen(tmp_path, capsys, monkeypatch):
     # only a codec with parameters trains: the identity map has none
     from securejscc import cli

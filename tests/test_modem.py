@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from securejscc import modem
 from securejscc.modem import (GAP, Constellation, awgn, build_constellation,
@@ -405,6 +405,10 @@ def _received(cons: Constellation, sigma2: float, seed: int) -> np.ndarray:
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([4, 16, 251, 257, 4093, 4096]),
        st.floats(-5.0, 50.0), st.integers(0, 2**32 - 1))
+# c = sigma_l / (pi sigma2) <= GAP: the whole grid, with and without a dropped corner
+@example(p=4, snr_db=10.0, seed=1)
+@example(p=251, snr_db=10.0, seed=2)
+@example(p=4096, snr_db=10.0, seed=3)
 def test_soft_demodulate_matches_dense_oracle(p, snr_db, seed):
     cons = build_constellation(p, 1.0)
     sigma2 = noise_variance(snr_db, cons.avg_power)
@@ -413,7 +417,7 @@ def test_soft_demodulate_matches_dense_oracle(p, snr_db, seed):
     assert np.max(np.abs(got - dense_soft_demodulate(y_hat, cons, sigma2, 5.0))) <= 1e-9
 
 
-@pytest.mark.parametrize("p", [257, 4093])
+@pytest.mark.parametrize("p", [251, 257, 4093, 4096])
 def test_soft_demodulate_matches_dense_oracle_at_window_thresholds(p):
     # one SNR on each side of each SNR at which a width flips
     cons = build_constellation(p, 1.0)
@@ -425,7 +429,7 @@ def test_soft_demodulate_matches_dense_oracle_at_window_thresholds(p):
             assert np.max(np.abs(got - dense_soft_demodulate(y_hat, cons, sigma2))) <= 1e-9
 
 
-@pytest.mark.parametrize("p", [251, 4093])
+@pytest.mark.parametrize("p", [4, 251, 4093, 4096])
 @pytest.mark.parametrize("k", [1, 16, 31, 63, 64, 256, 257])
 def test_soft_demodulate_rows_equal_single_messages(k, p):
     # a symbol's output depends on that symbol alone, not on its batch: the

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from securejscc.quantizer import (QuantizerConfig, anneal_sigma_q,
+from securejscc.quantizer import (SIGMA_Q_CAP, QuantizerConfig, anneal_sigma_q,
                                   build_centroids, hard_quantize,
                                   soft_dequantize, soft_quantize_jacobian)
 
@@ -133,10 +133,72 @@ def soft_quantize(z: np.ndarray, cfg: QuantizerConfig, sigma_q: float) -> np.nda
     Converges to :func:`hard_quantize` as sigma_q grows and to the centroid
     mean as sigma_q -> 0.
     """
+    return plain_weights(z, cfg, sigma_q) @ cfg.centroids.astype(np.float64)
+
+
+def plain_weights(z: np.ndarray, cfg: QuantizerConfig, sharpness: float) -> np.ndarray:
+    """The centroid softmax with a plain ``exp`` of the max-shifted scores."""
     q = cfg.centroids.astype(np.float64)
-    a = -sigma_q * (np.asarray(z, dtype=np.float64)[..., None] - q) ** 2
+    a = -sharpness * (np.asarray(z, dtype=np.float64)[..., None] - q) ** 2
     w = np.exp(a - a.max(axis=-1, keepdims=True))
-    return w / w.sum(axis=-1, keepdims=True) @ q
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def plain_jacobian(z: np.ndarray, cfg: QuantizerConfig, sigma_q: float) -> np.ndarray:
+    q = cfg.centroids.astype(np.float64)
+    w = plain_weights(z, cfg, sigma_q)
+    mean = w @ q
+    return 2.0 * sigma_q * (w @ (q * q) - mean * mean)
+
+
+# shifted scores: exp is normal above -708, subnormal in (-746, -708] and 0 below
+SCORE_BANDS = [(-707.9, 0.0), (-745.9, -708.1), (-5000.0, -746.1)]
+
+
+def shifted_score(z: float, k: int, cfg: QuantizerConfig, sharpness: float) -> float:
+    d = (z - cfg.centroids.astype(np.float64)) ** 2
+    return -sharpness * d[k] + sharpness * d.min()
+
+
+@st.composite
+def latents_in_score_bands(draw):
+    """A grid, a sharpness (1 or the sigma_q cap) and latents each of which
+    gives one centroid a max-shifted score in a band drawn per latent."""
+    cfg = QuantizerConfig(*draw(st.sampled_from([(4, 2), (17, 17), (251, 16),
+                                                 (4093, 16)])))
+    sharpness = draw(st.sampled_from([1.0, SIGMA_Q_CAP]))
+    q = cfg.centroids.astype(np.float64)
+    z, targets = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        lo, hi = draw(st.sampled_from(SCORE_BANDS))
+        target = draw(st.floats(lo, hi))
+        k = draw(st.integers(0, cfg.n_levels - 1))
+        step = 1.0 if k == 0 else -1.0 if k == cfg.n_levels - 1 else draw(
+            st.sampled_from([-1.0, 1.0]))
+        # the score of centroid k falls monotonically as z leaves it
+        # toward the other centroids: bisect for the target
+        near, far = 0.0, -target / sharpness + cfg.p
+        for _ in range(200):
+            mid = 0.5 * (near + far)
+            if shifted_score(q[k] + step * mid, k, cfg, sharpness) > target:
+                near = mid
+            else:
+                far = mid
+        z.append(q[k] + step * near)
+        targets.append((k, lo, hi))
+    return cfg, sharpness, np.array(z), targets
+
+
+@settings(max_examples=200, deadline=None)
+@given(latents_in_score_bands())
+def test_masked_exp_matches_plain_softmax_bit_for_bit(case):
+    cfg, sharpness, z, targets = case
+    for zi, (k, lo, hi) in zip(z, targets):
+        assert lo - 0.01 <= shifted_score(zi, k, cfg, sharpness) <= hi + 0.01
+    pairs = [(soft_quantize_jacobian(z, cfg, sharpness), plain_jacobian(z, cfg, sharpness)),
+             (soft_dequantize(z, cfg), soft_quantize(z, cfg, 1.0))]
+    for got, want in pairs:
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_soft_quantize_hard_limit():
