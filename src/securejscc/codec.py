@@ -14,7 +14,7 @@ closed forms stay readable and bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -183,33 +183,21 @@ def mse_loss(x: np.ndarray, x_hat: np.ndarray) -> tuple[float, np.ndarray]:
 # -- optimizer ---------------------------------------------------------------
 
 
-@dataclass
-class AdamState:
-    """Adam's moments: rows m and v of one buffer, made on the first step."""
-    m: dict = field(default_factory=dict)  # name -> view of its slice of row m
-    v: dict = field(default_factory=dict)
-    moments: np.ndarray | None = None
-
-
-def adam_step(params: dict, grads: dict, opt: AdamState, step: int,
+def adam_step(params: dict, grads: dict, moments: np.ndarray, step: int,
               lr: float = ADAM_LR) -> dict:
     """One Adam update (step is 1-based) of the parameters as one vector in sorted
-    name order; params are replaced, not mutated: the new ones view a new vector."""
+    name order. ``moments`` is the (2, n) float64 buffer of the first and second
+    moments over that vector, zeros before step 1, and is updated in place;
+    params are replaced, not mutated: the new ones view a new vector."""
     names = sorted(params)
-
-    def views(flat: np.ndarray) -> dict:
-        ends = accumulate(params[name].size for name in names)
-        return {name: flat[end - params[name].size:end].reshape(params[name].shape)
-                for name, end in zip(names, ends)}
-
     g = np.concatenate([np.ravel(grads[name]) for name in names])
-    if opt.moments is None:
-        opt.moments = np.zeros((2, g.size))
-        opt.m, opt.v = (views(row) for row in opt.moments)
-    m, v = opt.moments
+    m, v = moments
     np.add(m * ADAM_BETA1, (1 - ADAM_BETA1) * g, out=m)
     np.add(v * ADAM_BETA2, (1 - ADAM_BETA2) * g * g, out=v)
     m_hat = m / (1 - ADAM_BETA1 ** step)
     v_hat = v / (1 - ADAM_BETA2 ** step)
     flat = np.concatenate([np.ravel(params[name]) for name in names])
-    return views(flat - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+    flat = flat - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    ends = accumulate(params[name].size for name in names)
+    return {name: flat[end - params[name].size:end].reshape(params[name].shape)
+            for name, end in zip(names, ends)}

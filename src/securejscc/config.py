@@ -78,7 +78,6 @@ class TrainingSettings:
         if not 0 < self.val_fraction < 1:
             raise ValueError(f"training.val_fraction must lie in (0, 1), "
                              f"got {self.val_fraction}")
-        noise_variance(self.snr_train_db, 1.0, "config key 'training.snr_train_db'")
 
 
 @dataclass(frozen=True)

@@ -187,20 +187,19 @@ def derive_error_rows(shared_error_seed: int, message_indices,
 
     Row i comes from the stream keyed by ``(shared_error_seed,
     message_indices[i])``; reusing a triple across messages leaks plaintext
-    differences (the ciphertext is affine in the plaintext), so every
-    message must use a fresh index. A repeated index is drawn once and its
-    row copied to each of its messages.
+    differences (the ciphertext is affine in the plaintext), so an index
+    that repeats within the call raises ``ValueError``, as does one outside
+    ``[0, 2**64)``, whose stream key would wrap onto another index's.
     """
     indices = [int(i) for i in message_indices]
-    if any(i < 0 for i in indices):
-        raise ValueError(f"message indices must be >= 0, got {min(indices)}")
-    distinct = dict.fromkeys(indices)  # in order of first use
-    errors = error_rows(streams(shared_error_seed, list(distinct)), params)
-    if len(distinct) == len(indices):
-        return errors
-    row = {i: r for r, i in enumerate(distinct)}
-    gather = [row[i] for i in indices]
-    return ErrorTriple(errors.e1[gather], errors.e2[gather], errors.e3[gather])
+    seen = set()
+    for i in indices:
+        if i in seen or not 0 <= i < 1 << 64:
+            fault = "repeats" if i in seen else "is outside [0, 2**64)"
+            raise ValueError(f"message index {i} {fault}: every message needs "
+                             f"its own error triple")
+        seen.add(i)
+    return error_rows(streams(shared_error_seed, indices), params)
 
 
 def encrypt(plaintext: np.ndarray, key: KeyPair | PublicKey,

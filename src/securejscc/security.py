@@ -346,7 +346,7 @@ def _predict_linear(w: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _fit_mlp(x, y, epochs, rng):
     params = codec.dense_init([x.shape[1], MLP_HIDDEN, y.shape[1]], "adv", rng)
-    opt = codec.AdamState()
+    moments = np.zeros((2, sum(a.size for a in params.values())))
     step = 0
     batch = 64
     for _ in range(epochs):
@@ -357,7 +357,7 @@ def _fit_mlp(x, y, epochs, rng):
             _, grad_out = codec.mse_loss(y[sel], out)
             grads, _ = codec.dense_backward(params, "adv", cache, grad_out)
             step += 1
-            params = codec.adam_step(params, grads, opt, step, lr=1e-3)
+            params = codec.adam_step(params, grads, moments, step, lr=1e-3)
     return params
 
 
@@ -367,8 +367,8 @@ def run_cpa_attack(cfg: AttackConfig, spec: codec.CodecSpec, codec_params: dict,
     """Train the configured adversary on (image, ciphertext) pairs.
 
     In ``fresh`` mode every message uses an independent error triple the
-    adversary does not know. ``reused`` freezes one triple for the whole
-    run (the sabotage control). ``known_seed`` keeps fresh errors but hands
+    adversary does not know. ``reused`` gives every pair its own copy of
+    message 0's triple (the sabotage control). ``known_seed`` keeps fresh errors but hands
     the adversary the shared error seed, letting it strip the error layer
     off each ciphertext before fitting.
     """
@@ -388,8 +388,12 @@ def run_cpa_attack(cfg: AttackConfig, spec: codec.CodecSpec, codec_params: dict,
     z, _ = codec.encode(x, spec, codec_params)
     z_bar = hard_quantize(z, qcfg)
     messages = np.arange(cfg.pairs)
-    error_indices = np.zeros_like(messages) if cfg.error_mode == "reused" else messages
-    errors = derive_error_rows(error_seed, error_indices, params)
+    if cfg.error_mode == "reused":
+        first = derive_error_rows(error_seed, [0], params)
+        errors = ErrorTriple(*(np.repeat(e, cfg.pairs, axis=0)
+                               for e in (first.e1, first.e2, first.e3)))
+    else:
+        errors = derive_error_rows(error_seed, messages, params)
     ct = encrypt(z_bar, public_key, errors)
     # Eve's channel: the same receiver as Bob's, without the secret key
     observations = receive(ct.c, build_constellation(params.p), cfg.snr_e_db,

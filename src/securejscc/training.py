@@ -13,7 +13,7 @@ differentiable surrogate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,17 +52,19 @@ class TrainContext:
 @dataclass
 class TrainState:
     params: dict
+    moments: np.ndarray  # Adam's (2, n) moments over the sorted parameters
     step: int = 0
     learning_rate: float = codec.ADAM_LR
     messages_sent: int = 0
-    opt: codec.AdamState = field(default_factory=codec.AdamState)
 
 
 def init_train_state(spec: codec.CodecSpec, seed: int,
                      learning_rate: float = codec.ADAM_LR) -> TrainState:
     if not codec.param_shapes(spec):
         raise ValueError(f"the {spec.kind} codec has no parameters to train")
-    return TrainState(params=codec.init_params(spec, stream(seed)),
+    params = codec.init_params(spec, stream(seed))
+    return TrainState(params=params,
+                      moments=np.zeros((2, sum(a.size for a in params.values()))),
                       learning_rate=learning_rate)
 
 
@@ -111,7 +113,7 @@ def train_step(batch: np.ndarray, state: TrainState, ctx: TrainContext) -> float
             f"non-finite loss at step {state.step} "
             f"(sigma_q={sigma_q}, snr_db={ctx.snr_db})")
     state.step += 1
-    state.params = codec.adam_step(state.params, grads, state.opt, state.step,
+    state.params = codec.adam_step(state.params, grads, state.moments, state.step,
                                    lr=state.learning_rate)
     state.messages_sent += batch.shape[0]
     return loss

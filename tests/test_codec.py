@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from securejscc.codec import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, CodecSpec,
+from securejscc.codec import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, CodecSpec,
                               _sigmoid, adam_step, decode, decode_backward,
                               dense_backward, dense_forward, dense_init, encode,
                               encode_backward, init_params, mse_loss, param_shapes)
@@ -214,6 +214,11 @@ def per_name_adam_step(params: dict, grads: dict, m: dict, v: dict, step: int,
     return out
 
 
+def zero_moments(params: dict) -> np.ndarray:
+    """Adam's moments before step 1: a (2, n) zero buffer over the parameters."""
+    return np.zeros((2, sum(a.size for a in params.values())))
+
+
 def test_flat_adam_matches_per_name_oracle_bit_for_bit():
     # the toy codec's eight arrays, from step 1 with zero moments
     spec = CodecSpec(kind="mlp", input_shape=(8, 8, 1), k=16, latent_scale=251.0,
@@ -222,35 +227,38 @@ def test_flat_adam_matches_per_name_oracle_bit_for_bit():
     params = init_params(spec, rng)
     assert len(params) == 8
     ref, m, v = dict(params), {}, {}
-    opt = AdamState()
+    moments = zero_moments(params)
     for step in range(1, 61):
         grads = {name: rng.normal(0.0, 10.0 ** rng.uniform(-6, 2), a.shape)
                  for name, a in params.items()}
-        new = adam_step(params, grads, opt, step, lr=3e-4)
+        new = adam_step(params, grads, moments, step, lr=3e-4)
         ref = per_name_adam_step(ref, grads, m, v, step, lr=3e-4)
         # replaced, not mutated: nothing returned aliases the input
         assert not any(np.shares_memory(new[a], params[b]) for a in new for b in params)
-        for got, want in ((new, ref), (opt.m, m), (opt.v, v)):
-            assert got.keys() == want.keys()
-            for name in want:
-                assert got[name].shape == want[name].shape
-                assert np.array_equal(got[name].view(np.int64), want[name].view(np.int64))
+        assert new.keys() == ref.keys()
+        for name in ref:
+            assert new[name].shape == ref[name].shape
+            assert np.array_equal(new[name].view(np.int64), ref[name].view(np.int64))
+        # the buffer's rows are the per-name moments, in sorted name order
+        for row, want in zip(moments, (m, v)):
+            flat = np.concatenate([np.ravel(want[name]) for name in sorted(want)])
+            assert np.array_equal(row.view(np.int64), flat.view(np.int64))
         params = new
 
 
 def test_adam_zero_lr_is_identity():
     params = {"w": np.ones(4)}
     grads = {"w": np.full(4, 3.0)}
-    out = adam_step(params, grads, AdamState(), step=1, lr=0.0)
+    out = adam_step(params, grads, zero_moments(params), step=1, lr=0.0)
     assert np.array_equal(out["w"], params["w"])
 
 
 def test_adam_minimizes_quadratic():
     params = {"w": np.array([5.0, -3.0])}
-    opt = AdamState()
+    moments = zero_moments(params)
     for step in range(1, 3000):
         grads = {"w": 2.0 * params["w"]}
-        params = adam_step(params, grads, opt, step, lr=0.01)
+        params = adam_step(params, grads, moments, step, lr=0.01)
     assert np.all(np.abs(params["w"]) < 1e-3)
 
 

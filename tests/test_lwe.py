@@ -292,7 +292,19 @@ def test_derive_errors_independent_across_indices():
     assert abs(r) < 0.01
 
 
-def test_repeated_indices_are_drawn_once_and_gathered(monkeypatch):
+@pytest.mark.parametrize("indices, bad, fault", [
+    ([3, 0, 3], 3, "repeats"),
+    # 0 and 2**64 would key the same stream: the key keeps 64 bits
+    ([0, 2**64], 2**64, "is outside"),
+    ([-1], -1, "is outside"),
+    ([2**64], 2**64, "is outside"),
+], ids=["repeat", "wraps_onto_0", "negative", "2**64"])
+def test_derive_errors_rejects_a_shared_triple(indices, bad, fault):
+    with pytest.raises(ValueError, match=f"message index {bad} {fault}"):
+        derive_error_rows(9, indices, TABLE)
+
+
+def test_derive_errors_draws_each_index_once(monkeypatch):
     drawn = []
     real = lwe.error_rows
 
@@ -301,19 +313,13 @@ def test_repeated_indices_are_drawn_once_and_gathered(monkeypatch):
         return real(rngs, params)
 
     monkeypatch.setattr(lwe, "error_rows", counting)
-    indices = [3, 0, 3, 7, 0, 3, 2**64 - 1, 7]
+    indices = [3, 0, 2**64 - 1, 7]
     rows = derive_error_rows(9, indices, TABLE)
     assert drawn == [4]
     for r, index in enumerate(indices):
         one = message_errors(9, index, TABLE)
         for got, expected in zip((rows.e1, rows.e2, rows.e3), (one.e1, one.e2, one.e3)):
             assert got.dtype == np.int64 and np.array_equal(got[r], expected), r
-    # every row is its own copy: writing one leaves its repeats unchanged
-    before = [e.copy() for e in (rows.e1, rows.e2, rows.e3)]
-    for e in (rows.e1, rows.e2, rows.e3):
-        e[0] += 1
-    for e, old in zip((rows.e1, rows.e2, rows.e3), before):
-        assert np.array_equal(e[1:], old[1:])
 
 
 def test_derive_errors_rejects_negative_index():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from securejscc import lwe, security
 from securejscc.codec import CodecSpec
 from securejscc.datasets import DatasetSpec
 from securejscc.lwe import LweParams, centered, encrypt, keygen
@@ -293,6 +294,35 @@ def test_sabotage_reused_errors_attack_succeeds(attack_setup):
     report = run_cpa_attack(make_attack_cfg(error_mode="reused"),
                             ATTACK_SPEC, {}, pk, qcfg)
     assert report.mse_ratio < 0.5
+
+
+def test_sabotage_repeats_one_drawn_triple(attack_setup, monkeypatch):
+    # reused mode draws message 0's triple once and hands every pair its own
+    # copy of it; fresh mode draws one triple per pair
+    pk, qcfg, _ = attack_setup
+    drawn, sent = [], []
+
+    def counting(rngs, params):
+        drawn.append(len(rngs))
+        return error_rows(rngs, params)
+
+    def spy(z, key, errors):
+        sent.append(errors)
+        return encrypt(z, key, errors)
+    error_rows = lwe.error_rows
+    monkeypatch.setattr(lwe, "error_rows", counting)
+    monkeypatch.setattr(security, "encrypt", spy)
+    for mode in ("reused", "fresh"):
+        run_cpa_attack(make_attack_cfg(error_mode=mode, pairs=40), ATTACK_SPEC, {}, pk, qcfg)
+    assert drawn == [1, 40]
+    # both modes key the errors by the same seed: fresh row 0 is message 0's triple
+    reused, fresh = sent
+    for got, own in zip((reused.e1, reused.e2, reused.e3), (fresh.e1, fresh.e2, fresh.e3)):
+        assert got.shape == own.shape
+        assert all(np.array_equal(row, own[0]) for row in got)
+        # every row is its own copy: writing one leaves its repeats unchanged
+        got[0] += 1
+        assert np.array_equal(got[1], own[0])
 
 
 def test_known_error_seed_breaks_the_scheme(attack_setup):
