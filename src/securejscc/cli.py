@@ -20,7 +20,7 @@ from .config import (load_attack_config, load_codec, load_config,
                      save_key_files)
 from .datasets import read_image, synthesize_dataset
 from .lwe import keygen
-from .modem import build_constellation
+from .modem import SIGMA_L_DEFAULT, build_constellation
 from .pipeline import records_to_csv, sweep
 from .quantizer import QuantizerConfig
 
@@ -51,7 +51,7 @@ def _sweep_to_csv(cfg, keys, images, snr_grid_db, codec_params_path, out) -> int
     records = sweep(images, cfg.codec, _codec_params(cfg, codec_params_path), keys,
                     QuantizerConfig(cfg.lwe.p, cfg.n_levels),
                     build_constellation(cfg.lwe.p), list(snr_grid_db),
-                    cfg.sigma_l, cfg.seeds.error, cfg.seeds.channel)
+                    SIGMA_L_DEFAULT, cfg.seeds.error, cfg.seeds.channel)
     Path(out).write_text(records_to_csv(records))
     return len(records)
 
@@ -106,8 +106,7 @@ def _cmd_attack(args) -> int:
         # a noiseless eavesdropper: the control tests the harness, not the channel
         attack_cfgs.append(replace(attack_cfg, error_mode="reused", adversary="linear",
                                    snr_e_db=math.inf))
-    reports = [security.run_cpa_attack(c, cfg.codec, params, keys.public(), qcfg,
-                                       sigma_l=cfg.sigma_l)
+    reports = [security.run_cpa_attack(c, cfg.codec, params, keys.public(), qcfg)
                for c in attack_cfgs]
     # the sabotage control, when run, is the last report
     sabotage_ok = not args.sabotage_control or reports[-1].mse_ratio < 0.5
@@ -141,7 +140,7 @@ def _cmd_train(args) -> int:
     cons = build_constellation(cfg.lwe.p)
     ctx = training.TrainContext(
         spec=cfg.codec, keys=keys, qcfg=qcfg, cons=cons,
-        snr_db=tr.snr_train_db, sigma_l=cfg.sigma_l,
+        snr_db=tr.snr_train_db, sigma_l=SIGMA_L_DEFAULT,
         error_seed=cfg.seeds.error, channel_seed=cfg.seeds.channel)
     val_error, val_channel = cfg.seeds.validation().values()
     eval_ctx = replace(ctx, error_seed=val_error, channel_seed=val_channel)

@@ -1,12 +1,13 @@
 """Configuration and every JSON file the package reads or writes.
 
 Defaults follow the reference operating point: modulus 4093 with 192x192
-lattice dimensions and sampler width 8.87, 16 quantization levels,
-demodulator sharpness 5 and Adam at 1e-4 with betas (0.9, 0.999). Each
-default lives on its dataclass field: the loaders pass on only the keys a
-config sets, and a value that follows from others is no key (``dataset``,
-``lwe.k`` and ``lwe.p`` set the codec's input shape, length and scale; the
-game plays the run's ``n_levels``). Every random choice is pinned by an
+lattice dimensions and sampler width 8.87, 16 quantization levels and
+Adam at 1e-4 with betas (0.9, 0.999); the demodulator's sharpness 5 is the
+constant ``modem.SIGMA_L_DEFAULT``. Each default lives on its dataclass
+field: the loaders pass on only the keys a config sets, and a value that
+follows from others is no key (``dataset``, ``lwe.k`` and ``lwe.p`` set the
+codec's input shape, length and scale; the game plays the run's
+``n_levels``). Every random choice is pinned by an
 explicit seed. One rule, :func:`_build`, turns every JSON object into its
 dataclass by field names and annotations; key and codec files are checked
 against the params and spec they carry.
@@ -27,7 +28,7 @@ import numpy as np
 from .codec import ADAM_LR, CodecSpec, param_shapes
 from .datasets import DatasetSpec
 from .lwe import KeyPair, LweParams, PublicKey, keygen
-from .modem import MAX_CONSTELLATION, SIGMA_L_DEFAULT, Db, noise_variance, sharpness
+from .modem import MAX_CONSTELLATION, Db, noise_variance
 from .quantizer import check_levels
 from .rng import seed_word
 from .security import AttackConfig, GameConfig
@@ -87,7 +88,6 @@ class PipelineConfig:
     dataset: DatasetSpec
     seeds: Seeds = field(default_factory=Seeds)
     n_levels: int = 16
-    sigma_l: float = SIGMA_L_DEFAULT
     snr_grid_db: tuple[Db, ...] = (0.0, 5.0, 10.0, 15.0)
     training: TrainingSettings = field(default_factory=TrainingSettings)
 
@@ -96,21 +96,13 @@ class PipelineConfig:
             raise ValueError(f"lwe.p={self.lwe.p} exceeds the largest QAM "
                              f"constellation, {MAX_CONSTELLATION} points")
         check_levels(self.lwe.p, self.n_levels, "lwe.p")
-        if not self.sigma_l > 0:
-            raise ValueError(f"sigma_l must be positive, got {self.sigma_l}")
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must name at least one SNR")
-        self.check_sharpness({f"snr_grid_db[{i}]": snr_db for i, snr_db in enumerate(
-            self.snr_grid_db)} | {"training.snr_train_db": self.training.snr_train_db})
+        # a normal variance keeps SIGMA_L_DEFAULT / (pi sigma2) below ~7.2e307
+        for i, snr_db in enumerate(self.snr_grid_db):
+            noise_variance(snr_db, 1.0, f"config key 'snr_grid_db[{i}]'")
+        noise_variance(self.training.snr_train_db, 1.0, "config key 'training.snr_train_db'")
         self.check_seeds()
-
-    def check_sharpness(self, snrs: dict[str, Db]) -> None:
-        """A ValueError naming a key of ``snrs`` whose SNR is out of range or
-        overflows the demodulator's sharpness with ``sigma_l``."""
-        for key, snr_db in snrs.items():
-            if sigma2 := noise_variance(snr_db, 1.0, f"config key '{key}'"):  # 0 at +inf dB
-                sharpness(self.sigma_l, sigma2, f"config key 'sigma_l' at config key "
-                          f"'{key}' ({snr_db} dB): sigma_l / (pi sigma2)")
 
     def check_seeds(self, more: dict[str, int] | None = None) -> None:
         """A ValueError naming two seeds equal mod 2**64: the config's, then ``more``."""
@@ -234,7 +226,6 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         attack = _build(AttackConfig, raw["attack"], "attack.", dataset=dataset,
                         pairs=sys.maxsize)
         cfg.check_seeds({"attack.seed": attack.seed})
-        cfg.check_sharpness({"attack.snr_e_db": attack.snr_e_db})
     return cfg
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import integer_rows, normal_rows, streams
+from .rng import integer_rows, message_streams, normal_rows, streams
 
 # float64 holds every integer of magnitude up to 2**53 exactly
 EXACT_FLOAT_LIMIT = 2 ** 53
@@ -187,19 +187,11 @@ def derive_error_rows(shared_error_seed: int, message_indices,
 
     Row i comes from the stream keyed by ``(shared_error_seed,
     message_indices[i])``; reusing a triple across messages leaks plaintext
-    differences (the ciphertext is affine in the plaintext), so an index
-    that repeats within the call raises ``ValueError``, as does one outside
-    ``[0, 2**64)``, whose stream key would wrap onto another index's.
+    differences (the ciphertext is affine in the plaintext), so the indices
+    must pass :func:`~securejscc.rng.message_streams`' rule: none repeats
+    within the call or lies outside ``[0, 2**64)``.
     """
-    indices = [int(i) for i in message_indices]
-    seen = set()
-    for i in indices:
-        if i in seen or not 0 <= i < 1 << 64:
-            fault = "repeats" if i in seen else "is outside [0, 2**64)"
-            raise ValueError(f"message index {i} {fault}: every message needs "
-                             f"its own error triple")
-        seen.add(i)
-    return error_rows(streams(shared_error_seed, indices), params)
+    return error_rows(message_streams(shared_error_seed, message_indices), params)
 
 
 def encrypt(plaintext: np.ndarray, key: KeyPair | PublicKey,

@@ -17,7 +17,7 @@ from typing import NewType
 
 import numpy as np
 
-from .rng import normal_rows, streams
+from .rng import message_streams, normal_rows
 
 MAX_CONSTELLATION = 4096
 SIGMA_L_DEFAULT = 5.0
@@ -113,15 +113,6 @@ def awgn(y: np.ndarray, sigma2: float | np.ndarray, rngs) -> np.ndarray:
     return y + np.sqrt(np.divide(sigma2, 2.0)) * (n[:, 0] + 1j * n[:, 1])
 
 
-def sharpness(sigma_l: float, sigma2: float,
-              what: str = "sigma_l / (pi sigma2)") -> float:
-    """The demodulator's peak score ``sigma_l / (pi sigma2)``, checked finite."""
-    c = sigma_l / (math.pi * sigma2)
-    if not math.isfinite(c):
-        raise ValueError(f"{what} overflows: {sigma_l} / (pi * {sigma2})")
-    return c
-
-
 def _estimate(y: np.ndarray, col_lo: np.ndarray | None, row_lo: np.ndarray | None,
               width: int, levels: np.ndarray, p: int, sigma2: float,
               c: float) -> np.ndarray:
@@ -208,7 +199,9 @@ def soft_demodulate(y_hat: np.ndarray, cons: Constellation, sigma2: float,
     levels, p = cons.levels, len(cons.points)
     m = len(levels)
     spacing = levels[1] - levels[0]
-    c = sharpness(sigma_l, sigma2)
+    c = sigma_l / (math.pi * sigma2)  # the peak score
+    if not math.isfinite(c):
+        raise ValueError(f"sigma_l / (pi sigma2) overflows: {sigma_l} / (pi * {sigma2})")
     out = np.empty(y.shape)
     with np.errstate(over="ignore"):  # far-off symbols: scores underflow to 0
         if c <= GAP:  # no peak exceeds GAP
@@ -251,13 +244,15 @@ def receive(c: np.ndarray, cons: Constellation, snr_db: Db | np.ndarray,
     Row i is modulated, perturbed by AWGN at its SNR drawn from
     ``stream(seed, message_indices[i])`` and soft-demodulated; the noisy
     rows share one channel call, and the rows of one SNR one demodulator
-    call. +inf dB is the exact noiseless limit: the demodulator output
+    call. No index may repeat (:func:`~securejscc.rng.message_streams`).
+    +inf dB is the exact noiseless limit: the demodulator output
     converges to the transmitted integers, which are returned as floats.
     """
     c = np.asarray(c)
     if c.ndim != 2 or len(message_indices) != c.shape[0]:
         raise ValueError(f"need (B, k) rows and B message indices, got shape "
                          f"{c.shape} and {len(message_indices)} indices")
+    keyed = message_streams(seed, message_indices)
     snrs = np.asarray(snr_db, dtype=np.float64)
     if snrs.ndim and snrs.shape != (len(c),):
         raise ValueError(f"need one SNR or one per row: {len(c)} rows, "
@@ -271,8 +266,7 @@ def receive(c: np.ndarray, cons: Constellation, snr_db: Db | np.ndarray,
     if len(noisy):
         # the noisy rows draw their channel streams in one pass, in row order
         sigma2 = sigma2[noisy]
-        y_hat = awgn(modulate(c[noisy], cons), sigma2[:, None],
-                     streams(seed, np.asarray(message_indices)[noisy]))
+        y_hat = awgn(modulate(c[noisy], cons), sigma2[:, None], keyed.subset(noisy))
         for s2 in set(sigma2.tolist()):
             rows = sigma2 == s2
             out[noisy[rows]] = soft_demodulate(y_hat[rows], cons, s2, sigma_l)

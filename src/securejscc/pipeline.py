@@ -15,6 +15,7 @@ from . import codec, metrics
 from .lwe import Ciphertext, KeyPair, centered, decrypt, derive_error_rows, encrypt
 from .modem import Constellation, Db, receive
 from .quantizer import QuantizerConfig, hard_quantize, soft_dequantize
+from .rng import seed_word
 
 CSV_SCHEMA_VERSION = 1
 CSV_COLUMNS = ("schema_version", "row_kind", "image_index", "message_index",
@@ -38,8 +39,12 @@ def transmit_latent(z_bar: np.ndarray, keys: KeyPair, cons: Constellation,
     :func:`~securejscc.modem.receive`). Row i uses the error triple and
     channel stream of ``message_indices[i]``, so a row's output does not
     depend on the batch it travels in. +inf dB short-circuits the modem
-    with its exact noiseless limit.
+    with its exact noiseless limit. The two seeds must differ mod 2**64, or
+    a message's channel noise would replay the draws of its error triple.
     """
+    if seed_word(error_seed) == seed_word(channel_seed):
+        raise ValueError(f"error seed {error_seed} and channel seed {channel_seed} are "
+                         f"equal mod 2**64, so they would draw the same random streams")
     ct = encrypt(z_bar, keys, derive_error_rows(error_seed, message_indices, keys.params))
     return ct, receive(ct.c, cons, snr_db, sigma_l, channel_seed, message_indices)
 

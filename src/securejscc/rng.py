@@ -104,6 +104,21 @@ class streams:
             yield rng
 
 
+def message_streams(seed: int, message_indices) -> streams:
+    """The streams of ``(seed, message_indices[i])``. An index keys a
+    message's error triple and channel noise, so one that repeats raises
+    ``ValueError``, as does one outside ``[0, 2**64)``, whose key would wrap."""
+    indices = [int(i) for i in message_indices]
+    seen = set()
+    for i in indices:
+        if i in seen or not 0 <= i < 1 << 64:
+            fault = "repeats" if i in seen else "is outside [0, 2**64)"
+            raise ValueError(f"message index {i} {fault}: every message needs "
+                             f"its own error triple and channel noise")
+        seen.add(i)
+    return streams(seed, indices)
+
+
 def normal_rows(rngs, shape) -> np.ndarray:
     """One ``shape`` block of standard normal draws per stream, stacked.
 

@@ -247,6 +247,7 @@ def run_ind_cpa_game(cfg: GameConfig, distinguisher=None) -> GameResult:
 ERROR_MODES = ("fresh", "reused", "known_seed")
 ADVERSARIES = ("linear", "mlp")
 MLP_HIDDEN = 64  # hidden width of the mlp adversary
+TEST_FRACTION = 0.2  # share of the pairs held out to score the adversary
 
 
 @dataclass(frozen=True)
@@ -257,7 +258,6 @@ class AttackConfig:
     epochs: int = 30
     error_mode: str = "fresh"
     snr_e_db: Db = math.inf
-    test_fraction: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
@@ -270,9 +270,6 @@ class AttackConfig:
         if self.epochs < 1:
             raise ValueError(f"config key 'attack.epochs' must be at least 1, "
                              f"got {self.epochs}")
-        if not 0 < self.test_fraction < 1:
-            raise ValueError(f"config key 'attack.test_fraction' must lie in (0, 1), "
-                             f"got {self.test_fraction}")
         if self.n_test >= self.pairs:
             raise ValueError("test fraction leaves no training pairs")
         noise_variance(self.snr_e_db, 1.0, "config key 'attack.snr_e_db'")
@@ -280,7 +277,7 @@ class AttackConfig:
     @property
     def n_test(self) -> int:
         """Pairs held out to score the adversary: at least one."""
-        return max(1, int(round(self.pairs * self.test_fraction)))
+        return max(1, int(round(self.pairs * TEST_FRACTION)))
 
 
 @dataclass(frozen=True)

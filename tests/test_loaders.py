@@ -227,7 +227,7 @@ def _file_blobs():
 
 FILES = _file_blobs()
 DICT_LOADERS = {
-    "config": (config_from_dict, {**CONFIG, "n_levels": 16, "sigma_l": 5.0,
+    "config": (config_from_dict, {**CONFIG, "n_levels": 16,
                                   "training": {"snr_train_db": 10.0}}),
     # the game plays the run's n_levels
     "game": (lambda raw: game_config_from_dict(raw["game"],
@@ -239,7 +239,7 @@ DICT_LOADERS = {
     "attack": (lambda raw: attack_config_from_dict(raw["attack"],
                                                    config_from_dict(raw).dataset),
                {**CONFIG, "attack": {"adversary": "linear", "epochs": 5,
-                                     "snr_e_db": "inf", "test_fraction": 0.2}}),
+                                     "snr_e_db": "inf"}}),
 }
 FILE_LOADERS = {
     "public key": (load_public_key, FILES["pub.json"]),

@@ -492,6 +492,19 @@ def test_receive_takes_one_snr_per_row():
         receive(c, cons, snrs[:2], 5.0, 29, range(5))
 
 
+@pytest.mark.parametrize("indices, bad, fault", [
+    ([3, 3], 3, "repeats"),
+    # 0 and 2**64 would key the same stream: the key keeps 64 bits
+    ([0, 2**64], 2**64, "is outside"),
+    ([-1], -1, "is outside"),
+], ids=["repeat", "wraps_onto_0", "negative"])
+def test_receive_rejects_shared_channel_noise(indices, bad, fault):
+    # two rows keyed alike would carry the same channel noise
+    c = np.zeros((len(indices), 4), dtype=np.int64)
+    with pytest.raises(ValueError, match=f"message index {bad} {fault}"):
+        receive(c, build_constellation(17), 10.0, 5.0, 6, indices)
+
+
 def _scored_widths(monkeypatch, y_hat, cons, sigma2):
     """Run the demodulator and return the window width each symbol got."""
     estimate = modem._estimate

@@ -151,6 +151,18 @@ def test_empty_grid_rejected(setup):
         sweep(images, SPEC, {}, keys, qcfg, cons, [], 5.0, 3, 4)
 
 
+@pytest.mark.parametrize("channel_seed", [3, 3 + 2**64], ids=["equal", "equal_mod_2**64"])
+def test_error_and_channel_seeds_must_differ(setup, channel_seed):
+    # one seed would key a message's channel noise on its error triple's stream
+    keys, qcfg, cons, images = setup
+    message = f"error seed 3 and channel seed {channel_seed} are equal mod 2"
+    with pytest.raises(ValueError, match=message):
+        transmit_latent(np.zeros((1, LWE.k), dtype=np.int64), keys, cons, 10.0, 5.0,
+                        3, channel_seed, [0])
+    with pytest.raises(ValueError, match=message):
+        sweep(images, SPEC, {}, keys, qcfg, cons, [10.0], 5.0, 3, channel_seed)
+
+
 @pytest.mark.parametrize("qcfg, cons, message", [
     (QuantizerConfig(251, 16), None, "quantizer modulus 251 is not the key modulus 4093"),
     (None, build_constellation(4096, 1.0),
