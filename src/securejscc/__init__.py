@@ -15,9 +15,9 @@ from .datasets import DatasetSpec, read_image, synthesize_dataset
 from .lwe import (Ciphertext, ErrorTriple, KeyPair, LweParams, PublicKey, centered,
                   decrypt, derive_error_rows, encrypt, error_rows, keygen, keygen_stack)
 from .metrics import ms_ssim, mse, psnr, ssim
-from .modem import (Constellation, awgn, build_constellation, modulate,
-                    noise_variance, receive, soft_demodulate)
-from .pipeline import records_to_csv, sweep, transmit_latent
+from .modem import (Constellation, awgn, build_constellation, channel_noise,
+                    modulate, noise_variance, receive, soft_demodulate)
+from .pipeline import draw_messages, records_to_csv, sweep, transmit_latent
 from .quantizer import (QuantizerConfig, anneal_sigma_q, build_centroids,
                         hard_quantize, soft_dequantize, soft_quantize_jacobian)
 from .rng import stream

@@ -194,31 +194,44 @@ def derive_error_rows(shared_error_seed: int, message_indices,
     return error_rows(message_streams(shared_error_seed, message_indices), params)
 
 
+def pad(key: KeyPair | PublicKey, errors: ErrorTriple) -> Ciphertext:
+    """The encryption of the zero plaintext, ``c = (e1 B + e3) mod p`` and
+    ``d = (e1 A + e2) mod p``, one row per triple (``key`` may stack keys as
+    in :func:`encrypt`): formed before the plaintext is known, completed by
+    :func:`add_plaintext`."""
+    # broadcasting one error over another's rows would reuse it across messages
+    if not errors.e1.shape[:-1] == errors.e2.shape[:-1] == errors.e3.shape[:-1]:
+        raise ValueError("need exactly one error triple per plaintext row")
+    p = key.params.p
+    return Ciphertext(c=(lattice_product(errors.e1, key.B) + errors.e3) % p,
+                      d=(lattice_product(errors.e1, key.A) + errors.e2) % p)
+
+
+def add_plaintext(plaintext: np.ndarray, pads: Ciphertext,
+                  params: LweParams) -> Ciphertext:
+    """Plaintext rows in Z_p^k encrypted on their own :func:`pad` rows:
+    ``c = (pads.c + plaintext) mod p`` and ``d = pads.d``."""
+    z = np.asarray(plaintext, dtype=np.int64)
+    if z.shape[-1:] != (params.k,):
+        raise ValueError(f"plaintext must have length k={params.k}, got shape {z.shape}")
+    if np.any(z < 0) or np.any(z >= params.p):
+        raise ValueError("plaintext entries must lie in [0, p)")
+    if pads.c.shape != z.shape:
+        raise ValueError("need exactly one error triple per plaintext row")
+    return Ciphertext(c=(pads.c + z) % params.p, d=pads.d)
+
+
 def encrypt(plaintext: np.ndarray, key: KeyPair | PublicKey,
             errors: ErrorTriple) -> Ciphertext:
-    """Encrypt plaintext rows in Z_p^k with the public part of ``key``.
-
-    c = (e1 B + e3 + plaintext) mod p
-    d = (e1 A + e2) mod p
+    """Encrypt plaintext rows in Z_p^k with the public part of ``key``:
+    ``c = (e1 B + e3 + plaintext) mod p``, ``d = (e1 A + e2) mod p``.
 
     ``plaintext`` is one message (k,) or a batch (B, k); ``errors`` must
-    carry one triple per message. ``d`` does not depend on the plaintext,
-    so a receiver that shares the error seed can precompute it. ``key`` may
-    also stack one key per message, B (T, n1, k) and A (T, n1, n2) from
-    :func:`keygen_stack`, for (T, 1, k) plaintext rows and (T, 1, .) errors.
+    carry one triple per message. ``key`` may also stack one key per
+    message, B (T, n1, k) and A (T, n1, n2) from :func:`keygen_stack`, for
+    (T, 1, k) plaintext rows and (T, 1, .) errors.
     """
-    p = key.params.p
-    z = np.asarray(plaintext, dtype=np.int64)
-    if z.shape[-1:] != (key.params.k,):
-        raise ValueError(f"plaintext must have length k={key.params.k}, got shape {z.shape}")
-    if np.any(z < 0) or np.any(z >= p):
-        raise ValueError("plaintext entries must lie in [0, p)")
-    # broadcasting one triple over a batch would reuse it across messages
-    if any(e.shape[:-1] != z.shape[:-1] for e in (errors.e1, errors.e2, errors.e3)):
-        raise ValueError("need exactly one error triple per plaintext row")
-    c = (lattice_product(errors.e1, key.B) + errors.e3 + z) % p
-    d = (lattice_product(errors.e1, key.A) + errors.e2) % p
-    return Ciphertext(c=c, d=d)
+    return add_plaintext(plaintext, pad(key, errors), key.params)
 
 
 def decrypt(c: np.ndarray, d: np.ndarray, key: KeyPair) -> np.ndarray:

@@ -96,21 +96,37 @@ def modulate(values: np.ndarray, cons: Constellation) -> np.ndarray:
     return cons.points[v]
 
 
-def awgn(y: np.ndarray, sigma2: float | np.ndarray, rngs) -> np.ndarray:
-    """y + n with n complex Gaussian, total variance sigma2 per symbol.
-
-    ``y`` is (B, ...) with one stream per row: row i draws its real, then
-    its imaginary parts from ``rngs[i]``. ``sigma2`` is one variance or an
-    array of them that broadcasts against ``y``, such as (B, 1) for (B, k).
+def channel_noise(cons: Constellation, snr_db: Db | np.ndarray, k: int, seed: int,
+                  message_indices) -> tuple[np.ndarray, np.ndarray]:
+    """Each of B messages' noise variance at its SNR (``snr_db``: one
+    :data:`Db` or one per message) and its k complex Gaussian noise symbols
+    of that total variance: the real, then the imaginary parts drawn from
+    ``stream(seed, message_indices[i])``, zero at +inf dB, which draws
+    nothing. No index may repeat (:func:`~securejscc.rng.message_streams`).
     """
+    keyed = message_streams(seed, message_indices)
+    snrs = np.asarray(snr_db, dtype=np.float64)
+    if snrs.ndim and snrs.shape != (len(keyed),):
+        raise ValueError(f"need one SNR or one per row: {len(keyed)} rows, "
+                         f"SNR shape {snrs.shape}")
+    snrs = np.broadcast_to(snrs, len(keyed)).tolist()
+    variances = {snr: noise_variance(snr, cons.avg_power) for snr in dict.fromkeys(snrs)}
+    sigma2 = np.array([variances[snr] for snr in snrs])
+    noise = np.zeros((len(keyed), k), dtype=np.complex128)
+    noisy = np.flatnonzero(sigma2 > 0.0)
+    n = normal_rows(keyed.subset(noisy), (2, k))
+    noise[noisy] = np.sqrt(np.divide(sigma2[noisy, None], 2.0)) * (n[:, 0] + 1j * n[:, 1])
+    return sigma2, noise
+
+
+def awgn(y: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """The AWGN channel: finite input ``y`` plus its :func:`channel_noise`."""
     y = np.asarray(y, dtype=np.complex128)
-    if len(rngs) != len(y):
-        raise ValueError(f"need one stream per row: {len(y)} rows, "
-                         f"{len(rngs)} streams")
+    if noise.shape != y.shape:
+        raise ValueError(f"need one noise entry per symbol: {y.shape} vs {noise.shape}")
     if not np.all(np.isfinite(y.real)) or not np.all(np.isfinite(y.imag)):
         raise ValueError("channel input must be finite")
-    n = normal_rows(rngs, (2, *y.shape[1:]))
-    return y + np.sqrt(np.divide(sigma2, 2.0)) * (n[:, 0] + 1j * n[:, 1])
+    return y + noise
 
 
 def _estimate(y: np.ndarray, col_lo: np.ndarray | None, row_lo: np.ndarray | None,
@@ -236,38 +252,22 @@ def soft_demodulate(y_hat: np.ndarray, cons: Constellation, sigma2: float,
     return out.reshape(y_hat.shape)
 
 
-def receive(c: np.ndarray, cons: Constellation, snr_db: Db | np.ndarray,
-            sigma_l: float, seed: int, message_indices) -> np.ndarray:
-    """Channel and receiver for (B, k) ciphertext rows.
-
-    ``snr_db`` is one SNR for every row or one per row (each a :data:`Db`).
-    Row i is modulated, perturbed by AWGN at its SNR drawn from
-    ``stream(seed, message_indices[i])`` and soft-demodulated; the noisy
-    rows share one channel call, and the rows of one SNR one demodulator
-    call. No index may repeat (:func:`~securejscc.rng.message_streams`).
-    +inf dB is the exact noiseless limit: the demodulator output
-    converges to the transmitted integers, which are returned as floats.
-    """
+def receive(c: np.ndarray, cons: Constellation, sigma2: np.ndarray,
+            noise: np.ndarray, sigma_l: float) -> np.ndarray:
+    """Channel and receiver for (B, k) ciphertext rows on their
+    :func:`channel_noise` draws ``sigma2`` (B,) and ``noise`` (B, k): the
+    noisy rows share one :func:`awgn` call, and the rows of one variance one
+    demodulator call. A zero-variance (+inf dB) row is the exact noiseless
+    limit, to which the demodulator converges: its integers, as floats."""
     c = np.asarray(c)
-    if c.ndim != 2 or len(message_indices) != c.shape[0]:
-        raise ValueError(f"need (B, k) rows and B message indices, got shape "
-                         f"{c.shape} and {len(message_indices)} indices")
-    keyed = message_streams(seed, message_indices)
-    snrs = np.asarray(snr_db, dtype=np.float64)
-    if snrs.ndim and snrs.shape != (len(c),):
-        raise ValueError(f"need one SNR or one per row: {len(c)} rows, "
-                         f"SNR shape {snrs.shape}")
-    snrs = np.broadcast_to(snrs, len(c))
-    variances = {snr: noise_variance(snr, cons.avg_power)  # distinct SNRs
-                 for snr in dict.fromkeys(snrs.tolist())}
-    sigma2 = np.array([variances[snr] for snr in snrs.tolist()])
+    if c.ndim != 2 or noise.shape != c.shape or sigma2.shape != c.shape[:1]:
+        raise ValueError(f"need (B, k) rows, one noise row and one variance each, got "
+                         f"shapes {c.shape}, {noise.shape} and {sigma2.shape}")
     noisy = np.flatnonzero(sigma2 > 0.0)
     out = c.astype(np.float64)
-    if len(noisy):
-        # the noisy rows draw their channel streams in one pass, in row order
-        sigma2 = sigma2[noisy]
-        y_hat = awgn(modulate(c[noisy], cons), sigma2[:, None], keyed.subset(noisy))
-        for s2 in set(sigma2.tolist()):
-            rows = sigma2 == s2
-            out[noisy[rows]] = soft_demodulate(y_hat[rows], cons, s2, sigma_l)
+    sigma2 = sigma2[noisy]
+    y_hat = awgn(modulate(c[noisy], cons), noise[noisy])
+    for s2 in set(sigma2.tolist()):
+        rows = sigma2 == s2
+        out[noisy[rows]] = soft_demodulate(y_hat[rows], cons, s2, sigma_l)
     return out

@@ -9,11 +9,14 @@ does not depend on the batch it travels in.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from . import codec, metrics
-from .lwe import Ciphertext, KeyPair, centered, decrypt, derive_error_rows, encrypt
-from .modem import Constellation, Db, receive
+from .lwe import (Ciphertext, KeyPair, add_plaintext, centered, decrypt,
+                  derive_error_rows, pad)
+from .modem import Constellation, Db, channel_noise, receive
 from .quantizer import QuantizerConfig, hard_quantize, soft_dequantize
 from .rng import seed_word
 
@@ -27,26 +30,46 @@ SWEEP_DTYPE = np.dtype([(name, np.int64 if name.endswith("_index") else np.float
 MS_SSIM_MIN_SIDE = 64  # below this the multi-scale metric is not reported (NaN)
 
 
-def transmit_latent(z_bar: np.ndarray, keys: KeyPair, cons: Constellation,
-                    snr_db: Db | np.ndarray, sigma_l: float, error_seed: int,
-                    channel_seed: int, message_indices
-                    ) -> tuple[Ciphertext, np.ndarray]:
-    """Carry (B, k) quantized latents through encryption and the channel:
-    the ciphertext and its soft-demodulated estimate c_hat, one row per
-    message. The receiver decrypts c_hat with ``decrypt(c_hat, ct.d, keys)``.
+@dataclass(frozen=True)
+class MessageDraws:
+    """The randomness of messages ``indices``; ``draws[rows]`` selects rows."""
 
-    ``snr_db`` is one SNR for every row or one per row (see
-    :func:`~securejscc.modem.receive`). Row i uses the error triple and
-    channel stream of ``message_indices[i]``, so a row's output does not
-    depend on the batch it travels in. +inf dB short-circuits the modem
-    with its exact noiseless limit. The two seeds must differ mod 2**64, or
-    a message's channel noise would replay the draws of its error triple.
-    """
+    indices: np.ndarray  # (B,) message indices
+    pad: Ciphertext  # the encryption of the zero plaintext: (B, k) c, (B, n2) d
+    sigma2: np.ndarray  # (B,) channel noise variance, 0 at +inf dB
+    noise: np.ndarray  # (B, k) complex channel noise
+
+    def __getitem__(self, rows) -> MessageDraws:
+        return MessageDraws(self.indices[rows],
+                            Ciphertext(self.pad.c[rows], self.pad.d[rows]),
+                            self.sigma2[rows], self.noise[rows])
+
+
+def draw_messages(keys: KeyPair, cons: Constellation, error_seed: int,
+                  channel_seed: int, message_indices,
+                  snr_db: Db | np.ndarray) -> MessageDraws:
+    """The draws of messages ``message_indices`` at ``snr_db`` (see
+    :func:`~securejscc.modem.channel_noise`): message i's error triple and
+    channel noise come from its index's streams, whatever batch it is drawn
+    in. The seeds must differ mod 2**64, or a message's channel noise would
+    replay the draws of its error triple."""
     if seed_word(error_seed) == seed_word(channel_seed):
         raise ValueError(f"error seed {error_seed} and channel seed {channel_seed} are "
                          f"equal mod 2**64, so they would draw the same random streams")
-    ct = encrypt(z_bar, keys, derive_error_rows(error_seed, message_indices, keys.params))
-    return ct, receive(ct.c, cons, snr_db, sigma_l, channel_seed, message_indices)
+    errors = derive_error_rows(error_seed, message_indices, keys.params)
+    sigma2, noise = channel_noise(cons, snr_db, keys.params.k, channel_seed,
+                                  message_indices)
+    return MessageDraws(np.asarray(message_indices), pad(keys, errors), sigma2, noise)
+
+
+def transmit_latent(z_bar: np.ndarray, draws: MessageDraws, keys: KeyPair,
+                    cons: Constellation, sigma_l: float
+                    ) -> tuple[Ciphertext, np.ndarray]:
+    """Carry (B, k) quantized latents through encryption and the channel on
+    their messages' draws: the ciphertext and its soft-demodulated estimate
+    c_hat, which the receiver decrypts with ``decrypt(c_hat, ct.d, keys)``."""
+    ct = add_plaintext(z_bar, draws.pad, keys.params)
+    return ct, receive(ct.c, cons, draws.sigma2, draws.noise, sigma_l)
 
 
 def _fmt(value: float) -> str:
@@ -115,8 +138,8 @@ def sweep(images: list[np.ndarray], spec: codec.CodecSpec, params: dict,
         g = np.repeat(np.arange(n_snr), len(chunk))
         i = np.tile(chunk, n_snr)
         messages = g * n + i
-        ct, c_hat = transmit_latent(z_bar[i], keys, cons, snrs[g], sigma_l,
-                                    error_seed, channel_seed, messages)
+        draws = draw_messages(keys, cons, error_seed, channel_seed, messages, snrs[g])
+        ct, c_hat = transmit_latent(z_bar[i], draws, keys, cons, sigma_l)
         # the exact plaintext (crypto noise reference) and the noisy one: one product
         exact_plain, z_prime = decrypt(np.stack([ct.c, c_hat]), ct.d, keys)
         x_hats, _ = codec.decode(soft_dequantize(z_prime, qcfg), spec, params)

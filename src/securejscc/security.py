@@ -23,10 +23,11 @@ import numpy as np
 
 from . import codec, metrics
 from .datasets import DatasetSpec, synthesize_dataset
-from .lwe import (ErrorTriple, LweParams, PublicKey, _gaussian_rows, centered,
-                  derive_error_rows, encrypt, error_rows, keygen_stack,
-                  lattice_product)
-from .modem import SIGMA_L_DEFAULT, Db, build_constellation, noise_variance, receive
+from .lwe import (Ciphertext, ErrorTriple, LweParams, PublicKey, _gaussian_rows,
+                  add_plaintext, centered, derive_error_rows, encrypt, error_rows,
+                  keygen_stack, lattice_product, pad)
+from .modem import (SIGMA_L_DEFAULT, Db, build_constellation, channel_noise,
+                    noise_variance, receive)
 from .quantizer import QuantizerConfig, build_centroids, check_levels, hard_quantize
 from .rng import bounded, halves, raw_words, spawn_seed, stream, streams
 
@@ -365,9 +366,10 @@ def run_cpa_attack(cfg: AttackConfig, spec: codec.CodecSpec, codec_params: dict,
 
     In ``fresh`` mode every message uses an independent error triple the
     adversary does not know. ``reused`` gives every pair its own copy of
-    message 0's triple (the sabotage control). ``known_seed`` keeps fresh errors but hands
-    the adversary the shared error seed, letting it strip the error layer
-    off each ciphertext before fitting.
+    the pad of message 0's triple (the sabotage control), formed once.
+    ``known_seed`` keeps fresh errors but hands the adversary the shared
+    error seed, letting it strip the error layer off each ciphertext
+    before fitting.
     """
     _require_public(public_key)
     params = public_key.params
@@ -386,19 +388,18 @@ def run_cpa_attack(cfg: AttackConfig, spec: codec.CodecSpec, codec_params: dict,
     z_bar = hard_quantize(z, qcfg)
     messages = np.arange(cfg.pairs)
     if cfg.error_mode == "reused":
-        first = derive_error_rows(error_seed, [0], params)
-        errors = ErrorTriple(*(np.repeat(e, cfg.pairs, axis=0)
-                               for e in (first.e1, first.e2, first.e3)))
+        first = pad(public_key, derive_error_rows(error_seed, [0], params))
+        pads = Ciphertext(*(np.repeat(a, cfg.pairs, axis=0) for a in (first.c, first.d)))
     else:
-        errors = derive_error_rows(error_seed, messages, params)
-    ct = encrypt(z_bar, public_key, errors)
+        pads = pad(public_key, derive_error_rows(error_seed, messages, params))
+    ct = add_plaintext(z_bar, pads, params)
     # Eve's channel: the same receiver as Bob's, without the secret key
-    observations = receive(ct.c, build_constellation(params.p), cfg.snr_e_db,
-                           sigma_l, eve_seed, messages)
+    cons = build_constellation(params.p)
+    observations = receive(ct.c, cons, *channel_noise(cons, cfg.snr_e_db, params.k,
+                                                      eve_seed, messages), sigma_l)
     if cfg.error_mode == "known_seed":
-        # the seed lets the adversary remove the error layer exactly
-        observations = (observations - (lattice_product(errors.e1, public_key.B)
-                                        + errors.e3)) % params.p
+        # the seed lets the adversary remove the error layer, its pad, exactly
+        observations = (observations - pads.c) % params.p
 
     n_test = cfg.n_test
     n_train = cfg.pairs - n_test

@@ -29,6 +29,9 @@ from .rng import seed_word, stream
 PATIENCE = 10
 DECAY_PATIENCE = 5
 LR_DECAY = 0.8
+# train_codec draws training messages ahead in blocks of whole batches and at
+# most this many latent entries (messages x k)
+DRAW_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass
@@ -47,6 +50,11 @@ class TrainContext:
     def __post_init__(self):
         self.keys.params.check_moduli(quantizer=self.qcfg.p,
                                       constellation=len(self.cons.points))
+
+    def draw(self, message_indices) -> pipeline.MessageDraws:
+        """The draws of messages ``message_indices`` on this chain."""
+        return pipeline.draw_messages(self.keys, self.cons, self.error_seed,
+                                      self.channel_seed, message_indices, self.snr_db)
 
 
 @dataclass
@@ -68,14 +76,20 @@ def init_train_state(spec: codec.CodecSpec, seed: int,
                       learning_rate=learning_rate)
 
 
-def _through_chain(ctx: TrainContext, message_base: int):
-    """Latent map of the real chain: quantize, transmit the batch, dequantize."""
+def _through_chain(ctx: TrainContext, draws: pipeline.MessageDraws):
+    """Latent map of the real chain: quantize, transmit on ``draws``, dequantize."""
     def latent_map(z: np.ndarray) -> np.ndarray:
-        ct, c_hat = pipeline.transmit_latent(
-            hard_quantize(z, ctx.qcfg), ctx.keys, ctx.cons, ctx.snr_db, ctx.sigma_l,
-            ctx.error_seed, ctx.channel_seed, message_base + np.arange(z.shape[0]))
+        ct, c_hat = pipeline.transmit_latent(hard_quantize(z, ctx.qcfg), draws,
+                                             ctx.keys, ctx.cons, ctx.sigma_l)
         return soft_dequantize(decrypt(c_hat, ct.d, ctx.keys), ctx.qcfg)
     return latent_map
+
+
+def _check_messages(draws: pipeline.MessageDraws, first: int, n: int) -> None:
+    # a message's error triple and channel noise serve that message once
+    if not np.array_equal(draws.indices, first + np.arange(n)):
+        raise ValueError(f"draws of messages {draws.indices.tolist()} are not "
+                         f"those of messages {first} .. {first + n - 1}")
 
 
 def _forward(batch: np.ndarray, params: dict, ctx: TrainContext, latent_map):
@@ -101,13 +115,17 @@ def _gradients(batch: np.ndarray, params: dict, ctx: TrainContext,
     return loss, grads
 
 
-def train_step(batch: np.ndarray, state: TrainState, ctx: TrainContext) -> float:
+def train_step(batch: np.ndarray, state: TrainState, ctx: TrainContext,
+               draws: pipeline.MessageDraws) -> float:
     """One optimizer update of ``state`` in place, with the soft quantizer's
     sharpness at ``state.step``: its parameters, optimizer moments, step and
-    message counters advance. Returns the batch loss."""
+    message counters advance. Returns the batch loss. The batch travels as
+    messages ``state.messages_sent`` onward on their ``draws``; draws of
+    other messages, such as the last step's replayed, raise ValueError."""
+    _check_messages(draws, state.messages_sent, batch.shape[0])
     sigma_q = anneal_sigma_q(state.step)
     loss, grads = _gradients(batch, state.params, ctx, sigma_q,
-                             _through_chain(ctx, state.messages_sent))
+                             _through_chain(ctx, draws))
     if not math.isfinite(loss):
         raise RuntimeError(
             f"non-finite loss at step {state.step} "
@@ -119,10 +137,12 @@ def train_step(batch: np.ndarray, state: TrainState, ctx: TrainContext) -> float
     return loss
 
 
-def evaluate(images: np.ndarray, params: dict, ctx: TrainContext) -> float:
+def evaluate(images: np.ndarray, params: dict, ctx: TrainContext,
+             draws: pipeline.MessageDraws) -> float:
     """Mean loss of the evaluation chain (the training forward pass), sent
-    as messages 0 .. len(images)-1."""
-    return _forward(images, params, ctx, _through_chain(ctx, 0))[0]
+    as messages 0 .. len(images)-1 on their ``draws`` (others raise)."""
+    _check_messages(draws, 0, len(images))
+    return _forward(images, params, ctx, _through_chain(ctx, draws))[0]
 
 
 @dataclass
@@ -145,7 +165,8 @@ def train_codec(train_images: list[np.ndarray], val_images: list[np.ndarray],
     that no validation image shares a training message's noise. Training
     stops after ``PATIENCE`` epochs without improvement and the learning
     rate shrinks by ``LR_DECAY`` after every ``DECAY_PATIENCE`` stagnant
-    epochs.
+    epochs. Validation's messages are drawn once per run, training's ahead
+    in blocks (see ``DRAW_BLOCK_ENTRIES``).
     """
     if {seed_word(ctx.error_seed), seed_word(ctx.channel_seed)} & {
             seed_word(eval_ctx.error_seed), seed_word(eval_ctx.channel_seed)}:
@@ -154,6 +175,9 @@ def train_codec(train_images: list[np.ndarray], val_images: list[np.ndarray],
     x_train = np.stack([im.reshape(-1) for im in train_images])
     x_val = np.stack([im.reshape(-1) for im in val_images])
     shuffle_rng = stream(shuffle_seed)
+    val_draws = eval_ctx.draw(np.arange(len(x_val)))
+    block = max(1, DRAW_BLOCK_ENTRIES // (batch_size * ctx.keys.params.k)) * batch_size
+    base = end = state.messages_sent  # the drawn block: messages base .. end-1
 
     best_val = math.inf
     stagnant = 0
@@ -167,9 +191,14 @@ def train_codec(train_images: list[np.ndarray], val_images: list[np.ndarray],
             if state.step >= max_steps:
                 break
             batch = x_train[order[start:start + batch_size]]
-            epoch_losses.append(train_step(batch, state, ctx))
+            sent = state.messages_sent
+            if sent + len(batch) > end:  # the next block, for at most the steps left
+                base, end = sent, sent + min(block, (max_steps - state.step) * batch_size)
+                draws = ctx.draw(np.arange(base, end))
+            epoch_losses.append(train_step(batch, state, ctx,
+                                           draws[sent - base:sent - base + len(batch)]))
         train_losses.append(float(np.mean(epoch_losses)))
-        val = evaluate(x_val, state.params, eval_ctx)
+        val = evaluate(x_val, state.params, eval_ctx, val_draws)
         val_losses.append(val)
         if val < best_val - 1e-12:
             best_val = val

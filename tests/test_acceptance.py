@@ -15,17 +15,19 @@ from securejscc.datasets import DatasetSpec, synthesize_dataset
 from securejscc.lwe import LweParams, centered, decrypt, encrypt, keygen
 from securejscc.metrics import ms_ssim, mse, psnr, ssim
 from securejscc.modem import build_constellation, modulate
-from securejscc.pipeline import records_to_csv, sweep, transmit_latent
+from securejscc.pipeline import records_to_csv, sweep
 from securejscc.quantizer import (QuantizerConfig, build_centroids,
                                   hard_quantize, soft_quantize_jacobian)
 from securejscc.rng import stream
 from securejscc.security import (AttackConfig, GameConfig, MarginalChiSquare,
                                  TrainedClassifier, run_cpa_attack,
                                  run_ind_cpa_game)
-from securejscc.training import TrainContext, evaluate, init_train_state, train_step
+from securejscc.training import TrainContext, init_train_state
 from test_lwe import message_errors, sample_discrete_gaussian
 from test_modem import awgn_one, nearest_point_demodulate
+from test_pipeline import transmit_drawn
 from test_quantizer import soft_quantize
+from test_training import evaluate_drawn, train_step_drawn
 from test_security import BROKEN_LWE, LeakyDistinguisher
 
 TABLE = LweParams(p=4093, n1=192, n2=192, sigma_s=8.87, k=512)
@@ -83,7 +85,7 @@ def test_criterion_3_compound_noise_calibration():
     n_msgs = 196  # ~1e5 symbols at k = 512
     zbar = np.stack([qcfg.centroids[qrng.integers(0, 16, size=512)]
                      for _ in range(n_msgs)])
-    ct, c_hat = transmit_latent(zbar, keys, cons, 10.0, 5.0, 21, 22, np.arange(n_msgs))
+    ct, c_hat = transmit_drawn(zbar, keys, cons, 10.0, 5.0, 21, 22, np.arange(n_msgs))
     z_prime = decrypt(c_hat, ct.d, keys)
     crypto = centered(decrypt(ct.c, ct.d, keys) - zbar, 4093).ravel()
     chan = (c_hat - ct.c).ravel()
@@ -225,15 +227,15 @@ def test_criterion_8_toy_training():
     ratios = []
     for seed in range(10):
         state = init_train_state(spec, seed=1000 + seed)
-        val0 = evaluate(val_x, state.params, eval_ctx)
+        val0 = evaluate_drawn(val_x, state.params, eval_ctx)
         shuffle = stream(2000 + seed)
         best = 1.0
         while state.step < 5000 and best >= 0.8:
             order = shuffle.permutation(len(train_x))
             for s in range(0, len(order), 10):
-                train_step(train_x[order[s:s + 10]], state, ctx)
+                train_step_drawn(train_x[order[s:s + 10]], state, ctx)
                 if state.step % 250 == 0:
-                    val = evaluate(val_x, state.params, eval_ctx)
+                    val = evaluate_drawn(val_x, state.params, eval_ctx)
                     best = min(best, val / val0)
                 if state.step >= 5000 or best < 0.8:
                     break

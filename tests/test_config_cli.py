@@ -421,35 +421,41 @@ def test_cli_codec_params_round_trip(tmp_path):
 
 
 def test_cli_train_validation_streams_disjoint_from_training(tmp_path, monkeypatch):
-    # every (seed, index) stream the chain draws, by phase: error triples
-    # come from derive_error_rows, channel noise from receive
+    # every (seed, index) stream each draw of the chain keys: error triples
+    # come from derive_error_rows, channel noise from channel_noise;
+    # validation's draws are the ones evaluate is handed
     from securejscc import pipeline, training
-    drawn = {"train": set(), "val": set()}
-    phase = ["train"]
+    drawn, evaluated = [], []  # [draws, its streams] per draw; evaluate's draws
 
     def spy(fn, at):  # args[at], args[at + 1] are the seed and the indices
         def wrapper(*args):
             seed, indices = args[at:at + 2]
-            drawn[phase[0]].update((seed, int(i)) for i in indices)
+            drawn[-1][1].update((seed, int(i)) for i in indices)
             return fn(*args)
         return wrapper
 
-    def evaluate(*args):
-        phase[0] = "val"
-        try:
-            return real_evaluate(*args)
-        finally:
-            phase[0] = "train"
+    def draw_messages(*args):
+        drawn.append([None, set()])
+        drawn[-1][0] = real_draw(*args)
+        return drawn[-1][0]
 
-    real_evaluate = training.evaluate
+    def evaluate(images, params, ctx, draws):
+        evaluated.append(draws)
+        return real_evaluate(images, params, ctx, draws)
+
+    real_draw, real_evaluate = pipeline.draw_messages, training.evaluate
     monkeypatch.setattr(pipeline, "derive_error_rows", spy(pipeline.derive_error_rows, 0))
-    monkeypatch.setattr(pipeline, "receive", spy(pipeline.receive, 4))
+    monkeypatch.setattr(pipeline, "channel_noise", spy(pipeline.channel_noise, 3))
+    monkeypatch.setattr(pipeline, "draw_messages", draw_messages)
     monkeypatch.setattr(training, "evaluate", evaluate)
     cfg_path = make_config_file(tmp_path, **MLP_TRAINING)
     assert main(["train", "--config", str(cfg_path),
                  "--out", str(tmp_path / "codec.json")]) == 0
-    assert drawn["train"] and drawn["val"]
-    assert not drawn["train"] & drawn["val"]
+    assert evaluated and all(any(d is draws for draws, _ in drawn) for d in evaluated)
+    val = set().union(*(s for draws, s in drawn if any(d is draws for d in evaluated)))
+    train = set().union(*(s for draws, s in drawn if all(d is not draws for d in evaluated)))
+    assert train and val
+    assert not train & val
 
 
 @pytest.mark.parametrize("over, message", [

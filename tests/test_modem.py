@@ -9,10 +9,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from securejscc import modem
-from securejscc.modem import (GAP, Constellation, awgn, build_constellation,
-                              modulate, noise_variance, receive,
+from securejscc.modem import (GAP, Constellation, build_constellation,
+                              channel_noise, modulate, noise_variance, receive,
                               soft_demodulate)
-from securejscc.rng import stream
+from securejscc.rng import normal_rows, stream
 
 
 # -- dense oracles: every symbol against every point -------------------------
@@ -162,6 +162,22 @@ def test_uniform_symbols_hit_average_power():
 # -- channel -----------------------------------------------------------------
 
 
+def awgn(y: np.ndarray, sigma2: float, rngs) -> np.ndarray:
+    """The channel on any streams, one per row of ``y``: row i gets the
+    noise :func:`channel_noise` draws from ``rngs[i]``, its real parts, then
+    its imaginary parts."""
+    assert len(rngs) == len(y), "one stream per row"
+    n = normal_rows(rngs, (2, *np.shape(y)[1:]))
+    return modem.awgn(y, np.sqrt(np.divide(sigma2, 2.0)) * (n[:, 0] + 1j * n[:, 1]))
+
+
+def receive_drawn(c, cons, snr_db, sigma_l, seed, message_indices) -> np.ndarray:
+    """:func:`receive` on the channel draws of ``message_indices``."""
+    k = np.shape(c)[-1]
+    return receive(c, cons, *channel_noise(cons, snr_db, k, seed, message_indices),
+                   sigma_l)
+
+
 def awgn_one(y: np.ndarray, sigma2: float, rng) -> np.ndarray:
     """:func:`awgn` on one message ``y``: its real, then its imaginary noise
     drawn from ``rng``."""
@@ -189,7 +205,7 @@ def test_zero_noise_identity():
     y = stream(3).standard_normal(100) + 1j * stream(4).standard_normal(100)
     assert np.array_equal(awgn_one(y, noise_variance(math.inf, 1.0), stream(5)), y)
     c = stream(6).integers(0, 16, size=(3, 8))
-    c_hat = receive(c, build_constellation(16, 1.0), math.inf, 5.0, 7, [0, 1, 2])
+    c_hat = receive_drawn(c, build_constellation(16, 1.0), math.inf, 5.0, 7, [0, 1, 2])
     assert c_hat.dtype == np.float64
     assert np.array_equal(c_hat, c)
 
@@ -226,16 +242,20 @@ def test_channel_rejects_nonfinite():
 
 
 def test_channel_draws_each_row_from_its_stream():
-    y = stream(14).standard_normal((3, 50)) + 0j
-    s = math.sqrt(0.3 / 2.0)
-    rows = awgn(y, 0.3, [stream(15, i) for i in range(3)])
-    for i, row in enumerate(rows):
-        rng = stream(15, i)
+    # message i draws its real, then its imaginary parts from its own stream;
+    # a +inf dB row draws nothing
+    sigma2, noise = channel_noise(build_constellation(16, 1.0), [5.0, math.inf, 5.0],
+                                  50, 15, [2, 0, 1])
+    assert sigma2.tolist() == [noise_variance(5.0, 1.0), 0.0, noise_variance(5.0, 1.0)]
+    s = math.sqrt(sigma2[0] / 2.0)
+    for row, index in ((0, 2), (2, 1)):
+        rng = stream(15, index)
         re, im = rng.standard_normal(50), rng.standard_normal(50)
-        assert np.array_equal(row, y[i] + s * (re + 1j * im))
-    # one stream for a batch would give every row the same noise
-    with pytest.raises(ValueError, match="one stream per row"):
-        awgn(y, 0.3, [stream(15)])
+        assert np.array_equal(noise[row], s * (re + 1j * im))
+    assert not noise[1].any()
+    # one noise row for a batch would give every row the same noise
+    with pytest.raises(ValueError, match="one noise entry per symbol"):
+        modem.awgn(np.zeros((3, 50)), noise[:1])
 
 
 # -- likelihoods -------------------------------------------------------------
@@ -449,18 +469,17 @@ def test_soft_demodulate_rows_equal_single_messages(k, p):
 
 DEMOD_DIGEST = """
 import hashlib
-from securejscc.modem import (awgn, build_constellation, modulate,
-                              noise_variance, soft_demodulate)
+from securejscc.modem import (awgn, build_constellation, channel_noise,
+                              modulate, soft_demodulate)
 from securejscc.rng import stream
 digest = hashlib.sha256()
 for p in (251, 4093):
     cons = build_constellation(p, 1.0)
     values = stream(26).integers(0, p, size=(40, 256))
     for snr_db in (0.0, 10.0, 15.0, 20.0, 30.0):
-        sigma2 = noise_variance(snr_db, 1.0)
-        y_hat = awgn(modulate(values, cons), sigma2,
-                     [stream(27, row) for row in range(len(values))])
-        digest.update(soft_demodulate(y_hat, cons, sigma2, 5.0).tobytes())
+        sigma2, noise = channel_noise(cons, snr_db, 256, 27, range(len(values)))
+        y_hat = awgn(modulate(values, cons), noise)
+        digest.update(soft_demodulate(y_hat, cons, sigma2[0], 5.0).tobytes())
 print(digest.hexdigest())
 """
 
@@ -484,12 +503,12 @@ def test_receive_takes_one_snr_per_row():
     cons = build_constellation(251, 1.0)
     c = stream(28).integers(0, 251, size=(5, 16))
     snrs = [10.0, math.inf, 0.0, 10.0, math.inf]
-    got = receive(c, cons, snrs, 5.0, 29, [4, 3, 2, 1, 0])
+    got = receive_drawn(c, cons, snrs, 5.0, 29, [4, 3, 2, 1, 0])
     for row, (snr, index) in enumerate(zip(snrs, [4, 3, 2, 1, 0])):
-        one = receive(c[row:row + 1], cons, snr, 5.0, 29, [index])
+        one = receive_drawn(c[row:row + 1], cons, snr, 5.0, 29, [index])
         assert np.array_equal(got[row], one[0]), row
     with pytest.raises(ValueError, match="one SNR or one per row"):
-        receive(c, cons, snrs[:2], 5.0, 29, range(5))
+        receive_drawn(c, cons, snrs[:2], 5.0, 29, range(5))
 
 
 @pytest.mark.parametrize("indices, bad, fault", [
@@ -500,9 +519,18 @@ def test_receive_takes_one_snr_per_row():
 ], ids=["repeat", "wraps_onto_0", "negative"])
 def test_receive_rejects_shared_channel_noise(indices, bad, fault):
     # two rows keyed alike would carry the same channel noise
-    c = np.zeros((len(indices), 4), dtype=np.int64)
     with pytest.raises(ValueError, match=f"message index {bad} {fault}"):
-        receive(c, build_constellation(17), 10.0, 5.0, 6, indices)
+        channel_noise(build_constellation(17), 10.0, 4, 6, indices)
+
+
+def test_receive_takes_one_noise_row_per_row():
+    # noise drawn for one message cannot be spread over a batch
+    cons = build_constellation(17)
+    sigma2, noise = channel_noise(cons, 10.0, 4, 6, [0])
+    c = np.zeros((2, 4), dtype=np.int64)
+    for args in ((np.repeat(sigma2, 2), noise), (sigma2, np.repeat(noise, 2, axis=0))):
+        with pytest.raises(ValueError, match="one noise row and one variance each"):
+            receive(c, cons, *args, 5.0)
 
 
 def _scored_widths(monkeypatch, y_hat, cons, sigma2):

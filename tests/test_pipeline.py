@@ -10,13 +10,21 @@ from securejscc.datasets import DatasetSpec, synthesize_dataset
 from securejscc.lwe import LweParams, centered, decrypt, keygen
 from securejscc.modem import build_constellation
 from securejscc.pipeline import (CSV_COLUMNS, CSV_SCHEMA_VERSION, SWEEP_DTYPE,
-                                 records_to_csv, sweep, transmit_latent)
+                                 draw_messages, records_to_csv, sweep,
+                                 transmit_latent)
 from securejscc.quantizer import QuantizerConfig, hard_quantize, soft_dequantize
 from securejscc.rng import stream
 
 LWE = LweParams(p=4093, n1=192, n2=192, sigma_s=8.87, k=64)
 SPEC = CodecSpec(kind="identity", input_shape=(8, 8, 1), k=64,
                  latent_scale=4093 / 256.0)
+
+
+def transmit_drawn(z_bar, keys, cons, snr_db, sigma_l, error_seed, channel_seed,
+                   message_indices):
+    """:func:`transmit_latent` on the draws of ``message_indices``."""
+    draws = draw_messages(keys, cons, error_seed, channel_seed, message_indices, snr_db)
+    return transmit_latent(z_bar, draws, keys, cons, sigma_l)
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +54,7 @@ def test_zero_noise_zero_errors_is_quantization_only(setup, zero_error_rows):
     x = images[0]
     z, _ = codec.encode(x.reshape(1, -1), SPEC, {})
     z_bar = hard_quantize(z, qcfg)
-    ct, c_hat = transmit_latent(z_bar, keys, cons, math.inf, 5.0, 3, 4, [0])
+    ct, c_hat = transmit_drawn(z_bar, keys, cons, math.inf, 5.0, 3, 4, [0])
     z_prime = decrypt(c_hat, ct.d, keys)
     assert np.array_equal(z_prime, z_bar)
     x_hat, _ = codec.decode(soft_dequantize(z_prime, qcfg), SPEC, {})
@@ -65,7 +73,7 @@ def test_zero_noise_zero_errors_is_quantization_only(setup, zero_error_rows):
 def test_transmit_deterministic(setup):
     keys, qcfg, cons, _ = setup
     zbar = stream(52).integers(0, 4093, size=(2, 64))
-    (ct_a, a), (ct_b, b) = (transmit_latent(zbar, keys, cons, 10.0, 5.0, 3, 4,
+    (ct_a, a), (ct_b, b) = (transmit_drawn(zbar, keys, cons, 10.0, 5.0, 3, 4,
                                             [7, 9]) for _ in range(2))
     for x, y in zip([ct_a.c, ct_a.d, a, decrypt(a, ct_a.d, keys)],
                     [ct_b.c, ct_b.d, b, decrypt(b, ct_b.d, keys)]):
@@ -157,8 +165,7 @@ def test_error_and_channel_seeds_must_differ(setup, channel_seed):
     keys, qcfg, cons, images = setup
     message = f"error seed 3 and channel seed {channel_seed} are equal mod 2"
     with pytest.raises(ValueError, match=message):
-        transmit_latent(np.zeros((1, LWE.k), dtype=np.int64), keys, cons, 10.0, 5.0,
-                        3, channel_seed, [0])
+        draw_messages(keys, cons, 3, channel_seed, [0], 10.0)
     with pytest.raises(ValueError, match=message):
         sweep(images, SPEC, {}, keys, qcfg, cons, [10.0], 5.0, 3, channel_seed)
 
@@ -185,7 +192,7 @@ def test_noise_accounting_additive(setup):
     zbar = np.stack([qcfg.centroids[stream(50, m).integers(0, 16, size=64)]
                      for m in range(30)])
     for snr in (5.0, 15.0):
-        ct, c_hat = transmit_latent(zbar, keys, cons, snr, 5.0, 3, 4, np.arange(30))
+        ct, c_hat = transmit_drawn(zbar, keys, cons, snr, 5.0, 3, 4, np.arange(30))
         z_prime = decrypt(c_hat, ct.d, keys)
         crypto_v = np.var(centered(decrypt(ct.c, ct.d, keys) - zbar, 4093), axis=1)
         chan_v = np.var(c_hat - ct.c, axis=1)
@@ -204,7 +211,7 @@ def test_batched_chain_rows_equal_single_messages(k):
     indices = [7, 2, 11, 3]
     zbar = stream(51).integers(0, 4093, size=(len(indices), k))
     def outputs(rows, message_indices):
-        ct, c_hat = transmit_latent(rows, keys, cons, 10.0, 5.0, 3, 4,
+        ct, c_hat = transmit_drawn(rows, keys, cons, 10.0, 5.0, 3, 4,
                                     message_indices)
         return {"c": ct.c, "d": ct.d, "exact_plain": decrypt(ct.c, ct.d, keys),
                 "c_hat": c_hat, "z_prime": decrypt(c_hat, ct.d, keys)}
@@ -214,6 +221,23 @@ def test_batched_chain_rows_equal_single_messages(k):
         one = outputs(zbar[row:row + 1], [index])
         for field, value in batch.items():
             assert np.array_equal(value[row], one[field][0]), field
+
+
+def test_rows_sliced_from_drawn_messages_equal_their_own_draws(setup):
+    # a sweep chunk of three images at 0 dB, +inf dB and 15 dB: rows sliced
+    # from its draws, +inf rows (no channel draw) among them, carry the bits
+    # of their messages drawn alone
+    keys, _, cons, _ = setup
+    messages = np.array([0, 1, 2, 6, 7, 8, 12, 13, 14])
+    snrs = np.repeat([0.0, math.inf, 15.0], 3)
+    zbar = stream(53).integers(0, 4093, size=(len(messages), LWE.k))
+    block = draw_messages(keys, cons, 3, 4, messages, snrs)
+    for rows in (slice(2, 7), np.array([4, 0, 8])):
+        ct, c_hat = transmit_latent(zbar[rows], block[rows], keys, cons, 5.0)
+        own_ct, own_c_hat = transmit_drawn(zbar[rows], keys, cons, snrs[rows], 5.0,
+                                           3, 4, messages[rows])
+        for got, own in ((ct.c, own_ct.c), (ct.d, own_ct.d), (c_hat, own_c_hat)):
+            assert np.array_equal(got, own)
 
 
 def per_snr_sweep(images, spec, params, keys, qcfg, cons, snr_grid_db,
@@ -226,7 +250,7 @@ def per_snr_sweep(images, spec, params, keys, qcfg, cons, snr_grid_db,
     rows = []
     for g, snr_db in enumerate(snr_grid_db):
         messages = g * n + np.arange(n)
-        ct, c_hat = transmit_latent(z_bar, keys, cons, snr_db, sigma_l,
+        ct, c_hat = transmit_drawn(z_bar, keys, cons, snr_db, sigma_l,
                                     error_seed, channel_seed, messages)
         exact_plain, z_prime = decrypt(ct.c, ct.d, keys), decrypt(c_hat, ct.d, keys)
         x_hats, _ = codec.decode(soft_dequantize(z_prime, qcfg), spec, params)

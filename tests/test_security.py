@@ -8,7 +8,7 @@ from securejscc.codec import CodecSpec
 from securejscc.datasets import DatasetSpec
 from securejscc.lwe import LweParams, centered, encrypt, keygen
 from securejscc.modem import (build_constellation, modulate, noise_variance,
-                              receive, soft_demodulate)
+                              soft_demodulate)
 from securejscc.quantizer import QuantizerConfig
 from securejscc.rng import spawn_seed, stream
 from securejscc.security import (DISTINGUISHERS, GAME_CHUNK_ENTRIES,
@@ -16,7 +16,7 @@ from securejscc.security import (DISTINGUISHERS, GAME_CHUNK_ENTRIES,
                                  default_plaintext_pair, run_cpa_attack,
                                  run_ind_cpa_game, trial_draws)
 from test_lwe import message_errors
-from test_modem import awgn_one
+from test_modem import awgn_one, receive_drawn
 
 GAME_LWE = LweParams(p=257, n1=32, n2=32, sigma_s=8.87, k=16)
 # a sampler this narrow draws only zeros: every challenge is c == m_b
@@ -249,7 +249,7 @@ def test_game_result_report_strings():
 
 def test_eve_infinite_snr_is_identity():
     c = stream(1).integers(0, 4093, size=(2, 64))
-    eve = receive(c, build_constellation(4093, 1.0), math.inf, 5.0, 3, [0, 1])
+    eve = receive_drawn(c, build_constellation(4093, 1.0), math.inf, 5.0, 3, [0, 1])
     assert np.array_equal(eve, c)
 
 
@@ -258,13 +258,13 @@ def test_eve_same_snr_same_seed_matches_bob():
     cons = build_constellation(257, 1.0)
     c = stream(4).integers(0, 257, size=(3, 16))
     sigma2 = noise_variance(10.0, 1.0)
-    eve = receive(c, cons, 10.0, 5.0, 6, [4, 0, 9])
+    eve = receive_drawn(c, cons, 10.0, 5.0, 6, [4, 0, 9])
     for row, index in enumerate([4, 0, 9]):
         bob = soft_demodulate(awgn_one(modulate(c[row], cons), sigma2,
                                        stream(6, index)), cons, sigma2, 5.0)
         assert np.array_equal(eve[row], bob)
     with pytest.raises(ValueError):
-        receive(c, cons, 10.0, 5.0, 6, [4, 0])
+        receive_drawn(c, cons, 10.0, 5.0, 6, [4, 0])
 
 
 # -- chosen-plaintext attack -------------------------------------------------
@@ -297,27 +297,32 @@ def test_sabotage_reused_errors_attack_succeeds(attack_setup):
 
 
 def test_sabotage_repeats_one_drawn_triple(attack_setup, monkeypatch):
-    # reused mode draws message 0's triple once and hands every pair its own
-    # copy of it; fresh mode draws one triple per pair
+    # reused mode draws message 0's triple once, forms its pad once and hands
+    # every pair its own copy of the pad; fresh mode draws one triple per pair
     pk, qcfg, _ = attack_setup
-    drawn, sent = [], []
+    drawn, padded, sent = [], [], []
 
     def counting(rngs, params):
         drawn.append(len(rngs))
         return error_rows(rngs, params)
 
-    def spy(z, key, errors):
-        sent.append(errors)
-        return encrypt(z, key, errors)
-    error_rows = lwe.error_rows
+    def padding(key, errors):
+        padded.append(len(errors.e1))
+        return pad(key, errors)
+
+    def spy(z, pads, params):
+        sent.append(pads)
+        return add_plaintext(z, pads, params)
+    error_rows, pad, add_plaintext = lwe.error_rows, security.pad, security.add_plaintext
     monkeypatch.setattr(lwe, "error_rows", counting)
-    monkeypatch.setattr(security, "encrypt", spy)
+    monkeypatch.setattr(security, "pad", padding)
+    monkeypatch.setattr(security, "add_plaintext", spy)
     for mode in ("reused", "fresh"):
         run_cpa_attack(make_attack_cfg(error_mode=mode, pairs=40), ATTACK_SPEC, {}, pk, qcfg)
-    assert drawn == [1, 40]
-    # both modes key the errors by the same seed: fresh row 0 is message 0's triple
+    assert drawn == padded == [1, 40]
+    # both modes key the errors by the same seed: fresh row 0 is message 0's pad
     reused, fresh = sent
-    for got, own in zip((reused.e1, reused.e2, reused.e3), (fresh.e1, fresh.e2, fresh.e3)):
+    for got, own in ((reused.c, fresh.c), (reused.d, fresh.d)):
         assert got.shape == own.shape
         assert all(np.array_equal(row, own[0]) for row in got)
         # every row is its own copy: writing one leaves its repeats unchanged

@@ -8,16 +8,17 @@ import numpy as np
 import pytest
 
 from securejscc.datasets import SYNTH_CHUNK_PIXELS, DatasetSpec, synthesize_dataset
+from securejscc import training
 from securejscc.lwe import keygen
 from securejscc.modem import build_constellation
 from securejscc.pipeline import sweep
 from securejscc.quantizer import QuantizerConfig
 from securejscc.security import (GAME_CHUNK_ENTRIES, GameConfig, run_cpa_attack,
                                  run_ind_cpa_game)
-from securejscc.training import init_train_state, train_step
+from securejscc.training import init_train_state, train_codec
 from test_pipeline import LWE, SPEC
 from test_security import ATTACK_LWE, ATTACK_SPEC, GAME_LWE, make_attack_cfg
-from test_training import MLP_SPEC, make_ctx, toy_batch
+from test_training import MLP_SPEC, make_ctx
 
 
 @pytest.fixture
@@ -54,12 +55,25 @@ def test_attack_builds_philox_per_call_and_synthesis_chunk(philox_built):
     assert len(philox_built) - built == 3 + synth_chunks
 
 
-def test_train_step_builds_two_philox(philox_built):
-    ctx, state, batch = make_ctx(MLP_SPEC), init_train_state(MLP_SPEC, 7), toy_batch()
-    built = len(philox_built)
-    train_step(batch, state, ctx)
-    # the error streams and the channel streams
-    assert len(philox_built) - built == 2
+@pytest.mark.parametrize("batches_per_block", [None, 2], ids=["default", "two"])
+def test_train_codec_builds_two_philox_per_draw_block(philox_built, monkeypatch,
+                                                      batches_per_block):
+    # 16 training images in batches of 8: the default block holds every
+    # step of these runs, a block of two batches ceil(steps / 2) of them
+    if batches_per_block:
+        monkeypatch.setattr(training, "DRAW_BLOCK_ENTRIES",
+                            batches_per_block * 8 * MLP_SPEC.k)
+    ctx, eval_ctx = make_ctx(MLP_SPEC), make_ctx(MLP_SPEC, error_seed=31, channel_seed=41)
+    images = synthesize_dataset(DatasetSpec("blob", 24, 4, 4, 1), 13)
+    for steps in (3, 9):
+        state = init_train_state(MLP_SPEC, 14)
+        built = len(philox_built)
+        train_codec(images[:16], images[16:], ctx, state, max_steps=steps,
+                    batch_size=8, shuffle_seed=15, eval_ctx=eval_ctx)
+        blocks = math.ceil(steps / batches_per_block) if batches_per_block else 1
+        # the shuffle stream, validation's error and channel streams, then
+        # each block's error streams and channel streams
+        assert len(philox_built) - built == 1 + 2 + 2 * blocks
 
 
 def test_sweep_builds_two_philox_per_chain_call(philox_built):

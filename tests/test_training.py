@@ -19,10 +19,25 @@ from test_quantizer import soft_quantize
 TOY_LWE = LweParams(p=251, n1=16, n2=16, sigma_s=1.5, k=16)
 
 
+def next_draws(batch, state, ctx):
+    """The draws of the messages ``batch`` travels as in a training step."""
+    return ctx.draw(state.messages_sent + np.arange(len(batch)))
+
+
+def train_step_drawn(batch, state, ctx):
+    """:func:`train_step` on the batch's own draws."""
+    return train_step(batch, state, ctx, next_draws(batch, state, ctx))
+
+
+def evaluate_drawn(images, params, ctx):
+    """:func:`evaluate` on the draws of messages 0 .. len(images)-1."""
+    return evaluate(images, params, ctx, ctx.draw(np.arange(len(images))))
+
+
 def chain_gradients(batch, state, ctx):
     """Loss and gradients of :func:`train_step`, through the real chain."""
     return _gradients(batch, state.params, ctx, anneal_sigma_q(state.step),
-                      _through_chain(ctx, state.messages_sent))
+                      _through_chain(ctx, next_draws(batch, state, ctx)))
 
 
 def surrogate_gradients(batch, state, ctx):
@@ -111,7 +126,7 @@ def test_zero_learning_rate_freezes_parameters():
     before = {k: v.copy() for k, v in state.params.items()}
     batch = toy_batch()
     for _ in range(3):
-        train_step(batch, state, ctx)
+        train_step_drawn(batch, state, ctx)
     for name in before:
         assert np.array_equal(state.params[name], before[name])
     assert state.step == 3
@@ -129,7 +144,7 @@ def test_sigma_q_annealing_advances_with_steps(monkeypatch):
     state = init_train_state(MLP_SPEC, seed=7)
     batch = toy_batch(2)
     for step in (0, 1999, 2000, 2001, 3999, 4000):
-        train_step(batch, replace(state, step=step), ctx)
+        train_step_drawn(batch, replace(state, step=step), ctx)
     assert seen == [5.0, 5.0, 10.0, 10.0, 10.0, 15.0]
 
 
@@ -138,7 +153,7 @@ def test_nonfinite_loss_aborts_with_diagnostic():
     state = init_train_state(MLP_SPEC, seed=7)
     state.params["dec.b1"][:] = np.nan
     with pytest.raises(RuntimeError, match="non-finite loss at step"):
-        train_step(toy_batch(), state, ctx)
+        train_step_drawn(toy_batch(), state, ctx)
     # the failed step leaves the state as it was
     assert (state.step, state.messages_sent) == (0, 0) and not state.moments.any()
 
@@ -169,7 +184,7 @@ def test_training_step_decrypts_once(monkeypatch):
         return decrypt(*args)
     decrypt = training.decrypt
     monkeypatch.setattr(training, "decrypt", counting)
-    train_step(toy_batch(), init_train_state(MLP_SPEC, seed=7), make_ctx(MLP_SPEC))
+    train_step_drawn(toy_batch(), init_train_state(MLP_SPEC, seed=7), make_ctx(MLP_SPEC))
     assert len(calls) == 1
 
 
@@ -181,15 +196,15 @@ def test_sweep_and_training_share_one_chain_function(monkeypatch):
     calls = []
     send = pipeline.transmit_latent
 
-    def spy(z_bar, *rest):
-        calls.append(rest[-1].tolist())
-        return send(z_bar, *rest)
+    def spy(z_bar, draws, *rest):
+        calls.append(draws.indices.tolist())
+        return send(z_bar, draws, *rest)
     monkeypatch.setattr(pipeline, "transmit_latent", spy)
     images = list(toy_batch(3).reshape(3, 4, 4, 1))
     pipeline.sweep(images, MLP_SPEC, state.params, ctx.keys, ctx.qcfg, ctx.cons,
                    [5.0, 15.0], ctx.sigma_l, ctx.error_seed, ctx.channel_seed)
-    train_step(toy_batch(), state, ctx)
-    evaluate(toy_batch(2), state.params, ctx)
+    train_step_drawn(toy_batch(), state, ctx)
+    evaluate_drawn(toy_batch(2), state.params, ctx)
     assert calls == [[0, 3], [1, 4], [2, 5], [0, 1, 2, 3], [0, 1]]
 
 
@@ -197,7 +212,7 @@ def test_train_step_advances_its_state_in_place():
     ctx = make_ctx(MLP_SPEC)
     state = init_train_state(MLP_SPEC, seed=7)
     before = {k: v.copy() for k, v in state.params.items()}
-    loss = train_step(toy_batch(), state, ctx)
+    loss = train_step_drawn(toy_batch(), state, ctx)
     assert math.isfinite(loss)
     assert (state.step, state.messages_sent) == (1, 4)
     assert state.moments.shape == (2, sum(a.size for a in before.values()))
@@ -214,12 +229,12 @@ def test_linear_codec_learns_on_clean_chain(zero_error_rows):
     images = synthesize_dataset(DatasetSpec("blob", 32, 4, 4, 1), 6)
     data = np.stack([im.reshape(-1) for im in images])
     state = init_train_state(spec, seed=11, learning_rate=1e-3)
-    loss0 = evaluate(data, state.params, ctx)
+    loss0 = evaluate_drawn(data, state.params, ctx)
     rng = stream(12)
     for _ in range(2000):
         batch = data[rng.integers(0, len(data), size=8)]
-        train_step(batch, state, ctx)
-    loss1 = evaluate(data, state.params, ctx)
+        train_step_drawn(batch, state, ctx)
+    loss1 = evaluate_drawn(data, state.params, ctx)
     assert loss1 < loss0
 
 
@@ -230,7 +245,7 @@ def test_forward_path_matches_evaluation_pipeline():
     batch = toy_batch(3)
     loss_train, _ = chain_gradients(batch, state, ctx)
     assert state.messages_sent == 0  # evaluate sends messages 0 .. 2
-    loss_eval = evaluate(batch, state.params, ctx)
+    loss_eval = evaluate_drawn(batch, state.params, ctx)
     assert np.isclose(loss_train, loss_eval, rtol=1e-12)
 
 
@@ -258,10 +273,10 @@ def test_converged_loss_beats_mean_predictor_baseline():
         while state.step < 1200:
             order = shuffle.permutation(len(train_x))
             for s in range(0, len(order), 10):
-                train_step(train_x[order[s:s + 10]], state, ctx)
+                train_step_drawn(train_x[order[s:s + 10]], state, ctx)
                 if state.step >= 1200:
                     break
-        finals.append(evaluate(val_x, state.params, eval_ctx))
+        finals.append(evaluate_drawn(val_x, state.params, eval_ctx))
     assert np.mean(finals) < baseline
 
 
@@ -291,3 +306,58 @@ def test_train_codec_early_stopping():
     assert result.state.step < 10_000
     # the first epoch sets the best loss, then PATIENCE stagnant ones
     assert len(result.val_losses) == PATIENCE + 1
+
+
+def test_train_step_rejects_draws_of_other_messages():
+    # a step must send the next messages on their own draws: draws of any
+    # other messages, a replay of the last step's among them, would give two
+    # messages one error triple and one channel noise
+    ctx, state, batch = make_ctx(MLP_SPEC), init_train_state(MLP_SPEC, seed=7), toy_batch()
+    first = next_draws(batch, state, ctx)
+    train_step(batch, state, ctx, first)
+    params = {k: v.copy() for k, v in state.params.items()}
+    moments = state.moments.copy()
+    for bad in (first, ctx.draw(np.arange(5, 9)), ctx.draw([5, 4, 6, 7]),
+                ctx.draw(np.arange(4, 7)), next_draws(batch, state, ctx)[:3]):
+        with pytest.raises(ValueError, match=r"are not those of messages 4 \.\. 7"):
+            train_step(batch, state, ctx, bad)
+        assert (state.step, state.messages_sent) == (1, 4)
+        assert all(np.array_equal(state.params[k], params[k]) for k in params)
+        assert np.array_equal(state.moments, moments)
+
+
+@pytest.mark.parametrize("indices", [[1, 2, 3], [0, 1], [0, 1, 2, 3], [2, 1, 0]])
+def test_evaluate_rejects_draws_of_other_messages(indices):
+    ctx, state = make_ctx(MLP_SPEC), init_train_state(MLP_SPEC, seed=7)
+    with pytest.raises(ValueError, match=r"are not those of messages 0 \.\. 2"):
+        evaluate(toy_batch(3), state.params, ctx, ctx.draw(indices))
+
+
+def test_chain_calls_on_drawn_blocks_equal_their_own_draws(monkeypatch):
+    # blocks of two 4-image batches, 4 steps an epoch, 6 validation images:
+    # a step in the second block and the second epoch's evaluation give the
+    # bits of their messages drawn on their own
+    monkeypatch.setattr(training, "DRAW_BLOCK_ENTRIES", 2 * 4 * MLP_SPEC.k)
+    ctx = make_ctx(MLP_SPEC)
+    eval_ctx = make_ctx(MLP_SPEC, error_seed=31, channel_seed=41)
+    images = synthesize_dataset(DatasetSpec("blob", 22, 4, 4, 1), 13)
+    calls = []
+    send = pipeline.transmit_latent
+
+    def spy(z_bar, draws, *rest):
+        calls.append((z_bar, draws, send(z_bar, draws, *rest)))
+        return calls[-1][2]
+    monkeypatch.setattr(pipeline, "transmit_latent", spy)
+    state = init_train_state(MLP_SPEC, seed=14)
+    train_codec(images[:16], images[16:], ctx, state, max_steps=8, batch_size=4,
+                shuffle_seed=15, eval_ctx=eval_ctx)
+    steps = [list(range(m, m + 4)) for m in range(0, 32, 4)]
+    assert [draws.indices.tolist() for _, draws, _ in calls] == [
+        *steps[:4], list(range(6)), *steps[4:], list(range(6))]
+    monkeypatch.undo()
+    for call, on in ((calls[2], ctx), (calls[-1], eval_ctx)):
+        z_bar, draws, (ct, c_hat) = call
+        own_ct, own_c_hat = pipeline.transmit_latent(
+            z_bar, on.draw(draws.indices), on.keys, on.cons, on.sigma_l)
+        for got, own in ((ct.c, own_ct.c), (ct.d, own_ct.d), (c_hat, own_c_hat)):
+            assert np.array_equal(got, own)
