@@ -1,10 +1,11 @@
 """Lattice encryption over Z_p.
 
 Implements discrete Gaussian sampling, key generation, public-key
-encryption and decryption of exact or noisy ciphertexts. Decryption is
-additive: it returns the plaintext plus a small structured residual
-(``S^T e2 + U^T e1 + e3``), which the surrounding transmission chain
-treats as one more noise source.
+encryption in two steps (:func:`pad` encrypts the zero plaintext on error
+triples, :func:`encrypt` adds the plaintext to it) and decryption of exact
+or noisy ciphertexts. Decryption is additive: it returns the plaintext plus
+a small structured residual (``S^T e2 + U^T e1 + e3``), which the
+surrounding transmission chain treats as one more noise source.
 
 Representation conventions: public matrices and ciphertexts are stored as
 least non-negative residues in ``[0, p)``; the secret ``S`` and decryption
@@ -196,9 +197,10 @@ def derive_error_rows(shared_error_seed: int, message_indices,
 
 def pad(key: KeyPair | PublicKey, errors: ErrorTriple) -> Ciphertext:
     """The encryption of the zero plaintext, ``c = (e1 B + e3) mod p`` and
-    ``d = (e1 A + e2) mod p``, one row per triple (``key`` may stack keys as
-    in :func:`encrypt`): formed before the plaintext is known, completed by
-    :func:`add_plaintext`."""
+    ``d = (e1 A + e2) mod p``, one row per triple: formed before the
+    plaintext is known, completed by :func:`encrypt`. ``key`` may also stack
+    one key per message, B (T, n1, k) and A (T, n1, n2) from
+    :func:`keygen_stack`, for (T, 1, .) error rows."""
     # broadcasting one error over another's rows would reuse it across messages
     if not errors.e1.shape[:-1] == errors.e2.shape[:-1] == errors.e3.shape[:-1]:
         raise ValueError("need exactly one error triple per plaintext row")
@@ -207,10 +209,10 @@ def pad(key: KeyPair | PublicKey, errors: ErrorTriple) -> Ciphertext:
                       d=(lattice_product(errors.e1, key.A) + errors.e2) % p)
 
 
-def add_plaintext(plaintext: np.ndarray, pads: Ciphertext,
-                  params: LweParams) -> Ciphertext:
-    """Plaintext rows in Z_p^k encrypted on their own :func:`pad` rows:
-    ``c = (pads.c + plaintext) mod p`` and ``d = pads.d``."""
+def encrypt(plaintext: np.ndarray, pads: Ciphertext, params: LweParams) -> Ciphertext:
+    """Plaintext rows in Z_p^k, one message (k,) or a batch (B, k), encrypted
+    on their own :func:`pad` rows: ``c = (pads.c + plaintext) mod p``, that
+    is ``(e1 B + e3 + plaintext) mod p``, and ``d = pads.d``."""
     z = np.asarray(plaintext, dtype=np.int64)
     if z.shape[-1:] != (params.k,):
         raise ValueError(f"plaintext must have length k={params.k}, got shape {z.shape}")
@@ -219,19 +221,6 @@ def add_plaintext(plaintext: np.ndarray, pads: Ciphertext,
     if pads.c.shape != z.shape:
         raise ValueError("need exactly one error triple per plaintext row")
     return Ciphertext(c=(pads.c + z) % params.p, d=pads.d)
-
-
-def encrypt(plaintext: np.ndarray, key: KeyPair | PublicKey,
-            errors: ErrorTriple) -> Ciphertext:
-    """Encrypt plaintext rows in Z_p^k with the public part of ``key``:
-    ``c = (e1 B + e3 + plaintext) mod p``, ``d = (e1 A + e2) mod p``.
-
-    ``plaintext`` is one message (k,) or a batch (B, k); ``errors`` must
-    carry one triple per message. ``key`` may also stack one key per
-    message, B (T, n1, k) and A (T, n1, n2) from :func:`keygen_stack`, for
-    (T, 1, k) plaintext rows and (T, 1, .) errors.
-    """
-    return add_plaintext(plaintext, pad(key, errors), key.params)
 
 
 def decrypt(c: np.ndarray, d: np.ndarray, key: KeyPair) -> np.ndarray:

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codec, metrics
-from .lwe import (Ciphertext, KeyPair, add_plaintext, centered, decrypt,
-                  derive_error_rows, pad)
+from .lwe import Ciphertext, KeyPair, centered, decrypt, derive_error_rows, encrypt, pad
 from .modem import Constellation, Db, channel_noise, receive
 from .quantizer import QuantizerConfig, hard_quantize, soft_dequantize
 from .rng import seed_word
@@ -68,7 +67,7 @@ def transmit_latent(z_bar: np.ndarray, draws: MessageDraws, keys: KeyPair,
     """Carry (B, k) quantized latents through encryption and the channel on
     their messages' draws: the ciphertext and its soft-demodulated estimate
     c_hat, which the receiver decrypts with ``decrypt(c_hat, ct.d, keys)``."""
-    ct = add_plaintext(z_bar, draws.pad, keys.params)
+    ct = encrypt(z_bar, draws.pad, keys.params)
     return ct, receive(ct.c, cons, draws.sigma2, draws.noise, sigma_l)
 
 

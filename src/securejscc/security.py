@@ -24,8 +24,8 @@ import numpy as np
 from . import codec, metrics
 from .datasets import DatasetSpec, synthesize_dataset
 from .lwe import (Ciphertext, ErrorTriple, LweParams, PublicKey, _gaussian_rows,
-                  add_plaintext, centered, derive_error_rows, encrypt, error_rows,
-                  keygen_stack, lattice_product, pad)
+                  centered, derive_error_rows, encrypt, error_rows, keygen_stack,
+                  lattice_product, pad)
 from .modem import (SIGMA_L_DEFAULT, Db, build_constellation, channel_noise,
                     noise_variance, receive)
 from .quantizer import QuantizerConfig, build_centroids, check_levels, hard_quantize
@@ -226,10 +226,10 @@ def run_ind_cpa_game(cfg: GameConfig, distinguisher=None) -> GameResult:
         _, B, A = keygen_stack(params, key_seeds, lattice_seeds)
         errors = error_rows(streams(error_seeds, 0), params)
         # one key per trial: (T, 1, .) rows under the stacked (T, ., .) keys
-        challenge = encrypt(np.where(bits[:, None], m1, m0)[:, None],
-                            PublicKey(params, B, A, lattice_seed=lattice_seeds),
-                            ErrorTriple(errors.e1[:, None], errors.e2[:, None],
-                                        errors.e3[:, None])).c[:, 0]
+        pads = pad(PublicKey(params, B, A, lattice_seed=lattice_seeds),
+                   ErrorTriple(errors.e1[:, None], errors.e2[:, None],
+                               errors.e3[:, None]))
+        challenge = encrypt(np.where(bits[:, None, None], m1, m0), pads, params).c[:, 0]
         distinguisher.prepare(params, B, m0, m1, adv_seeds)
         correct += int((distinguisher.guess(challenge, adv_seeds) == bits).sum())
     acc = correct / cfg.trials
@@ -360,8 +360,7 @@ def _fit_mlp(x, y, epochs, rng):
 
 
 def run_cpa_attack(cfg: AttackConfig, spec: codec.CodecSpec, codec_params: dict,
-                   public_key: PublicKey, qcfg: QuantizerConfig, *,
-                   sigma_l: float = SIGMA_L_DEFAULT) -> AttackReport:
+                   public_key: PublicKey, qcfg: QuantizerConfig) -> AttackReport:
     """Train the configured adversary on (image, ciphertext) pairs.
 
     In ``fresh`` mode every message uses an independent error triple the
@@ -392,11 +391,11 @@ def run_cpa_attack(cfg: AttackConfig, spec: codec.CodecSpec, codec_params: dict,
         pads = Ciphertext(*(np.repeat(a, cfg.pairs, axis=0) for a in (first.c, first.d)))
     else:
         pads = pad(public_key, derive_error_rows(error_seed, messages, params))
-    ct = add_plaintext(z_bar, pads, params)
+    ct = encrypt(z_bar, pads, params)
     # Eve's channel: the same receiver as Bob's, without the secret key
     cons = build_constellation(params.p)
-    observations = receive(ct.c, cons, *channel_noise(cons, cfg.snr_e_db, params.k,
-                                                      eve_seed, messages), sigma_l)
+    noise = channel_noise(cons, cfg.snr_e_db, params.k, eve_seed, messages)
+    observations = receive(ct.c, cons, *noise, SIGMA_L_DEFAULT)
     if cfg.error_mode == "known_seed":
         # the seed lets the adversary remove the error layer, its pad, exactly
         observations = (observations - pads.c) % params.p

@@ -145,6 +145,15 @@ def evaluate(images: np.ndarray, params: dict, ctx: TrainContext,
     return _forward(images, params, ctx, _through_chain(ctx, draws))[0]
 
 
+def _chain(ctx: TrainContext) -> dict:
+    """The chain ``ctx`` runs, by value: everything but its two seeds."""
+    keys, qcfg, cons = ctx.keys, ctx.qcfg, ctx.cons
+    return {"spec": ctx.spec, "snr_db": ctx.snr_db, "sigma_l": ctx.sigma_l,
+            "key params": keys.params, "key seeds": (keys.key_seed, keys.lattice_seed),
+            "quantizer": (qcfg.p, qcfg.n_levels),
+            "constellation": (len(cons.points), cons.avg_power)}
+
+
 @dataclass
 class TrainResult:
     state: TrainState
@@ -160,14 +169,17 @@ def train_codec(train_images: list[np.ndarray], val_images: list[np.ndarray],
     """Epoch loop with early stopping and stagnation-triggered LR decay.
 
     ``state`` is trained in place. An epoch is one pass over the training
-    set. Validation runs after each epoch on ``eval_ctx``: the same chain,
-    whose error and channel seeds must differ (mod 2**64) from ``ctx``'s so
-    that no validation image shares a training message's noise. Training
-    stops after ``PATIENCE`` epochs without improvement and the learning
-    rate shrinks by ``LR_DECAY`` after every ``DECAY_PATIENCE`` stagnant
-    epochs. Validation's messages are drawn once per run, training's ahead
-    in blocks (see ``DRAW_BLOCK_ENTRIES``).
+    set. Validation runs after each epoch on ``eval_ctx``: the same chain by
+    value (else ValueError), with error and channel seeds that differ (mod
+    2**64) from ``ctx``'s so that no validation image shares a training
+    message's noise. Training stops after ``PATIENCE`` epochs without
+    improvement and the learning rate shrinks by ``LR_DECAY`` after every
+    ``DECAY_PATIENCE`` stagnant epochs. Validation's messages are drawn once
+    per run, training's ahead in blocks (see ``DRAW_BLOCK_ENTRIES``).
     """
+    chain, eval_chain = _chain(ctx), _chain(eval_ctx)
+    if differ := [name for name in chain if chain[name] != eval_chain[name]]:
+        raise ValueError(f"eval_ctx's chain differs from ctx's in {', '.join(differ)}")
     if {seed_word(ctx.error_seed), seed_word(ctx.channel_seed)} & {
             seed_word(eval_ctx.error_seed), seed_word(eval_ctx.channel_seed)}:
         raise ValueError("eval_ctx's error and channel seeds must differ from "

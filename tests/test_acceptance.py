@@ -12,7 +12,7 @@ import pytest
 
 from securejscc.codec import CodecSpec
 from securejscc.datasets import DatasetSpec, synthesize_dataset
-from securejscc.lwe import LweParams, centered, decrypt, encrypt, keygen
+from securejscc.lwe import LweParams, centered, decrypt, encrypt, keygen, pad
 from securejscc.metrics import ms_ssim, mse, psnr, ssim
 from securejscc.modem import build_constellation, modulate
 from securejscc.pipeline import records_to_csv, sweep
@@ -51,7 +51,7 @@ def test_criterion_1_lwe_algebraic_identity():
     for trial in range(1000):
         errors = message_errors(34, trial, params)
         z = rng.integers(0, 17, size=3)
-        ct = encrypt(z, keys, errors)
+        ct = encrypt(z, pad(keys, errors), keys.params)
         got = (decrypt(ct.c, ct.d, keys) - z) % 17
         oracle = np.empty(3, dtype=np.int64)
         for i in range(3):

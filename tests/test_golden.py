@@ -111,7 +111,7 @@ def test_attack_inputs_are_pinned(monkeypatch):
         monkeypatch.setattr(security, f.__name__, wrapper)
 
     recording("images", security.synthesize_dataset)
-    recording("ct", security.add_plaintext)
+    recording("ct", security.encrypt)
     for mode, (c_sha, d_sha) in ATTACK_CIPHERTEXT_SHA256.items():
         cfg = AttackConfig(pairs=60, dataset=DatasetSpec("blob", 0, 8, 8, 1),
                            error_mode=mode, seed=11)

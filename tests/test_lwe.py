@@ -10,7 +10,7 @@ from securejscc.config import load_public_key, load_secret_key, save_key_files
 from securejscc.lwe import (EXACT_FLOAT_LIMIT, Ciphertext, ErrorTriple,
                             LweParams, _gaussian_rows, centered, decrypt,
                             derive_error_rows, encrypt, keygen, keygen_stack,
-                            lattice_product, public_matrix)
+                            lattice_product, pad, public_matrix)
 from securejscc.rng import stream
 
 SMALL = LweParams(p=17, n1=4, n2=4, sigma_s=2.0, k=3)
@@ -45,7 +45,7 @@ def sample_discrete_gaussian(sigma_s: float, count: int,
 
 def round_trip(z, keys, errors):
     """Decrypt the encryption of ``z``."""
-    ct = encrypt(z, keys, errors)
+    ct = encrypt(z, pad(keys, errors), keys.params)
     return decrypt(ct.c, ct.d, keys)
 
 
@@ -332,7 +332,7 @@ def test_derive_errors_rejects_negative_index():
 
 def test_encrypt_zero_everything():
     keys = keygen(SMALL, 1, 2)
-    ct = encrypt(np.zeros(3, dtype=np.int64), keys, zero_errors(SMALL))
+    ct = encrypt(np.zeros(3, dtype=np.int64), pad(keys, zero_errors(SMALL)), keys.params)
     assert np.all(ct.c == 0)
     assert np.all(ct.d == 0)
 
@@ -341,11 +341,11 @@ def test_encrypt_validates_plaintext():
     keys = keygen(SMALL, 1, 2)
     errors = zero_errors(SMALL)
     with pytest.raises(ValueError):
-        encrypt(np.array([0, 1]), keys, errors)
+        encrypt(np.array([0, 1]), pad(keys, errors), keys.params)
     with pytest.raises(ValueError):
-        encrypt(np.array([0, 1, 17]), keys, errors)
+        encrypt(np.array([0, 1, 17]), pad(keys, errors), keys.params)
     with pytest.raises(ValueError):
-        encrypt(np.array([0, 1, -1]), keys, errors)
+        encrypt(np.array([0, 1, -1]), pad(keys, errors), keys.params)
 
 
 def test_encrypt_batch_needs_one_triple_per_row():
@@ -354,13 +354,13 @@ def test_encrypt_batch_needs_one_triple_per_row():
     keys = keygen(SMALL, 1, 2)
     z = stream(62).integers(0, 17, size=(4, 3))
     with pytest.raises(ValueError):
-        encrypt(z, keys, message_errors(9, 0, SMALL))
+        encrypt(z, pad(keys, message_errors(9, 0, SMALL)), keys.params)
     with pytest.raises(ValueError):
-        encrypt(z, keys, derive_error_rows(9, range(3), SMALL))
-    batch = encrypt(z, keys, derive_error_rows(9, range(4), SMALL))
+        encrypt(z, pad(keys, derive_error_rows(9, range(3), SMALL)), keys.params)
+    batch = encrypt(z, pad(keys, derive_error_rows(9, range(4), SMALL)), keys.params)
     plain = decrypt(batch.c, batch.d, keys)
     for i in range(4):
-        single = encrypt(z[i], keys, message_errors(9, i, SMALL))
+        single = encrypt(z[i], pad(keys, message_errors(9, i, SMALL)), keys.params)
         assert np.array_equal(batch.c[i], single.c)
         assert np.array_equal(batch.d[i], single.d)
         assert np.array_equal(plain[i], decrypt(single.c, single.d, keys))
@@ -390,7 +390,8 @@ def batch_ciphertext():
     """Four messages encrypted under their own error rows."""
     keys = keygen(SMALL, 1, 2)
     z = stream(63).integers(0, 17, size=(4, 3))
-    return keys, encrypt(z, keys, derive_error_rows(9, range(4), SMALL))
+    return keys, encrypt(z, pad(keys, derive_error_rows(9, range(4), SMALL)),
+                         keys.params)
 
 
 # the decryption twin of encrypt's one-triple-per-row check: broadcasting
@@ -450,16 +451,16 @@ def test_affine_homomorphism(seed, index):
     z = rng.integers(0, 17, size=3)
     delta = rng.integers(0, 17, size=3)
     errors = message_errors(9, index, SMALL)
-    c0 = encrypt(z, keys, errors).c
-    c1 = encrypt((z + delta) % 17, keys, errors).c
+    c0 = encrypt(z, pad(keys, errors), keys.params).c
+    c1 = encrypt((z + delta) % 17, pad(keys, errors), keys.params).c
     assert np.array_equal((c1 - c0) % 17, delta % 17)
 
 
 def test_d_is_plaintext_independent():
     keys = keygen(SMALL, 1, 2)
     errors = message_errors(9, 5, SMALL)
-    d0 = encrypt(np.array([0, 0, 0]), keys, errors).d
-    d1 = encrypt(np.array([16, 1, 9]), keys, errors).d
+    d0 = encrypt(np.array([0, 0, 0]), pad(keys, errors), keys.params).d
+    d1 = encrypt(np.array([16, 1, 9]), pad(keys, errors), keys.params).d
     assert np.array_equal(d0, d1)
 
 
@@ -468,7 +469,8 @@ def test_same_errors_leak_difference():
     keys = keygen(SMALL, 1, 2)
     errors = message_errors(9, 0, SMALL)
     z0, z1 = np.array([1, 2, 3]), np.array([4, 0, 16])
-    c0, c1 = encrypt(z0, keys, errors).c, encrypt(z1, keys, errors).c
+    c0 = encrypt(z0, pad(keys, errors), keys.params).c
+    c1 = encrypt(z1, pad(keys, errors), keys.params).c
     assert np.array_equal((c0 - c1) % 17, (z0 - z1) % 17)
 
 
@@ -478,7 +480,7 @@ def test_same_errors_leak_difference():
 def test_decrypt_noisy_matches_exact_on_integers():
     keys = keygen(SMALL, 1, 2)
     errors = message_errors(9, 1, SMALL)
-    ct = encrypt(np.array([3, 7, 2]), keys, errors)
+    ct = encrypt(np.array([3, 7, 2]), pad(keys, errors), keys.params)
     exact = decrypt(ct.c, ct.d, keys)
     noisy = decrypt(ct.c.astype(float), ct.d, keys)
     assert exact.dtype == np.int64 and noisy.dtype == np.float64
@@ -488,7 +490,7 @@ def test_decrypt_noisy_matches_exact_on_integers():
 def test_decrypt_noisy_additive_offset():
     keys = keygen(SMALL, 1, 2)
     z = np.array([3, 7, 2])
-    ct = encrypt(z, keys, zero_errors(SMALL))
+    ct = encrypt(z, pad(keys, zero_errors(SMALL)), keys.params)
     noisy = decrypt(ct.c + 0.5, ct.d, keys)
     assert np.allclose(noisy, (z + 0.5) % 17)
 
@@ -523,7 +525,7 @@ def test_ciphertext_marginal_uniformity():
     counts = np.zeros(17, dtype=np.int64)
     n_msgs = 20_000
     for m in range(n_msgs):
-        ct = encrypt(z, keys, message_errors(90, m, params))
+        ct = encrypt(z, pad(keys, message_errors(90, m, params)), keys.params)
         counts += np.bincount(ct.c, minlength=17)
     expected = n_msgs * 8 / 17
     stat = float(np.sum((counts - expected) ** 2) / expected)

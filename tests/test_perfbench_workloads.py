@@ -46,3 +46,20 @@ def test_tracer_spans_name_library_functions():
                   if not resolves(module_name, attr)}
     assert unresolved == {"pipeline.transmit", "lwe.derive_errors", "lwe.decrypt_noisy",
                           "lwe.sample_discrete_gaussian"}
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_traced_rounds_count_every_workloads_encryptions(name):
+    # every ciphertext comes from lwe.encrypt, the one encryption span, so a
+    # traced round of any workload counts its encryptions
+    workload = workloads.WORKLOADS[name](1, smoke=True)
+    checks = workloads.Checks()
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        for index in range(len(workload.round_items)):
+            workload.play(index, checks)
+    finally:
+        spans.uninstall()
+    assert checks.failures == []
+    assert spans.summary(workloads.AVG_POWER)["layers"]["lwe.encrypt.calls"] > 0

@@ -6,7 +6,7 @@ import pytest
 from securejscc import lwe, security
 from securejscc.codec import CodecSpec
 from securejscc.datasets import DatasetSpec
-from securejscc.lwe import LweParams, centered, encrypt, keygen
+from securejscc.lwe import LweParams, centered, encrypt, keygen, pad
 from securejscc.modem import (build_constellation, modulate, noise_variance,
                               soft_demodulate)
 from securejscc.quantizer import QuantizerConfig
@@ -89,8 +89,8 @@ def serial_game_correct(cfg: GameConfig, distinguisher) -> int:
         adv_seed = spawn_seed(trial_rng)
         b = int(trial_rng.integers(0, 2))
         distinguisher.prepare(cfg.params, keys.B[None], m0, m1, [adv_seed])
-        ct = encrypt(m1 if b else m0, keys.public(),
-                     message_errors(error_seed, 0, cfg.params))
+        errors = message_errors(error_seed, 0, cfg.params)
+        ct = encrypt(m1 if b else m0, pad(keys.public(), errors), cfg.params)
         correct += int(distinguisher.guess(ct.c[None], [adv_seed])[0] == b)
     return correct
 
@@ -312,11 +312,11 @@ def test_sabotage_repeats_one_drawn_triple(attack_setup, monkeypatch):
 
     def spy(z, pads, params):
         sent.append(pads)
-        return add_plaintext(z, pads, params)
-    error_rows, pad, add_plaintext = lwe.error_rows, security.pad, security.add_plaintext
+        return encrypt(z, pads, params)
+    error_rows, pad, encrypt = lwe.error_rows, security.pad, security.encrypt
     monkeypatch.setattr(lwe, "error_rows", counting)
     monkeypatch.setattr(security, "pad", padding)
-    monkeypatch.setattr(security, "add_plaintext", spy)
+    monkeypatch.setattr(security, "encrypt", spy)
     for mode in ("reused", "fresh"):
         run_cpa_attack(make_attack_cfg(error_mode=mode, pairs=40), ATTACK_SPEC, {}, pk, qcfg)
     assert drawn == padded == [1, 40]

@@ -293,6 +293,35 @@ def test_train_codec_rejects_training_seeds_in_eval_ctx(error_seed, channel_seed
     assert state.step == 0
 
 
+def no_draws(*args, **kwargs):
+    raise AssertionError("drew messages before checking eval_ctx")
+
+
+@pytest.mark.parametrize("override, named", [
+    (dict(spec=replace(MLP_SPEC, hidden_sizes=(8,))), "spec"),
+    (dict(snr_db=0.0), "snr_db"),
+    (dict(sigma_l=1.0), "sigma_l"),
+    (dict(keys=keygen(replace(TOY_LWE, n1=8), 101, 102)), "key params"),
+    (dict(keys=keygen(TOY_LWE, 7, 102)), "key seeds"),
+    (dict(keys=keygen(TOY_LWE, 101, 7)), "key seeds"),
+    (dict(qcfg=QuantizerConfig(TOY_LWE.p, 8)), "quantizer"),
+    (dict(cons=build_constellation(TOY_LWE.p, 2.0)), "constellation"),
+    (dict(keys=keygen(replace(TOY_LWE, p=257), 101, 102), qcfg=QuantizerConfig(257, 16),
+          cons=build_constellation(257, 1.0)), "key params, quantizer, constellation"),
+], ids=["spec", "snr_db", "sigma_l", "key_params", "key_seed", "lattice_seed",
+        "n_levels", "avg_power", "modulus"])
+def test_train_codec_rejects_eval_ctx_on_another_chain(override, named, monkeypatch):
+    # validation scores the chain being trained: eval_ctx may change its seeds alone
+    eval_ctx = replace(make_ctx(MLP_SPEC), error_seed=31, channel_seed=41, **override)
+    images = synthesize_dataset(DatasetSpec("blob", 24, 4, 4, 1), 13)
+    state = init_train_state(MLP_SPEC, seed=14)
+    monkeypatch.setattr(pipeline, "draw_messages", no_draws)
+    with pytest.raises(ValueError, match=f"chain differs from ctx's in {named}$"):
+        train_codec(images[:16], images[16:], make_ctx(MLP_SPEC), state,
+                    max_steps=10, batch_size=8, shuffle_seed=15, eval_ctx=eval_ctx)
+    assert state.step == 0
+
+
 def test_train_codec_early_stopping():
     ctx = make_ctx(MLP_SPEC)
     eval_ctx = make_ctx(MLP_SPEC, error_seed=31, channel_seed=41)
