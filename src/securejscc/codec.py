@@ -14,8 +14,8 @@ closed forms stay readable and bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -72,29 +72,44 @@ def dense_shapes(sizes: list[int], prefix: str) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def dense_init(sizes: list[int], prefix: str, rng: np.random.Generator) -> dict:
-    return {name: rng.normal(0.0, 1.0 / np.sqrt(shape[0]), shape) if len(shape) == 2
-            else np.zeros(shape) for name, shape in dense_shapes(sizes, prefix).items()}
+class FlatArrays(dict):
+    """Named arrays, of ``shapes``, that view one float64 vector, ``vector`` (zeros
+    if not given), in sorted name order: writing either writes the other."""
+
+    def __init__(self, shapes: dict[str, tuple], vector: np.ndarray | None = None):
+        if vector is None:
+            vector = np.zeros(sum(map(math.prod, shapes.values())))
+        self.shapes, self.vector = shapes, vector
+        end = 0
+        for name in sorted(shapes):
+            shape = shapes[name]
+            start, end = end, end + math.prod(shape)
+            self[name] = vector[start:end].reshape(shape)
+
+    def __reduce__(self):  # a deep copy or unpickled copy views its own vector
+        return type(self), (self.shapes, self.vector)
 
 
-def _layer_widths(spec: CodecSpec) -> dict[str, list[int]]:
-    """Layer widths of the encoder and decoder stacks (none for identity)."""
-    if spec.kind == "identity":
-        return {}
-    return {"enc": [spec.n_pixels, *spec.hidden_sizes, spec.k],
-            "dec": [spec.k, *reversed(spec.hidden_sizes), spec.n_pixels]}
-
-
-def init_params(spec: CodecSpec, rng: np.random.Generator) -> dict:
-    """Fresh parameter dictionary for a codec spec (empty for identity)."""
-    return {name: value for prefix, sizes in _layer_widths(spec).items()
-            for name, value in dense_init(sizes, prefix, rng).items()}
+def init_arrays(shapes: dict[str, tuple], rng: np.random.Generator) -> FlatArrays:
+    """Zero biases and N(0, 1/fan-in) weights, drawn in the order of ``shapes``."""
+    params = FlatArrays(shapes)
+    for name, shape in shapes.items():
+        if len(shape) == 2:
+            params[name][...] = rng.normal(0.0, 1.0 / np.sqrt(shape[0]), shape)
+    return params
 
 
 def param_shapes(spec: CodecSpec) -> dict[str, tuple[int, ...]]:
-    """The names and shapes of :func:`init_params`, without allocating."""
-    return {name: shape for prefix, sizes in _layer_widths(spec).items()
-            for name, shape in dense_shapes(sizes, prefix).items()}
+    """The names and shapes of a codec's parameters, encoder first (none for identity)."""
+    if spec.kind == "identity":
+        return {}
+    return {**dense_shapes([spec.n_pixels, *spec.hidden_sizes, spec.k], "enc"),
+            **dense_shapes([spec.k, *reversed(spec.hidden_sizes), spec.n_pixels], "dec")}
+
+
+def init_params(spec: CodecSpec, rng: np.random.Generator) -> FlatArrays:
+    """Fresh parameters for a codec spec (none for identity)."""
+    return init_arrays(param_shapes(spec), rng)
 
 
 def dense_forward(params: dict, prefix: str, x: np.ndarray) -> tuple[np.ndarray, list]:
@@ -111,14 +126,17 @@ def dense_forward(params: dict, prefix: str, x: np.ndarray) -> tuple[np.ndarray,
     return a, cache
 
 
-def dense_backward(params: dict, prefix: str, cache: list,
-                   grad_out: np.ndarray) -> tuple[dict, np.ndarray]:
-    grads = {}
+def dense_backward(params: dict, prefix: str, cache: list, grad_out: np.ndarray,
+                   grads: dict | None = None) -> tuple[dict, np.ndarray]:
+    """Weight and bias gradients (into ``grads``' arrays, where it has them)
+    and the input's gradient."""
+    grads = {} if grads is None else grads
     g = grad_out
     for i in reversed(range(len(cache))):
-        grads[f"{prefix}.W{i}"] = cache[i].T @ g
-        grads[f"{prefix}.b{i}"] = g.sum(axis=0)
-        g = g @ params[f"{prefix}.W{i}"].T
+        w, b = f"{prefix}.W{i}", f"{prefix}.b{i}"
+        grads[w] = np.matmul(cache[i].T, g, out=grads.get(w))
+        grads[b] = g.sum(axis=0, out=grads.get(b))
+        g = g @ params[w].T
         if i:  # back through the tanh that made this layer's input
             g = g * (1.0 - cache[i] ** 2)
     return grads, g
@@ -132,10 +150,9 @@ def _squashed_forward(params: dict, prefix: str, x: np.ndarray,
     return scale * s, (prefix, scale, s, dense)
 
 
-def _squashed_backward(params: dict, cache: tuple,
-                       grad_out: np.ndarray) -> tuple[dict, np.ndarray]:
+def _squashed_backward(params: dict, cache: tuple, grad_out: np.ndarray, grads):
     prefix, scale, s, dense = cache
-    return dense_backward(params, prefix, dense, grad_out * scale * s * (1.0 - s))
+    return dense_backward(params, prefix, dense, grad_out * scale * s * (1.0 - s), grads)
 
 
 def encode(x: np.ndarray, spec: CodecSpec, params: dict) -> tuple[np.ndarray, tuple]:
@@ -151,8 +168,9 @@ def encode(x: np.ndarray, spec: CodecSpec, params: dict) -> tuple[np.ndarray, tu
     return _squashed_forward(params, "enc", x / 255.0, spec.latent_scale)
 
 
-def encode_backward(grad_z: np.ndarray, params: dict, cache: tuple) -> dict:
-    return _squashed_backward(params, cache, grad_z)[0]
+def encode_backward(grad_z: np.ndarray, params: dict, cache: tuple,
+                    grads: dict | None = None) -> dict:
+    return _squashed_backward(params, cache, grad_z, grads)[0]
 
 
 def decode(z_hat: np.ndarray, spec: CodecSpec, params: dict) -> tuple[np.ndarray, tuple]:
@@ -165,10 +183,10 @@ def decode(z_hat: np.ndarray, spec: CodecSpec, params: dict) -> tuple[np.ndarray
     return _squashed_forward(params, "dec", z_hat / spec.latent_scale, 255.0)
 
 
-def decode_backward(grad_x: np.ndarray, spec: CodecSpec, params: dict,
-                    cache: tuple) -> tuple[dict, np.ndarray]:
+def decode_backward(grad_x: np.ndarray, spec: CodecSpec, params: dict, cache: tuple,
+                    grads: dict | None = None) -> tuple[dict, np.ndarray]:
     """Gradients of the decoder parameters and of its latent input."""
-    grads, g_in = _squashed_backward(params, cache, grad_x)
+    grads, g_in = _squashed_backward(params, cache, grad_x, grads)
     return grads, g_in / spec.latent_scale
 
 
@@ -183,21 +201,15 @@ def mse_loss(x: np.ndarray, x_hat: np.ndarray) -> tuple[float, np.ndarray]:
 # -- optimizer ---------------------------------------------------------------
 
 
-def adam_step(params: dict, grads: dict, moments: np.ndarray, step: int,
-              lr: float = ADAM_LR) -> dict:
-    """One Adam update (step is 1-based) of the parameters as one vector in sorted
-    name order. ``moments`` is the (2, n) float64 buffer of the first and second
-    moments over that vector, zeros before step 1, and is updated in place;
-    params are replaced, not mutated: the new ones view a new vector."""
-    names = sorted(params)
-    g = np.concatenate([np.ravel(grads[name]) for name in names])
+def adam_step(vector: np.ndarray, grad: np.ndarray, moments: np.ndarray, step: int,
+              lr: float = ADAM_LR) -> np.ndarray:
+    """One Adam update (step is 1-based) of the parameter vector ``vector`` by
+    its gradient ``grad``. ``moments`` is the (2, n) float64 buffer of the first
+    and second moments, zeros before step 1, and is updated in place; the new
+    parameters are a new vector, and ``vector`` is left as it was."""
     m, v = moments
-    np.add(m * ADAM_BETA1, (1 - ADAM_BETA1) * g, out=m)
-    np.add(v * ADAM_BETA2, (1 - ADAM_BETA2) * g * g, out=v)
+    np.add(m * ADAM_BETA1, (1 - ADAM_BETA1) * grad, out=m)
+    np.add(v * ADAM_BETA2, (1 - ADAM_BETA2) * grad * grad, out=v)
     m_hat = m / (1 - ADAM_BETA1 ** step)
     v_hat = v / (1 - ADAM_BETA2 ** step)
-    flat = np.concatenate([np.ravel(params[name]) for name in names])
-    flat = flat - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    ends = accumulate(params[name].size for name in names)
-    return {name: flat[end - params[name].size:end].reshape(params[name].shape)
-            for name, end in zip(names, ends)}
+    return vector - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

@@ -364,6 +364,6 @@ def load_codec(path: str | Path) -> tuple[CodecSpec, dict]:
         spec = _build(CodecSpec, raw["spec"], "spec.")
         shapes = param_shapes(spec)
         stored = _file_fields(raw["params"], {}, shapes, "codec file params")
-        return spec, {name: _array(value, name, shapes[name], "if").astype(np.float64)
-                      for name, value in stored.items()}
+        return spec, {name: _array(stored[name], name, shape, "if").astype(np.float64)
+                      for name, shape in shapes.items()}
     return _load(path, build)

@@ -162,7 +162,8 @@ def _estimate(y: np.ndarray, col_lo: np.ndarray | None, row_lo: np.ndarray | Non
         starts = set(cut[cut < width * width].tolist())
     x = c * np.exp(-(y.real[:, None] - col_levels) ** 2 / sigma2)
     e = np.exp(-(y.imag[:, None] - row_levels) ** 2 / sigma2)
-    moments = np.stack([np.ones(width), steps], axis=1)
+    moments = np.ones((width, 2))
+    moments[:, 1] = steps
     sums = np.empty((n, width, 2))
     block = max(1, BLOCK_ELEMENTS // (width * width))
     buf = np.empty(min(n, block) * width * width)

@@ -67,8 +67,10 @@ def _centroid_weights(z: np.ndarray, cfg: QuantizerConfig, sharpness: float,
     z = _check_finite(z, what)
     q = cfg.centroids.astype(np.float64)
     a = -sharpness * (z[..., None] - q[None, :]) ** 2
-    # max subtraction is exact: softmax is shift invariant
-    a -= a.max(axis=-1, keepdims=True)
+    # max subtraction is exact: softmax is shift invariant. The max is the nearest
+    # centroid's entry (rounding is monotone), recomputed without a row reduction
+    near = q[np.searchsorted((q[:-1] + q[1:]) / 2, z, side="left")]
+    a -= (-sharpness * (z - near) ** 2)[..., None]
     # exp is exactly 0 at or below -746: masking those keeps exp off its slow path
     w = np.exp(a, out=np.zeros_like(a), where=a > -746.0)
     return w / w.sum(axis=-1, keepdims=True), q

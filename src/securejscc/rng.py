@@ -12,6 +12,7 @@ computed from :func:`raw_words` as numpy's Generator computes it.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -108,15 +109,21 @@ def message_streams(seed: int, message_indices) -> streams:
     """The streams of ``(seed, message_indices[i])``. An index keys a
     message's error triple and channel noise, so one that repeats raises
     ``ValueError``, as does one outside ``[0, 2**64)``, whose key would wrap."""
-    indices = [int(i) for i in message_indices]
-    seen = set()
-    for i in indices:
-        if i in seen or not 0 <= i < 1 << 64:
-            fault = "repeats" if i in seen else "is outside [0, 2**64)"
-            raise ValueError(f"message index {i} {fault}: every message needs "
-                             f"its own error triple and channel noise")
-        seen.add(i)
-    return streams(seed, indices)
+    indices = np.asarray(message_indices)
+    if indices.dtype.kind not in "iu":  # no ints, or ints past one 64-bit type
+        indices = np.array([int(i) for i in message_indices], dtype=object)
+    values = indices.tolist()
+    if len(set(values)) < len(values) or (indices < 0).any() or (indices >= 1 << 64).any():
+        seen = set()  # name the first index at fault
+        for i in values:
+            if i in seen or not 0 <= i < 1 << 64:
+                fault = "repeats" if i in seen else "is outside [0, 2**64)"
+                raise ValueError(f"message index {i} {fault}: every message needs "
+                                 f"its own error triple and channel noise")
+            seen.add(i)
+    keyed = object.__new__(streams)
+    keyed.keys = list(zip(values, repeat(seed_word(seed))))
+    return keyed
 
 
 def normal_rows(rngs, shape) -> np.ndarray:

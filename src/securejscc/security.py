@@ -343,8 +343,9 @@ def _predict_linear(w: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _fit_mlp(x, y, epochs, rng):
-    params = codec.dense_init([x.shape[1], MLP_HIDDEN, y.shape[1]], "adv", rng)
-    moments = np.zeros((2, sum(a.size for a in params.values())))
+    params = codec.init_arrays(codec.dense_shapes([x.shape[1], MLP_HIDDEN, y.shape[1]],
+                                                  "adv"), rng)
+    grads, moments = codec.FlatArrays(params.shapes), np.zeros((2, params.vector.size))
     step = 0
     batch = 64
     for _ in range(epochs):
@@ -353,9 +354,10 @@ def _fit_mlp(x, y, epochs, rng):
             sel = order[s:s + batch]
             out, cache = codec.dense_forward(params, "adv", x[sel])
             _, grad_out = codec.mse_loss(y[sel], out)
-            grads, _ = codec.dense_backward(params, "adv", cache, grad_out)
+            codec.dense_backward(params, "adv", cache, grad_out, grads)
             step += 1
-            params = codec.adam_step(params, grads, moments, step, lr=1e-3)
+            params = codec.FlatArrays(params.shapes, codec.adam_step(
+                params.vector, grads.vector, moments, step, lr=1e-3))
     return params
 
 

@@ -59,8 +59,9 @@ class TrainContext:
 
 @dataclass
 class TrainState:
-    params: dict
-    moments: np.ndarray  # Adam's (2, n) moments over the sorted parameters
+    params: codec.FlatArrays  # views of the parameter vector
+    moments: np.ndarray  # Adam's (2, n) moments over the parameter vector
+    grads: codec.FlatArrays  # views of the gradient vector, rewritten each step
     step: int = 0
     learning_rate: float = codec.ADAM_LR
     messages_sent: int = 0
@@ -71,9 +72,8 @@ def init_train_state(spec: codec.CodecSpec, seed: int,
     if not codec.param_shapes(spec):
         raise ValueError(f"the {spec.kind} codec has no parameters to train")
     params = codec.init_params(spec, stream(seed))
-    return TrainState(params=params,
-                      moments=np.zeros((2, sum(a.size for a in params.values()))),
-                      learning_rate=learning_rate)
+    return TrainState(params=params, moments=np.zeros((2, params.vector.size)),
+                      grads=codec.FlatArrays(params.shapes), learning_rate=learning_rate)
 
 
 def _through_chain(ctx: TrainContext, draws: pipeline.MessageDraws):
@@ -87,7 +87,7 @@ def _through_chain(ctx: TrainContext, draws: pipeline.MessageDraws):
 
 def _check_messages(draws: pipeline.MessageDraws, first: int, n: int) -> None:
     # a message's error triple and channel noise serve that message once
-    if not np.array_equal(draws.indices, first + np.arange(n)):
+    if draws.indices.tolist() != list(range(first, first + n)):
         raise ValueError(f"draws of messages {draws.indices.tolist()} are not "
                          f"those of messages {first} .. {first + n - 1}")
 
@@ -101,18 +101,19 @@ def _forward(batch: np.ndarray, params: dict, ctx: TrainContext, latent_map):
     return loss, (grad_x, z, enc_cache, dec_cache)
 
 
-def _gradients(batch: np.ndarray, params: dict, ctx: TrainContext,
-               sigma_q: float, latent_map) -> tuple[float, dict]:
-    """Loss and parameter gradients; the latent map is skipped backward."""
+def _gradients(batch: np.ndarray, params: dict, ctx: TrainContext, sigma_q: float,
+               latent_map, grads: dict | None = None) -> tuple[float, dict]:
+    """Loss and parameter gradients (into ``grads``' arrays, if given); the
+    latent map is skipped backward."""
     loss, (grad_x, z, enc_cache, dec_cache) = _forward(batch, params, ctx,
                                                        latent_map)
-    grads, grad_zhat = codec.decode_backward(grad_x, ctx.spec, params, dec_cache)
+    grads, grad_zhat = codec.decode_backward(grad_x, ctx.spec, params, dec_cache,
+                                             grads)
     # gradient skip: the whole quantized-latent -> dequantized segment is
     # treated as identity, then the soft-quantizer Jacobian maps back to z
     grad_z = grad_zhat * soft_quantize_jacobian(z.ravel(), ctx.qcfg,
                                                 sigma_q).reshape(z.shape)
-    grads.update(codec.encode_backward(grad_z, params, enc_cache))
-    return loss, grads
+    return loss, codec.encode_backward(grad_z, params, enc_cache, grads)
 
 
 def train_step(batch: np.ndarray, state: TrainState, ctx: TrainContext,
@@ -124,15 +125,16 @@ def train_step(batch: np.ndarray, state: TrainState, ctx: TrainContext,
     other messages, such as the last step's replayed, raise ValueError."""
     _check_messages(draws, state.messages_sent, batch.shape[0])
     sigma_q = anneal_sigma_q(state.step)
-    loss, grads = _gradients(batch, state.params, ctx, sigma_q,
-                             _through_chain(ctx, draws))
+    loss, _ = _gradients(batch, state.params, ctx, sigma_q,
+                         _through_chain(ctx, draws), state.grads)
     if not math.isfinite(loss):
         raise RuntimeError(
             f"non-finite loss at step {state.step} "
             f"(sigma_q={sigma_q}, snr_db={ctx.snr_db})")
     state.step += 1
-    state.params = codec.adam_step(state.params, grads, state.moments, state.step,
-                                   lr=state.learning_rate)
+    state.params = codec.FlatArrays(state.params.shapes, codec.adam_step(
+        state.params.vector, state.grads.vector, state.moments, state.step,
+        lr=state.learning_rate))
     state.messages_sent += batch.shape[0]
     return loss
 

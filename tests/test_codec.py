@@ -1,12 +1,15 @@
+import copy
+import pickle
 import re
 
 import numpy as np
 import pytest
 
 from securejscc.codec import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, CodecSpec,
-                              _sigmoid, adam_step, decode, decode_backward,
-                              dense_backward, dense_forward, dense_init, encode,
-                              encode_backward, init_params, mse_loss, param_shapes)
+                              FlatArrays, _sigmoid, adam_step, decode, decode_backward,
+                              dense_backward, dense_forward, dense_shapes, encode,
+                              encode_backward, init_arrays, init_params, mse_loss,
+                              param_shapes)
 from securejscc.config import load_codec, save_codec
 from securejscc.quantizer import QuantizerConfig, hard_quantize
 from securejscc.rng import stream
@@ -139,7 +142,7 @@ def numerical_grad(f, params, name, h=1e-6):
 
 def test_dense_stack_gradcheck():
     rng = stream(6)
-    params = dense_init([5, 7, 3], "net", rng)
+    params = init_arrays(dense_shapes([5, 7, 3], "net"), rng)
     x = rng.standard_normal((4, 5))
     target = rng.standard_normal((4, 3))
 
@@ -153,6 +156,39 @@ def test_dense_stack_gradcheck():
     for name in params:
         num = numerical_grad(loss_value, params, name)
         assert np.allclose(grads[name], num, rtol=1e-5, atol=1e-8), name
+
+
+def allocating_dense_backward(params: dict, prefix: str, cache: list,
+                              grad_out: np.ndarray) -> tuple[dict, np.ndarray]:
+    """Reference: every layer's gradients in new arrays, ``cache.T @ g`` and
+    ``g.sum(axis=0)``."""
+    grads, g = {}, grad_out
+    for i in reversed(range(len(cache))):
+        grads[f"{prefix}.W{i}"] = cache[i].T @ g
+        grads[f"{prefix}.b{i}"] = g.sum(axis=0)
+        g = g @ params[f"{prefix}.W{i}"].T
+        if i:
+            g = g * (1.0 - cache[i] ** 2)
+    return grads, g
+
+
+@pytest.mark.parametrize("sizes", [[9, 4], [9, 12, 4], [9, 12, 7, 4]],
+                         ids=["depth_1", "depth_2", "depth_3"])
+def test_dense_backward_into_views_matches_allocating_oracle_bit_for_bit(sizes):
+    rng = stream(11)
+    params = init_arrays(dense_shapes(sizes, "net"), rng)
+    grads = FlatArrays(params.shapes, np.full(params.vector.size, np.nan))
+    for batch in (1, 10, 33):
+        x = rng.normal(0.0, 2.0, (batch, sizes[0]))
+        out, cache = dense_forward(params, "net", x)
+        grad_out = rng.standard_normal(out.shape)
+        got, g_in = dense_backward(params, "net", cache, grad_out, grads)
+        want, want_in = allocating_dense_backward(params, "net", cache, grad_out)
+        assert got is grads and got.keys() == want.keys()
+        assert all(got[name].base is grads.vector for name in got)  # written in place
+        for name in want:
+            assert np.array_equal(got[name].view(np.int64), want[name].view(np.int64))
+        assert np.array_equal(g_in.view(np.int64), want_in.view(np.int64))
 
 
 @pytest.mark.parametrize("hidden_sizes", [(), (6,), (6, 4), (6, 5, 4)],
@@ -229,9 +265,11 @@ def test_flat_adam_matches_per_name_oracle_bit_for_bit():
     ref, m, v = dict(params), {}, {}
     moments = zero_moments(params)
     for step in range(1, 61):
-        grads = {name: rng.normal(0.0, 10.0 ** rng.uniform(-6, 2), a.shape)
-                 for name, a in params.items()}
-        new = adam_step(params, grads, moments, step, lr=3e-4)
+        grads = FlatArrays(params.shapes)
+        for name, a in params.items():
+            grads[name][...] = rng.normal(0.0, 10.0 ** rng.uniform(-6, 2), a.shape)
+        new = FlatArrays(params.shapes, adam_step(params.vector, grads.vector, moments,
+                                                  step, lr=3e-4))
         ref = per_name_adam_step(ref, grads, m, v, step, lr=3e-4)
         # replaced, not mutated: nothing returned aliases the input
         assert not any(np.shares_memory(new[a], params[b]) for a in new for b in params)
@@ -247,19 +285,35 @@ def test_flat_adam_matches_per_name_oracle_bit_for_bit():
 
 
 def test_adam_zero_lr_is_identity():
-    params = {"w": np.ones(4)}
-    grads = {"w": np.full(4, 3.0)}
-    out = adam_step(params, grads, zero_moments(params), step=1, lr=0.0)
-    assert np.array_equal(out["w"], params["w"])
+    w = np.ones(4)
+    out = adam_step(w, np.full(4, 3.0), np.zeros((2, 4)), step=1, lr=0.0)
+    assert np.array_equal(out, w) and out is not w
 
 
 def test_adam_minimizes_quadratic():
-    params = {"w": np.array([5.0, -3.0])}
-    moments = zero_moments(params)
+    w = np.array([5.0, -3.0])
+    moments = np.zeros((2, 2))
     for step in range(1, 3000):
-        grads = {"w": 2.0 * params["w"]}
-        params = adam_step(params, grads, moments, step, lr=0.01)
-    assert np.all(np.abs(params["w"]) < 1e-3)
+        w = adam_step(w, 2.0 * w, moments, step, lr=0.01)
+    assert np.all(np.abs(w) < 1e-3)
+
+
+def test_flat_arrays_view_one_vector_in_sorted_name_order():
+    shapes = {"b": (2, 3), "a": (1,), "c": (0,)}
+    assert not FlatArrays(shapes).vector.any() and FlatArrays(shapes).vector.shape == (7,)
+    vector = np.arange(7.0)
+    flat = FlatArrays(shapes, vector)
+    assert list(flat) == ["a", "b", "c"] and flat.vector is vector and flat.shapes is shapes
+    assert np.array_equal(flat["a"], [0.0])
+    assert np.array_equal(flat["b"], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    assert flat["c"].shape == (0,)
+    assert flat["a"].base is vector and flat["b"].base is vector
+    flat["b"][1, 0] = -1.0  # a write through a view is a write to the vector
+    assert vector[4] == -1.0
+    for copied in (copy.deepcopy(flat), pickle.loads(pickle.dumps(flat))):
+        assert copied.vector is not vector and np.array_equal(copied.vector, vector)
+        copied["b"][0, 0] = 9.0
+        assert copied.vector[1] == 9.0 and vector[1] == 1.0
 
 
 # -- parameter files ---------------------------------------------------------

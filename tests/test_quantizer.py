@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from securejscc.quantizer import (SIGMA_Q_CAP, QuantizerConfig, anneal_sigma_q,
                                   build_centroids, hard_quantize,
                                   soft_dequantize, soft_quantize_jacobian)
+from securejscc.rng import stream
 
 REFERENCE_CENTROIDS = [0, 255, 511, 767, 1023, 1279, 1534, 1790, 2046, 2302,
                        2558, 2813, 3069, 3325, 3581, 3837]
@@ -197,6 +198,24 @@ def test_masked_exp_matches_plain_softmax_bit_for_bit(case):
         assert lo - 0.01 <= shifted_score(zi, k, cfg, sharpness) <= hi + 0.01
     pairs = [(soft_quantize_jacobian(z, cfg, sharpness), plain_jacobian(z, cfg, sharpness)),
              (soft_dequantize(z, cfg), soft_quantize(z, cfg, 1.0))]
+    for got, want in pairs:
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("p, n_levels", [(4, 2), (17, 17), (251, 16), (4093, 16)])
+@pytest.mark.parametrize("sharpness", [1e-3, 1.0, 5.0, SIGMA_Q_CAP, 1e6])
+def test_nearest_centroid_shift_matches_row_max_bit_for_bit(p, n_levels, sharpness):
+    # the softmax subtracts the nearest centroid's score, not a row max: the
+    # same value, also at exact midpoints (ties), on centroids and off the grid
+    cfg = QuantizerConfig(p, n_levels)
+    q = cfg.centroids.astype(np.float64)
+    rng = stream(21)
+    z = np.concatenate([q, (q[:-1] + q[1:]) / 2, np.nextafter((q[:-1] + q[1:]) / 2, 0),
+                        np.nextafter((q[:-1] + q[1:]) / 2, p), [-1e6, -0.5, p - 0.5, 1e6],
+                        rng.uniform(-p, 2 * p, 500)])
+    rows = z.reshape(-1, 1)
+    pairs = [(soft_quantize_jacobian(z, cfg, sharpness), plain_jacobian(z, cfg, sharpness)),
+             (soft_dequantize(rows, cfg), soft_quantize(rows, cfg, 1.0))]
     for got, want in pairs:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 

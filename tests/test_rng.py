@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from securejscc.rng import (bounded, halves, integer_rows, raw_words, spawn_seed,
-                            stream, streams)
+from securejscc.rng import (bounded, halves, integer_rows, message_streams, raw_words,
+                            spawn_seed, stream, streams)
 
 
 def test_same_key_same_sequence():
@@ -91,6 +91,32 @@ def test_streams_broadcast_a_shared_seed_or_index_and_restart():
         stream(4, 2).random(), stream(5, 2).random()]
     with pytest.raises(ValueError, match="one index per seed"):
         streams([1, 2], [0])
+
+
+@pytest.mark.parametrize("indices", [
+    [3, 0, 2**64 - 1, 7], [0, 2**64 - 1], range(2, 9), [],
+    np.array([5, 0, 2**63 - 1], dtype=np.int64),
+    np.array([2**64 - 1, 1, 2**63], dtype=np.uint64), np.array([4], dtype=np.int32),
+], ids=["list", "list_mixed_width", "range", "empty", "int64", "uint64", "int32"])
+def test_message_streams_key_what_streams_keys(indices):
+    for seed in (-3, 11, 2**64 + 11):
+        keyed = message_streams(seed, indices)
+        assert keyed.keys == streams(seed, list(indices)).keys
+        assert all(type(word) is int for key in keyed.keys for word in key)
+
+
+@pytest.mark.parametrize("indices, bad, fault", [
+    ([3, 0, 3], 3, "repeats"), ([2**64 - 1, 2**64 - 1], 2**64 - 1, "repeats"),
+    (np.array([2, 7, 2], dtype=np.uint64), 2, "repeats"),
+    ([-1], -1, "is outside"), ([1, -1, 1], -1, "is outside"),
+    (np.array([4, -1]), -1, "is outside"), ([2**64], 2**64, "is outside"),
+    ([0, 2**64, 0], 2**64, "is outside"),
+], ids=["repeat", "repeat_top", "repeat_uint64", "negative", "negative_first",
+        "negative_int64", "2**64", "2**64_first"])
+def test_message_streams_name_the_first_bad_index(indices, bad, fault):
+    with pytest.raises(ValueError, match=rf"^message index {bad} {fault}\b.*: every "
+                       r"message needs its own error triple and channel noise$"):
+        message_streams(5, indices)
 
 
 # 3 * 2**30 rejects a quarter of all 32-bit draws, so most of its rows take

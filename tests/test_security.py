@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from securejscc import lwe, security
+from securejscc import codec, lwe, security
 from securejscc.codec import CodecSpec
 from securejscc.datasets import DatasetSpec
 from securejscc.lwe import LweParams, centered, encrypt, keygen, pad
@@ -15,6 +15,7 @@ from securejscc.security import (DISTINGUISHERS, GAME_CHUNK_ENTRIES,
                                  AttackConfig, GameConfig, TrainedClassifier,
                                  default_plaintext_pair, run_cpa_attack,
                                  run_ind_cpa_game, trial_draws)
+from test_codec import per_name_adam_step
 from test_lwe import message_errors
 from test_modem import awgn_one, receive_drawn
 
@@ -355,6 +356,34 @@ def test_attack_report_strings(attack_setup):
     report = run_cpa_attack(make_attack_cfg(pairs=200), ATTACK_SPEC, {}, pk, qcfg)
     assert "baseline" in report.summary()
     assert report.csv_row().startswith("linear,fresh,")
+
+
+def per_name_fit_mlp(x, y, epochs, rng):
+    """Reference: the MLP adversary's loop with gradients in new arrays and
+    Kingma & Ba's update one parameter array at a time."""
+    shapes = codec.dense_shapes([x.shape[1], security.MLP_HIDDEN, y.shape[1]], "adv")
+    params = dict(codec.init_arrays(shapes, rng))
+    m, v, step = {}, {}, 0
+    for _ in range(epochs):
+        order = rng.permutation(x.shape[0])
+        for s in range(0, len(order), 64):
+            sel = order[s:s + 64]
+            out, cache = codec.dense_forward(params, "adv", x[sel])
+            _, grad_out = codec.mse_loss(y[sel], out)
+            grads, _ = codec.dense_backward(params, "adv", cache, grad_out)
+            step += 1
+            params = per_name_adam_step(params, grads, m, v, step, lr=1e-3)
+    return params
+
+
+def test_fit_mlp_matches_per_name_oracle_bit_for_bit():
+    rng = stream(41)
+    x, y = rng.standard_normal((150, 12)), rng.uniform(0.0, 1.0, (150, 16))
+    got = security._fit_mlp(x, y, 3, stream(42))
+    want = per_name_fit_mlp(x, y, 3, stream(42))
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.array_equal(got[name].view(np.int64), want[name].view(np.int64))
 
 
 def test_attack_config_validation():

@@ -1,4 +1,5 @@
 import math
+from copy import deepcopy
 from dataclasses import replace
 
 import numpy as np
@@ -136,9 +137,9 @@ def test_sigma_q_annealing_advances_with_steps(monkeypatch):
     # a step's sigma_q depends on its step alone: 5 more per 2000 steps
     seen = []
 
-    def gradients(batch, params, ctx, sigma_q, latent_map):
+    def gradients(batch, params, ctx, sigma_q, *rest):
         seen.append(sigma_q)
-        return _gradients(batch, params, ctx, sigma_q, latent_map)
+        return _gradients(batch, params, ctx, sigma_q, *rest)
     monkeypatch.setattr(training, "_gradients", gradients)
     ctx = make_ctx(MLP_SPEC)
     state = init_train_state(MLP_SPEC, seed=7)
@@ -218,6 +219,42 @@ def test_train_step_advances_its_state_in_place():
     assert state.moments.shape == (2, sum(a.size for a in before.values()))
     assert state.moments.any(axis=1).all()  # both moments moved
     assert all(not np.array_equal(state.params[k], before[k]) for k in before)
+
+
+def test_train_step_leaves_parameters_as_views_of_one_new_vector():
+    # one float64 vector in sorted name order; a copy taken before the step
+    # keeps its bits, because the step writes a new vector
+    ctx, state = make_ctx(MLP_SPEC), init_train_state(MLP_SPEC, seed=7)
+    copy = replace(state)
+    before = {k: v.copy() for k, v in state.params.items()}
+    grads = state.grads.vector
+    for _ in range(2):
+        train_step_drawn(toy_batch(), state, ctx)
+        vector = state.params.vector
+        assert list(state.params) == sorted(before) and vector.dtype == np.float64
+        offset = 0
+        for name, a in state.params.items():
+            assert a.base is vector and a.shape == before[name].shape
+            assert a.ctypes.data == vector.ctypes.data + 8 * offset
+            offset += a.size
+        assert offset == vector.size
+        assert state.grads.vector is grads  # gradients are written in place
+    assert copy.params.vector is not vector
+    assert all(np.array_equal(copy.params[k].view(np.int64), before[k].view(np.int64))
+               for k in before)
+
+
+def test_a_deep_copy_of_the_state_trains_like_the_state():
+    # the copy's parameter and gradient views are views of its own vectors
+    ctx, state = make_ctx(MLP_SPEC), init_train_state(MLP_SPEC, seed=7)
+    train_step_drawn(toy_batch(), state, ctx)
+    copied = deepcopy(state)
+    draws = next_draws(toy_batch(), state, ctx)
+    assert train_step(toy_batch(), copied, ctx, draws) == train_step(toy_batch(), state, ctx,
+                                                                     draws)
+    assert np.array_equal(copied.params.vector.view(np.int64),
+                          state.params.vector.view(np.int64))
+    assert np.array_equal(copied.moments, state.moments)
 
 
 def test_linear_codec_learns_on_clean_chain(zero_error_rows):
