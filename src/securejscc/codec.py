@@ -127,19 +127,17 @@ def dense_forward(params: dict, prefix: str, x: np.ndarray) -> tuple[np.ndarray,
 
 
 def dense_backward(params: dict, prefix: str, cache: list, grad_out: np.ndarray,
-                   grads: dict | None = None) -> tuple[dict, np.ndarray]:
-    """Weight and bias gradients (into ``grads``' arrays, where it has them)
-    and the input's gradient."""
-    grads = {} if grads is None else grads
+                   grads: dict) -> np.ndarray:
+    """Weight and bias gradients, written into ``grads``' arrays; returns the
+    gradient at the first layer's output (the input's is ``that @ W0.T``)."""
     g = grad_out
     for i in reversed(range(len(cache))):
         w, b = f"{prefix}.W{i}", f"{prefix}.b{i}"
-        grads[w] = np.matmul(cache[i].T, g, out=grads.get(w))
-        grads[b] = g.sum(axis=0, out=grads.get(b))
-        g = g @ params[w].T
-        if i:  # back through the tanh that made this layer's input
-            g = g * (1.0 - cache[i] ** 2)
-    return grads, g
+        np.matmul(cache[i].T, g, out=grads[w])
+        g.sum(axis=0, out=grads[b])
+        if i:  # back through this layer and the tanh that made its input
+            g = (g @ params[w].T) * (1.0 - cache[i] ** 2)
+    return g
 
 
 def _squashed_forward(params: dict, prefix: str, x: np.ndarray,
@@ -168,9 +166,8 @@ def encode(x: np.ndarray, spec: CodecSpec, params: dict) -> tuple[np.ndarray, tu
     return _squashed_forward(params, "enc", x / 255.0, spec.latent_scale)
 
 
-def encode_backward(grad_z: np.ndarray, params: dict, cache: tuple,
-                    grads: dict | None = None) -> dict:
-    return _squashed_backward(params, cache, grad_z, grads)[0]
+def encode_backward(grad_z: np.ndarray, params: dict, cache: tuple, grads: dict) -> None:
+    _squashed_backward(params, cache, grad_z, grads)
 
 
 def decode(z_hat: np.ndarray, spec: CodecSpec, params: dict) -> tuple[np.ndarray, tuple]:
@@ -184,10 +181,10 @@ def decode(z_hat: np.ndarray, spec: CodecSpec, params: dict) -> tuple[np.ndarray
 
 
 def decode_backward(grad_x: np.ndarray, spec: CodecSpec, params: dict, cache: tuple,
-                    grads: dict | None = None) -> tuple[dict, np.ndarray]:
-    """Gradients of the decoder parameters and of its latent input."""
-    grads, g_in = _squashed_backward(params, cache, grad_x, grads)
-    return grads, g_in / spec.latent_scale
+                    grads: dict) -> np.ndarray:
+    """Decoder gradients, into ``grads``' arrays; returns its latent input's."""
+    g = _squashed_backward(params, cache, grad_x, grads)
+    return g @ params["dec.W0"].T / spec.latent_scale
 
 
 def mse_loss(x: np.ndarray, x_hat: np.ndarray) -> tuple[float, np.ndarray]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import integer_rows, message_streams, normal_rows, streams
+from .rng import integer_rows, message_streams, normal_rows, seed_word, streams
 
 # float64 holds every integer of magnitude up to 2**53 exactly
 EXACT_FLOAT_LIMIT = 2 ** 53
@@ -163,12 +163,12 @@ def keygen_stack(params: LweParams, key_seeds,
 
 
 def keygen(params: LweParams, key_seed: int, lattice_seed: int) -> KeyPair:
-    """Generate a key pair deterministically from two seeds.
-
+    """Generate a key pair deterministically from two seeds distinct mod 2**64:
     ``S`` then ``U`` are drawn from the key_seed stream (discrete Gaussian);
     ``A`` is uniform over ``[0, p)``: the values ``rng.integers(0, p,
-    (n1, n2), dtype=np.int64)`` draws from the lattice_seed stream.
-    """
+    (n1, n2), dtype=np.int64)`` draws from the lattice_seed stream."""
+    if seed_word(key_seed) == seed_word(lattice_seed):
+        raise ValueError(f"key seed {key_seed} equals lattice seed {lattice_seed} mod 2**64")
     S, B, A = (m[0] for m in keygen_stack(params, [key_seed], [lattice_seed]))
     # S is a view into the S-and-U draw: copy it so U can be freed
     return KeyPair(params=params, S=S.copy(), B=B, A=A,

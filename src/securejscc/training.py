@@ -102,18 +102,18 @@ def _forward(batch: np.ndarray, params: dict, ctx: TrainContext, latent_map):
 
 
 def _gradients(batch: np.ndarray, params: dict, ctx: TrainContext, sigma_q: float,
-               latent_map, grads: dict | None = None) -> tuple[float, dict]:
-    """Loss and parameter gradients (into ``grads``' arrays, if given); the
-    latent map is skipped backward."""
+               latent_map, grads: dict) -> float:
+    """The loss; the parameter gradients are written into ``grads``' arrays,
+    and the latent map is skipped backward."""
     loss, (grad_x, z, enc_cache, dec_cache) = _forward(batch, params, ctx,
                                                        latent_map)
-    grads, grad_zhat = codec.decode_backward(grad_x, ctx.spec, params, dec_cache,
-                                             grads)
+    grad_zhat = codec.decode_backward(grad_x, ctx.spec, params, dec_cache, grads)
     # gradient skip: the whole quantized-latent -> dequantized segment is
     # treated as identity, then the soft-quantizer Jacobian maps back to z
     grad_z = grad_zhat * soft_quantize_jacobian(z.ravel(), ctx.qcfg,
                                                 sigma_q).reshape(z.shape)
-    return loss, codec.encode_backward(grad_z, params, enc_cache, grads)
+    codec.encode_backward(grad_z, params, enc_cache, grads)
+    return loss
 
 
 def train_step(batch: np.ndarray, state: TrainState, ctx: TrainContext,
@@ -125,8 +125,8 @@ def train_step(batch: np.ndarray, state: TrainState, ctx: TrainContext,
     other messages, such as the last step's replayed, raise ValueError."""
     _check_messages(draws, state.messages_sent, batch.shape[0])
     sigma_q = anneal_sigma_q(state.step)
-    loss, _ = _gradients(batch, state.params, ctx, sigma_q,
-                         _through_chain(ctx, draws), state.grads)
+    loss = _gradients(batch, state.params, ctx, sigma_q, _through_chain(ctx, draws),
+                      state.grads)
     if not math.isfinite(loss):
         raise RuntimeError(
             f"non-finite loss at step {state.step} "
@@ -172,9 +172,9 @@ def train_codec(train_images: list[np.ndarray], val_images: list[np.ndarray],
 
     ``state`` is trained in place. An epoch is one pass over the training
     set. Validation runs after each epoch on ``eval_ctx``: the same chain by
-    value (else ValueError), with error and channel seeds that differ (mod
-    2**64) from ``ctx``'s so that no validation image shares a training
-    message's noise. Training stops after ``PATIENCE`` epochs without
+    value. Its error and channel seeds, ``ctx``'s and ``shuffle_seed`` must
+    differ mod 2**64, so that no two draw the same streams; either fault
+    raises ValueError. Training stops after ``PATIENCE`` epochs without
     improvement and the learning rate shrinks by ``LR_DECAY`` after every
     ``DECAY_PATIENCE`` stagnant epochs. Validation's messages are drawn once
     per run, training's ahead in blocks (see ``DRAW_BLOCK_ENTRIES``).
@@ -182,10 +182,12 @@ def train_codec(train_images: list[np.ndarray], val_images: list[np.ndarray],
     chain, eval_chain = _chain(ctx), _chain(eval_ctx)
     if differ := [name for name in chain if chain[name] != eval_chain[name]]:
         raise ValueError(f"eval_ctx's chain differs from ctx's in {', '.join(differ)}")
-    if {seed_word(ctx.error_seed), seed_word(ctx.channel_seed)} & {
-            seed_word(eval_ctx.error_seed), seed_word(eval_ctx.channel_seed)}:
+    words = [seed_word(s) for c in (ctx, eval_ctx) for s in (c.error_seed, c.channel_seed)]
+    if set(words[:2]) & set(words[2:]):
         raise ValueError("eval_ctx's error and channel seeds must differ from "
                          "ctx's (mod 2**64)")
+    if seed_word(shuffle_seed) in words:
+        raise ValueError("shuffle_seed equals an error or channel seed (mod 2**64)")
     x_train = np.stack([im.reshape(-1) for im in train_images])
     x_val = np.stack([im.reshape(-1) for im in val_images])
     shuffle_rng = stream(shuffle_seed)

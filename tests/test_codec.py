@@ -152,7 +152,8 @@ def test_dense_stack_gradcheck():
 
     out, cache = dense_forward(params, "net", x)
     _, grad_out = mse_loss(target, out)
-    grads, _ = dense_backward(params, "net", cache, grad_out)
+    grads = FlatArrays(params.shapes)
+    dense_backward(params, "net", cache, grad_out, grads)
     for name in params:
         num = numerical_grad(loss_value, params, name)
         assert np.allclose(grads[name], num, rtol=1e-5, atol=1e-8), name
@@ -161,13 +162,14 @@ def test_dense_stack_gradcheck():
 def allocating_dense_backward(params: dict, prefix: str, cache: list,
                               grad_out: np.ndarray) -> tuple[dict, np.ndarray]:
     """Reference: every layer's gradients in new arrays, ``cache.T @ g`` and
-    ``g.sum(axis=0)``."""
+    ``g.sum(axis=0)``, and the gradient at the first layer's output (before
+    ``W0``)."""
     grads, g = {}, grad_out
     for i in reversed(range(len(cache))):
         grads[f"{prefix}.W{i}"] = cache[i].T @ g
         grads[f"{prefix}.b{i}"] = g.sum(axis=0)
-        g = g @ params[f"{prefix}.W{i}"].T
         if i:
+            g = g @ params[f"{prefix}.W{i}"].T
             g = g * (1.0 - cache[i] ** 2)
     return grads, g
 
@@ -182,13 +184,13 @@ def test_dense_backward_into_views_matches_allocating_oracle_bit_for_bit(sizes):
         x = rng.normal(0.0, 2.0, (batch, sizes[0]))
         out, cache = dense_forward(params, "net", x)
         grad_out = rng.standard_normal(out.shape)
-        got, g_in = dense_backward(params, "net", cache, grad_out, grads)
-        want, want_in = allocating_dense_backward(params, "net", cache, grad_out)
-        assert got is grads and got.keys() == want.keys()
-        assert all(got[name].base is grads.vector for name in got)  # written in place
+        g_out = dense_backward(params, "net", cache, grad_out, grads)
+        want, want_out = allocating_dense_backward(params, "net", cache, grad_out)
+        assert grads.keys() == want.keys()
+        assert all(grads[name].base is grads.vector for name in grads)  # written in place
         for name in want:
-            assert np.array_equal(got[name].view(np.int64), want[name].view(np.int64))
-        assert np.array_equal(g_in.view(np.int64), want_in.view(np.int64))
+            assert np.array_equal(grads[name].view(np.int64), want[name].view(np.int64))
+        assert np.array_equal(g_out.view(np.int64), want_out.view(np.int64))
 
 
 @pytest.mark.parametrize("hidden_sizes", [(), (6,), (6, 4), (6, 5, 4)],
@@ -209,11 +211,47 @@ def test_mlp_codec_end_to_end_gradcheck(hidden_sizes):
     z, enc_cache = encode(x, spec, params)
     x_hat, dec_cache = decode(z, spec, params)
     _, grad_x = mse_loss(x, x_hat)
-    grads, grad_z = decode_backward(grad_x, spec, params, dec_cache)
-    grads.update(encode_backward(grad_z, params, enc_cache))
+    grads = FlatArrays(params.shapes)
+    grad_z = decode_backward(grad_x, spec, params, dec_cache, grads)
+    encode_backward(grad_z, params, enc_cache, grads)
     for name in params:
         num = numerical_grad(loss_value, params, name)
         assert np.allclose(grads[name], num, rtol=1e-4, atol=1e-7), name
+
+
+class UntransposableWeights(np.ndarray):
+    """A weight matrix whose transpose may not be read."""
+
+    @property
+    def T(self):
+        raise AssertionError("read the first layer's W0.T")
+
+
+@pytest.mark.parametrize("hidden_sizes", [(), (6,)], ids=["no_hidden", "one_hidden"])
+def test_backward_passes_never_form_the_gradient_their_callers_drop(hidden_sizes):
+    # the encoder's input is the image, and the adversary's the features: no
+    # caller uses their gradient, so neither backward pass reads W0.T
+    spec = CodecSpec(kind="mlp", input_shape=(3, 3, 1), k=4,
+                     latent_scale=100.0, hidden_sizes=hidden_sizes)
+    rng = stream(12)
+    params = init_params(spec, rng)
+    z, enc_cache = encode(rng.uniform(0, 255, (5, 9)), spec, params)
+    grads = FlatArrays(params.shapes, np.full(params.vector.size, np.nan))
+    params["enc.W0"] = params["enc.W0"].view(UntransposableWeights)
+    encode_backward(rng.standard_normal(z.shape), params, enc_cache, grads)
+    assert not any(np.isnan(grads[name]).any() for name in params if name.startswith("enc"))
+
+    # one step of the attack's MLP fit: forward, backward, Adam
+    adv = init_arrays(dense_shapes([9, *hidden_sizes, 4], "adv"), rng)
+    out, cache = dense_forward(adv, "adv", rng.standard_normal((5, 9)))
+    _, grad_out = mse_loss(rng.standard_normal(out.shape), out)
+    want, _ = allocating_dense_backward(adv, "adv", cache, grad_out)
+    adv_grads = FlatArrays(adv.shapes)
+    adv["adv.W0"] = adv["adv.W0"].view(UntransposableWeights)
+    dense_backward(adv, "adv", cache, grad_out, adv_grads)
+    adam_step(adv.vector, adv_grads.vector, np.zeros((2, adv.vector.size)), 1, lr=1e-3)
+    for name in want:
+        assert np.array_equal(adv_grads[name].view(np.int64), want[name].view(np.int64))
 
 
 def masked_sigmoid(u: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from securejscc import lwe
 from securejscc.config import load_public_key, load_secret_key, save_key_files
-from securejscc.lwe import (EXACT_FLOAT_LIMIT, Ciphertext, ErrorTriple,
+from securejscc.lwe import (EXACT_FLOAT_LIMIT, Ciphertext, ErrorTriple, KeyPair,
                             LweParams, _gaussian_rows, centered, decrypt,
                             derive_error_rows, encrypt, keygen, keygen_stack,
                             lattice_product, pad, public_matrix)
@@ -244,6 +245,15 @@ def test_keygen_stack_rows_equal_keygen():
         assert np.array_equal(S[i], keys.S)
         assert np.array_equal(B[i], keys.B)
         assert np.array_equal(A[i], keys.A)
+
+
+@pytest.mark.parametrize("key_seed, lattice_seed", [(7, 7), (7, 7 + 2**64), (-1, 2**64 - 1)])
+def test_keygen_rejects_seeds_equal_mod_2_64(key_seed, lattice_seed):
+    # A would be bounded of the raw words that S's and U's normals come from
+    with pytest.raises(ValueError, match="equals lattice seed .* mod 2\\*\\*64"):
+        keygen(SMALL, key_seed, lattice_seed)
+    S, _, A = keygen_stack(SMALL, [key_seed], [lattice_seed])  # the game's keys: unchecked
+    assert S.shape == (1, SMALL.n2, SMALL.k) and A.shape == (1, SMALL.n1, SMALL.n2)
 
 
 @pytest.mark.parametrize("p", [17, 4093, 3 * 2**30, 2**32 + 1])
@@ -561,6 +571,15 @@ def test_secret_file_integrity_check(tmp_path):
     blob["S"][0][0] += 1
     sec.write_text(json.dumps(blob))
     with pytest.raises(ValueError):
+        load_secret_key(sec)
+
+
+def test_secret_file_with_equal_seeds_is_rejected(tmp_path):
+    # a file whose S is consistent with its seeds, but whose seeds are equal
+    S, B, A = (m[0] for m in keygen_stack(SMALL, [7], [7]))
+    pub, sec = tmp_path / "pub.json", tmp_path / "sec.json"
+    save_key_files(KeyPair(SMALL, S, B, A, key_seed=7, lattice_seed=7), pub, sec)
+    with pytest.raises(ValueError, match=re.escape(f"{sec}: key seed 7 equals lattice")):
         load_secret_key(sec)
 
 

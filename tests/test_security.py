@@ -15,7 +15,7 @@ from securejscc.security import (DISTINGUISHERS, GAME_CHUNK_ENTRIES,
                                  AttackConfig, GameConfig, TrainedClassifier,
                                  default_plaintext_pair, run_cpa_attack,
                                  run_ind_cpa_game, trial_draws)
-from test_codec import per_name_adam_step
+from test_codec import allocating_dense_backward, per_name_adam_step
 from test_lwe import message_errors
 from test_modem import awgn_one, receive_drawn
 
@@ -370,7 +370,7 @@ def per_name_fit_mlp(x, y, epochs, rng):
             sel = order[s:s + 64]
             out, cache = codec.dense_forward(params, "adv", x[sel])
             _, grad_out = codec.mse_loss(y[sel], out)
-            grads, _ = codec.dense_backward(params, "adv", cache, grad_out)
+            grads, _ = allocating_dense_backward(params, "adv", cache, grad_out)
             step += 1
             params = per_name_adam_step(params, grads, m, v, step, lr=1e-3)
     return params

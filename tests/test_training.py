@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from securejscc import pipeline, training
-from securejscc.codec import CodecSpec, init_params
+from securejscc.codec import CodecSpec, FlatArrays, init_params
 from securejscc.datasets import DatasetSpec, synthesize_dataset
 from securejscc.lwe import LweParams, keygen
 from securejscc.modem import build_constellation
@@ -37,8 +37,9 @@ def evaluate_drawn(images, params, ctx):
 
 def chain_gradients(batch, state, ctx):
     """Loss and gradients of :func:`train_step`, through the real chain."""
+    grads = FlatArrays(state.params.shapes)
     return _gradients(batch, state.params, ctx, anneal_sigma_q(state.step),
-                      _through_chain(ctx, next_draws(batch, state, ctx)))
+                      _through_chain(ctx, next_draws(batch, state, ctx)), grads), grads
 
 
 def surrogate_gradients(batch, state, ctx):
@@ -48,15 +49,18 @@ def surrogate_gradients(batch, state, ctx):
     to :func:`chain_gradients`. With zero errors and a noiseless channel
     the two agree exactly, which pins down the gradient-routing contract.
     """
+    grads = FlatArrays(state.params.shapes)
     return _gradients(batch, state.params, ctx, anneal_sigma_q(state.step),
-                      lambda z: hard_quantize(z, ctx.qcfg).astype(np.float64))
+                      lambda z: hard_quantize(z, ctx.qcfg).astype(np.float64),
+                      grads), grads
 
 
 def soft_surrogate_gradients(batch, params, ctx, sigma_q):
     """Loss and analytic gradients of the differentiable stand-in chain:
     encode -> soft quantize -> decode."""
+    grads = FlatArrays(params.shapes)
     return _gradients(batch, params, ctx, sigma_q, lambda z: soft_quantize(
-        z.ravel(), ctx.qcfg, sigma_q).reshape(z.shape))
+        z.ravel(), ctx.qcfg, sigma_q).reshape(z.shape), grads), grads
 
 
 def soft_surrogate_loss(batch, params, ctx, sigma_q):
@@ -327,6 +331,19 @@ def test_train_codec_rejects_training_seeds_in_eval_ctx(error_seed, channel_seed
     with pytest.raises(ValueError, match=r"eval_ctx's error and channel seeds must differ"):
         train_codec(images[:16], images[16:], make_ctx(MLP_SPEC), state,
                     max_steps=10, batch_size=8, shuffle_seed=15, eval_ctx=eval_ctx)
+    assert state.step == 0
+
+
+@pytest.mark.parametrize("shuffle_seed", [3, 4, 31, 41 - 2**64],
+                         ids=["error", "channel", "eval_error", "eval_channel"])
+def test_train_codec_rejects_a_shuffle_seed_of_an_error_or_channel_stream(shuffle_seed):
+    # stream(s) is message 0's error or channel stream under seed s
+    images = synthesize_dataset(DatasetSpec("blob", 24, 4, 4, 1), 13)
+    state = init_train_state(MLP_SPEC, seed=14)
+    with pytest.raises(ValueError, match="shuffle_seed equals an error or channel seed"):
+        train_codec(images[:16], images[16:], make_ctx(MLP_SPEC), state, max_steps=10,
+                    batch_size=8, shuffle_seed=shuffle_seed,
+                    eval_ctx=make_ctx(MLP_SPEC, error_seed=31, channel_seed=41))
     assert state.step == 0
 
 
