@@ -25,7 +25,7 @@ from . import codec, metrics
 from .datasets import DatasetSpec, synthesize_dataset
 from .lwe import (Ciphertext, ErrorTriple, LweParams, PublicKey, _gaussian_rows,
                   centered, derive_error_rows, encrypt, error_rows, keygen_stack,
-                  lattice_product, pad)
+                  lattice_product, pad, residues)
 from .modem import (SIGMA_L_DEFAULT, Db, build_constellation, channel_noise,
                     noise_variance, receive)
 from .quantizer import QuantizerConfig, build_centroids, check_levels, hard_quantize
@@ -65,7 +65,7 @@ class MarginalChiSquare:
 
     def guess(self, c, adv_seeds):
         # one histogram row per (trial, hypothesis), counted in one call
-        idx = ((c[:, None] - self.m) % self.p * self.bins) // self.p
+        idx = residues(c[:, None] - self.m, self.p) * self.bins // self.p
         rows = self.bins * np.arange(2 * len(c)).reshape(-1, 2, 1)
         counts = np.bincount((idx + rows).ravel(), minlength=rows.size * self.bins)
         expected = c.shape[1] / self.bins
@@ -121,7 +121,7 @@ class TrainedClassifier:
                                    (n * (n1 + k),))[0]
                 e1, e3 = np.split(e, [n * n1])
                 c = lattice_product(e1.reshape(n, n1), Bt) + e3.reshape(n, k)
-                self._features((c + plain) % p, xt)
+                self._features(residues(c + plain, p), xt)
             for _ in range(self.epochs):
                 logits = (xs @ w[:, :, None])[:, :, 0] + b[:, None]
                 err = 1.0 / (1.0 + np.exp(-logits)) - y
@@ -400,7 +400,7 @@ def run_cpa_attack(cfg: AttackConfig, spec: codec.CodecSpec, codec_params: dict,
     observations = receive(ct.c, cons, *noise, SIGMA_L_DEFAULT)
     if cfg.error_mode == "known_seed":
         # the seed lets the adversary remove the error layer, its pad, exactly
-        observations = (observations - pads.c) % params.p
+        observations = np.mod(observations - pads.c, params.p)
 
     n_test = cfg.n_test
     n_train = cfg.pairs - n_test

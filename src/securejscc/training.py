@@ -65,6 +65,7 @@ class TrainState:
     step: int = 0
     learning_rate: float = codec.ADAM_LR
     messages_sent: int = 0
+    init_seed: int | None = None  # the seed of the initial parameters' stream
 
 
 def init_train_state(spec: codec.CodecSpec, seed: int,
@@ -73,7 +74,8 @@ def init_train_state(spec: codec.CodecSpec, seed: int,
         raise ValueError(f"the {spec.kind} codec has no parameters to train")
     params = codec.init_params(spec, stream(seed))
     return TrainState(params=params, moments=np.zeros((2, params.vector.size)),
-                      grads=codec.FlatArrays(params.shapes), learning_rate=learning_rate)
+                      grads=codec.FlatArrays(params.shapes), learning_rate=learning_rate,
+                      init_seed=seed)
 
 
 def _through_chain(ctx: TrainContext, draws: pipeline.MessageDraws):
@@ -172,12 +174,13 @@ def train_codec(train_images: list[np.ndarray], val_images: list[np.ndarray],
 
     ``state`` is trained in place. An epoch is one pass over the training
     set. Validation runs after each epoch on ``eval_ctx``: the same chain by
-    value. Its error and channel seeds, ``ctx``'s and ``shuffle_seed`` must
-    differ mod 2**64, so that no two draw the same streams; either fault
-    raises ValueError. Training stops after ``PATIENCE`` epochs without
-    improvement and the learning rate shrinks by ``LR_DECAY`` after every
-    ``DECAY_PATIENCE`` stagnant epochs. Validation's messages are drawn once
-    per run, training's ahead in blocks (see ``DRAW_BLOCK_ENTRIES``).
+    value. Its error and channel seeds, ``ctx``'s, ``shuffle_seed`` and
+    ``state.init_seed`` (if recorded) must differ mod 2**64, so that no two
+    draw the same streams; any such fault raises ValueError. Training stops
+    after ``PATIENCE`` epochs without improvement and the learning rate
+    shrinks by ``LR_DECAY`` after every ``DECAY_PATIENCE`` stagnant epochs.
+    Validation's messages are drawn once per run, training's ahead in blocks
+    (see ``DRAW_BLOCK_ENTRIES``).
     """
     chain, eval_chain = _chain(ctx), _chain(eval_ctx)
     if differ := [name for name in chain if chain[name] != eval_chain[name]]:
@@ -188,6 +191,9 @@ def train_codec(train_images: list[np.ndarray], val_images: list[np.ndarray],
                          "ctx's (mod 2**64)")
     if seed_word(shuffle_seed) in words:
         raise ValueError("shuffle_seed equals an error or channel seed (mod 2**64)")
+    words.append(seed_word(shuffle_seed))
+    if state.init_seed is not None and seed_word(state.init_seed) in words:
+        raise ValueError("init_seed equals an error, channel or shuffle seed (mod 2**64)")
     x_train = np.stack([im.reshape(-1) for im in train_images])
     x_val = np.stack([im.reshape(-1) for im in val_images])
     shuffle_rng = stream(shuffle_seed)

@@ -11,7 +11,7 @@ from securejscc.config import load_public_key, load_secret_key, save_key_files
 from securejscc.lwe import (EXACT_FLOAT_LIMIT, Ciphertext, ErrorTriple, KeyPair,
                             LweParams, _gaussian_rows, centered, decrypt,
                             derive_error_rows, encrypt, keygen, keygen_stack,
-                            lattice_product, pad, public_matrix)
+                            lattice_product, pad, public_matrix, residues)
 from securejscc.rng import stream
 
 SMALL = LweParams(p=17, n1=4, n2=4, sigma_s=2.0, k=3)
@@ -137,6 +137,39 @@ def test_lattice_product_exact_at_the_bound(n, mx, my):
         x = np.full((2, n), sign * mx, dtype=np.int64)
         y = np.full((n, 3), my, dtype=np.int64)
         assert np.all(lattice_product(x, y) == sign * n * mx * my)
+
+
+RESIDUE_MODULI = [2, 3, 251, 257, 4093, 4096]
+
+
+@st.composite
+def residue_dividends(draw):
+    """A modulus and an int64 array of shape (), (n,) or (T, 1, k): values up
+    to +-2**62, multiples of p and values +-1 from them."""
+    p = draw(st.sampled_from(RESIDUE_MODULI))
+    shape = draw(st.one_of(st.just(()), st.tuples(st.integers(1, 6)),
+                           st.tuples(st.integers(1, 3), st.just(1), st.integers(1, 4))))
+    near = st.builds(lambda q, off: q * p + off, st.integers(-(2 ** 62) // p, 2 ** 62 // p),
+                     st.sampled_from([-1, 0, 1]))
+    values = draw(st.lists(st.one_of(st.integers(-(2 ** 62), 2 ** 62), near),
+                           min_size=math.prod(shape), max_size=math.prod(shape)))
+    return p, np.array(values, dtype=np.int64).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(residue_dividends())
+def test_residues_equal_python_remainder(case):
+    p, x = case
+    got = residues(x, p)
+    assert got.shape == x.shape and got.dtype == np.int64
+    assert got.ravel().tolist() == [v % p for v in x.ravel().tolist()]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_residues_reject_floats(dtype):
+    # floor division of a float is not exact: floats keep np.mod
+    with pytest.raises(TypeError, match=np.dtype(dtype).name):
+        residues(np.arange(4, dtype=dtype), 17)
 
 
 # -- sampler -----------------------------------------------------------------
@@ -374,6 +407,40 @@ def test_encrypt_batch_needs_one_triple_per_row():
         assert np.array_equal(batch.c[i], single.c)
         assert np.array_equal(batch.d[i], single.d)
         assert np.array_equal(plain[i], decrypt(single.c, single.d, keys))
+
+
+def wrapped(dividend, p):
+    """``dividend``, after asserting that it holds entries below 0 and at or
+    above p, so that its reduction wraps both ways."""
+    assert (dividend < 0).any() and (dividend >= p).any()
+    return dividend
+
+
+def test_public_matrix_wraps_like_python_remainder():
+    S, _, A = keygen_stack(SMALL, [3, 5], [4, 6])
+    U = stream(63).integers(-3 * SMALL.p, 3 * SMALL.p, size=(2, SMALL.n1, SMALL.k))
+    assert np.array_equal(public_matrix(U, A, S, SMALL.p),
+                          wrapped(U - A @ S, SMALL.p) % SMALL.p)
+
+
+def test_pad_and_encrypt_wrap_like_python_remainder():
+    p = SMALL.p
+    keys = keygen(SMALL, 1, 2)
+    errors = derive_error_rows(9, range(40), SMALL)
+    raw_c = wrapped(errors.e1 @ keys.B + errors.e3, p)
+    raw_d = wrapped(errors.e1 @ keys.A + errors.e2, p)
+    pads = pad(keys, errors)
+    assert np.array_equal(pads.c, raw_c % p) and np.array_equal(pads.d, raw_d % p)
+    # one key per message, as the game stacks them
+    S, B, A = keygen_stack(SMALL, range(10, 50), range(50, 90))
+    rows = ErrorTriple(*(e[:, None] for e in (errors.e1, errors.e2, errors.e3)))
+    stacked = pad(lwe.PublicKey(params=SMALL, B=B, A=A, lattice_seed=0), rows)
+    assert np.array_equal(stacked.c, wrapped(rows.e1 @ B + rows.e3, p) % p)
+    assert np.array_equal(stacked.d, wrapped(rows.e1 @ A + rows.e2, p) % p)
+    # encrypt reduces whatever integer pad it completes
+    z = stream(64).integers(0, p, size=(40, SMALL.k))
+    ct = encrypt(z, Ciphertext(c=raw_c, d=raw_d), SMALL)
+    assert np.array_equal(ct.c, wrapped(raw_c + z, p) % p) and ct.d is raw_d
 
 
 def test_decrypt_zero_errors_exact():

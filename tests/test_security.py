@@ -158,6 +158,31 @@ def test_chunked_game_matches_serial_oracle_one_trial_per_chunk():
             == serial_game_correct(cfg, DISTINGUISHERS["marginal_chisq"]()))
 
 
+def chi_square_stats(c, m, p, bins):
+    """The chi-square distinguisher's statistic of each challenge row under
+    plaintext ``m``, binned from ``(c - m) % p`` one row at a time."""
+    counts = np.array([np.bincount((row - m) % p * bins // p, minlength=bins) for row in c])
+    expected = c.shape[1] / bins
+    return ((counts - expected) ** 2).sum(-1) / expected
+
+
+def test_chi_square_guess_wraps_like_python_remainder():
+    p, k, trials = GAME_LWE.p, GAME_LWE.k, 300
+    distinguisher = DISTINGUISHERS["marginal_chisq"]()
+    m0, m1 = stream(71).integers(0, p, size=(2, k))
+    adv_seeds = stream(72).integers(0, 2 ** 63, size=trials)
+    distinguisher.prepare(GAME_LWE, None, m0, m1, adv_seeds)
+    # integers on both sides of [0, p), so that (c - m_b) wraps both ways
+    c = stream(73).integers(-2 * p, 2 * p, size=(trials, k))
+    dividends = c[:, None] - np.stack([m0, m1])
+    assert (dividends < 0).any() and (dividends >= p).any()
+    s0, s1 = (chi_square_stats(c, m, p, distinguisher.bins) for m in (m0, m1))
+    decided = s0 != s1  # a tie is a coin flip
+    assert decided.sum() > trials // 2
+    bits = distinguisher.guess(c, adv_seeds)
+    assert np.array_equal(bits[decided], (s1 < s0)[decided])
+
+
 @pytest.mark.parametrize("p", [2, 3, 257, 4093])
 def test_classifier_features_equal_centered_residues(p):
     k = 16

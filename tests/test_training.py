@@ -347,6 +347,25 @@ def test_train_codec_rejects_a_shuffle_seed_of_an_error_or_channel_stream(shuffl
     assert state.step == 0
 
 
+@pytest.mark.parametrize("init_seed", [3, 4 + 2**64, 31, 41, 15],
+                         ids=["error", "channel", "eval_error", "eval_channel", "shuffle"])
+def test_train_codec_rejects_an_init_seed_of_a_drawn_stream(init_seed):
+    # stream(s) draws the initial parameters, the shuffle, and message 0's
+    # error or channel stream under seed s
+    images = synthesize_dataset(DatasetSpec("blob", 24, 4, 4, 1), 13)
+    state = init_train_state(MLP_SPEC, seed=init_seed)
+    assert state.init_seed == init_seed
+    with pytest.raises(ValueError, match="init_seed equals an error, channel or shuffle seed"):
+        train_codec(images[:16], images[16:], make_ctx(MLP_SPEC), state, max_steps=10,
+                    batch_size=8, shuffle_seed=15,
+                    eval_ctx=make_ctx(MLP_SPEC, error_seed=31, channel_seed=41))
+    assert state.step == 0
+    # a state whose seed is not recorded is not checked
+    train_codec(images[:16], images[16:], make_ctx(MLP_SPEC), replace(state, init_seed=None),
+                max_steps=2, batch_size=8, shuffle_seed=15,
+                eval_ctx=make_ctx(MLP_SPEC, error_seed=31, channel_seed=41))
+
+
 def no_draws(*args, **kwargs):
     raise AssertionError("drew messages before checking eval_ctx")
 
