@@ -30,7 +30,7 @@ from .datasets import DatasetSpec
 from .lwe import KeyPair, LweParams, PublicKey, keygen
 from .modem import MAX_CONSTELLATION, Db, noise_variance
 from .quantizer import check_levels
-from .rng import seed_word
+from .rng import check_distinct
 from .security import AttackConfig, GameConfig
 
 DEFAULT_LWE = {"p": 4093, "n1": 192, "n2": 192, "sigma_s": 8.87}
@@ -105,15 +105,11 @@ class PipelineConfig:
         self.check_seeds()
 
     def check_seeds(self, more: dict[str, int] | None = None) -> None:
-        """A ValueError naming two seeds equal mod 2**64: the config's, then ``more``."""
+        """The seed rule, ``rng.check_distinct``, on the config's seeds, then ``more``."""
         seeds = {f"seeds.{name}": seed for name, seed in asdict(self.seeds).items()} | {
             f"training.{name}": getattr(self.training, name)
             for name in ("shuffle_seed", "init_seed")} | self.seeds.validation()
-        named: dict[int, str] = {}
-        for name, seed in (seeds | (more or {})).items():
-            if (other := named.setdefault(seed_word(seed), name)) != name:
-                raise ValueError(f"config keys '{other}' and '{name}' are equal mod "
-                                 f"2**64, so they would draw the same random streams")
+        check_distinct(seeds | (more or {}), "config keys")
 
 
 # -- the value rule ----------------------------------------------------------

@@ -17,7 +17,7 @@ from . import codec, metrics
 from .lwe import Ciphertext, KeyPair, centered, decrypt, derive_error_rows, encrypt, pad
 from .modem import Constellation, Db, channel_noise, receive
 from .quantizer import QuantizerConfig, hard_quantize, soft_dequantize
-from .rng import seed_word
+from .rng import check_distinct
 
 CSV_SCHEMA_VERSION = 1
 CSV_COLUMNS = ("schema_version", "row_kind", "image_index", "message_index",
@@ -50,11 +50,9 @@ def draw_messages(keys: KeyPair, cons: Constellation, error_seed: int,
     """The draws of messages ``message_indices`` at ``snr_db`` (see
     :func:`~securejscc.modem.channel_noise`): message i's error triple and
     channel noise come from its index's streams, whatever batch it is drawn
-    in. The seeds must differ mod 2**64, or a message's channel noise would
-    replay the draws of its error triple."""
-    if seed_word(error_seed) == seed_word(channel_seed):
-        raise ValueError(f"error seed {error_seed} and channel seed {channel_seed} are "
-                         f"equal mod 2**64, so they would draw the same random streams")
+    in. Its seeds and the key's are under the seed rule, ``rng.check_distinct``."""
+    check_distinct({"error_seed": error_seed, "channel_seed": channel_seed,
+                    "keys.key_seed": keys.key_seed, "keys.lattice_seed": keys.lattice_seed})
     errors = derive_error_rows(error_seed, message_indices, keys.params)
     sigma2, noise = channel_noise(cons, snr_db, keys.params.k, channel_seed,
                                   message_indices)

@@ -42,6 +42,15 @@ def seed_word(seed: int) -> int:
     return int(seed) & _MASK64
 
 
+def check_distinct(seeds: dict[str, int], what: str = "seeds") -> None:
+    """The seed rule: a ValueError names the first two ``seeds`` equal mod 2**64."""
+    named: dict[int, str] = {}
+    for name, seed in seeds.items():
+        if (other := named.setdefault(seed_word(seed), name)) != name:
+            raise ValueError(f"{what} '{other}' and '{name}' are equal mod "
+                             f"2**64, so they would draw the same random streams")
+
+
 def _key_words(seed: int, index: int) -> tuple[int, int]:
     """The two 64-bit words, low first, of the Philox key of ``(seed, index)``:
     ``seed * 2**64 + index``, each reduced mod 2**64."""

@@ -22,7 +22,7 @@ from .lwe import KeyPair, decrypt
 from .modem import Constellation, Db
 from .quantizer import (QuantizerConfig, anneal_sigma_q, hard_quantize,
                         soft_dequantize, soft_quantize_jacobian)
-from .rng import seed_word, stream
+from .rng import check_distinct, stream
 
 # train_codec's stopping rule: epochs without a better validation loss
 # before training stops, and before each learning-rate decay by LR_DECAY
@@ -174,9 +174,9 @@ def train_codec(train_images: list[np.ndarray], val_images: list[np.ndarray],
 
     ``state`` is trained in place. An epoch is one pass over the training
     set. Validation runs after each epoch on ``eval_ctx``: the same chain by
-    value. Its error and channel seeds, ``ctx``'s, ``shuffle_seed`` and
-    ``state.init_seed`` (if recorded) must differ mod 2**64, so that no two
-    draw the same streams; any such fault raises ValueError. Training stops
+    value. Its error and channel seeds, ``ctx``'s, the key's, ``shuffle_seed``
+    and ``state.init_seed`` (if recorded) are under the seed rule,
+    ``rng.check_distinct``, checked before any draw. Training stops
     after ``PATIENCE`` epochs without improvement and the learning rate
     shrinks by ``LR_DECAY`` after every ``DECAY_PATIENCE`` stagnant epochs.
     Validation's messages are drawn once per run, training's ahead in blocks
@@ -185,15 +185,13 @@ def train_codec(train_images: list[np.ndarray], val_images: list[np.ndarray],
     chain, eval_chain = _chain(ctx), _chain(eval_ctx)
     if differ := [name for name in chain if chain[name] != eval_chain[name]]:
         raise ValueError(f"eval_ctx's chain differs from ctx's in {', '.join(differ)}")
-    words = [seed_word(s) for c in (ctx, eval_ctx) for s in (c.error_seed, c.channel_seed)]
-    if set(words[:2]) & set(words[2:]):
-        raise ValueError("eval_ctx's error and channel seeds must differ from "
-                         "ctx's (mod 2**64)")
-    if seed_word(shuffle_seed) in words:
-        raise ValueError("shuffle_seed equals an error or channel seed (mod 2**64)")
-    words.append(seed_word(shuffle_seed))
-    if state.init_seed is not None and seed_word(state.init_seed) in words:
-        raise ValueError("init_seed equals an error, channel or shuffle seed (mod 2**64)")
+    init = {} if state.init_seed is None else {"state.init_seed": state.init_seed}
+    check_distinct({"ctx.error_seed": ctx.error_seed, "ctx.channel_seed": ctx.channel_seed,
+                    "eval_ctx.error_seed": eval_ctx.error_seed,
+                    "eval_ctx.channel_seed": eval_ctx.channel_seed,
+                    "ctx.keys.key_seed": ctx.keys.key_seed,
+                    "ctx.keys.lattice_seed": ctx.keys.lattice_seed,
+                    "shuffle_seed": shuffle_seed} | init)
     x_train = np.stack([im.reshape(-1) for im in train_images])
     x_val = np.stack([im.reshape(-1) for im in val_images])
     shuffle_rng = stream(shuffle_seed)

@@ -301,6 +301,25 @@ def test_cli_transmit_key_file_missing_field_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "no 'params' field" in err
 
 
+def test_cli_transmit_refuses_an_error_seed_equal_to_the_key_files_lattice_seed(
+        tmp_path, capsys):
+    # the public key carries lattice_seed, so error triples drawn under it
+    # would be public: the key comes from another config, outside load's check
+    key_dir = tmp_path / "keys"
+    key_dir.mkdir()
+    key_cfg = make_config_file(key_dir, seeds={"key": 1, "lattice": 3, "error": 6})
+    pub, sec = key_dir / "pub.json", key_dir / "sec.json"
+    assert main(["keygen", "--config", str(key_cfg), "--out", str(pub), str(sec)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "tx.csv"
+    assert main(["transmit", "--config", str(make_config_file(tmp_path)), "--keys", str(sec),
+                 "--in", "synthetic", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "seeds 'error_seed' and 'keys.lattice_seed' are equal mod 2**64" in err
+    assert not out.exists()
+
+
 def test_cli_attack_with_sabotage_control(tmp_path, capsys):
     cfg_path = make_config_file(
         tmp_path, dataset=images(400),

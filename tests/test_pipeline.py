@@ -1,4 +1,5 @@
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from securejscc import codec, metrics, pipeline
 from securejscc.codec import CodecSpec
 from securejscc.datasets import DatasetSpec, synthesize_dataset
-from securejscc.lwe import LweParams, centered, decrypt, keygen
+from securejscc.lwe import (LweParams, centered, decrypt, derive_error_rows, encrypt, keygen,
+                            pad)
 from securejscc.modem import build_constellation
 from securejscc.pipeline import (CSV_COLUMNS, CSV_SCHEMA_VERSION, SWEEP_DTYPE,
                                  draw_messages, records_to_csv, sweep,
@@ -159,15 +161,40 @@ def test_empty_grid_rejected(setup):
         sweep(images, SPEC, {}, keys, qcfg, cons, [], 5.0, 3, 4)
 
 
-@pytest.mark.parametrize("channel_seed", [3, 3 + 2**64], ids=["equal", "equal_mod_2**64"])
-def test_error_and_channel_seeds_must_differ(setup, channel_seed):
-    # one seed would key a message's channel noise on its error triple's stream
+@pytest.mark.parametrize("error_seed, channel_seed, first, second", [
+    (3, 3, "error_seed", "channel_seed"),
+    (3, 3 + 2**64, "error_seed", "channel_seed"),
+    (1, 4, "error_seed", "keys.key_seed"),
+    (2 - 2**64, 4, "error_seed", "keys.lattice_seed"),
+    (3, 1 + 2**64, "channel_seed", "keys.key_seed"),
+    (3, 2, "channel_seed", "keys.lattice_seed"),
+], ids=["equal", "equal_mod_2**64", "error_key", "error_lattice", "channel_key",
+        "channel_lattice"])
+def test_error_and_channel_seeds_must_differ(setup, error_seed, channel_seed, first, second):
+    # one seed would key a message's channel noise on its error triple's
+    # stream, or either on the key's streams (keys = keygen(LWE, 1, 2))
     keys, qcfg, cons, images = setup
-    message = f"error seed 3 and channel seed {channel_seed} are equal mod 2"
+    message = re.escape(f"seeds '{first}' and '{second}' are equal mod 2**64")
     with pytest.raises(ValueError, match=message):
-        draw_messages(keys, cons, 3, channel_seed, [0], 10.0)
+        draw_messages(keys, cons, error_seed, channel_seed, [0], 10.0)
     with pytest.raises(ValueError, match=message):
-        sweep(images, SPEC, {}, keys, qcfg, cons, [10.0], 5.0, 3, channel_seed)
+        sweep(images, SPEC, {}, keys, qcfg, cons, [10.0], 5.0, error_seed, channel_seed)
+
+
+def test_an_error_seed_equal_to_the_public_lattice_seed_is_refused(setup):
+    # the public key carries lattice_seed: under that error seed anyone
+    # rebuilds message 0's pad from the public key and strips it off
+    keys, qcfg, cons, images = setup
+    public = keys.public()
+    z_bar = hard_quantize(images[0].reshape(1, -1), qcfg)
+    sent = encrypt(z_bar, pad(keys, derive_error_rows(keys.lattice_seed, [0], LWE)), LWE)
+    rebuilt = pad(public, derive_error_rows(public.lattice_seed, [0], LWE))
+    assert np.array_equal(np.mod(sent.c - rebuilt.c, LWE.p), z_bar)
+    message = re.escape("seeds 'error_seed' and 'keys.lattice_seed' are equal mod 2**64")
+    with pytest.raises(ValueError, match=message):
+        draw_messages(keys, cons, public.lattice_seed, 4, [0], 10.0)
+    with pytest.raises(ValueError, match=message):
+        sweep(images, SPEC, {}, keys, qcfg, cons, [10.0], 5.0, public.lattice_seed, 4)
 
 
 @pytest.mark.parametrize("qcfg, cons, message", [

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
-from securejscc.rng import (bounded, halves, integer_rows, message_streams, raw_words,
-                            spawn_seed, stream, streams)
+from securejscc.rng import (bounded, check_distinct, halves, integer_rows, message_streams,
+                            raw_words, spawn_seed, stream, streams)
 
 
 def test_same_key_same_sequence():
@@ -21,6 +23,30 @@ def test_distinct_seeds_distinct_sequences():
     a = stream(1).standard_normal(64)
     b = stream(2).standard_normal(64)
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seeds, first, second", [
+    ({"a": 1, "b": 7, "c": 7 + 2**64, "d": 1}, "b", "c"),  # the first pair to clash
+    ({"a": -1, "b": 2**64 - 1}, "a", "b"),
+    ({"a": 1, "b": 2, "c": 2**64 + 1}, "a", "c"),
+])
+def test_check_distinct_names_the_first_clashing_pair(seeds, first, second):
+    message = f"seeds '{first}' and '{second}' are equal mod 2**64"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_distinct(seeds)
+    with pytest.raises(ValueError, match=re.escape("config keys " + message[6:])):
+        check_distinct(seeds, "config keys")
+
+
+@pytest.mark.parametrize("seeds", [{}, {"a": 7}, {"a": 7, "b": 8, "c": -7, "d": 2**63 + 7}])
+def test_check_distinct_accepts_distinct_seeds(seeds):
+    assert check_distinct(seeds) is None
+
+
+def test_seeds_equal_mod_2_64_draw_the_same_stream():
+    # why the rule exists: the stream keys on a seed's low 64 bits
+    for a, b in ((7, 7 + 2**64), (-1, 2**64 - 1)):
+        assert np.array_equal(stream(a, 3).random(4), stream(b, 3).random(4))
 
 
 def test_spawn_seed_range():

@@ -1,4 +1,5 @@
 import math
+import re
 from copy import deepcopy
 from dataclasses import replace
 
@@ -328,34 +329,44 @@ def test_train_codec_rejects_training_seeds_in_eval_ctx(error_seed, channel_seed
     images = synthesize_dataset(DatasetSpec("blob", 24, 4, 4, 1), 13)
     eval_ctx = make_ctx(MLP_SPEC, error_seed=error_seed, channel_seed=channel_seed)
     state = init_train_state(MLP_SPEC, seed=14)
-    with pytest.raises(ValueError, match=r"eval_ctx's error and channel seeds must differ"):
+    message = r"seeds 'ctx\.\w+' and 'eval_ctx\.\w+' are equal mod 2\*\*64"
+    with pytest.raises(ValueError, match=message):
         train_codec(images[:16], images[16:], make_ctx(MLP_SPEC), state,
                     max_steps=10, batch_size=8, shuffle_seed=15, eval_ctx=eval_ctx)
     assert state.step == 0
 
 
-@pytest.mark.parametrize("shuffle_seed", [3, 4, 31, 41 - 2**64],
-                         ids=["error", "channel", "eval_error", "eval_channel"])
-def test_train_codec_rejects_a_shuffle_seed_of_an_error_or_channel_stream(shuffle_seed):
-    # stream(s) is message 0's error or channel stream under seed s
+@pytest.mark.parametrize("shuffle_seed, clash", [
+    (3, "ctx.error_seed"), (4, "ctx.channel_seed"), (31, "eval_ctx.error_seed"),
+    (41 - 2**64, "eval_ctx.channel_seed"), (101, "ctx.keys.key_seed"),
+    (102 + 2**64, "ctx.keys.lattice_seed")],
+    ids=["error", "channel", "eval_error", "eval_channel", "key", "lattice"])
+def test_train_codec_rejects_a_shuffle_seed_of_an_error_or_channel_stream(shuffle_seed, clash):
+    # stream(s) is message 0's error or channel stream under seed s, or the
+    # key's (make_ctx keys with keygen(TOY_LWE, 101, 102))
     images = synthesize_dataset(DatasetSpec("blob", 24, 4, 4, 1), 13)
     state = init_train_state(MLP_SPEC, seed=14)
-    with pytest.raises(ValueError, match="shuffle_seed equals an error or channel seed"):
+    message = re.escape(f"seeds '{clash}' and 'shuffle_seed' are equal mod 2**64")
+    with pytest.raises(ValueError, match=message):
         train_codec(images[:16], images[16:], make_ctx(MLP_SPEC), state, max_steps=10,
                     batch_size=8, shuffle_seed=shuffle_seed,
                     eval_ctx=make_ctx(MLP_SPEC, error_seed=31, channel_seed=41))
     assert state.step == 0
 
 
-@pytest.mark.parametrize("init_seed", [3, 4 + 2**64, 31, 41, 15],
-                         ids=["error", "channel", "eval_error", "eval_channel", "shuffle"])
-def test_train_codec_rejects_an_init_seed_of_a_drawn_stream(init_seed):
-    # stream(s) draws the initial parameters, the shuffle, and message 0's
-    # error or channel stream under seed s
+@pytest.mark.parametrize("init_seed, clash", [
+    (3, "ctx.error_seed"), (4 + 2**64, "ctx.channel_seed"), (31, "eval_ctx.error_seed"),
+    (41, "eval_ctx.channel_seed"), (15, "shuffle_seed"), (101 - 2**64, "ctx.keys.key_seed"),
+    (102, "ctx.keys.lattice_seed")],
+    ids=["error", "channel", "eval_error", "eval_channel", "shuffle", "key", "lattice"])
+def test_train_codec_rejects_an_init_seed_of_a_drawn_stream(init_seed, clash):
+    # stream(s) draws the initial parameters, the shuffle, message 0's error
+    # or channel stream, and the key's S or lattice under seed s
     images = synthesize_dataset(DatasetSpec("blob", 24, 4, 4, 1), 13)
     state = init_train_state(MLP_SPEC, seed=init_seed)
     assert state.init_seed == init_seed
-    with pytest.raises(ValueError, match="init_seed equals an error, channel or shuffle seed"):
+    message = re.escape(f"seeds '{clash}' and 'state.init_seed' are equal mod 2**64")
+    with pytest.raises(ValueError, match=message):
         train_codec(images[:16], images[16:], make_ctx(MLP_SPEC), state, max_steps=10,
                     batch_size=8, shuffle_seed=15,
                     eval_ctx=make_ctx(MLP_SPEC, error_seed=31, channel_seed=41))
@@ -368,6 +379,28 @@ def test_train_codec_rejects_an_init_seed_of_a_drawn_stream(init_seed):
 
 def no_draws(*args, **kwargs):
     raise AssertionError("drew messages before checking eval_ctx")
+
+
+@pytest.mark.parametrize("ctx_name", ["ctx", "eval_ctx"])
+@pytest.mark.parametrize("seed_name", ["error_seed", "channel_seed"])
+@pytest.mark.parametrize("key_seed, clash", [(101, "ctx.keys.key_seed"),
+                                             (102 - 2**64, "ctx.keys.lattice_seed")],
+                         ids=["key", "lattice"])
+def test_train_codec_rejects_an_error_or_channel_seed_of_the_key(ctx_name, seed_name,
+                                                                 key_seed, clash, monkeypatch):
+    # the key's seeds key its S and its public lattice: no message stream may
+    # share them (make_ctx keys with keygen(TOY_LWE, 101, 102))
+    contexts = {"ctx": make_ctx(MLP_SPEC),
+                "eval_ctx": make_ctx(MLP_SPEC, error_seed=31, channel_seed=41)}
+    contexts[ctx_name] = replace(contexts[ctx_name], **{seed_name: key_seed})
+    images = synthesize_dataset(DatasetSpec("blob", 24, 4, 4, 1), 13)
+    state = init_train_state(MLP_SPEC, seed=14)
+    monkeypatch.setattr(pipeline, "draw_messages", no_draws)
+    message = re.escape(f"seeds '{ctx_name}.{seed_name}' and '{clash}' are equal mod 2**64")
+    with pytest.raises(ValueError, match=message):
+        train_codec(images[:16], images[16:], contexts["ctx"], state, max_steps=10,
+                    batch_size=8, shuffle_seed=15, eval_ctx=contexts["eval_ctx"])
+    assert state.step == 0
 
 
 @pytest.mark.parametrize("override, named", [
