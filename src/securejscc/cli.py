@@ -23,6 +23,7 @@ from .lwe import keygen
 from .modem import SIGMA_L_DEFAULT, build_constellation
 from .pipeline import records_to_csv, sweep
 from .quantizer import QuantizerConfig
+from .rng import check_distinct
 
 
 def _cmd_keygen(args) -> int:
@@ -59,6 +60,8 @@ def _sweep_to_csv(cfg, keys, images, snr_grid_db, codec_params_path, out) -> int
 def _cmd_transmit(args) -> int:
     cfg = load_config(args.config)
     keys = load_secret_key(args.keys)
+    check_distinct({"seeds.data": cfg.seeds.data, "keys.key_seed": keys.key_seed,
+                    "keys.lattice_seed": keys.lattice_seed})
     if keys.params != cfg.lwe:
         raise ValueError("key file parameters do not match the config")
     images = (synthesize_dataset(cfg.dataset, cfg.seeds.data)

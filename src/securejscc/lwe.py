@@ -84,19 +84,14 @@ class PublicKey:
 
 
 @dataclass(frozen=True)
-class KeyPair:
-    """Full key material held by the legitimate receiver."""
+class KeyPair(PublicKey):
+    """The receiver's key: the public key plus ``S`` and ``key_seed``."""
 
-    params: LweParams
     S: np.ndarray  # n2 x k, centered (signed) residues
-    B: np.ndarray  # n1 x k, residues in [0, p)
-    A: np.ndarray  # n1 x n2, residues in [0, p)
     key_seed: int
-    lattice_seed: int
 
     def public(self) -> PublicKey:
-        return PublicKey(params=self.params, B=self.B, A=self.A,
-                         lattice_seed=self.lattice_seed)
+        return PublicKey(self.params, self.B, self.A, self.lattice_seed)
 
 
 @dataclass(frozen=True)
@@ -208,7 +203,7 @@ def derive_error_rows(shared_error_seed: int, message_indices,
     return error_rows(message_streams(shared_error_seed, message_indices), params)
 
 
-def pad(key: KeyPair | PublicKey, errors: ErrorTriple) -> Ciphertext:
+def pad(key: PublicKey, errors: ErrorTriple) -> Ciphertext:
     """The encryption of the zero plaintext, ``c = (e1 B + e3) mod p`` and
     ``d = (e1 A + e2) mod p``, one row per triple: formed before the
     plaintext is known, completed by :func:`encrypt`. ``key`` may also stack

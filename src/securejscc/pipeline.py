@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codec, metrics
-from .lwe import Ciphertext, KeyPair, centered, decrypt, derive_error_rows, encrypt, pad
+from .lwe import (Ciphertext, KeyPair, PublicKey, centered, decrypt, derive_error_rows,
+                  encrypt, pad)
 from .modem import Constellation, Db, channel_noise, receive
 from .quantizer import QuantizerConfig, hard_quantize, soft_dequantize
 from .rng import check_distinct
@@ -59,12 +60,12 @@ def draw_messages(keys: KeyPair, cons: Constellation, error_seed: int,
     return MessageDraws(np.asarray(message_indices), pad(keys, errors), sigma2, noise)
 
 
-def transmit_latent(z_bar: np.ndarray, draws: MessageDraws, keys: KeyPair,
+def transmit_latent(z_bar: np.ndarray, draws: MessageDraws, keys: PublicKey,
                     cons: Constellation, sigma_l: float
                     ) -> tuple[Ciphertext, np.ndarray]:
     """Carry (B, k) quantized latents through encryption and the channel on
     their messages' draws: the ciphertext and its soft-demodulated estimate
-    c_hat, which the receiver decrypts with ``decrypt(c_hat, ct.d, keys)``."""
+    c_hat, which the receiver decrypts with its KeyPair: ``decrypt(c_hat, ct.d, ...)``."""
     ct = encrypt(z_bar, draws.pad, keys.params)
     return ct, receive(ct.c, cons, draws.sigma2, draws.noise, sigma_l)
 

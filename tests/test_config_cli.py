@@ -320,6 +320,31 @@ def test_cli_transmit_refuses_an_error_seed_equal_to_the_key_files_lattice_seed(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed, name", [("key", "keys.key_seed"),
+                                        ("lattice", "keys.lattice_seed")])
+def test_cli_transmit_refuses_a_data_seed_equal_to_a_key_files_seed(
+        tmp_path, capsys, seed, name):
+    # synthetic image i comes from the (seeds.data, i) stream, S and U from
+    # (key_seed, 0) and A from (lattice_seed, 0): a known image would give
+    # those draws away, so the rule holds whatever --in sends
+    key_dir = tmp_path / "keys"
+    key_dir.mkdir()
+    key_cfg = make_config_file(key_dir, seeds={seed: 5, "data": 9})
+    pub, sec = key_dir / "pub.json", key_dir / "sec.json"
+    assert main(["keygen", "--config", str(key_cfg), "--out", str(pub), str(sec)]) == 0
+    capsys.readouterr()
+    img = tmp_path / "x.pgm"
+    write_image(img, np.zeros((4, 4, 1)))
+    out = tmp_path / "tx.csv"
+    for infile in ("synthetic", str(img)):
+        assert main(["transmit", "--config", str(make_config_file(tmp_path)),
+                     "--keys", str(sec), "--in", infile, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"seeds 'seeds.data' and '{name}' are equal mod 2**64" in err
+        assert not out.exists()
+
+
 def test_cli_attack_with_sabotage_control(tmp_path, capsys):
     cfg_path = make_config_file(
         tmp_path, dataset=images(400),

@@ -304,6 +304,16 @@ def test_public_view_carries_no_secret():
     assert not hasattr(pk, "key_seed")
 
 
+def test_key_pair_is_its_public_key_plus_the_secret():
+    keys = keygen(SMALL, 10, 20)
+    assert isinstance(keys, lwe.PublicKey)
+    assert type(keys.public()) is lwe.PublicKey
+    errors = derive_error_rows(9, range(8), SMALL)
+    mine, public = pad(keys, errors), pad(keys.public(), errors)
+    for a, b in ((mine.c, public.c), (mine.d, public.d)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 # -- error derivation --------------------------------------------------------
 
 
@@ -646,7 +656,8 @@ def test_secret_file_with_equal_seeds_is_rejected(tmp_path):
     # a file whose S is consistent with its seeds, but whose seeds are equal
     S, B, A = (m[0] for m in keygen_stack(SMALL, [7], [7]))
     pub, sec = tmp_path / "pub.json", tmp_path / "sec.json"
-    save_key_files(KeyPair(SMALL, S, B, A, key_seed=7, lattice_seed=7), pub, sec)
+    save_key_files(KeyPair(params=SMALL, S=S, B=B, A=A, key_seed=7, lattice_seed=7),
+                   pub, sec)
     message = f"{sec}: seeds 'key_seed' and 'lattice_seed' are equal mod 2**64"
     with pytest.raises(ValueError, match=re.escape(message)):
         load_secret_key(sec)

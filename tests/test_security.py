@@ -296,10 +296,15 @@ def test_eve_same_snr_same_seed_matches_bob():
 # -- chosen-plaintext attack -------------------------------------------------
 
 
+class RelabelledKey(lwe.PublicKey):
+    """A PublicKey subclass that adds no field: nothing proves it carries none."""
+
+
 def test_attack_rejects_secret_material(attack_setup):
-    _, qcfg, keys = attack_setup
-    with pytest.raises(TypeError):
-        run_cpa_attack(make_attack_cfg(), ATTACK_SPEC, {}, keys, qcfg)
+    pk, qcfg, keys = attack_setup
+    for key in (keys, RelabelledKey(*vars(pk).values())):
+        with pytest.raises(TypeError):
+            run_cpa_attack(make_attack_cfg(), ATTACK_SPEC, {}, key, qcfg)
 
 
 def test_attack_rejects_a_quantizer_for_another_modulus(attack_setup):
